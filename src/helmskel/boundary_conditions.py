@@ -86,10 +86,13 @@ class BoundaryCondition:
             if ev.min() <= 0:
                 raise ValueError("robin impedance must be positive definite")
             try:
-                self._chol_lt = np.linalg.cholesky(self.lam + self.t_gamma)
+                # Fortran order: cho_solve then passes it to LAPACK uncopied
+                self._chol_lt = np.asfortranarray(
+                    np.linalg.cholesky(self.lam + self.t_gamma))
             except np.linalg.LinAlgError as exc:
                 raise ValueError("robin impedance plus boundary impedance "
                                  "is not positive definite") from exc
+            self._lam_minus_t = self.lam - self.t_gamma
         if kind == "mixed" and self.theta is None:
             raise ValueError("mixed condition needs a projector")
 
@@ -149,7 +152,9 @@ class BoundaryCondition:
         if self.kind == "neumann":
             return -q
         if self.kind == "robin":
-            return (self.lam - self.t_gamma) @ sla.cho_solve((self._chol_lt, True), q)
+            X = sla.cho_solve((self._chol_lt, True), np.column_stack([q.real, q.imag]))
+            Y = self._lam_minus_t @ X
+            return Y[:, 0] + 1j * Y[:, 1]
         return 2.0 * (self.theta @ q) - q
 
     def scattering_generic(self, q: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -58,25 +57,31 @@ class ExchangeOperator:
     Q q = T E G^-1 E^T q and the exchange operator is Pi = 2Q - Id.  Pi is
     an involution and an isometry for the T^-1 norm; it fixes tuples of
     matching Neumann data and negates tuples of opposite Neumann jumps.
-    Applying it costs one SPD solve with the prefactored G.
+    G is assembled sparse from the impedance blocks and factored once by a
+    real sparse LU (symmetric mode, fill-reducing ordering of G + G^T); a
+    complex right-hand side is solved as its real and imaginary parts, two
+    real columns of one solve.
     """
 
     def __init__(self, index: SkeletonIndex, impedance: BlockImpedance):
         self.index = index
         self.impedance = impedance
         n = index.n_sigma
-        G = np.zeros((n, n))
-        for m, T in zip(index.block_map, impedance.blocks):
-            G[np.ix_(m, m)] += T
-        self.G = G
-        self._chol_g = sla.cho_factor(G, lower=True)
+        rows = np.concatenate([np.repeat(m, len(m)) for m in index.block_map])
+        cols = np.concatenate([np.tile(m, len(m)) for m in index.block_map])
+        vals = np.concatenate([T.ravel() for T in impedance.blocks])
+        self.G = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+        self._lu = spla.splu(self.G, permc_spec="MMD_AT_PLUS_A",
+                             diag_pivot_thresh=0.0,
+                             options=dict(SymmetricMode=True))
 
     def project(self, q: SkeletonField) -> SkeletonField:
         """Q q: the T^-1-orthogonal projection onto T(single-trace space)."""
         if q.kind != "dual":
             raise ValueError("exchange operator acts on dual fields")
         y = single_trace_adjoint(q, self.index)
-        x = sla.cho_solve(self._chol_g, y)
+        X = self._lu.solve(np.column_stack([y.real, y.imag]))
+        x = X[:, 0] + 1j * X[:, 1]
         return self.impedance.apply(single_trace_embed(x, self.index))
 
     def apply(self, q: SkeletonField) -> SkeletonField:
@@ -84,17 +89,32 @@ class ExchangeOperator:
         return 2.0 * self.project(q) - q
 
 
-def _estimate_rcond(C: sp.spmatrix, lu) -> float:
-    """1-norm reciprocal condition estimate of a factored sparse matrix."""
+# Largest block whose inverse the rcond fallback forms densely (64 MB complex).
+_DENSE_RCOND_MAX = 2000
+
+
+def _estimate_rcond(C: sp.spmatrix, lu, block: int) -> float:
+    """1-norm reciprocal condition estimate of a factored sparse matrix.
+
+    If the iterative estimator fails, blocks of up to ``_DENSE_RCOND_MAX``
+    dofs take the exact 1-norm of the inverse from the factor applied to
+    the identity; larger blocks raise :class:`AssumptionViolation`, since
+    an unchecked factorization would disable the solvability guard.
+    """
     norm_c = float(abs(C).sum(axis=0).max())
     inv_op = spla.LinearOperator(C.shape, dtype=complex,
                                  matvec=lambda x: lu.solve(x),
                                  rmatvec=lambda x: lu.solve(x, trans="H"))
     try:
         norm_inv = float(spla.onenormest(inv_op))
-    except Exception:
-        return 1.0  # estimator failure: do not block the solve
-    if norm_c == 0 or norm_inv == 0:
+    except (RuntimeError, ValueError, ArithmeticError) as exc:
+        n = C.shape[0]
+        if n > _DENSE_RCOND_MAX:
+            raise AssumptionViolation(
+                f"condition estimate of block {block} ({n} dofs) failed; "
+                "its solvability cannot be checked") from exc
+        norm_inv = float(np.abs(lu.solve(np.eye(n, dtype=complex))).sum(axis=0).max())
+    if norm_c == 0 or not 0 < norm_inv < np.inf:
         return 0.0
     return 1.0 / (norm_c * norm_inv)
 
@@ -129,7 +149,7 @@ class LocalImpedanceSolver:
                 raise AssumptionViolation(
                     f"impedance problem of block {j + 1} is singular; "
                     "perturb kappa or gamma and retry") from exc
-            rcond = _estimate_rcond(C, lu)
+            rcond = _estimate_rcond(C, lu, j + 1)
             if rcond < rcond_floor:
                 raise AssumptionViolation(
                     f"impedance problem of block {j + 1} is numerically singular "

@@ -140,11 +140,25 @@ def richardson(problem: Problem, f: SkeletonField, relax: float = 0.5,
 
 def _givens(h1: complex, h2: complex):
     t = math.hypot(abs(h1), abs(h2))
+    if t == 0.0:
+        return 1.0, 0.0
     return h1 / t, h2 / t
 
 
+# Arnoldi breaks down when the new direction is this small relative to the
+# operator image it came from: the Krylov space is then invariant.
+_BREAKDOWN_RTOL = 100 * np.finfo(float).eps
+
+
 def _gmres_core(matvec, b, tol, restart, maxit):
-    """Restarted GMRES with Givens rotations; returns (x, history, converged)."""
+    """Restarted GMRES with Givens rotations; returns (x, history, converged).
+
+    On a breakdown the Krylov space is invariant and restarting cannot
+    help, so the iteration stops there.  The small triangular system may
+    then be singular (the operator is), so it is solved in the
+    least-squares sense and its misfit enters the final residual estimate;
+    ``converged`` holds only if that estimate meets ``tol``.
+    """
     n = len(b)
     bnorm = np.linalg.norm(b)
     x = np.zeros(n, complex)
@@ -153,8 +167,8 @@ def _gmres_core(matvec, b, tol, restart, maxit):
     restart = n if restart is None else min(restart, n)
     history = []
     total = 0
-    converged = False
-    while total < maxit and not converged:
+    converged = breakdown = False
+    while total < maxit and not (converged or breakdown):
         r = b - matvec(x)
         beta = np.linalg.norm(r)
         if total == 0:
@@ -173,12 +187,15 @@ def _gmres_core(matvec, b, tol, restart, maxit):
         k_used = 0
         for k in range(m):
             w = matvec(V[:, k])
+            wnorm = np.linalg.norm(w)
             for i in range(k + 1):
                 H[i, k] = np.vdot(V[:, i], w)
                 w = w - H[i, k] * V[:, i]
             H[k + 1, k] = np.linalg.norm(w)
-            breakdown = H[k + 1, k].real <= 1e-300
-            if not breakdown:
+            breakdown = H[k + 1, k].real <= _BREAKDOWN_RTOL * wnorm
+            if breakdown:
+                H[k + 1, k] = 0.0
+            else:
                 V[:, k + 1] = w / H[k + 1, k]
             for i in range(k):
                 hi, hi1 = H[i, k], H[i + 1, k]
@@ -195,10 +212,15 @@ def _gmres_core(matvec, b, tol, restart, maxit):
             k_used = k + 1
             history.append(abs(g[k + 1]))
             if abs(g[k + 1]) <= tol * bnorm or breakdown:
-                converged = abs(g[k + 1]) <= tol * bnorm or breakdown
                 break
-        y = sla.solve_triangular(H[:k_used, :k_used], g[:k_used], lower=False)
+        R, gr = H[:k_used, :k_used], g[:k_used]
+        if breakdown:
+            y = np.linalg.lstsq(R, gr, rcond=None)[0]
+            history[-1] = math.hypot(history[-1], np.linalg.norm(gr - R @ y))
+        else:
+            y = sla.solve_triangular(R, gr, lower=False)
         x = x + V[:, :k_used] @ y
+        converged = history[-1] <= tol * bnorm
     return x, history, converged
 
 
@@ -368,6 +390,9 @@ def verify_estimates(problem: Problem, svd_threshold: float = 1e-8,
     Checks, in order: the estimate chain between the two inf-sup constants,
     the coercivity lower bound, the kernel dimension correspondence, and
     the (trivially zero) index consistency through the transposed operator.
+    The transpose needs no second SVD: M is square and M^T is the adjoint
+    of conj(M), so it has the singular values of M, and the kernels of M
+    and M^T have the same dimension under the same threshold.
     """
     M = dense_operator(problem, dense_cap)
     svals = sla.svdvals(M)
@@ -380,8 +405,7 @@ def verify_estimates(problem: Problem, svd_threshold: float = 1e-8,
                                                 svd_threshold)
     norm_a = continuity_modulus(problem)
 
-    svals_t = sla.svdvals(M.T)
-    kernel_t = int(np.sum(svals_t < svd_threshold * float(svals_t.max())))
+    kernel_t = kernel_s  # M.T has the singular values of M
 
     return SpectralReport(
         n_dual=problem.dual_dim,

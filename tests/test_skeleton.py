@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import helmskel.skeleton as sk
 from helmskel.problem import build_problem, h1_norm, make_load, monolithic_matrix, solve_monolithic
@@ -38,10 +40,18 @@ def test_exchange_negates_jumps(ref_problem, rng):
         assert p.impedance.norm(out + q) <= 1e-12 * p.impedance.norm(q)
 
 
-def test_exchange_against_dense_projector(small_problem, rng):
-    p = small_problem
-    # dense oracle: Q = T E (E^T T E)^-1 E^T assembled explicitly
+@pytest.mark.parametrize("tgamma", ["collar", "boundary_h1"])
+@pytest.mark.parametrize("nx,ny,px,py", [(4, 4, 2, 2), (16, 16, 4, 4), (12, 12, 3, 4)])
+def test_exchange_against_dense_projector(nx, ny, px, py, tgamma, rng):
+    # the larger partitions have many interior cross points, where G
+    # couples four blocks per dof
+    p = build_problem(nx, ny, px, py, k=3.0, bc_kind="robin", tgamma=tgamma)
+    # the exchange holds G sparse and no dense n_sigma x n_sigma array
     n_sigma = p.index.n_sigma
+    assert sp.issparse(p.exchange.G)
+    for v in vars(p.exchange).values():
+        assert not (isinstance(v, np.ndarray) and v.shape == (n_sigma, n_sigma))
+    # dense oracle: Q = T E (E^T T E)^-1 E^T assembled explicitly
     E = np.zeros((p.dual_dim, n_sigma))
     offs = p.impedance.offsets
     for b, m in enumerate(p.index.block_map):
@@ -352,3 +362,21 @@ def test_kernel_lift_at_resonance():
 def test_local_solvability_guard():
     with pytest.raises(sk.AssumptionViolation, match="perturb"):
         build_problem(4, 4, 2, 2, k=3.0, bc_kind="robin", rcond_floor=1.0)
+
+
+def test_local_solvability_guard_without_onenormest(monkeypatch):
+    def failing_estimator(*args, **kwargs):
+        raise RuntimeError("estimator failed")
+
+    monkeypatch.setattr(sk.spla, "onenormest", failing_estimator)
+    # small blocks fall back to the exact 1-norm condition number
+    C = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]], complex))
+    rcond = sk._estimate_rcond(C, spla.splu(C), 1)
+    assert rcond < 1e-12
+    assert rcond == pytest.approx(1.0 / np.linalg.cond(C.toarray(), 1), rel=1e-6)
+    with pytest.raises(sk.AssumptionViolation, match="perturb"):
+        build_problem(4, 4, 2, 2, k=3.0, bc_kind="robin", rcond_floor=1.0)
+    # larger blocks cannot be checked, which is an error naming the block
+    monkeypatch.setattr(sk, "_DENSE_RCOND_MAX", 1)
+    with pytest.raises(sk.AssumptionViolation, match="block 1 "):
+        build_problem(4, 4, 2, 2, k=3.0, bc_kind="robin")

@@ -12,7 +12,7 @@ from helmskel.solvers_spectral import (DenseCapExceeded, coercivity_constant,
                                        infsup_skeleton, richardson,
                                        sweep_wavenumber, verify_estimates,
                                        write_sweep_csv,
-                                       _primary_extremes_iterative)
+                                       _gmres_core, _primary_extremes_iterative)
 from helmskel.traces import SkeletonField
 
 
@@ -99,6 +99,28 @@ def test_gmres_finite_termination_single_domain(rng):
     q, rep = gmres_tinv(p, f, tol=1e-12)
     assert rep.converged
     assert rep.iterations <= p.dual_dim
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+def test_gmres_breakdown_is_not_convergence(scale):
+    # diag(1, 1, 2, 2, 0, 0) has a 3-dimensional Krylov space from ones(6):
+    # Arnoldi breaks down at step 3, and the kernel part of b stays
+    b = scale * np.ones(6, complex)
+    d = np.array([1.0, 1.0, 2.0, 2.0, 0.0, 0.0])
+    x, history, converged = _gmres_core(lambda v: d * v, b, 1e-10, None, 12)
+    assert not converged and len(history) - 1 == 3
+    np.testing.assert_allclose(x / scale, [1, 1, 0.5, 0.5, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(history[-1], np.linalg.norm(b - d * x), rtol=1e-10)
+    # the same breakdown with an invertible operator is an exact solve
+    d[4:] = 3.0
+    x, history, converged = _gmres_core(lambda v: d * v, b, 1e-10, None, 12)
+    assert converged and len(history) - 1 == 3
+    np.testing.assert_allclose(x, b / d, rtol=1e-12)
+    # b in the kernel: the first operator image is exactly zero
+    d[:] = 0.0
+    x, history, converged = _gmres_core(lambda v: d * v, b, 1e-10, None, 12)
+    assert not converged and len(history) - 1 == 1
+    assert np.all(x == 0) and history[-1] == pytest.approx(np.linalg.norm(b))
 
 
 def test_gmres_restarted_still_converges(robin_system):
