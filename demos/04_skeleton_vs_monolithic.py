@@ -17,10 +17,9 @@ from helmskel.solvers_spectral import gmres_tinv, richardson
 
 for kind in ("dirichlet", "neumann", "robin", "mixed"):
     problem = build_problem(8, 8, 2, 2, k=5.0, bc_kind=kind)
-    ones = np.ones(problem.n_gamma, complex)
-    problem.bc.g_d = 0.3 * ones
-    problem.bc.g_n = 0.5 * (problem.gamma_mass @ ones.real).astype(complex)
-    load = make_load(problem, f=1.0)
+    ones = np.ones(problem.n_gamma)
+    load = make_load(problem, f=1.0, g_d=0.3 * ones,
+                     g_n=0.5 * (problem.gamma_mass @ ones))
 
     f = sk.skeleton_rhs(problem, load)
     q, rep = gmres_tinv(problem, f, tol=1e-10)

@@ -66,8 +66,7 @@ class BoundaryCondition:
     monolithic assembly.
     """
 
-    def __init__(self, kind: str, t_gamma: np.ndarray, lam=None, theta=None,
-                 g_d=None, g_n=None):
+    def __init__(self, kind: str, t_gamma: np.ndarray, lam=None, theta=None):
         if kind not in _KINDS:
             raise ValueError(f"unknown boundary condition kind {kind!r}")
         self.kind = kind
@@ -76,8 +75,6 @@ class BoundaryCondition:
         self._chol_t = np.linalg.cholesky(self.t_gamma)
         self.lam = None if lam is None else np.ascontiguousarray(lam)
         self.theta = None if theta is None else np.ascontiguousarray(theta)
-        self.g_d = None if g_d is None else np.asarray(g_d, dtype=complex)
-        self.g_n = None if g_n is None else np.asarray(g_n, dtype=complex)
 
         if kind == "robin":
             if self.lam is None:
@@ -178,11 +175,15 @@ class BoundaryCondition:
         Tinv = self.t_inverse()
         return Z, self.theta, self.theta.T, Tinv @ (I - self.theta)
 
-    def load_pair(self, n_gamma: int):
-        """Boundary part of the right-hand side for the stored data."""
-        za = np.zeros(n_gamma, complex)
-        g_d = self.g_d if self.g_d is not None else za
-        g_n = self.g_n if self.g_n is not None else za
+    def load_pair(self, g_d=None, g_n=None):
+        """Boundary part of the right-hand side for the data g_d and g_n.
+
+        g_d is the Dirichlet datum, g_n the Neumann (or Robin) functional;
+        None stands for zero, and each kind reads only the data it uses.
+        """
+        za = np.zeros(self.n, complex)
+        g_d = za if g_d is None else np.asarray(g_d, complex)
+        g_n = za if g_n is None else np.asarray(g_n, complex)
         if self.kind == "dirichlet":
             return za.copy(), g_d.copy()
         if self.kind in ("neumann", "robin"):
@@ -191,11 +192,11 @@ class BoundaryCondition:
 
 
 def make_boundary_condition(kind: str, t_gamma: np.ndarray, *, lam=None,
-                            gamma_d_positions=None, g_d=None, g_n=None) -> BoundaryCondition:
+                            gamma_d_positions=None) -> BoundaryCondition:
     """Build a condition, deriving the mixed projector when needed."""
     theta = None
     if kind == "mixed":
         if gamma_d_positions is None:
             raise ValueError("mixed condition needs the Dirichlet dof positions")
         theta = mixed_projector(gamma_d_positions, t_gamma)
-    return BoundaryCondition(kind, t_gamma, lam=lam, theta=theta, g_d=g_d, g_n=g_n)
+    return BoundaryCondition(kind, t_gamma, lam=lam, theta=theta)

@@ -7,22 +7,23 @@ or usage error, 3 local solvability (impedance) violation.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import skeleton as sk
 from . import solvers_spectral as ss
-from .config import (ConfigError, ProblemConfig, manufactured_solution,
-                     parse_config, problem_from_config, source_function)
-from .problem import h1_norm, make_load, monolithic_matrix, solve_monolithic
+from . import verification as vf
+from .config import (ConfigError, ProblemConfig, load_from_config,
+                     manufactured_solution, parse_config, problem_from_config)
 from .skeleton import AssumptionViolation
-from .traces import SkeletonField, single_trace_embed
 
 __all__ = ["main", "cmd_solve", "cmd_verify", "cmd_spectrum", "cmd_sweep",
-           "run_verification"]
+           "run_verification", "condition_problems"]
 
 
 def _out_dir(cfg: ProblemConfig, override=None) -> Path:
@@ -43,7 +44,7 @@ def cmd_solve(cfg: ProblemConfig, out=None) -> int:
     """Skeleton solve, volume recovery and report emission."""
     out_dir = _out_dir(cfg, out)
     problem = problem_from_config(cfg)
-    load = make_load(problem, f=source_function(cfg, problem))
+    load = load_from_config(cfg, problem)
 
     f = sk.skeleton_rhs(problem, load)
     if cfg.solver_method == "richardson":
@@ -90,135 +91,49 @@ def cmd_solve(cfg: ProblemConfig, out=None) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+def condition_problems(cfg: ProblemConfig) -> dict:
+    """The configured problem under each of the four boundary conditions."""
+    return {kind: problem_from_config(replace(cfg, bc_kind=kind, source="zero"))
+            for kind in ("dirichlet", "neumann", "robin", "mixed")}
+
+
+def _tampered(problem):
+    """Copy of a problem whose impedance block 1 is no longer symmetric."""
+    bad = problem.impedance.blocks[1].copy()
+    bad[0, 1] += 0.05 * abs(bad).max()
+    impedance = copy.copy(problem.impedance)
+    impedance.blocks = [impedance.blocks[0], bad, *impedance.blocks[2:]]
+    return replace(problem, impedance=impedance,
+                   exchange=sk.ExchangeOperator(problem.index, impedance))
+
+
 def run_verification(cfg: ProblemConfig, seed=None, tamper_t: bool = False) -> dict:
     """Run every identity suite on the configured problem.
 
-    All random draws come from the recorded seed, so reruns are
-    reproducible bit for bit.  ``tamper_t`` deliberately breaks the
-    symmetry of one impedance block (a negative control: the exchange
-    isometry suite must then fail).
+    Each suite draws from its own generator seeded with the recorded seed,
+    so reruns are reproducible bit for bit.  ``tamper_t`` runs the suites
+    on a copy with one asymmetric impedance block (a negative control: the
+    exchange isometry suite must then fail).
     """
-    from .problem import build_problem
-
     seed = cfg.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
     problem = problem_from_config(cfg)
     if tamper_t:
-        bad = problem.impedance.blocks[1].copy()
-        bad[0, 1] += 0.05 * abs(bad).max()
-        problem.impedance.blocks[1] = bad
-        problem.exchange = sk.ExchangeOperator(problem.index, problem.impedance)
+        problem = _tampered(problem)
+    conds = condition_problems(cfg)
+    lossless = ([conds[kind] for kind in ("dirichlet", "neumann", "mixed")]
+                if vf.is_lossless(problem) else [])
 
-    imp = problem.impedance
-    results = {}
+    def rng():
+        return np.random.default_rng(seed)
 
-    def rand_field(kind):
-        return SkeletonField(
-            [rng.standard_normal(n) + 1j * rng.standard_normal(n)
-             for n in problem.block_sizes], kind)
-
-    def rand_dual():
-        return rand_field("dual")
-
-    # exchange operator axioms
-    worst = 0.0
-    for _ in range(100):
-        q = rand_dual()
-        nq = imp.norm(q)
-        piq = problem.exchange.apply(q)
-        worst = max(worst,
-                    imp.norm(problem.exchange.apply(piq) - q) / nq,
-                    abs(imp.norm(piq) / nq - 1.0))
-    results["exchange_axioms"] = {"max_residual": worst, "passed": worst <= 1e-10}
-
-    # scattering energy identity
-    worst = 0.0
-    for _ in range(100):
-        q = rand_dual()
-        sq, u = problem.scattering.apply_with_volume(q)
-        nq2 = imp.norm(q) ** 2
-        res = abs(imp.norm(sq) ** 2 + 4.0 * abs(sk.absorption(problem, u)) - nq2)
-        worst = max(worst, res / nq2)
-    results["energy_identity"] = {"max_residual": worst, "passed": worst <= 1e-10}
-
-    # transmission characterization
-    ok, bad_fail = 0.0, np.inf
-    n_sigma = problem.index.n_sigma
-    for _ in range(50):
-        x = rng.standard_normal(n_sigma) + 1j * rng.standard_normal(n_sigma)
-        v = single_trace_embed(x, problem.index)
-        r = rand_dual()
-        # jump part: strip the single-valued component (Euclidean projection)
-        p = r - _euclid_embed_project(problem, r)
-        itv = 1j * imp.apply(v)
-        lhs = -1.0 * p + itv
-        rhs = problem.exchange.apply(p + itv)
-        scale = max(imp.norm(p + itv), 1e-300)
-        ok = max(ok, imp.norm(lhs - rhs) / scale)
-        # violating pair: a generic tuple fails the identity
-        pv = rand_dual()
-        vv = rand_field("primal")
-        itv = 1j * imp.apply(vv)
-        scale = max(imp.norm(pv + itv), 1e-300)
-        bad_fail = min(bad_fail,
-                       imp.norm(-1.0 * pv + itv
-                                - problem.exchange.apply(pv + itv)) / scale)
-    results["transmission"] = {"max_residual": ok, "min_violation": bad_fail,
-                               "passed": ok <= 1e-11 and bad_fail >= 1e-3}
-
-    # equivalence against the monolithic solve, all four conditions
-    worst_h1, worst_mm = 0.0, 0.0
-    for kind in ("dirichlet", "neumann", "robin", "mixed"):
-        p2 = build_problem(cfg.nx, cfg.ny, cfg.px, cfg.py, width=cfg.width,
-                           height=cfg.height, k=cfg.k, mu=cfg.mu,
-                           gamma=cfg.gamma, bc_kind=kind,
-                           lambda_scale=cfg.lambda_scale, tgamma=cfg.tgamma)
-        ng = p2.n_gamma
-        ones = np.ones(ng, complex)
-        p2.bc.g_d = 0.3 * ones
-        p2.bc.g_n = 0.5 * (p2.gamma_mass @ ones.real).astype(complex)
-        load = make_load(p2, f=1.0)
-        fvec = sk.skeleton_rhs(p2, load)
-        q, rep = ss.gmres_tinv(p2, fvec, tol=1e-10)
-        rec = sk.recover_volume(p2, q, load)
-        u_mono, _ = solve_monolithic(p2, load)
-        ref = max(h1_norm(p2, u_mono), 1e-300)
-        worst_h1 = max(worst_h1, h1_norm(p2, rec.u - u_mono) / ref)
-        worst_mm = max(worst_mm, rec.mismatch)
-    results["equivalence"] = {"max_h1_error": worst_h1, "max_mismatch": worst_mm,
-                              "passed": worst_h1 <= 1e-8 and worst_mm <= 1e-9}
-
-    # assembly factorization
-    worst = 0.0
-    from .assembly import primary_from_blocks
-    for kind in ("dirichlet", "neumann", "robin", "mixed"):
-        p2 = build_problem(cfg.nx, cfg.ny, cfg.px, cfg.py, width=cfg.width,
-                           height=cfg.height, k=cfg.k, mu=cfg.mu,
-                           gamma=cfg.gamma, bc_kind=kind,
-                           lambda_scale=cfg.lambda_scale, tgamma=cfg.tgamma)
-        d = (monolithic_matrix(p2) - primary_from_blocks(p2.partition, p2.forms,
-                                                         p2.bc))
-        scale = max(abs(monolithic_matrix(p2)).max(), 1e-300)
-        worst = max(worst, abs(d).max() / scale if d.nnz else 0.0)
-    results["factorization"] = {"max_entry_error": worst, "passed": worst <= 1e-13}
-
-    # cauchy decomposition
-    worst_rec, worst_mem = 0.0, 0.0
-    for _ in range(10):
-        v = rand_field("primal")
-        p = rand_dual()
-        pair, (u1, p1) = sk.cauchy_decompose(problem, v, p)
-        nrm = max(imp.norm(v), imp.norm(p))
-        worst_rec = max(worst_rec,
-                        imp.norm((pair.v + u1) - v) / nrm,
-                        imp.norm((pair.p + p1) - p) / nrm)
-        worst_mem = max(worst_mem,
-                        sk.cauchy_membership_residual(problem, pair.v, pair.p))
-    results["cauchy_decomposition"] = {
-        "max_recomposition": worst_rec, "max_membership": worst_mem,
-        "passed": worst_rec <= 1e-12 and worst_mem <= 1e-9}
-
-    # spectral inequalities
+    results = {
+        "exchange_axioms": vf.exchange_axioms(problem, rng()),
+        "energy_identity": vf.energy_identity(problem, rng(), lossless),
+        "transmission": vf.transmission(problem, rng()),
+        "equivalence": vf.equivalence(conds.values()),
+        "factorization": vf.factorization(conds.values()),
+        "cauchy_decomposition": vf.cauchy_decomposition(problem, rng()),
+    }
     try:
         rep = ss.verify_estimates(problem, svd_threshold=cfg.svd_threshold,
                                   dense_cap=cfg.dense_cap)
@@ -233,35 +148,10 @@ def run_verification(cfg: ProblemConfig, seed=None, tamper_t: bool = False) -> d
     return results
 
 
-def _euclid_embed_project(problem, r: SkeletonField) -> SkeletonField:
-    """Euclidean projection of a dual field onto the range of the embedding."""
-    from .traces import single_trace_adjoint
-
-    index = problem.index
-    y = single_trace_adjoint(r, index)
-    counts = np.zeros(index.n_sigma)
-    for m in index.block_map:
-        np.add.at(counts, m, 1.0)
-    x = y / counts
-    return SkeletonField([x[m] for m in index.block_map], "dual")
-
-
 def cmd_verify(cfg: ProblemConfig, out=None, seed=None, tamper_t: bool = False) -> int:
     out_dir = _out_dir(cfg, out)
     results = run_verification(cfg, seed=seed, tamper_t=tamper_t)
-
-    def _clean(obj):
-        if isinstance(obj, dict):
-            return {k: _clean(v) for k, v in obj.items()}
-        if isinstance(obj, (bool, np.bool_)):
-            return bool(obj)
-        if isinstance(obj, (int, np.integer)):
-            return int(obj)
-        if isinstance(obj, (float, np.floating)):
-            return float(obj)
-        return obj
-
-    _write_json(out_dir / "verify_report.json", _clean(results))
+    _write_json(out_dir / "verify_report.json", results)
     for name, res in results.items():
         if isinstance(res, dict):
             status = "PASS" if res.get("passed") else "FAIL"

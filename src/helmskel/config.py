@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["ProblemConfig", "ConfigError", "parse_config", "problem_from_config",
-           "DEFAULT_CONFIG_TEXT"]
+           "load_from_config", "DEFAULT_CONFIG_TEXT"]
 
 
 class ConfigError(ValueError):
@@ -240,22 +240,26 @@ def problem_from_config(cfg: ProblemConfig):
         def kappa_sq(x, y):
             return k2 * (1.0 + 0.5j * (x >= half))
 
-    problem = build_problem(
+    return build_problem(
         cfg.nx, cfg.ny, cfg.px, cfg.py, width=cfg.width, height=cfg.height,
         k=cfg.k, mu=cfg.mu, kappa_sq=kappa_sq, gamma=cfg.gamma,
         bc_kind=cfg.bc_kind, lambda_scale=cfg.lambda_scale,
         gamma_d_sides=cfg.gamma_d_sides, tgamma=cfg.tgamma)
 
-    ng = problem.n_gamma
-    ones = np.ones(ng)
-    if cfg.bc_kind in ("dirichlet", "mixed"):
-        if cfg.source == "manufactured":
-            problem.bc.g_d = np.zeros(ng, complex)
-        else:
-            problem.bc.g_d = cfg.g_d * ones.astype(complex)
-    if cfg.bc_kind in ("neumann", "robin", "mixed"):
-        problem.bc.g_n = cfg.g_n * (problem.gamma_mass @ ones).astype(complex)
-    return problem
+
+def load_from_config(cfg: ProblemConfig, problem):
+    """Load of the configured source and constant boundary data.
+
+    The Dirichlet value is ``g_d`` (zero under the manufactured source,
+    whose solution vanishes on the boundary); the Neumann functional is
+    ``g_n`` times the boundary mass applied to ones.
+    """
+    from .problem import make_load
+
+    ones = np.ones(problem.n_gamma)
+    g_d = (0.0 if cfg.source == "manufactured" else cfg.g_d) * ones
+    return make_load(problem, source_function(cfg, problem), g_d=g_d,
+                     g_n=cfg.g_n * (problem.gamma_mass @ ones))
 
 
 def source_function(cfg: ProblemConfig, problem):

@@ -2,8 +2,9 @@
 
 ``build_problem`` wires the whole chain: mesh, partition, skeleton index,
 per-subdomain forms, impedance blocks, boundary condition, exchange and
-scattering operators.  Everything is immutable after construction and
-safe to share across threads for read-only application.
+scattering operators.  A ``Problem`` holds operators only and is frozen:
+boundary and volume data enter through ``make_load``, so one problem
+serves any number of right-hand sides.
 """
 
 from __future__ import annotations
@@ -56,9 +57,14 @@ def side_tagger(sides, width: float, height: float):
     return tag
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
-    """All assembled operators of one cavity configuration."""
+    """All assembled operators of one cavity configuration.
+
+    Frozen, and ``bc`` carries the boundary operator without data; a
+    variant (say, with one block replaced) is a new ``Problem`` made by
+    ``dataclasses.replace``.
+    """
 
     mesh: Mesh
     partition: Partition
@@ -104,8 +110,7 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
                   width: float = 1.0, height: float = 1.0,
                   k: float = 5.0, mu: complex = 1.0, kappa_sq=None, gamma=None,
                   bc_kind: str = "robin", lambda_scale: float = 1.0,
-                  gamma_d_sides=("left", "bottom"), g_d=None, g_n=None,
-                  tgamma: str = "collar", rcond_floor: float = 1e-12) -> Problem:
+                  gamma_d_sides=("left", "bottom"), tgamma: str = "collar", rcond_floor: float = 1e-12) -> Problem:
     """Build every operator of a cavity configuration.
 
     Defaults follow the reference setup: unit square, robin condition with
@@ -140,8 +145,7 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
     elif bc_kind == "mixed":
         gamma_d_positions = gamma_d_positions_from_tags(mesh, partition.gamma_dofs)
     bc = make_boundary_condition(bc_kind, t_gamma, lam=lam,
-                                 gamma_d_positions=gamma_d_positions,
-                                 g_d=g_d, g_n=g_n)
+                                 gamma_d_positions=gamma_d_positions)
 
     exchange = ExchangeOperator(index, impedance)
     solver = LocalImpedanceSolver(forms, impedance, bc, rcond_floor=rcond_floor)
@@ -152,18 +156,15 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
                    tgamma_kind=tgamma)
 
 
-def make_load(problem: Problem, f=0.0, gamma_pair=None) -> LoadTuple:
-    """Right-hand side from a volume source plus the boundary data of the bc.
+def make_load(problem: Problem, f=0.0, g_d=None, g_n=None) -> LoadTuple:
+    """Right-hand side from a volume source f and boundary data.
 
-    ``gamma_pair`` overrides the boundary functionals directly (used by
-    tests); otherwise they come from the condition's stored data.
+    ``g_d`` holds Dirichlet values and ``g_n`` the Neumann functional at
+    the boundary dofs (None for zero); the condition's ``load_pair``
+    decides which of them its kind uses.
     """
     load = assembly.assemble_load(problem.mesh, problem.partition, f)
-    if gamma_pair is not None:
-        ga = (np.asarray(gamma_pair[0], complex), np.asarray(gamma_pair[1], complex))
-    else:
-        ga = problem.bc.load_pair(problem.n_gamma)
-    return LoadTuple(ga, load.omega)
+    return LoadTuple(problem.bc.load_pair(g_d, g_n), load.omega)
 
 
 def monolithic_matrix(problem: Problem) -> sp.csc_matrix:

@@ -15,15 +15,15 @@ import numpy as np
 import pytest
 
 import helmskel.skeleton as sk
+import helmskel.verification as vf
 from helmskel.geometry import build_rect_mesh
-from helmskel.problem import (build_problem, h1_norm, make_load,
-                              monolithic_matrix, solve_monolithic)
+from helmskel.problem import build_problem, make_load
 from helmskel.solvers_spectral import (dense_operator, dirichlet_resonance,
                                        gmres_tinv, infsup_primary, richardson,
                                        sweep_wavenumber, verify_estimates)
-from helmskel.traces import SkeletonField, single_trace_adjoint, single_trace_embed
 
 SEED = 42
+KINDS = ("dirichlet", "neumann", "robin", "mixed")
 
 
 @pytest.fixture(scope="module")
@@ -38,27 +38,13 @@ def sweep_results():
     return rows, slopes, time.monotonic() - t0
 
 
-def _rand_dual(p, rng):
-    return SkeletonField([rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                          for n in p.block_sizes], "dual")
-
-
 def _line(num, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}")
 
 
 def test_c01_exchange_operator_axioms(ref):
-    p = ref
-    rng = np.random.default_rng(SEED)
-    imp = p.impedance
     t0 = time.monotonic()
-    worst = 0.0
-    for _ in range(100):
-        q = _rand_dual(p, rng)
-        nq = imp.norm(q)
-        piq = p.exchange.apply(q)
-        worst = max(worst, imp.norm(p.exchange.apply(piq) - q) / nq,
-                    abs(imp.norm(piq) / nq - 1.0))
+    worst = vf.exchange_axioms(ref, np.random.default_rng(SEED))["max_residual"]
     dt = time.monotonic() - t0
     ok = worst <= 1e-10 and dt < 5.0
     _line(1, ok, f"involution/isometry residual {worst:.3e}, {dt:.2f}s")
@@ -67,27 +53,13 @@ def test_c01_exchange_operator_axioms(ref):
 
 
 def test_c02_scattering_energy_identity(ref):
-    p = ref
-    rng = np.random.default_rng(SEED)
-    imp = p.impedance
     t0 = time.monotonic()
-    worst = 0.0
-    for _ in range(100):
-        q = _rand_dual(p, rng)
-        sq, u = p.scattering.apply_with_volume(q)
-        nq2 = imp.norm(q) ** 2
-        worst = max(worst, abs(imp.norm(sq) ** 2
-                               + 4.0 * abs(sk.absorption(p, u)) - nq2) / nq2)
     # with Im kappa^2 = 0 the map is an isometry whenever the boundary
     # block conserves energy (the robin block deliberately absorbs)
-    worst_iso = 0.0
-    for kind in ("dirichlet", "neumann", "mixed"):
-        pk = build_problem(8, 8, 2, 2, k=5.0, bc_kind=kind)
-        for _ in range(34):
-            q = _rand_dual(pk, rng)
-            sq = pk.scattering.apply(q)
-            worst_iso = max(worst_iso,
-                            abs(pk.impedance.norm(sq) / pk.impedance.norm(q) - 1.0))
+    lossless = [build_problem(8, 8, 2, 2, k=5.0, bc_kind=kind)
+                for kind in ("dirichlet", "neumann", "mixed")]
+    res = vf.energy_identity(ref, np.random.default_rng(SEED), lossless)
+    worst, worst_iso = res["max_residual"], res["max_isometry"]
     dt = time.monotonic() - t0
     ok = worst <= 1e-10 and worst_iso <= 1e-11 and dt < 5.0
     _line(2, ok, f"energy residual {worst:.3e}, isometry residual "
@@ -98,31 +70,8 @@ def test_c02_scattering_energy_identity(ref):
 
 
 def test_c03_transmission_characterization(ref):
-    p = ref
-    rng = np.random.default_rng(SEED)
-    imp = p.impedance
-    counts = np.zeros(p.index.n_sigma)
-    for m in p.index.block_map:
-        np.add.at(counts, m, 1.0)
-    worst_valid = 0.0
-    worst_invalid = np.inf
-    for _ in range(50):
-        x = rng.standard_normal(p.index.n_sigma) + 1j * rng.standard_normal(p.index.n_sigma)
-        u = single_trace_embed(x, p.index)
-        r = _rand_dual(p, rng)
-        y = single_trace_adjoint(r, p.index)
-        proj = SkeletonField([(y / counts)[m] for m in p.index.block_map], "dual")
-        jump = r - proj
-        itu = 1j * imp.apply(u)
-        res = imp.norm((-1.0 * jump + itu) - p.exchange.apply(jump + itu))
-        worst_valid = max(worst_valid, res / imp.norm(jump + itu))
-
-        bad_u = SkeletonField([rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                               for n in p.block_sizes], "primal")
-        bad_p = _rand_dual(p, rng)
-        itu = 1j * imp.apply(bad_u)
-        res = imp.norm((-1.0 * bad_p + itu) - p.exchange.apply(bad_p + itu))
-        worst_invalid = min(worst_invalid, res / imp.norm(bad_p + itu))
+    res = vf.transmission(ref, np.random.default_rng(SEED))
+    worst_valid, worst_invalid = res["max_residual"], res["min_violation"]
     ok = worst_valid <= 1e-11 and worst_invalid >= 1e-3
     _line(3, ok, f"valid pairs {worst_valid:.3e}, violating pairs fail by "
                  f">= {worst_invalid:.3e}")
@@ -132,24 +81,13 @@ def test_c03_transmission_characterization(ref):
 
 def test_c04_equivalence_of_formulations():
     t0 = time.monotonic()
-    worst_h1 = 0.0
-    worst_mm = 0.0
-    for kind in ("dirichlet", "neumann", "robin", "mixed"):
-        p = build_problem(8, 8, 2, 2, k=5.0, bc_kind=kind)
-        ones = np.ones(p.n_gamma, complex)
-        p.bc.g_d = 0.3 * ones
-        p.bc.g_n = 0.5 * (p.gamma_mass @ ones.real).astype(complex)
-        load = make_load(p, f=1.0)
-        f = sk.skeleton_rhs(p, load)
-        q, rep = gmres_tinv(p, f, tol=1e-10)
-        assert rep.converged, kind
-        rec = sk.recover_volume(p, q, load)
-        u_mono, _ = solve_monolithic(p, load)
-        worst_h1 = max(worst_h1, h1_norm(p, rec.u - u_mono) / h1_norm(p, u_mono))
-        worst_mm = max(worst_mm, rec.mismatch)
+    res = vf.equivalence(build_problem(8, 8, 2, 2, k=5.0, bc_kind=kind)
+                         for kind in KINDS)
+    worst_h1, worst_mm = res["max_h1_error"], res["max_mismatch"]
     dt = time.monotonic() - t0
     ok = worst_h1 <= 1e-8 and worst_mm <= 1e-9 and dt < 30.0
     _line(4, ok, f"H1 error {worst_h1:.3e}, mismatch {worst_mm:.3e}, {dt:.2f}s")
+    assert res["converged"]
     assert worst_h1 <= 1e-8
     assert worst_mm <= 1e-9
     assert dt < 30.0
@@ -260,36 +198,11 @@ def test_c09_solver_behavior(ref):
 
 
 def test_c10_factorization_and_cauchy_decomposition(ref):
-    from helmskel.assembly import primary_from_blocks
-
-    worst_fact = 0.0
-    for kind in ("dirichlet", "neumann", "robin", "mixed"):
-        p = build_problem(8, 8, 2, 2, k=5.0, bc_kind=kind)
-        direct = monolithic_matrix(p)
-        blocks = primary_from_blocks(p.partition, p.forms, p.bc)
-        diff = (direct - blocks).tocoo()
-        scale = abs(direct).max()
-        if diff.nnz:
-            worst_fact = max(worst_fact, abs(diff.data).max() / scale)
-
-    p = ref
-    imp = p.impedance
-    rng = np.random.default_rng(SEED)
-    worst_rec = 0.0
-    worst_mem = 0.0
-    worst_graph = 0.0
-    for _ in range(10):
-        v = SkeletonField([rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                           for n in p.block_sizes], "primal")
-        q = _rand_dual(p, rng)
-        pair, (u1, p1) = sk.cauchy_decompose(p, v, q)
-        scale = max(imp.norm(v), imp.norm(q))
-        worst_rec = max(worst_rec, imp.norm((pair.v + u1) - v) / scale,
-                        imp.norm((pair.p + p1) - q) / scale)
-        worst_mem = max(worst_mem,
-                        sk.cauchy_membership_residual(p, pair.v, pair.p))
-        worst_graph = max(worst_graph,
-                          imp.norm(p1 - 1j * imp.apply(u1)) / scale)
+    worst_fact = vf.factorization(build_problem(8, 8, 2, 2, k=5.0, bc_kind=kind)
+                                  for kind in KINDS)["max_entry_error"]
+    res = vf.cauchy_decomposition(ref, np.random.default_rng(SEED))
+    worst_rec, worst_mem = res["max_recomposition"], res["max_membership"]
+    worst_graph = res["max_graph"]
     ok = worst_fact <= 1e-13 and worst_rec <= 1e-12 and worst_mem <= 1e-9 \
         and worst_graph <= 1e-12
     _line(10, ok, f"factorization {worst_fact:.3e}, recomposition "

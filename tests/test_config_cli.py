@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from helmskel.cli import main, run_verification
+import helmskel.verification as vf
+from helmskel.cli import condition_problems, main, run_verification
 from helmskel.config import ConfigError, ProblemConfig, parse_config, problem_from_config
+from helmskel.problem import build_problem
 
 
 def _write(tmp_path, text, name="case.ini"):
@@ -139,6 +141,23 @@ def test_verification_suites_directly(tmp_path):
     results = run_verification(cfg, seed=42)
     assert results["all_passed"]
     assert results["seed"] == 42
+    # the same numbers as the acceptance gate: one suite, one seed per suite
+    ref = build_problem(8, 8, 2, 2, k=5.0, bc_kind="robin")
+    assert results["exchange_axioms"] == vf.exchange_axioms(ref, np.random.default_rng(42))
+    assert results["transmission"] == vf.transmission(ref, np.random.default_rng(42))
+    assert results["cauchy_decomposition"] == vf.cauchy_decomposition(
+        ref, np.random.default_rng(42))
+
+
+def test_verification_keeps_configured_kappa():
+    cfg = ProblemConfig(kappa_mode="absorbing-layer")
+    problems = condition_problems(cfg)
+    assert all(callable(p.coeffs.kappa_sq) for p in problems.values())
+    assert problems["mixed"].coeffs.kappa_sq(0.75, 0.5) == 25.0 * (1 + 0.5j)
+    results = run_verification(cfg, seed=42)
+    assert results["all_passed"]
+    # the volume absorbs, so the lossless isometry check does not apply
+    assert results["energy_identity"]["max_isometry"] is None
 
 
 def test_spectrum_command(tmp_path, capsys):

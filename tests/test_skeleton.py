@@ -151,7 +151,7 @@ def test_scattering_blockwise_vs_tuple_path(ref_problem, rng):
 
 def test_rhs_zero_load(ref_problem):
     p = ref_problem
-    load = make_load(p, f=0.0, gamma_pair=(np.zeros(p.n_gamma), np.zeros(p.n_gamma)))
+    load = make_load(p, f=0.0)
     f = sk.skeleton_rhs(p, load)
     assert p.impedance.norm(f) == 0.0
 
@@ -162,7 +162,7 @@ def test_rhs_nonlocality_witness(rng):
     def f(x, y):
         return ((x < 0.5) & (y < 0.5)).astype(float)
 
-    load = make_load(p, f=f, gamma_pair=(np.zeros(p.n_gamma), np.zeros(p.n_gamma)))
+    load = make_load(p, f=f)
     # before the exchange step the trace data lives only on block 1
     u = p.solver.solve_tuple(sk.load_tuple(load))
     from helmskel.traces import trace_apply
@@ -229,10 +229,8 @@ def test_recover_matches_monolithic(kind, rng):
     from helmskel.solvers_spectral import gmres_tinv
 
     p = build_problem(8, 8, 2, 2, k=5.0, bc_kind=kind)
-    ones = np.ones(p.n_gamma, complex)
-    p.bc.g_d = 0.3 * ones
-    p.bc.g_n = 0.5 * (p.gamma_mass @ ones.real).astype(complex)
-    load = make_load(p, f=1.0)
+    ones = np.ones(p.n_gamma)
+    load = make_load(p, f=1.0, g_d=0.3 * ones, g_n=0.5 * (p.gamma_mass @ ones))
     f = sk.skeleton_rhs(p, load)
     q, rep = gmres_tinv(p, f, tol=1e-10)
     assert rep.converged
@@ -258,7 +256,7 @@ def test_recover_after_one_step_reports_mismatch(ref_problem):
 
 def test_recover_zero(ref_problem):
     p = ref_problem
-    load = make_load(p, f=0.0, gamma_pair=(np.zeros(p.n_gamma), np.zeros(p.n_gamma)))
+    load = make_load(p, f=0.0)
     rec = sk.recover_volume(p, p.impedance.zeros("dual"), load)
     assert np.abs(rec.u).max() == 0.0
     assert p.impedance.norm(rec.p) == 0.0

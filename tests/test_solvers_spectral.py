@@ -19,9 +19,7 @@ from helmskel.traces import SkeletonField
 @pytest.fixture(scope="module")
 def robin_system():
     p = build_problem(8, 8, 2, 2, k=5.0, bc_kind="robin")
-    ones = np.ones(p.n_gamma)
-    p.bc.g_n = (p.gamma_mass @ ones).astype(complex)
-    load = make_load(p, f=1.0)
+    load = make_load(p, f=1.0, g_n=p.gamma_mass @ np.ones(p.n_gamma))
     f = sk.skeleton_rhs(p, load)
     return p, load, f
 
@@ -93,8 +91,7 @@ def test_gmres_residuals_are_tinv_residuals(robin_system):
 
 def test_gmres_finite_termination_single_domain(rng):
     p = build_problem(4, 4, 1, 1, k=3.0, bc_kind="dirichlet")
-    p.bc.g_d = np.cos(np.arange(p.n_gamma)).astype(complex)
-    load = make_load(p, f=1.0)
+    load = make_load(p, f=1.0, g_d=np.cos(np.arange(p.n_gamma)))
     f = sk.skeleton_rhs(p, load)
     q, rep = gmres_tinv(p, f, tol=1e-12)
     assert rep.converged
