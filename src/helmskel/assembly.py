@@ -228,24 +228,17 @@ def _gamma_selector(gamma_dofs: np.ndarray, n: int) -> sp.csr_matrix:
                          shape=(ng, n)).tocsr()
 
 
-def assemble_primary(mesh: Mesh, coeffs: Coefficients, bc,
-                     gamma_dofs: np.ndarray) -> sp.csc_matrix:
+def assemble_primary(volume: sp.spmatrix, bc, gamma_dofs: np.ndarray) -> sp.csc_matrix:
     """Monolithic cavity operator over (volume dofs) + (boundary multiplier).
 
-    The volume block is the globally assembled Helmholtz form; the boundary
-    operator of ``bc`` is folded in through the trace selector, acting on
-    the pair (u restricted to the boundary, p).
+    Borders the global volume form ``volume`` with the boundary operator
+    of ``bc``, folded in through the trace selector and acting on the pair
+    (u restricted to the boundary, p).
     """
-    n = mesh.num_vertices
-    tri_ids = np.arange(mesh.num_triangles)
-    glob = _assemble_on(mesh, tri_ids, np.arange(n), 0, coeffs)
-    R = _gamma_selector(gamma_dofs, n)
+    R = _gamma_selector(gamma_dofs, volume.shape[0])
     Baa, Bap, Bpa, Bpp = bc.a_gamma_blocks()
-    top_left = glob.A + R.T @ sp.csr_matrix(Baa) @ R
-    top_right = R.T @ sp.csr_matrix(Bap)
-    bot_left = sp.csr_matrix(Bpa) @ R
-    return sp.bmat([[top_left, top_right],
-                    [bot_left, sp.csr_matrix(Bpp)]], format="csc")
+    return sp.bmat([[volume + R.T @ sp.csr_matrix(Baa) @ R, R.T @ sp.csr_matrix(Bap)],
+                    [sp.csr_matrix(Bpa) @ R, sp.csr_matrix(Bpp)]], format="csc")
 
 
 def primary_from_blocks(partition: Partition, forms, bc) -> sp.csc_matrix:
@@ -253,7 +246,7 @@ def primary_from_blocks(partition: Partition, forms, bc) -> sp.csc_matrix:
 
     Sums the per-subdomain Helmholtz blocks into global position and adds
     the boundary operator, i.e. the two-sided restriction of the block
-    operator.  Must agree entrywise with :func:`assemble_primary`.
+    operator.  Must agree entrywise with the bordered global form.
     """
     mesh = partition.mesh
     n = mesh.num_vertices
@@ -266,10 +259,7 @@ def primary_from_blocks(partition: Partition, forms, bc) -> sp.csc_matrix:
     vol = sp.coo_matrix((np.concatenate(vals),
                          (np.concatenate(rows), np.concatenate(cols))),
                         shape=(n, n)).tocsr()
-    R = _gamma_selector(partition.gamma_dofs, n)
-    Baa, Bap, Bpa, Bpp = bc.a_gamma_blocks()
-    return sp.bmat([[vol + R.T @ sp.csr_matrix(Baa) @ R, R.T @ sp.csr_matrix(Bap)],
-                    [sp.csr_matrix(Bpa) @ R, sp.csr_matrix(Bpp)]], format="csc")
+    return assemble_primary(vol, bc, partition.gamma_dofs)
 
 
 def restriction_apply(partition: Partition, u_global: np.ndarray, p: np.ndarray):

@@ -14,13 +14,15 @@ the whitening transform used by Krylov solvers and the spectral harness.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import Mesh, build_rect_mesh
-from .assembly import Coefficients, LocalForms
+from .assembly import Coefficients, LocalForms, _assemble_on
 
 __all__ = [
     "DtnBlock",
@@ -169,19 +171,18 @@ def collar_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> np.nda
     dy = mesh.height / mesh.ny
     big = build_rect_mesh(mesh.nx + 2, mesh.ny + 2,
                           mesh.width + 2 * dx, mesh.height + 2 * dy)
-    shift = np.array([dx, dy])
-    verts = big.vertices - shift
+    big = replace(big, vertices=big.vertices - np.array([dx, dy]))
 
-    cents = verts[big.triangles].mean(axis=1)
+    cents = big.vertices[big.triangles].mean(axis=1)
     inside = ((cents[:, 0] > 0) & (cents[:, 0] < mesh.width)
               & (cents[:, 1] > 0) & (cents[:, 1] < mesh.height))
-    ring_tris = big.triangles[~inside]
-    ring_verts = np.unique(ring_tris)
+    ring_ids = np.flatnonzero(~inside)
+    ring_verts = np.unique(big.triangles[ring_ids])
 
     # Match ring vertices on the inner rim to the mesh boundary dofs.
     from scipy.spatial import cKDTree
 
-    tree = cKDTree(verts[ring_verts])
+    tree = cKDTree(big.vertices[ring_verts])
     targets = mesh.vertices[gamma_dofs]
     dist, idx = tree.query(targets)
     tol = 1e-9 * max(mesh.width, mesh.height)
@@ -189,32 +190,12 @@ def collar_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> np.nda
         raise RuntimeError("collar mesh does not line up with the boundary")
     inner = ring_verts[idx]
 
-    # Assemble H on the ring with dofs reordered exterior-first so the
+    # Assemble H on the ring with dofs ordered exterior first so the
     # Schur elimination lands on the boundary block.
     others = np.setdiff1d(ring_verts, inner)
-    order = np.concatenate([others, inner])
-    g2l = np.full(big.vertices.shape[0], -1, dtype=np.int64)
-    g2l[order] = np.arange(len(order))
-
-    p = verts[ring_tris]
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    area = 0.5 * det
-    x, y = p[..., 0], p[..., 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1) / det[:, None]
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1) / det[:, None]
-    Ke = area[:, None, None] * (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
-    Me = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :]
-    He = Ke + gamma ** (-2) * Me
-
-    tl = g2l[ring_tris]
-    n = len(order)
-    rows = np.repeat(tl, 3, axis=1).ravel()
-    cols = np.tile(tl, (1, 3)).ravel()
-    H = sp.coo_matrix((He.ravel(), (rows, cols)), shape=(n, n)).tocsc()
-
-    T, _, _ = schur_dtn(H, len(others))
+    lf = _assemble_on(big, ring_ids, np.concatenate([others, inner]), len(others),
+                      Coefficients(k=1.0, gamma=gamma))
+    T, _, _ = schur_dtn(lf.H, len(others))
     return T
 
 

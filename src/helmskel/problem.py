@@ -168,8 +168,8 @@ def make_load(problem: Problem, f=0.0, g_d=None, g_n=None) -> LoadTuple:
 
 
 def monolithic_matrix(problem: Problem) -> sp.csc_matrix:
-    """Direct assembly of the cavity operator over (volume, multiplier)."""
-    return assembly.assemble_primary(problem.mesh, problem.coeffs, problem.bc,
+    """The global volume form bordered by the boundary operator."""
+    return assembly.assemble_primary(problem.global_forms.A, problem.bc,
                                      problem.partition.gamma_dofs)
 
 
