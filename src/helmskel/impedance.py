@@ -68,6 +68,19 @@ def _solve_complex(lu, rhs: np.ndarray) -> np.ndarray:
     return lu.solve(rhs.real) + 1j * lu.solve(rhs.imag)
 
 
+def _solve_lower_complex(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L^-1 rhs for a real lower triangular L, a complex rhs as two real columns.
+
+    Given a complex rhs, ``solve_triangular`` would cast L to complex on
+    every call; the real solve of the two columns stays in LAPACK.
+    """
+    if not np.iscomplexobj(rhs):
+        return sla.solve_triangular(L, rhs, lower=True, check_finite=False)
+    X = sla.solve_triangular(L, np.column_stack([rhs.real, rhs.imag]), lower=True,
+                             check_finite=False)
+    return X[:, 0] + 1j * X[:, 1]
+
+
 def _apply_complex(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """A @ v with a complex v taken as two real columns.
 
@@ -245,11 +258,11 @@ class BlockImpedance:
         acc = 0.0
         if field.kind == "primal":
             for L, v in zip(self.chol, field.blocks):
-                w = L.T @ v
+                w = _apply_complex(L.T, v)
                 acc += float(np.real(np.conj(w) @ w))
         else:
             for L, q in zip(self.chol, field.blocks):
-                w = sla.solve_triangular(L, q, lower=True)
+                w = _solve_lower_complex(L, q)
                 acc += float(np.real(np.conj(w) @ w))
         return np.sqrt(acc)
 
@@ -259,8 +272,7 @@ class BlockImpedance:
         """Coordinates w = L^-1 q of a dual field, ||w||_2 = ||q||_T^-1."""
         if field.kind != "dual":
             raise ValueError("whitening is defined for dual fields")
-        parts = [sla.solve_triangular(L, q, lower=True)
-                 for L, q in zip(self.chol, field.blocks)]
+        parts = [_solve_lower_complex(L, q) for L, q in zip(self.chol, field.blocks)]
         return np.concatenate(parts)
 
     def unwhiten(self, w: np.ndarray):
@@ -269,7 +281,7 @@ class BlockImpedance:
 
         blocks = []
         for L, o, n in zip(self.chol, self.offsets[:-1], self.sizes):
-            blocks.append(L @ w[o:o + n])
+            blocks.append(_apply_complex(L, w[o:o + n]))
         return SkeletonField(blocks, "dual")
 
     def zeros(self, kind: str):
