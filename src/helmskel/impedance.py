@@ -264,7 +264,7 @@ class BlockImpedance:
             for L, q in zip(self.chol, field.blocks):
                 w = _solve_lower_complex(L, q)
                 acc += float(np.real(np.conj(w) @ w))
-        return np.sqrt(acc)
+        return float(np.sqrt(acc))
 
     # -- whitening ------------------------------------------------------------
 

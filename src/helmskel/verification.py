@@ -55,7 +55,6 @@ def exchange_axioms(problem, rng) -> dict:
         piq = pi.apply(q)
         worst = max(worst, imp.norm(pi.apply(piq) - q) / nq,
                     abs(imp.norm(piq) / nq - 1.0))
-    worst = float(worst)
     return {"max_residual": worst, "passed": worst <= 1e-10}
 
 
@@ -82,7 +81,6 @@ def energy_identity(problem, rng, lossless=()) -> dict:
             sq = pk.scattering.apply(q)
             worst_iso = max(worst_iso,
                             abs(pk.impedance.norm(sq) / pk.impedance.norm(q) - 1.0))
-    worst, worst_iso = float(worst), float(worst_iso)
     return {"max_residual": worst,
             "max_isometry": worst_iso if lossless else None,
             "passed": worst <= 1e-10 and worst_iso <= 1e-11}
@@ -116,7 +114,6 @@ def transmission(problem, rng) -> dict:
         itu = 1j * imp.apply(bad_u)
         res = imp.norm((-1.0 * bad_p + itu) - pi.apply(bad_p + itu))
         worst_invalid = min(worst_invalid, res / imp.norm(bad_p + itu))
-    worst_valid, worst_invalid = float(worst_valid), float(worst_invalid)
     return {"max_residual": worst_valid, "min_violation": worst_invalid,
             "passed": worst_valid <= 1e-11 and worst_invalid >= 1e-3}
 
@@ -137,7 +134,6 @@ def equivalence(problems) -> dict:
         u_mono, _ = solve_monolithic(p, load)
         worst_h1 = max(worst_h1, h1_norm(p, rec.u - u_mono) / h1_norm(p, u_mono))
         worst_mm = max(worst_mm, rec.mismatch)
-    worst_h1, worst_mm = float(worst_h1), float(worst_mm)
     return {"max_h1_error": worst_h1, "max_mismatch": worst_mm,
             "converged": converged,
             "passed": converged and worst_h1 <= 1e-8 and worst_mm <= 1e-9}
@@ -150,8 +146,7 @@ def factorization(problems) -> dict:
         direct = monolithic_matrix(p)
         diff = (direct - primary_from_blocks(p.partition, p.forms, p.bc)).tocoo()
         if diff.nnz:
-            worst = max(worst, abs(diff.data).max() / abs(direct).max())
-    worst = float(worst)
+            worst = max(worst, float(abs(diff.data).max() / abs(direct).max()))
     return {"max_entry_error": worst, "passed": worst <= 1e-13}
 
 
@@ -173,8 +168,6 @@ def cauchy_decomposition(problem, rng) -> dict:
         worst_mem = max(worst_mem,
                         sk.cauchy_membership_residual(problem, pair.v, pair.p))
         worst_graph = max(worst_graph, imp.norm(p1 - 1j * imp.apply(u1)) / scale)
-    worst_rec, worst_mem, worst_graph = (float(worst_rec), float(worst_mem),
-                                         float(worst_graph))
     return {"max_recomposition": worst_rec, "max_membership": worst_mem,
             "max_graph": worst_graph,
             "passed": worst_rec <= 1e-12 and worst_mem <= 1e-9 and worst_graph <= 1e-12}
