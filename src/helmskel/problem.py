@@ -110,7 +110,8 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
                   width: float = 1.0, height: float = 1.0,
                   k: float = 5.0, mu: complex = 1.0, kappa_sq=None, gamma=None,
                   bc_kind: str = "robin", lambda_scale: float = 1.0,
-                  gamma_d_sides=("left", "bottom"), tgamma: str = "collar", rcond_floor: float = 1e-12) -> Problem:
+                  gamma_d_sides=("left", "bottom"), tgamma: str = "collar",
+                  rcond_floor: float = 1e-12) -> Problem:
     """Build every operator of a cavity configuration.
 
     Defaults follow the reference setup: unit square, robin condition with

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,6 +148,16 @@ def test_verification_suites_directly(tmp_path):
     assert results["transmission"] == vf.transmission(ref, np.random.default_rng(42))
     assert results["cauchy_decomposition"] == vf.cauchy_decomposition(
         ref, np.random.default_rng(42))
+
+
+def test_verification_suites_fail_on_nan(small_problem):
+    class NanExchange:
+        def apply(self, q):
+            return np.nan * q
+
+    p = replace(small_problem, exchange=NanExchange())
+    assert not vf.exchange_axioms(p, np.random.default_rng(0))["passed"]
+    assert not vf.transmission(p, np.random.default_rng(0))["passed"]
 
 
 def test_verification_keeps_configured_kappa():
