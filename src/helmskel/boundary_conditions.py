@@ -14,6 +14,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
+from .impedance import _apply_complex, _complex_columns, _real_columns
+
 __all__ = [
     "BoundaryCondition",
     "make_boundary_condition",
@@ -142,17 +144,20 @@ class BoundaryCondition:
     # -- boundary scattering ----------------------------------------------------
 
     def scattering(self, q: np.ndarray) -> np.ndarray:
-        """Closed-form boundary scattering block applied to q."""
+        """Closed-form boundary scattering block applied to q.
+
+        q is a vector or an ``(n, m)`` column block; the real operators act
+        on its real and imaginary parts as real columns.
+        """
         q = np.asarray(q, complex)
         if self.kind == "dirichlet":
             return q.copy()
         if self.kind == "neumann":
             return -q
         if self.kind == "robin":
-            X = sla.cho_solve((self._chol_lt, True), np.column_stack([q.real, q.imag]))
-            Y = self._lam_minus_t @ X
-            return Y[:, 0] + 1j * Y[:, 1]
-        return 2.0 * (self.theta @ q) - q
+            X = sla.cho_solve((self._chol_lt, True), _real_columns(q))
+            return _complex_columns(self._lam_minus_t @ X, q)
+        return 2.0 * _apply_complex(self.theta, q) - q
 
     def scattering_generic(self, q: np.ndarray) -> np.ndarray:
         """Same block through the resolvent formula Id + 2i T B (..)^-1 B*."""

@@ -60,6 +60,21 @@ def schur_dtn(H: sp.spmatrix, n_interior: int):
     return T, lu, H_ib
 
 
+def _real_columns(v: np.ndarray) -> np.ndarray:
+    """A complex vector or column block as a real column block, without a copy.
+
+    An ``(n,)`` vector becomes ``(n, 2)``, an ``(n, m)`` block ``(n, 2m)``:
+    the real and imaginary parts of each column are adjacent real columns.
+    """
+    return np.ascontiguousarray(v, dtype=complex).view(np.float64).reshape(len(v), -1)
+
+
+def _complex_columns(Y: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_real_columns`, shaped as a vector if ``like`` is one."""
+    Z = np.ascontiguousarray(Y).view(complex)
+    return Z if like.ndim > 1 else Z[:, 0]
+
+
 def _solve_complex(lu, rhs: np.ndarray) -> np.ndarray:
     """Apply a real factorization to a complex right-hand side."""
     rhs = np.asarray(rhs)
@@ -69,28 +84,27 @@ def _solve_complex(lu, rhs: np.ndarray) -> np.ndarray:
 
 
 def _solve_lower_complex(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """L^-1 rhs for a real lower triangular L, a complex rhs as two real columns.
+    """L^-1 rhs for a real lower triangular L, a complex rhs as real columns.
 
-    Given a complex rhs, ``solve_triangular`` would cast L to complex on
-    every call; the real solve of the two columns stays in LAPACK.
+    ``rhs`` is a vector or a column block.  Given a complex rhs,
+    ``solve_triangular`` would cast L to complex on every call; the real
+    solve of the real and imaginary columns stays in LAPACK.
     """
     if not np.iscomplexobj(rhs):
         return sla.solve_triangular(L, rhs, lower=True, check_finite=False)
-    X = sla.solve_triangular(L, np.column_stack([rhs.real, rhs.imag]), lower=True,
-                             check_finite=False)
-    return X[:, 0] + 1j * X[:, 1]
+    X = sla.solve_triangular(L, _real_columns(rhs), lower=True, check_finite=False)
+    return _complex_columns(X, rhs)
 
 
 def _apply_complex(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A @ v with a complex v taken as two real columns.
+    """A @ v for a real A, a complex vector or column block as real columns.
 
-    For a real A, numpy multiplies mixed real and complex operands outside
-    BLAS, about fifty times slower than the real product of the columns.
+    numpy multiplies mixed real and complex operands outside BLAS, about
+    fifty times slower than the real product of the columns.
     """
     if not np.iscomplexobj(v):
         return A @ v
-    Y = A @ np.column_stack([v.real, v.imag])
-    return Y[:, 0] + 1j * Y[:, 1]
+    return _complex_columns(A @ _real_columns(v), v)
 
 
 class DtnBlock:
@@ -269,14 +283,17 @@ class BlockImpedance:
     # -- whitening ------------------------------------------------------------
 
     def whiten(self, field) -> np.ndarray:
-        """Coordinates w = L^-1 q of a dual field, ||w||_2 = ||q||_T^-1."""
+        """Coordinates w = L^-1 q of a dual field, ||w||_2 = ||q||_T^-1.
+
+        Blocks of ``(n_b, m)`` columns give an ``(n, m)`` column block.
+        """
         if field.kind != "dual":
             raise ValueError("whitening is defined for dual fields")
         parts = [_solve_lower_complex(L, q) for L, q in zip(self.chol, field.blocks)]
         return np.concatenate(parts)
 
     def unwhiten(self, w: np.ndarray):
-        """Inverse of :meth:`whiten`."""
+        """Inverse of :meth:`whiten`, for a vector or an ``(n, m)`` column block."""
         from .traces import SkeletonField
 
         blocks = []

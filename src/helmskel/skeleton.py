@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import SkeletonIndex
-from .impedance import BlockImpedance
+from .impedance import BlockImpedance, _apply_complex, _complex_columns, _real_columns
 from .traces import (SkeletonField, VolumeTuple, harmonic_lift, lift_adjoint,
                      single_trace_adjoint, single_trace_embed, trace_adjoint,
                      trace_apply)
@@ -59,8 +59,9 @@ class ExchangeOperator:
     matching Neumann data and negates tuples of opposite Neumann jumps.
     G is assembled sparse from the impedance blocks and factored once by a
     real sparse LU (symmetric mode, fill-reducing ordering of G + G^T); a
-    complex right-hand side is solved as its real and imaginary parts, two
-    real columns of one solve.
+    complex right-hand side is solved as its real and imaginary parts, real
+    columns of one solve.  Fields of ``(n_b, m)`` column blocks are applied
+    to all m columns at once.
     """
 
     def __init__(self, index: SkeletonIndex, impedance: BlockImpedance):
@@ -80,8 +81,7 @@ class ExchangeOperator:
         if q.kind != "dual":
             raise ValueError("exchange operator acts on dual fields")
         y = single_trace_adjoint(q, self.index)
-        X = self._lu.solve(np.column_stack([y.real, y.imag]))
-        x = X[:, 0] + 1j * X[:, 1]
+        x = _complex_columns(self._lu.solve(_real_columns(y)), y)
         return self.impedance.apply(single_trace_embed(x, self.index))
 
     def apply(self, q: SkeletonField) -> SkeletonField:
@@ -180,7 +180,10 @@ class ScatteringOperator:
 
     Interior blocks solve their impedance problem; the outer block uses
     the closed-form boundary scattering.  Without absorption the map is a
-    T^-1 isometry; absorption makes it a strict contraction.
+    T^-1 isometry; absorption makes it a strict contraction.  Fields of
+    ``(n_b, m)`` column blocks are scattered with one m-column solve per
+    block.  A zero block scatters to zero without a solve, which saves
+    most of the work on block-sparse columns such as the identity.
     """
 
     def __init__(self, solver: LocalImpedanceSolver, impedance: BlockImpedance, bc):
@@ -193,11 +196,14 @@ class ScatteringOperator:
             raise ValueError("scattering operator acts on dual fields")
         blocks = [self.bc.scattering(q.blocks[0])]
         for j, qb in enumerate(q.blocks[1:]):
+            if not qb.any():
+                blocks.append(np.zeros_like(qb))
+                continue
             ni = self.solver.n_interior[j]
-            rhs = np.zeros(self.solver.omega_sizes[j], complex)
+            rhs = np.zeros((self.solver.omega_sizes[j],) + qb.shape[1:], complex)
             rhs[ni:] = qb
             u = self.solver.solve_block(j, rhs, transpose)
-            blocks.append(qb + 2j * (self.impedance.blocks[j + 1] @ u[ni:]))
+            blocks.append(qb + 2j * _apply_complex(self.impedance.blocks[j + 1], u[ni:]))
         return SkeletonField(blocks, "dual")
 
     def apply_with_volume(self, q: SkeletonField, transpose: bool = False):
@@ -254,7 +260,11 @@ def absorption(problem, u: VolumeTuple) -> float:
 
 
 def skeleton_apply(problem, q: SkeletonField) -> SkeletonField:
-    """(Id + Pi S) q, applied operator by operator (never assembled)."""
+    """(Id + Pi S) q, applied operator by operator (never assembled).
+
+    The blocks of q are vectors or ``(n_b, m)`` column blocks; the m
+    columns are applied together.
+    """
     return q + problem.exchange.apply(problem.scattering.apply(q))
 
 

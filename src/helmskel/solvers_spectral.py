@@ -18,6 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import skeleton as sk
+from .impedance import _solve_complex, _solve_lower_complex
 from .problem import Problem, monolithic_matrix
 from .traces import SkeletonField
 
@@ -54,6 +55,7 @@ class SolveReport:
     converged: bool
     final_mismatch: float = None
     message: str = ""
+    true_residual: float = None
 
     def as_dict(self):
         d = dict(method=self.method, iterations=self.iterations,
@@ -61,6 +63,8 @@ class SolveReport:
                  residual_history=[float(r) for r in self.residual_history])
         if self.final_mismatch is not None:
             d["final_mismatch"] = float(self.final_mismatch)
+        if self.true_residual is not None:
+            d["true_residual"] = float(self.true_residual)
         return d
 
 
@@ -224,6 +228,10 @@ def _gmres_core(matvec, b, tol, restart, maxit):
     return x, history, converged
 
 
+# The true residual may exceed the Krylov estimate by rounding only.
+_TRUE_RESIDUAL_FACTOR = 10.0
+
+
 def gmres_tinv(problem: Problem, f: SkeletonField, tol: float = 1e-10,
                restart: int = None, maxit: int = None):
     """GMRES on the whitened skeleton operator.
@@ -231,6 +239,10 @@ def gmres_tinv(problem: Problem, f: SkeletonField, tol: float = 1e-10,
     The operator is conjugated by the impedance Cholesky factor, so the
     Euclidean residual of the Krylov iteration equals the T^-1 residual of
     the skeleton equation.  Full (unrestarted) iteration by default.
+
+    At exit the true relative residual ||f - (Id + Pi S) q||_T^-1 / ||f||_T^-1
+    is computed once and reported as ``true_residual``; the solve counts as
+    converged only if it is also within ``_TRUE_RESIDUAL_FACTOR * tol``.
     """
     imp = problem.impedance
     b = imp.whiten(f)
@@ -242,10 +254,21 @@ def gmres_tinv(problem: Problem, f: SkeletonField, tol: float = 1e-10,
         return imp.whiten(sk.skeleton_apply(problem, imp.unwhiten(w)))
 
     x, history, converged = _gmres_core(matvec, b, tol, restart, maxit)
+    iterations = max(len(history) - 1, 0)
     q = imp.unwhiten(x)
-    message = "" if converged else f"not converged after {len(history) - 1} iterations"
-    return q, SolveReport("gmres", max(len(history) - 1, 0), history, converged,
-                          message=message)
+    bnorm = np.linalg.norm(b)
+    true_res = 0.0
+    if bnorm > 0:
+        true_res = float(np.linalg.norm(b - imp.whiten(sk.skeleton_apply(problem, q)))
+                         / bnorm)
+    limit = _TRUE_RESIDUAL_FACTOR * tol
+    message = "" if converged else f"not converged after {iterations} iterations"
+    if converged and true_res > limit:
+        converged = False
+        message = (f"Krylov estimate {history[-1] / bnorm:.3e} met tol {tol:.1e}, "
+                   f"but the true residual {true_res:.3e} exceeds {limit:.1e}")
+    return q, SolveReport("gmres", iterations, history, converged,
+                          message=message, true_residual=true_res)
 
 
 # ---------------------------------------------------------------------------
@@ -253,17 +276,21 @@ def gmres_tinv(problem: Problem, f: SkeletonField, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 
 def dense_operator(problem: Problem, cap: int = 2000) -> np.ndarray:
-    """Dense matrix of the whitened skeleton operator, column by column."""
+    """Dense matrix of the whitened skeleton operator.
+
+    The columns are whiten(skeleton_apply(unwhiten(I))), computed through
+    the same ``skeleton_apply`` as a single vector.  To bound the
+    temporaries, the identity goes in one chunk of columns per trace block.
+    """
     n = problem.dual_dim
     if n > cap:
         raise DenseCapExceeded(f"skeleton dimension {n} exceeds dense cap {cap}")
     imp = problem.impedance
     M = np.zeros((n, n), complex)
-    e = np.zeros(n, complex)
-    for i in range(n):
-        e[:] = 0.0
-        e[i] = 1.0
-        M[:, i] = imp.whiten(sk.skeleton_apply(problem, imp.unwhiten(e)))
+    for o, m in zip(imp.offsets[:-1], imp.sizes):
+        E = np.zeros((n, m), complex)
+        E[o:o + m] = np.eye(m)
+        M[:, o:o + m] = imp.whiten(sk.skeleton_apply(problem, imp.unwhiten(E)))
     return M
 
 
@@ -287,6 +314,16 @@ def _primary_whitener(problem: Problem):
     return L_h, L_p
 
 
+def _whitened(L: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """L^-1 A L^-T for a real lower triangular L.
+
+    A complex A is solved as its real and imaginary columns, so L is never
+    cast to complex; a real A gives a real result.
+    """
+    X = _solve_lower_complex(L, A)
+    return _solve_lower_complex(L, X.T).T
+
+
 def _primary_dense_whitened(problem: Problem) -> np.ndarray:
     A = monolithic_matrix(problem).toarray()
     L_h, L_p = _primary_whitener(problem)
@@ -294,8 +331,7 @@ def _primary_dense_whitened(problem: Problem) -> np.ndarray:
     L = np.zeros((A.shape[0], A.shape[0]))
     L[:n, :n] = L_h
     L[n:, n:] = L_p
-    X = sla.solve_triangular(L, A, lower=True)
-    return sla.solve_triangular(L, X.T, lower=True).T
+    return _whitened(L, A)
 
 
 def _primary_extremes_iterative(problem: Problem, tol: float = 1e-8):
@@ -305,8 +341,6 @@ def _primary_extremes_iterative(problem: Problem, tol: float = 1e-8):
     eigenvalue of (A^H W^-1 A, W) and 1/sigma_min^2 the top eigenvalue of
     (A^-H W A^-1, W^-1), with W the block norm Gram.
     """
-    from .impedance import _solve_complex
-
     A = monolithic_matrix(problem)
     nv = problem.mesh.num_vertices
     ng = problem.n_gamma
@@ -354,31 +388,37 @@ def infsup_primary(problem: Problem, dense_cap: int = 2500,
     return smin, smax, kernel
 
 
+def _block_norm(A: np.ndarray, W: np.ndarray) -> float:
+    """Spectral norm of A whitened by the SPD Gram W = L L^T: ||L^-1 A L^-T||_2.
+
+    A real symmetric A whitens to a real symmetric matrix, whose norm is
+    its largest eigenvalue in modulus: the real generalized eigensolve of
+    the pencil (A, W) whitens by the real Cholesky factor and finds them.
+    Any other A is whitened by real triangular solves on its real and
+    imaginary parts and normed by the complex SVD.
+    """
+    if not np.any(A.imag) and np.array_equal(A, A.T):
+        ev = sla.eigh(A.real, W, eigvals_only=True, driver="gv", check_finite=False)
+        return float(np.abs(ev).max())
+    return float(sla.svdvals(_whitened(np.linalg.cholesky(W), A)).max())
+
+
 def continuity_modulus(problem: Problem) -> float:
     """Operator norm of the block-diagonal form in the block trace norms.
 
     Block diagonality makes this the maximum over blocks of the whitened
     block norm: the boundary block in the (T, T^-1) pair norm, each
-    subdomain in its volume norm.
+    subdomain in its volume norm.  Lossless blocks (a real symmetric
+    form) take a real symmetric eigensolve, absorbing ones a complex SVD;
+    the Cholesky factors stay real either way (see ``_block_norm``).
     """
-    best = 0.0
-    t = problem.bc.t_gamma
-    L_t = np.linalg.cholesky(t)
-    L_ti = np.linalg.cholesky(problem.bc.t_inverse())
     Baa, Bap, Bpa, Bpp = problem.bc.a_gamma_blocks()
-    Ag = np.block([[Baa, Bap], [Bpa, Bpp]]).astype(complex)
-    ng = t.shape[0]
-    L = np.zeros((2 * ng, 2 * ng))
-    L[:ng, :ng] = L_t
-    L[ng:, ng:] = L_ti
-    X = sla.solve_triangular(L, Ag, lower=True)
-    X = sla.solve_triangular(L, X.T, lower=True).T
-    best = max(best, float(sla.svdvals(X).max()))
+    t = problem.bc.t_gamma
+    Z = np.zeros_like(t)
+    best = _block_norm(np.block([[Baa, Bap], [Bpa, Bpp]]),
+                       np.block([[t, Z], [Z, problem.bc.t_inverse()]]))
     for lf in problem.forms:
-        L_h = np.linalg.cholesky(lf.H.toarray())
-        X = sla.solve_triangular(L_h, lf.A.toarray(), lower=True)
-        X = sla.solve_triangular(L_h, X.T, lower=True).T
-        best = max(best, float(sla.svdvals(X).max()))
+        best = max(best, _block_norm(lf.A.toarray(), lf.H.toarray()))
     return best
 
 

@@ -30,7 +30,11 @@ __all__ = [
 
 @dataclass
 class SkeletonField:
-    """Tuple of per-block trace coefficient vectors."""
+    """Tuple of per-block trace coefficient vectors.
+
+    A block may also be an ``(n_b, m)`` array holding m fields as columns;
+    the operators apply to all columns at once.
+    """
 
     blocks: list
     kind: str
@@ -193,12 +197,17 @@ def single_trace_embed(x: np.ndarray, index: SkeletonIndex) -> SkeletonField:
 
 
 def single_trace_adjoint(q: SkeletonField, index: SkeletonIndex) -> np.ndarray:
-    """Sum dual contributions of all blocks incident to each skeleton dof."""
+    """Sum dual contributions of all blocks incident to each skeleton dof.
+
+    Blocks of ``(n_b, m)`` columns give an ``(n_sigma, m)`` result.  A
+    block meets each skeleton dof at most once, so its rows add by plain
+    fancy-index assignment.
+    """
     if q.kind != "dual":
         raise ValueError("single_trace_adjoint expects a dual field")
-    out = np.zeros(index.n_sigma, complex)
+    out = np.zeros((index.n_sigma,) + q.blocks[0].shape[1:], complex)
     for m, qb in zip(index.block_map, q.blocks):
-        np.add.at(out, m, qb)
+        out[m] += qb
     return out
 
 

@@ -136,6 +136,39 @@ def test_scattering_blockwise_vs_tuple_path(ref_problem, rng):
                                atol=1e-12 * np.abs(slow.concat()).max())
 
 
+def _columns(field, i):
+    return SkeletonField([b[:, i] for b in field.blocks], field.kind)
+
+
+def _assert_rel(got, want, rtol=1e-13):
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("tgamma", ["collar", "boundary_h1"])
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin", "mixed"])
+@pytest.mark.parametrize("nx,ny,px,py", [(8, 8, 2, 2), (12, 12, 3, 4)])
+@pytest.mark.parametrize("m", [1, 7])
+def test_column_blocks_match_columns(nx, ny, px, py, kind, tgamma, m, rng):
+    # every operator takes (n_b, m) blocks and must act column by column
+    p = build_problem(nx, ny, px, py, k=3.0, bc_kind=kind, tgamma=tgamma)
+    imp = p.impedance
+    q = SkeletonField([rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+                       for n in p.block_sizes], "dual")
+    ops = {"skeleton_apply": lambda f: sk.skeleton_apply(p, f),
+           "exchange": p.exchange.apply, "scattering": p.scattering.apply}
+    for name, op in ops.items():
+        out = op(q)
+        assert all(b.shape == (n, m) for b, n in zip(out.blocks, p.block_sizes)), name
+        for i in range(m):
+            _assert_rel(_columns(out, i).concat(), op(_columns(q, i)).concat())
+    w = imp.whiten(q)
+    assert w.shape == (p.dual_dim, m)
+    back = imp.unwhiten(w)
+    for i in range(m):
+        _assert_rel(w[:, i], imp.whiten(_columns(q, i)))
+        _assert_rel(_columns(back, i).concat(), imp.unwhiten(w[:, i]).concat())
+
+
 # ---------------------------------------------------------------------------
 # skeleton system
 # ---------------------------------------------------------------------------

@@ -89,6 +89,37 @@ def test_gmres_residuals_are_tinv_residuals(robin_system):
     assert abs(final - rep.residual_history[-1]) <= 1e-8 * rep.residual_history[0]
 
 
+def test_gmres_reports_true_residual(robin_system):
+    p, load, f = robin_system
+    q, rep = gmres_tinv(p, f, tol=1e-10)
+    assert rep.converged and rep.message == ""
+    want = p.impedance.norm(f - sk.skeleton_apply(p, q)) / p.impedance.norm(f)
+    assert abs(rep.true_residual - want) <= 1e-12
+    # on a converged solve the true residual agrees with the Givens estimate
+    estimate = rep.residual_history[-1] / rep.residual_history[0]
+    assert rep.true_residual <= 10 * 1e-10
+    assert abs(rep.true_residual - estimate) <= 1e-12
+    assert rep.as_dict()["true_residual"] == rep.true_residual
+
+
+def test_gmres_true_residual_overrides_estimate(robin_system, monkeypatch):
+    # a Krylov core that stops after 3 steps and claims convergence: the
+    # true residual at exit must catch it
+    import helmskel.solvers_spectral as ss
+
+    p, load, f = robin_system
+    real_core = ss._gmres_core
+
+    def lying_core(matvec, b, tol, restart, maxit):
+        x, history, _ = real_core(matvec, b, tol, restart, 3)
+        return x, history[:-1] + [0.0], True
+
+    monkeypatch.setattr(ss, "_gmres_core", lying_core)
+    q, rep = gmres_tinv(p, f, tol=1e-10)
+    assert not rep.converged
+    assert rep.true_residual > 1e-9 and "true residual" in rep.message
+
+
 def test_gmres_finite_termination_single_domain(rng):
     p = build_problem(4, 4, 1, 1, k=3.0, bc_kind="dirichlet")
     load = make_load(p, f=1.0, g_d=np.cos(np.arange(p.n_gamma)))
@@ -230,6 +261,44 @@ def test_primary_extremes_iterative_matches_dense(ref_problem):
     smin_i, smax_i = _primary_extremes_iterative(ref_problem)
     assert abs(smin_i - smin_d) <= 1e-6 * smin_d
     assert abs(smax_i - smax_d) <= 1e-6 * smax_d
+
+
+def _continuity_modulus_complex_svd(problem):
+    """Oracle: every block whitened in complex arithmetic, normed by SVD."""
+    import scipy.linalg as sla
+
+    t = problem.bc.t_gamma
+    ng = t.shape[0]
+    L = np.zeros((2 * ng, 2 * ng))
+    L[:ng, :ng] = np.linalg.cholesky(t)
+    L[ng:, ng:] = np.linalg.cholesky(problem.bc.t_inverse())
+    Baa, Bap, Bpa, Bpp = problem.bc.a_gamma_blocks()
+    pairs = [(L, np.block([[Baa, Bap], [Bpa, Bpp]]))]
+    pairs += [(np.linalg.cholesky(lf.H.toarray()), lf.A.toarray()) for lf in problem.forms]
+    best = 0.0
+    for L, A in pairs:
+        X = sla.solve_triangular(L, A.astype(complex), lower=True)
+        X = sla.solve_triangular(L, X.T, lower=True).T
+        best = max(best, float(sla.svdvals(X).max()))
+    return best
+
+
+@pytest.mark.parametrize("config,lossless", [
+    (dict(bc_kind="robin"), True),
+    (dict(bc_kind="dirichlet"), True),
+    (dict(bc_kind="neumann", tgamma="boundary_h1"), True),
+    (dict(bc_kind="mixed"), True),
+    (dict(bc_kind="robin", mu=1 + 0.3j), False),
+    (dict(bc_kind="dirichlet", kappa_sq=25 + 5j, tgamma="boundary_h1"), False),
+])
+def test_continuity_modulus_against_complex_svd(config, lossless):
+    from helmskel.solvers_spectral import continuity_modulus
+
+    p = build_problem(12, 12, 2, 3, k=5.0, **config)
+    # lossless volume blocks take the real eigensolve, absorbing ones the SVD
+    assert all(np.any(lf.A.toarray().imag) != lossless for lf in p.forms)
+    want = _continuity_modulus_complex_svd(p)
+    assert abs(continuity_modulus(p) - want) <= 1e-12 * want
 
 
 def test_continuity_modulus_observed_across_partitions():
