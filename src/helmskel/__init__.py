@@ -10,7 +10,7 @@ that measures the coercivity and inf-sup constants tying the two
 formulations together.
 """
 
-from .assembly import Coefficients, LoadTuple, LocalForms
+from .assembly import Coefficients, LocalForms
 from .boundary_conditions import BoundaryCondition, make_boundary_condition, mixed_projector
 from .geometry import (Mesh, Partition, SkeletonIndex, build_rect_mesh,
                        partition_checkerboard, skeleton_index, tag_boundary)

@@ -15,11 +15,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import Mesh, Partition, local_dofs, triangle_areas
+from .traces import VolumeTuple
 
 __all__ = [
     "Coefficients",
     "LocalForms",
-    "LoadTuple",
     "assemble_forms",
     "assemble_subdomain",
     "assemble_load",
@@ -99,26 +99,6 @@ class LocalForms:
         return len(self.dofs) - self.n_interior
 
 
-@dataclass
-class LoadTuple:
-    """Right-hand side data split per block.
-
-    ``gamma`` holds the pair of boundary functionals (one acting on the
-    Dirichlet-trace slot, one on the multiplier slot); ``omega[j]`` is the
-    volume load of subdomain j in local dof order.
-    """
-
-    gamma: tuple
-    omega: tuple
-
-    @staticmethod
-    def zeros(n_gamma: int, omega_sizes) -> "LoadTuple":
-        return LoadTuple(
-            (np.zeros(n_gamma, complex), np.zeros(n_gamma, complex)),
-            tuple(np.zeros(n, complex) for n in omega_sizes),
-        )
-
-
 def _element_matrices(mesh: Mesh, tri_ids: np.ndarray, coeffs: Coefficients):
     """Vectorized element stiffness, mass and kappa^2-weighted mass."""
     tris = mesh.triangles[tri_ids]
@@ -191,11 +171,11 @@ def assemble_forms(mesh: Mesh, partition: Partition, coeffs: Coefficients):
     return forms, glob
 
 
-def assemble_load(mesh: Mesh, partition: Partition, f) -> LoadTuple:
+def assemble_load(mesh: Mesh, partition: Partition, f) -> VolumeTuple:
     """Volume load blocks from a source f (callable or constant), one-point rule.
 
-    The boundary pair of the returned tuple is zero; boundary data is
-    attached separately by the boundary condition.
+    Returns a dual volume tuple whose boundary pair is zero; boundary data
+    is attached separately by the boundary condition.
     """
     areas = triangle_areas(mesh)
     cents = mesh.vertices[mesh.triangles].mean(axis=1)
@@ -218,8 +198,8 @@ def assemble_load(mesh: Mesh, partition: Partition, f) -> LoadTuple:
         omega.append(vec)
 
     n_gamma = len(partition.gamma_dofs)
-    return LoadTuple((np.zeros(n_gamma, complex), np.zeros(n_gamma, complex)),
-                     tuple(omega))
+    return VolumeTuple((np.zeros(n_gamma, complex), np.zeros(n_gamma, complex)),
+                       omega, "dual")
 
 
 def _gamma_selector(gamma_dofs: np.ndarray, n: int) -> sp.csr_matrix:
@@ -268,8 +248,6 @@ def restriction_apply(partition: Partition, u_global: np.ndarray, p: np.ndarray)
     Returns the boundary pair (u on the outer boundary, p) and one volume
     vector per subdomain in local dof order.
     """
-    from .traces import VolumeTuple  # deferred: traces builds on assembly
-
     if len(u_global) != partition.mesh.num_vertices:
         raise ValueError("u_global has wrong length")
     if len(p) != len(partition.gamma_dofs):

@@ -4,9 +4,9 @@ Each condition contributes a 2x2 block operator on the boundary pair
 (alpha, p): the Dirichlet condition couples the trace and the multiplier
 through a plain swap, Neumann and Robin decouple the multiplier, and the
 mixed condition routes through an oblique projector onto the functionals
-supported on the Dirichlet part.  Every condition also carries the closed
-form of its impedance inverse and of its boundary scattering block; the
-generic resolvent formula is kept alongside as an independent check.
+supported on the Dirichlet part.  The closed form of each impedance
+inverse gives the scattering operator its outer block, by the resolvent
+formula; the closed form of that block is kept as an independent check.
 """
 
 from __future__ import annotations
@@ -24,6 +24,12 @@ __all__ = [
 ]
 
 _KINDS = ("dirichlet", "neumann", "robin", "mixed")
+
+
+def _cho_solve(L: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(L L^T)^-1 q for a real Cholesky factor L; a complex q as real columns."""
+    X = sla.cho_solve((L, True), _real_columns(q), check_finite=False)
+    return _complex_columns(X, q)
 
 
 def mixed_projector(gamma_d_positions: np.ndarray, t_gamma: np.ndarray) -> np.ndarray:
@@ -62,10 +68,10 @@ class BoundaryCondition:
     """One of the four boundary operators, bound to an outer impedance.
 
     Exposes the operator itself (``apply``), the closed-form inverse of
-    the impedance-shifted operator (``impedance_inverse``), the boundary
-    scattering block (``scattering``, with ``scattering_generic`` as the
-    resolvent-formula cross-check) and the dense 2x2 blocks used by the
-    monolithic assembly.
+    the impedance-shifted operator (``impedance_inverse``), the closed form
+    of the boundary scattering block (``scattering``, the check of the
+    resolvent formula) and the dense 2x2 blocks used by the monolithic
+    assembly.
     """
 
     def __init__(self, kind: str, t_gamma: np.ndarray, lam=None, theta=None):
@@ -74,7 +80,7 @@ class BoundaryCondition:
         self.kind = kind
         self.t_gamma = np.ascontiguousarray(t_gamma)
         self.n = t_gamma.shape[0]
-        self._chol_t = np.linalg.cholesky(self.t_gamma)
+        self._chol_t = np.asfortranarray(np.linalg.cholesky(self.t_gamma))
         self.lam = None if lam is None else np.ascontiguousarray(lam)
         self.theta = None if theta is None else np.ascontiguousarray(theta)
 
@@ -98,7 +104,7 @@ class BoundaryCondition:
     # -- small solves ---------------------------------------------------------
 
     def _t_solve(self, q):
-        return sla.cho_solve((self._chol_t, True), q)
+        return _cho_solve(self._chol_t, q)
 
     def t_inverse(self) -> np.ndarray:
         """Dense inverse of the outer impedance (the multiplier norm Gram)."""
@@ -120,21 +126,23 @@ class BoundaryCondition:
     # -- impedance-shifted inverse ----------------------------------------------
 
     def impedance_inverse(self, p_in: np.ndarray, a_in: np.ndarray):
-        """(A_Gamma - i B* T B)^-1 applied to the dual pair (p_in, a_in)."""
+        """(A_Gamma - i B* T B)^-1 applied to the dual pair (p_in, a_in).
+
+        Vectors or ``(n, m)`` column blocks, applied as real columns.
+        """
         p_in = np.asarray(p_in, complex)
         a_in = np.asarray(a_in, complex)
+        ta = _apply_complex(self.t_gamma, a_in)
         if self.kind == "dirichlet":
-            return a_in.copy(), p_in + 1j * (self.t_gamma @ a_in)
+            return a_in.copy(), p_in + 1j * ta
         if self.kind == "neumann":
-            return 1j * self._t_solve(p_in), self.t_gamma @ a_in
+            return 1j * self._t_solve(p_in), ta
         if self.kind == "robin":
-            return (1j * sla.cho_solve((self._chol_lt, True), p_in),
-                    self.t_gamma @ a_in)
+            return 1j * _cho_solve(self._chol_lt, p_in), ta
         th = self.theta
-        ta = self.t_gamma @ a_in
-        alpha = th.T @ a_in + 1j * self._t_solve(p_in - th @ p_in)
-        p = ta - th @ ta + 1j * (th @ ta) + th @ p_in
-        return alpha, p
+        th_p, th_ta = _apply_complex(th, p_in), _apply_complex(th, ta)
+        alpha = _apply_complex(th.T, a_in) + 1j * self._t_solve(p_in - th_p)
+        return alpha, ta - th_ta + 1j * th_ta + th_p
 
     def impedance_apply(self, alpha: np.ndarray, p: np.ndarray):
         """(A_Gamma - i B* T B)(alpha, p), for composition checks."""
@@ -155,14 +163,8 @@ class BoundaryCondition:
         if self.kind == "neumann":
             return -q
         if self.kind == "robin":
-            X = sla.cho_solve((self._chol_lt, True), _real_columns(q))
-            return _complex_columns(self._lam_minus_t @ X, q)
+            return _apply_complex(self._lam_minus_t, _cho_solve(self._chol_lt, q))
         return 2.0 * _apply_complex(self.theta, q) - q
-
-    def scattering_generic(self, q: np.ndarray) -> np.ndarray:
-        """Same block through the resolvent formula Id + 2i T B (..)^-1 B*."""
-        alpha, _ = self.impedance_inverse(q, np.zeros(self.n))
-        return np.asarray(q, complex) + 2j * (self.t_gamma @ alpha)
 
     # -- dense blocks for monolithic assembly -----------------------------------
 

@@ -8,58 +8,19 @@ so a bad coefficient never reaches the assembly layer.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["ProblemConfig", "ConfigError", "parse_config", "problem_from_config",
-           "load_from_config", "DEFAULT_CONFIG_TEXT"]
+           "load_from_config"]
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
 
 
-_KNOWN = {
-    "geometry": {"width", "height", "nx", "ny"},
-    "partition": {"px", "py"},
-    "physics": {"k", "mu_re", "mu_im", "kappa_mode", "gamma", "tgamma", "source"},
-    "bc": {"kind", "g_d", "g_n", "lambda_scale", "gamma_d_predicate"},
-    "solver": {"method", "relax", "tol", "maxit", "restart"},
-    "analysis": {"dense_cap", "svd_threshold"},
-    "output": {"dir", "seed"},
-}
-
 _KAPPA_MODES = ("constant", "resonant", "absorbing-layer", "zero")
-
-DEFAULT_CONFIG_TEXT = """\
-[geometry]
-width = 1.0
-height = 1.0
-nx = 8
-ny = 8
-
-[partition]
-px = 2
-py = 2
-
-[physics]
-k = 5.0
-kappa_mode = constant
-gamma = 1/k
-tgamma = collar
-source = zero
-
-[bc]
-kind = robin
-
-[solver]
-method = gmres
-tol = 1e-10
-
-[output]
-dir = out
-"""
 
 
 @dataclass
@@ -142,14 +103,51 @@ class ProblemConfig:
             raise ConfigError("svd_threshold must be positive")
 
 
-def _get(cp, section, key, cast, default):
-    if not cp.has_option(section, key):
-        return default
-    raw = cp.get(section, key).strip()
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+def _gamma_cast(raw):
+    return None if raw.replace(" ", "") == "1/k" else float(raw)
+
+
+def _restart_cast(raw):
+    v = int(raw)
+    return None if v <= 0 else v
+
+
+def _sides_cast(raw):
+    return tuple(s.strip() for s in raw.split(",") if s.strip())
+
+
+# Every config key: (section, key) -> (ProblemConfig field, cast of its text).
+# "mu.real" and "mu.imag" are the two parts of the field mu.  A key that is
+# absent leaves the field at its dataclass default.
+_KEYS = {
+    ("geometry", "width"): ("width", float),
+    ("geometry", "height"): ("height", float),
+    ("geometry", "nx"): ("nx", int),
+    ("geometry", "ny"): ("ny", int),
+    ("partition", "px"): ("px", int),
+    ("partition", "py"): ("py", int),
+    ("physics", "k"): ("k", float),
+    ("physics", "mu_re"): ("mu.real", float),
+    ("physics", "mu_im"): ("mu.imag", float),
+    ("physics", "kappa_mode"): ("kappa_mode", str),
+    ("physics", "gamma"): ("gamma", _gamma_cast),
+    ("physics", "tgamma"): ("tgamma", str),
+    ("physics", "source"): ("source", str),
+    ("bc", "kind"): ("bc_kind", str),
+    ("bc", "g_d"): ("g_d", float),
+    ("bc", "g_n"): ("g_n", float),
+    ("bc", "lambda_scale"): ("lambda_scale", float),
+    ("bc", "gamma_d_predicate"): ("gamma_d_sides", _sides_cast),
+    ("solver", "method"): ("solver_method", str),
+    ("solver", "relax"): ("relax", float),
+    ("solver", "tol"): ("tol", float),
+    ("solver", "maxit"): ("maxit", int),
+    ("solver", "restart"): ("restart", _restart_cast),
+    ("analysis", "dense_cap"): ("dense_cap", int),
+    ("analysis", "svd_threshold"): ("svd_threshold", float),
+    ("output", "dir"): ("out_dir", str),
+    ("output", "seed"): ("seed", int),
+}
 
 
 def parse_config(path) -> ProblemConfig:
@@ -159,56 +157,25 @@ def parse_config(path) -> ProblemConfig:
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
+    sections = {section for section, _ in _KEYS}
+    values = {}
     for section in cp.sections():
-        if section not in _KNOWN:
+        if section not in sections:
             raise ConfigError(f"unknown config section [{section}]")
         for key in cp[section]:
-            if key not in _KNOWN[section]:
+            if (section, key) not in _KEYS:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            name, cast = _KEYS[section, key]
+            raw = cp.get(section, key).strip()
+            try:
+                values[name] = cast(raw)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
-    def gamma_cast(raw):
-        if raw.replace(" ", "") == "1/k":
-            return None
-        return float(raw)
-
-    def restart_cast(raw):
-        v = int(raw)
-        return None if v <= 0 else v
-
-    sides_cast = lambda raw: tuple(s.strip() for s in raw.split(",") if s.strip())
-
-    mu = complex(_get(cp, "physics", "mu_re", float, 1.0),
-                 _get(cp, "physics", "mu_im", float, 0.0))
-
-    return ProblemConfig(
-        width=_get(cp, "geometry", "width", float, 1.0),
-        height=_get(cp, "geometry", "height", float, 1.0),
-        nx=_get(cp, "geometry", "nx", int, 8),
-        ny=_get(cp, "geometry", "ny", int, 8),
-        px=_get(cp, "partition", "px", int, 2),
-        py=_get(cp, "partition", "py", int, 2),
-        k=_get(cp, "physics", "k", float, 5.0),
-        mu=mu,
-        kappa_mode=_get(cp, "physics", "kappa_mode", str, "constant"),
-        gamma=_get(cp, "physics", "gamma", gamma_cast, None),
-        tgamma=_get(cp, "physics", "tgamma", str, "collar"),
-        source=_get(cp, "physics", "source", str, "zero"),
-        bc_kind=_get(cp, "bc", "kind", str, "robin"),
-        g_d=_get(cp, "bc", "g_d", float, 0.0),
-        g_n=_get(cp, "bc", "g_n", float, 0.0),
-        lambda_scale=_get(cp, "bc", "lambda_scale", float, 1.0),
-        gamma_d_sides=_get(cp, "bc", "gamma_d_predicate", sides_cast,
-                           ("left", "bottom")),
-        solver_method=_get(cp, "solver", "method", str, "gmres"),
-        relax=_get(cp, "solver", "relax", float, 0.5),
-        tol=_get(cp, "solver", "tol", float, 1e-10),
-        maxit=_get(cp, "solver", "maxit", int, 5000),
-        restart=_get(cp, "solver", "restart", restart_cast, None),
-        dense_cap=_get(cp, "analysis", "dense_cap", int, 2000),
-        svd_threshold=_get(cp, "analysis", "svd_threshold", float, 1e-8),
-        seed=_get(cp, "output", "seed", int, 42),
-        out_dir=_get(cp, "output", "dir", str, "out"),
-    )
+    if "mu.real" in values or "mu.imag" in values:
+        mu = complex(ProblemConfig.mu)
+        values["mu"] = complex(values.pop("mu.real", mu.real), values.pop("mu.imag", mu.imag))
+    return ProblemConfig(**values)
 
 
 def manufactured_solution(cfg: ProblemConfig):

@@ -76,11 +76,14 @@ def _complex_columns(Y: np.ndarray, like: np.ndarray) -> np.ndarray:
 
 
 def _solve_complex(lu, rhs: np.ndarray) -> np.ndarray:
-    """Apply a real factorization to a complex right-hand side."""
+    """Apply a real factorization to a complex vector or column block.
+
+    The real and imaginary parts go through one solve, as real columns.
+    """
     rhs = np.asarray(rhs)
     if not np.iscomplexobj(rhs):
         return lu.solve(rhs)
-    return lu.solve(rhs.real) + 1j * lu.solve(rhs.imag)
+    return _complex_columns(lu.solve(_real_columns(rhs)), rhs)
 
 
 def _solve_lower_complex(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -125,7 +128,7 @@ class DtnBlock:
         """Harmonic extension of boundary values v into the full local vector."""
         if self.n_interior == 0:
             return np.asarray(v, dtype=complex).copy()
-        u_i = -_solve_complex(self._interior_lu, self._H_ib @ v)
+        u_i = -_solve_complex(self._interior_lu, _apply_complex(self._H_ib, v))
         return np.concatenate([u_i, v]).astype(complex)
 
     def lift_adjoint(self, phi: np.ndarray) -> np.ndarray:
@@ -133,7 +136,8 @@ class DtnBlock:
         if self.n_interior == 0:
             return np.asarray(phi, dtype=complex).copy()
         ni = self.n_interior
-        return phi[ni:] - self._H_ib.T @ _solve_complex(self._interior_lu, phi[:ni])
+        return phi[ni:] - _apply_complex(self._H_ib.T,
+                                         _solve_complex(self._interior_lu, phi[:ni]))
 
     def h_energy(self, u: np.ndarray) -> float:
         """Squared volume norm u^H H u of a local vector."""

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly
-from .assembly import Coefficients, LoadTuple, LocalForms
+from .assembly import Coefficients, LocalForms, restriction_adjoint
 from .boundary_conditions import (BoundaryCondition, gamma_d_positions_from_tags,
                                   make_boundary_condition)
 from .geometry import (Mesh, Partition, SkeletonIndex, build_rect_mesh,
@@ -24,6 +24,7 @@ from .geometry import (Mesh, Partition, SkeletonIndex, build_rect_mesh,
 from .impedance import (BlockImpedance, DtnBlock, boundary_h1_impedance,
                         boundary_mass, collar_impedance)
 from .skeleton import ExchangeOperator, LocalImpedanceSolver, ScatteringOperator
+from .traces import VolumeTuple
 
 __all__ = [
     "Problem",
@@ -79,7 +80,6 @@ class Problem:
     exchange: ExchangeOperator = field(repr=False)
     solver: LocalImpedanceSolver = field(repr=False)
     scattering: ScatteringOperator = field(repr=False)
-    tgamma_kind: str = "collar"
 
     @property
     def num_subdomains(self) -> int:
@@ -150,22 +150,21 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
 
     exchange = ExchangeOperator(index, impedance)
     solver = LocalImpedanceSolver(forms, impedance, bc, rcond_floor=rcond_floor)
-    scattering = ScatteringOperator(solver, impedance, bc)
+    scattering = ScatteringOperator(solver, impedance)
 
     return Problem(mesh, partition, index, coeffs, bc, forms, global_forms,
-                   dtn, impedance, m_gamma, exchange, solver, scattering,
-                   tgamma_kind=tgamma)
+                   dtn, impedance, m_gamma, exchange, solver, scattering)
 
 
-def make_load(problem: Problem, f=0.0, g_d=None, g_n=None) -> LoadTuple:
-    """Right-hand side from a volume source f and boundary data.
+def make_load(problem: Problem, f=0.0, g_d=None, g_n=None) -> VolumeTuple:
+    """Right-hand side l from a volume source f and boundary data.
 
-    ``g_d`` holds Dirichlet values and ``g_n`` the Neumann functional at
-    the boundary dofs (None for zero); the condition's ``load_pair``
-    decides which of them its kind uses.
+    l is a dual volume tuple.  ``g_d`` holds Dirichlet values and ``g_n``
+    the Neumann functional at the boundary dofs (None for zero); the
+    condition's ``load_pair`` decides which of them its kind uses.
     """
     load = assembly.assemble_load(problem.mesh, problem.partition, f)
-    return LoadTuple(problem.bc.load_pair(g_d, g_n), load.omega)
+    return VolumeTuple(problem.bc.load_pair(g_d, g_n), load.omega, "dual")
 
 
 def monolithic_matrix(problem: Problem) -> sp.csc_matrix:
@@ -174,20 +173,12 @@ def monolithic_matrix(problem: Problem) -> sp.csc_matrix:
                                      problem.partition.gamma_dofs)
 
 
-def monolithic_rhs(problem: Problem, load: LoadTuple) -> np.ndarray:
+def monolithic_rhs(problem: Problem, load: VolumeTuple) -> np.ndarray:
     """Fold a block load into the monolithic right-hand side."""
-    from .geometry import local_dofs
-
-    nv = problem.mesh.num_vertices
-    rhs = np.zeros(nv + problem.n_gamma, complex)
-    np.add.at(rhs[:nv], problem.partition.gamma_dofs, load.gamma[0])
-    for j, block in enumerate(load.omega):
-        np.add.at(rhs[:nv], local_dofs(problem.partition, j), block)
-    rhs[nv:] = load.gamma[1]
-    return rhs
+    return np.concatenate(restriction_adjoint(problem.partition, load))
 
 
-def solve_monolithic(problem: Problem, load: LoadTuple):
+def solve_monolithic(problem: Problem, load: VolumeTuple):
     """Direct sparse solve of the monolithic system; returns (u, p)."""
     A = monolithic_matrix(problem)
     rhs = monolithic_rhs(problem, load)

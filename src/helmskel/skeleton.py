@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import SkeletonIndex
-from .impedance import BlockImpedance, _apply_complex, _complex_columns, _real_columns
+from .impedance import BlockImpedance, _solve_complex
 from .traces import (SkeletonField, VolumeTuple, harmonic_lift, lift_adjoint,
                      single_trace_adjoint, single_trace_embed, trace_adjoint,
                      trace_apply)
@@ -81,7 +81,7 @@ class ExchangeOperator:
         if q.kind != "dual":
             raise ValueError("exchange operator acts on dual fields")
         y = single_trace_adjoint(q, self.index)
-        x = _complex_columns(self._lu.solve(_real_columns(y)), y)
+        x = _solve_complex(self._lu, y)
         return self.impedance.apply(single_trace_embed(x, self.index))
 
     def apply(self, q: SkeletonField) -> SkeletonField:
@@ -156,12 +156,13 @@ class LocalImpedanceSolver:
                     f"(rcond ~ {rcond:.2e}); perturb kappa or gamma and retry")
             self._lus.append(lu)
 
-    def solve_block(self, j: int, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
-        trans = "T" if transpose else "N"
-        return self._lus[j].solve(np.asarray(rhs, complex), trans=trans)
-
     def solve_tuple(self, phi: VolumeTuple, transpose: bool = False) -> VolumeTuple:
         """(A - i B^T T B)^-1 applied to a dual tuple, blockwise.
+
+        The only code that applies the local factors.  Blocks are vectors
+        or ``(n_b, m)`` column blocks; a zero subdomain block solves to zero
+        without a solve, which keeps block-sparse columns (the identity
+        chunks of ``dense_operator``) cheap.
 
         All block operators here are complex symmetric (the volume forms by
         construction, the boundary blocks for each supported condition), so
@@ -171,49 +172,33 @@ class LocalImpedanceSolver:
         if phi.kind != "dual":
             raise ValueError("solve_tuple expects a dual tuple")
         alpha, p = self.bc.impedance_inverse(phi.gamma[0], phi.gamma[1])
-        omega = [self.solve_block(j, b, transpose) for j, b in enumerate(phi.omega)]
+        trans = "T" if transpose else "N"
+        omega = [lu.solve(b, trans=trans) if b.any() else np.zeros(b.shape, complex)
+                 for lu, b in zip(self._lus, phi.omega)]
         return VolumeTuple((alpha, p), omega, "primal")
 
 
 class ScatteringOperator:
     """Blockwise map from incoming (p - iTv) to outgoing (p + iTv) traces.
 
-    Interior blocks solve their impedance problem; the outer block uses
-    the closed-form boundary scattering.  Without absorption the map is a
-    T^-1 isometry; absorption makes it a strict contraction.  Fields of
-    ``(n_b, m)`` column blocks are scattered with one m-column solve per
-    block.  A zero block scatters to zero without a solve, which saves
-    most of the work on block-sparse columns such as the identity.
+    S q = q + 2i T B (A - i B^T T B)^-1 B^T q through the local resolvent
+    ``solver.solve_tuple``, the outer block included; ``bc.scattering``
+    is that block's closed form, kept as a check.  Without absorption the
+    map is a T^-1 isometry; absorption makes it a strict contraction.
+    Fields of ``(n_b, m)`` column blocks take one m-column solve per
+    block, and zero blocks none (see ``solve_tuple``).
     """
 
-    def __init__(self, solver: LocalImpedanceSolver, impedance: BlockImpedance, bc):
+    def __init__(self, solver: LocalImpedanceSolver, impedance: BlockImpedance):
         self.solver = solver
         self.impedance = impedance
-        self.bc = bc
 
-    def apply(self, q: SkeletonField, transpose: bool = False) -> SkeletonField:
+    def apply(self, q: SkeletonField) -> SkeletonField:
         if q.kind != "dual":
             raise ValueError("scattering operator acts on dual fields")
-        blocks = [self.bc.scattering(q.blocks[0])]
-        for j, qb in enumerate(q.blocks[1:]):
-            if not qb.any():
-                blocks.append(np.zeros_like(qb))
-                continue
-            ni = self.solver.n_interior[j]
-            rhs = np.zeros((self.solver.omega_sizes[j],) + qb.shape[1:], complex)
-            rhs[ni:] = qb
-            u = self.solver.solve_block(j, rhs, transpose)
-            blocks.append(qb + 2j * _apply_complex(self.impedance.blocks[j + 1], u[ni:]))
-        return SkeletonField(blocks, "dual")
-
-    def apply_with_volume(self, q: SkeletonField, transpose: bool = False):
-        """Return (S q, u) with u the tuple of local impedance solutions."""
-        u = self.solver.solve_tuple(trace_adjoint(q, self.solver.n_interior,
-                                                  self.solver.omega_sizes),
-                                    transpose)
-        Bu = trace_apply(u, self.solver.n_interior)
-        sq = q + 2j * self.impedance.apply(Bu)
-        return sq, u
+        solver = self.solver
+        u = solver.solve_tuple(trace_adjoint(q, solver.n_interior, solver.omega_sizes))
+        return q + 2j * self.impedance.apply(trace_apply(u, solver.n_interior))
 
 
 @dataclass
@@ -268,25 +253,23 @@ def skeleton_apply(problem, q: SkeletonField) -> SkeletonField:
     return q + problem.exchange.apply(problem.scattering.apply(q))
 
 
-def load_tuple(load) -> VolumeTuple:
-    """View a LoadTuple as a dual volume tuple."""
-    return VolumeTuple(load.gamma, list(load.omega), "dual")
+def skeleton_rhs(problem, load: VolumeTuple) -> SkeletonField:
+    """Skeleton right-hand side f = -2i Pi T B (A - i B^T T B)^-1 l.
 
-
-def skeleton_rhs(problem, load) -> SkeletonField:
-    """Skeleton right-hand side f = -2i Pi T B (A - i B^T T B)^-1 l."""
-    u = problem.solver.solve_tuple(load_tuple(load))
+    ``load`` is the dual volume tuple l of ``make_load``.
+    """
+    u = problem.solver.solve_tuple(load)
     g = problem.impedance.apply(trace_apply(u, problem.n_interior))
     return -2j * problem.exchange.apply(g)
 
 
-def recover_volume(problem, q: SkeletonField, load) -> RecoveredSolution:
+def recover_volume(problem, q: SkeletonField, load: VolumeTuple) -> RecoveredSolution:
     """Volume solution u = (A - i B^T T B)^-1 (B^T q + l) and p = q + iTBu.
 
     Duplicated interface dofs take the value of the lowest-indexed
     subdomain block; the spread across blocks is returned as ``mismatch``.
     """
-    rhs = trace_adjoint(q, problem.n_interior, problem.omega_sizes) + load_tuple(load)
+    rhs = trace_adjoint(q, problem.n_interior, problem.omega_sizes) + load
     u = problem.solver.solve_tuple(rhs)
     Bu = trace_apply(u, problem.n_interior)
     p = q + 1j * problem.impedance.apply(Bu)

@@ -107,7 +107,9 @@ def richardson(problem: Problem, f: SkeletonField, relax: float = 0.5,
     """Damped fixed-point iteration q <- q - relax ((Id + Pi S) q - f).
 
     Residuals are measured in the T^-1 norm.  Ten consecutive residual
-    increases are reported as divergence (not raised).
+    increases are reported as divergence (not raised).  The history ends
+    at the residual of the returned q (one more apply if ``maxit`` runs
+    out); ``true_residual`` is that entry over ||f||_T^-1.
     """
     if not 0.0 < relax < 1.0:
         raise ValueError("relaxation parameter must lie in (0, 1)")
@@ -115,7 +117,7 @@ def richardson(problem: Problem, f: SkeletonField, relax: float = 0.5,
     fnorm = imp.norm(f)
     q = imp.zeros("dual")
     if fnorm == 0.0:
-        return q, SolveReport("richardson", 0, [], True)
+        return q, SolveReport("richardson", 0, [], True, true_residual=0.0)
 
     history = []
     growth = 0
@@ -136,10 +138,14 @@ def richardson(problem: Problem, f: SkeletonField, relax: float = 0.5,
         else:
             growth = 0
         q = q + relax * r
-    if not converged and not message:
-        message = f"not converged after {maxit} iterations"
-    return q, SolveReport("richardson", len(history), history, converged,
-                          message=message)
+    iterations = len(history)
+    if not (converged or message):
+        history.append(imp.norm(f - sk.skeleton_apply(problem, q)))
+        converged = history[-1] <= tol * fnorm
+        if not converged:
+            message = f"not converged after {maxit} iterations"
+    return q, SolveReport("richardson", iterations, history, converged,
+                          message=message, true_residual=history[-1] / fnorm)
 
 
 def _givens(h1: complex, h2: complex):
@@ -230,6 +236,12 @@ def _gmres_core(matvec, b, tol, restart, maxit):
 
 # The true residual may exceed the Krylov estimate by rounding only.
 _TRUE_RESIDUAL_FACTOR = 10.0
+
+# Largest monolithic dimension that infsup_primary treats by a dense SVD.
+_PRIMARY_DENSE_CAP = 2500
+
+# Rounding allowance of the inequalities checked by verify_estimates.
+_SLACK = 1e-9
 
 
 def gmres_tinv(problem: Problem, f: SkeletonField, tol: float = 1e-10,
@@ -374,7 +386,7 @@ def _primary_extremes_iterative(problem: Problem, tol: float = 1e-8):
     return float(1.0 / np.sqrt(lam_inv)), float(np.sqrt(lam_max))
 
 
-def infsup_primary(problem: Problem, dense_cap: int = 2500,
+def infsup_primary(problem: Problem, dense_cap: int = _PRIMARY_DENSE_CAP,
                    svd_threshold: float = 1e-8):
     """(sigma_min, sigma_max, kernel_dim) of the whitened monolithic operator."""
     n = problem.mesh.num_vertices + problem.n_gamma
@@ -423,8 +435,7 @@ def continuity_modulus(problem: Problem) -> float:
 
 
 def verify_estimates(problem: Problem, svd_threshold: float = 1e-8,
-                     dense_cap: int = 2000, primary_dense_cap: int = 2500,
-                     slack: float = 1e-9) -> SpectralReport:
+                     dense_cap: int = 2000) -> SpectralReport:
     """Measure every certified inequality of the configuration.
 
     Checks, in order: the estimate chain between the two inf-sup constants,
@@ -441,8 +452,7 @@ def verify_estimates(problem: Problem, svd_threshold: float = 1e-8,
     kernel_s = int(np.sum(svals < svd_threshold * smax_s))
     coer = float(sla.eigvalsh(0.5 * (M + M.conj().T)).min())
 
-    infsup_p, smax_p, kernel_p = infsup_primary(problem, primary_dense_cap,
-                                                svd_threshold)
+    infsup_p, smax_p, kernel_p = infsup_primary(problem, svd_threshold=svd_threshold)
     norm_a = continuity_modulus(problem)
 
     kernel_t = kernel_s  # M.T has the singular values of M
@@ -456,8 +466,8 @@ def verify_estimates(problem: Problem, svd_threshold: float = 1e-8,
         continuity_a=norm_a,
         kernel_dim_primary=kernel_p,
         kernel_dim_skeleton=kernel_s,
-        pass_estimate_chain=bool(infsup_p <= (1.0 + norm_a) * infsup_s + slack),
-        pass_coercivity_bound=bool(coer >= 0.5 * infsup_s ** 2 - slack),
+        pass_estimate_chain=bool(infsup_p <= (1.0 + norm_a) * infsup_s + _SLACK),
+        pass_coercivity_bound=bool(coer >= 0.5 * infsup_s ** 2 - _SLACK),
         pass_kernel_match=bool(kernel_p == kernel_s),
         pass_index_zero=bool(kernel_s == kernel_t),
         single_domain_flagged=bool(problem.num_subdomains == 1),
@@ -484,8 +494,7 @@ def _resolution(k: float, px: int, py: int, points_per_wavelength: float) -> int
 def sweep_wavenumber(k_values, px: int = 2, py: int = 2,
                      points_per_wavelength: float = 10.0,
                      tgamma: str = "collar", lambda_scale: float = 1.0,
-                     dense_cap: int = 2000, primary_dense_cap: int = 2500,
-                     svd_threshold: float = 1e-8):
+                     dense_cap: int = 2000, svd_threshold: float = 1e-8):
     """Constants of the robin reference family across wavenumbers.
 
     Per k: resolution from the points-per-wavelength rule rounded to the
@@ -505,8 +514,7 @@ def sweep_wavenumber(k_values, px: int = 2, py: int = 2,
         problem = build_problem(n, n, px, py, k=float(k), bc_kind="robin",
                                 lambda_scale=lambda_scale, tgamma=tgamma)
         rep = verify_estimates(problem, svd_threshold=svd_threshold,
-                               dense_cap=dense_cap,
-                               primary_dense_cap=primary_dense_cap)
+                               dense_cap=dense_cap)
         rows.append({
             "k": float(k), "n_sigma": rep.n_dual,
             "infsup_primary": rep.infsup_primary, "norm_A": rep.continuity_a,

@@ -150,17 +150,18 @@ def trace_adjoint(q: SkeletonField, n_interior, omega_sizes) -> VolumeTuple:
     """Adjoint trace: scatter dual blocks into the boundary slots.
 
     Interior slots are never written; the boundary block lands in the
-    trace-unknown functional slot.
+    trace-unknown functional slot.  Blocks of ``(n_b, m)`` columns give
+    ``(n, m)`` volume blocks.
     """
     if q.kind != "dual":
         raise ValueError("trace_adjoint expects a dual field")
-    ng = len(q.blocks[0])
     omega = []
     for ni, n, qb in zip(n_interior, omega_sizes, q.blocks[1:]):
-        v = np.zeros(n, complex)
+        v = np.zeros((n,) + qb.shape[1:], complex)
         v[ni:] = qb
         omega.append(v)
-    return VolumeTuple((q.blocks[0].copy(), np.zeros(ng, complex)), omega, "dual")
+    q_gamma = q.blocks[0]
+    return VolumeTuple((q_gamma.copy(), np.zeros(q_gamma.shape, complex)), omega, "dual")
 
 
 def harmonic_lift(v: SkeletonField, dtn_blocks) -> VolumeTuple:

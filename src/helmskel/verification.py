@@ -75,9 +75,11 @@ def energy_identity(problem, rng, lossless=()) -> dict:
     res, iso = [], []
     for _ in range(100):
         q = random_field(problem, rng)
-        sq, u = problem.scattering.apply_with_volume(q)
+        pair = sk.cauchy_pair_from(problem, q)
+        sq = 2.0 * pair.p - q  # S q = q + 2i T B u = 2 p - q
         nq2 = imp.norm(q) ** 2
-        res.append(abs(imp.norm(sq) ** 2 + 4.0 * abs(sk.absorption(problem, u)) - nq2) / nq2)
+        res.append(abs(imp.norm(sq) ** 2 + 4.0 * abs(sk.absorption(problem, pair.witness))
+                       - nq2) / nq2)
     for pk in lossless:
         for _ in range(34):
             q = random_field(pk, rng)

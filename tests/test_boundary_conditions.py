@@ -6,6 +6,7 @@ from helmskel.boundary_conditions import (BoundaryCondition,
                                           make_boundary_condition,
                                           mixed_projector)
 from helmskel.problem import build_problem
+from helmskel.traces import SkeletonField
 
 
 @pytest.fixture(scope="module")
@@ -123,13 +124,17 @@ def test_robin_matched_impedance_annihilates(setup, rng):
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin", "mixed"])
 def test_scattering_matches_resolvent_formula(setup, kind, rng):
-    bc = setup[kind].bc
-    for _ in range(10):
-        q = _rand(bc.n, rng)
-        closed = bc.scattering(q)
-        generic = bc.scattering_generic(q)
-        np.testing.assert_allclose(closed, generic,
-                                   atol=1e-11 * np.abs(closed).max())
+    # the outer block of S is the resolvent formula Id + 2i T B (..)^-1 B*;
+    # the closed form of the condition must reproduce it, on vectors and on
+    # column blocks
+    problem = setup[kind]
+    bc = problem.bc
+    for shape in [()] * 10 + [(5,)]:
+        q = SkeletonField([_rand((n,) + shape, rng) for n in problem.block_sizes], "dual")
+        closed = bc.scattering(q.blocks[0])
+        resolvent = problem.scattering.apply(q).blocks[0]
+        assert resolvent.shape == closed.shape == (bc.n,) + shape
+        np.testing.assert_allclose(resolvent, closed, atol=1e-11 * np.abs(closed).max())
 
 
 def test_mixed_scattering_is_isometry(setup, rng):

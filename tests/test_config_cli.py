@@ -27,6 +27,24 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.tol == 1e-10
 
 
+def test_empty_config_is_the_defaults(tmp_path):
+    assert parse_config(_write(tmp_path, "")) == ProblemConfig()
+
+
+def test_config_table_names_dataclass_fields():
+    from dataclasses import fields
+
+    from helmskel.config import _KEYS
+
+    names = {f.name for f in fields(ProblemConfig)}
+    assert {name.partition(".")[0] for name, _ in _KEYS.values()} <= names
+
+
+def test_mu_parts_combine(tmp_path):
+    assert parse_config(_write(tmp_path, "[physics]\nmu_im = 0.5\n")).mu == 1.0 + 0.5j
+    assert parse_config(_write(tmp_path, "[physics]\nmu_re = 2\n")).mu == 2.0
+
+
 def test_bad_mu_rejected(tmp_path):
     path = _write(tmp_path, "[physics]\nmu_im = -1\n")
     with pytest.raises(ConfigError, match=r"\(A2\)"):

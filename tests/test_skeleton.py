@@ -127,15 +127,6 @@ def test_scattering_strict_contraction_with_absorption(rng):
         assert p.impedance.norm(sq) < p.impedance.norm(q)
 
 
-def test_scattering_blockwise_vs_tuple_path(ref_problem, rng):
-    p = ref_problem
-    q = _rand_dual(p, rng)
-    fast = p.scattering.apply(q)
-    slow, _ = p.scattering.apply_with_volume(q)
-    np.testing.assert_allclose(fast.concat(), slow.concat(),
-                               atol=1e-12 * np.abs(slow.concat()).max())
-
-
 def _columns(field, i):
     return SkeletonField([b[:, i] for b in field.blocks], field.kind)
 
@@ -188,7 +179,7 @@ def test_rhs_nonlocality_witness(rng):
 
     load = make_load(p, f=f)
     # before the exchange step the trace data lives only on block 1
-    u = p.solver.solve_tuple(sk.load_tuple(load))
+    u = p.solver.solve_tuple(load)
     from helmskel.traces import trace_apply
     g = p.impedance.apply(trace_apply(u, p.n_interior))
     norms = [np.abs(b).max() for b in g.blocks]

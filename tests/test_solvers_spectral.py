@@ -67,6 +67,19 @@ def test_richardson_relax_validation(ref_problem):
         richardson(ref_problem, ref_problem.impedance.zeros("dual"), relax=1.5)
 
 
+def test_richardson_history_ends_at_returned_iterate(ref_problem):
+    # when maxit runs out, q has taken one more step than the last residual
+    # in the loop saw; the history and true_residual must describe that q
+    p = ref_problem
+    f = sk.skeleton_rhs(p, make_load(p, f=1.0))
+    q, rep = richardson(p, f, maxit=3)
+    assert not rep.converged and rep.iterations == 3
+    want = p.impedance.norm(f - sk.skeleton_apply(p, q))
+    assert abs(rep.residual_history[-1] - want) <= 1e-12 * want
+    assert rep.true_residual == rep.residual_history[-1] / p.impedance.norm(f)
+    assert rep.as_dict()["true_residual"] == rep.true_residual
+
+
 def test_gmres_zero_rhs(ref_problem):
     q, rep = gmres_tinv(ref_problem, ref_problem.impedance.zeros("dual"))
     assert rep.converged and rep.iterations == 0
