@@ -19,10 +19,9 @@ from .problem import Problem, build_problem, h1_norm, make_load, monolithic_matr
 from .skeleton import (AssumptionViolation, CauchyPair, ExchangeOperator,
                        LocalImpedanceSolver, ScatteringOperator, cauchy_decompose,
                        kernel_lift, recover_volume, skeleton_apply, skeleton_rhs)
-from .solvers_spectral import (SolveReport, SpectralReport, coercivity_constant,
-                               dense_operator, dirichlet_resonance, gmres_tinv,
-                               infsup_primary, infsup_skeleton, richardson,
-                               sweep_wavenumber, verify_estimates)
+from .solvers_spectral import (SolveReport, SpectralReport, dense_operator,
+                               dirichlet_resonance, gmres_tinv, infsup_primary,
+                               richardson, sweep_wavenumber, verify_estimates)
 from .traces import (SkeletonField, VolumeTuple, duality_pair, harmonic_lift,
                      single_trace_adjoint, single_trace_embed, skew_pair,
                      trace_adjoint, trace_apply)

@@ -78,15 +78,15 @@ class LocalForms:
     """Assembled matrices of one volume block, over the dofs of its closure.
 
     ``dofs`` maps local indices to global vertex ids (interior first,
-    boundary last).  A = mu^-1 K - Mk is the complex symmetric Helmholtz
-    form; H = K + gamma^-2 M is the SPD volume norm Gram.
+    boundary last).  A = mu^-1 K - M_kappa, with M_kappa the kappa^2-weighted
+    mass, is the complex symmetric Helmholtz form; H = K + gamma^-2 M is the
+    SPD volume norm Gram.
     """
 
     dofs: np.ndarray
     n_interior: int
     K: sp.csr_matrix = field(repr=False)
     M: sp.csr_matrix = field(repr=False)
-    Mk: sp.csr_matrix = field(repr=False)
     A: sp.csr_matrix = field(repr=False)
     H: sp.csr_matrix = field(repr=False)
 
@@ -151,7 +151,7 @@ def _assemble_on(mesh: Mesh, tri_ids: np.ndarray, dof_ids: np.ndarray,
     Mk = _scatter(tl, Mke, n, complex)
     A = ((1.0 / complex(coeffs.mu)) * K - Mk).tocsr()
     H = (K + coeffs.gamma ** (-2) * M).tocsr()
-    return LocalForms(dof_ids, n_interior, K, M, Mk, A, H)
+    return LocalForms(dof_ids, n_interior, K, M, A, H)
 
 
 def assemble_subdomain(mesh: Mesh, partition: Partition, j: int,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -116,10 +117,10 @@ def run_verification(cfg: ProblemConfig, seed=None, tamper_t: bool = False) -> d
     exchange isometry suite must then fail).
     """
     seed = cfg.seed if seed is None else seed
-    problem = problem_from_config(cfg)
+    conds = condition_problems(cfg)
+    problem = conds[cfg.bc_kind]
     if tamper_t:
         problem = _tampered(problem)
-    conds = condition_problems(cfg)
     lossless = ([conds[kind] for kind in ("dirichlet", "neumann", "mixed")]
                 if vf.is_lossless(problem) else [])
 
@@ -203,6 +204,17 @@ def cmd_sweep(cfg: ProblemConfig, k_values, out=None) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _wavenumbers(text: str) -> list:
+    """Wavenumbers of a comma separated list; ConfigError unless all are positive."""
+    try:
+        k_values = [float(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        k_values = None
+    if k_values is None or not all(0.0 < k < math.inf for k in k_values):
+        raise ConfigError(f"--k-list must hold positive numbers, not {text!r}")
+    return k_values
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="helmskel",
@@ -238,8 +250,7 @@ def main(argv=None) -> int:
                               tamper_t=args.tamper)
         if args.command == "spectrum":
             return cmd_spectrum(cfg, out=args.out)
-        k_values = [float(s) for s in args.k_list.split(",") if s.strip()]
-        return cmd_sweep(cfg, k_values, out=args.out)
+        return cmd_sweep(cfg, _wavenumbers(args.k_list), out=args.out)
     except AssumptionViolation as exc:
         print(f"local solvability violation: {exc}", file=sys.stderr)
         return 3

@@ -153,7 +153,10 @@ _KEYS = {
 def parse_config(path) -> ProblemConfig:
     """Parse and validate a config file; unknown keys are rejected."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
@@ -179,7 +182,11 @@ def parse_config(path) -> ProblemConfig:
 
 
 def manufactured_solution(cfg: ProblemConfig):
-    """Reference solution, its source term, and its nodal values."""
+    """Reference solution u(x, y) = sin(pi x / w) sin(pi y / h) of the config.
+
+    It vanishes on the boundary; ``source_function`` derives the matching
+    volume source from it.
+    """
     w, h = cfg.width, cfg.height
 
     def u_exact(x, y):

@@ -38,9 +38,10 @@ __all__ = [
 def schur_dtn(H: sp.spmatrix, n_interior: int):
     """Schur complement of an SPD matrix onto its trailing boundary block.
 
-    Returns the dense boundary operator T = H_bb - H_bi H_ii^-1 H_ib and
-    the interior factorization (reused for harmonic lifting), or None when
-    the block has no interior dofs.
+    Returns the dense boundary operator T = H_bb - H_bi H_ii^-1 H_ib, the
+    interior factorization and the sparse coupling H_ib (both reused for
+    harmonic lifting), or None for both when the block has no interior
+    dofs.
     """
     n = H.shape[0]
     ni = n_interior
@@ -49,13 +50,13 @@ def schur_dtn(H: sp.spmatrix, n_interior: int):
     if ni == 0:
         return H_bb, None, None
     H_ii = Hc[:ni, :ni]
-    H_ib = Hc[:ni, ni:].toarray()
+    H_ib = Hc[:ni, ni:].tocsr()
     try:
         lu = spla.splu(H_ii)
     except RuntimeError as exc:  # pragma: no cover - signals an assembly bug
         raise RuntimeError("interior block of H is singular; H should be SPD") from exc
-    X = lu.solve(H_ib)
-    T = H_bb - H_ib.T @ X
+    dense = H_ib.toarray()
+    T = H_bb - dense.T @ lu.solve(dense)
     T = 0.5 * (T + T.T)
     return T, lu, H_ib
 
@@ -156,32 +157,24 @@ def _gamma_positions(mesh: Mesh, gamma_dofs: np.ndarray) -> np.ndarray:
     return pos
 
 
+def _boundary_form(mesh: Mesh, gamma_dofs: np.ndarray, elem: np.ndarray) -> np.ndarray:
+    """Dense assembly of ``(ne, 2, 2)`` element matrices over the boundary edges."""
+    pos = _gamma_positions(mesh, gamma_dofs)[mesh.boundary_edges]
+    out = np.zeros((len(gamma_dofs), len(gamma_dofs)))
+    np.add.at(out, (pos[:, :, None], pos[:, None, :]), elem)
+    return out
+
+
 def boundary_mass(mesh: Mesh, gamma_dofs: np.ndarray) -> np.ndarray:
     """1D mass matrix along the outer boundary (dense, SPD)."""
-    ng = len(gamma_dofs)
-    pos = _gamma_positions(mesh, gamma_dofs)
-    M = np.zeros((ng, ng))
-    for (va, vb), h in zip(mesh.boundary_edges, _boundary_edge_lengths(mesh)):
-        ia, ib = pos[va], pos[vb]
-        M[ia, ia] += h / 3.0
-        M[ib, ib] += h / 3.0
-        M[ia, ib] += h / 6.0
-        M[ib, ia] += h / 6.0
-    return M
+    h = _boundary_edge_lengths(mesh)[:, None, None]
+    return _boundary_form(mesh, gamma_dofs, (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]]))
 
 
 def boundary_stiffness(mesh: Mesh, gamma_dofs: np.ndarray) -> np.ndarray:
     """1D stiffness matrix along the outer boundary (dense, PSD)."""
-    ng = len(gamma_dofs)
-    pos = _gamma_positions(mesh, gamma_dofs)
-    K = np.zeros((ng, ng))
-    for (va, vb), h in zip(mesh.boundary_edges, _boundary_edge_lengths(mesh)):
-        ia, ib = pos[va], pos[vb]
-        K[ia, ia] += 1.0 / h
-        K[ib, ib] += 1.0 / h
-        K[ia, ib] -= 1.0 / h
-        K[ib, ia] -= 1.0 / h
-    return K
+    h = _boundary_edge_lengths(mesh)[:, None, None]
+    return _boundary_form(mesh, gamma_dofs, (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def boundary_h1_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> np.ndarray:
@@ -273,15 +266,12 @@ class BlockImpedance:
 
     def norm(self, field) -> float:
         """T norm of a primal field, T^-1 norm of a dual field."""
+        if field.kind != "primal":
+            return float(np.linalg.norm(self.whiten(field)))
         acc = 0.0
-        if field.kind == "primal":
-            for L, v in zip(self.chol, field.blocks):
-                w = _apply_complex(L.T, v)
-                acc += float(np.real(np.conj(w) @ w))
-        else:
-            for L, q in zip(self.chol, field.blocks):
-                w = _solve_lower_complex(L, q)
-                acc += float(np.real(np.conj(w) @ w))
+        for L, v in zip(self.chol, field.blocks):
+            w = _apply_complex(L.T, v)
+            acc += float(np.real(np.conj(w) @ w))
         return float(np.sqrt(acc))
 
     # -- whitening ------------------------------------------------------------

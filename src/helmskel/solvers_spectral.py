@@ -1,7 +1,8 @@
 """Iterative solvers in the T^-1 metric and the dense spectral harness.
 
-The solvers run on the whitened skeleton operator, so Euclidean residuals
-coincide with T^-1 residuals.  The spectral harness turns the structural
+Both run on one whitened skeleton operator, ``_whitened_apply``, so that
+Euclidean norms are T^-1 norms; one driver, ``_solve``, runs the
+Richardson and GMRES cores.  The spectral harness turns the structural
 guarantees into numbers: inf-sup constants of both formulations, the
 coercivity constant of the skeleton operator, kernel dimensions on both
 sides, and the wavenumber scaling of the constants.
@@ -29,8 +30,6 @@ __all__ = [
     "richardson",
     "gmres_tinv",
     "dense_operator",
-    "infsup_skeleton",
-    "coercivity_constant",
     "infsup_primary",
     "continuity_modulus",
     "verify_estimates",
@@ -47,7 +46,7 @@ class DenseCapExceeded(RuntimeError):
 
 @dataclass
 class SolveReport:
-    """Outcome of one iterative skeleton solve."""
+    """Outcome of one iterative skeleton solve; ``iterations`` counts updates."""
 
     method: str
     iterations: int
@@ -106,46 +105,32 @@ def richardson(problem: Problem, f: SkeletonField, relax: float = 0.5,
                tol: float = 1e-10, maxit: int = 1000):
     """Damped fixed-point iteration q <- q - relax ((Id + Pi S) q - f).
 
-    Residuals are measured in the T^-1 norm.  Ten consecutive residual
-    increases are reported as divergence (not raised).  The history ends
-    at the residual of the returned q (one more apply if ``maxit`` runs
-    out); ``true_residual`` is that entry over ||f||_T^-1.
+    Runs in whitened coordinates, so residuals are T^-1 residuals.  Ten
+    consecutive residual increases are reported as divergence (not
+    raised).  ``iterations`` counts updates; the history starts at
+    ||f||_T^-1 and ends at the residual of the returned q.
     """
     if not 0.0 < relax < 1.0:
         raise ValueError("relaxation parameter must lie in (0, 1)")
-    imp = problem.impedance
-    fnorm = imp.norm(f)
-    q = imp.zeros("dual")
-    if fnorm == 0.0:
-        return q, SolveReport("richardson", 0, [], True, true_residual=0.0)
 
-    history = []
-    growth = 0
-    converged = False
-    message = ""
-    for _ in range(maxit):
-        r = f - sk.skeleton_apply(problem, q)
-        rho = imp.norm(r)
-        history.append(rho)
-        if rho <= tol * fnorm:
-            converged = True
-            break
-        if len(history) > 1 and rho > history[-2]:
-            growth += 1
-            if growth >= 10:
-                message = "divergence: residual grew over 10 consecutive steps"
+    def core(matvec, b):
+        x, r = np.zeros_like(b), b
+        history = [np.linalg.norm(b)]
+        limit = tol * history[0]
+        growth = 0
+        for _ in range(maxit):
+            if history[-1] <= limit:
                 break
-        else:
-            growth = 0
-        q = q + relax * r
-    iterations = len(history)
-    if not (converged or message):
-        history.append(imp.norm(f - sk.skeleton_apply(problem, q)))
-        converged = history[-1] <= tol * fnorm
-        if not converged:
-            message = f"not converged after {maxit} iterations"
-    return q, SolveReport("richardson", iterations, history, converged,
-                          message=message, true_residual=history[-1] / fnorm)
+            x = x + relax * r
+            r = b - matvec(x)
+            history.append(np.linalg.norm(r))
+            growth = growth + 1 if history[-1] > history[-2] else 0
+            if growth >= 10:
+                return (x, history, False,
+                        "divergence: residual grew over 10 consecutive steps")
+        return x, history, history[-1] <= limit, ""
+
+    return _solve(problem, f, "richardson", core, tol)
 
 
 def _givens(h1: complex, h2: complex):
@@ -169,6 +154,8 @@ def _gmres_core(matvec, b, tol, restart, maxit):
     least-squares sense and its misfit enters the final residual estimate;
     ``converged`` holds only if that estimate meets ``tol``.
     """
+    if restart is not None and restart < 1:
+        raise ValueError(f"restart must be None or >= 1, not {restart}")
     n = len(b)
     bnorm = np.linalg.norm(b)
     x = np.zeros(n, complex)
@@ -244,43 +231,53 @@ _PRIMARY_DENSE_CAP = 2500
 _SLACK = 1e-9
 
 
-def gmres_tinv(problem: Problem, f: SkeletonField, tol: float = 1e-10,
-               restart: int = None, maxit: int = None):
-    """GMRES on the whitened skeleton operator.
+def _whitened_apply(problem: Problem, w: np.ndarray) -> np.ndarray:
+    """L^-1 (Id + Pi S) L w for the impedance Cholesky factor L; ``w`` is a
+    vector or an ``(n, m)`` column block."""
+    imp = problem.impedance
+    return imp.whiten(sk.skeleton_apply(problem, imp.unwhiten(w)))
 
-    The operator is conjugated by the impedance Cholesky factor, so the
-    Euclidean residual of the Krylov iteration equals the T^-1 residual of
-    the skeleton equation.  Full (unrestarted) iteration by default.
 
-    At exit the true relative residual ||f - (Id + Pi S) q||_T^-1 / ||f||_T^-1
-    is computed once and reported as ``true_residual``; the solve counts as
-    converged only if it is also within ``_TRUE_RESIDUAL_FACTOR * tol``.
+def _solve(problem: Problem, f: SkeletonField, method: str, core, tol: float):
+    """Run ``core(matvec, b)`` on the whitened skeleton equation.
+
+    ``core`` returns ``(x, history, converged, message)`` for the whitened
+    operator and right-hand side, with the residual norms of the initial
+    and of every updated iterate in ``history``.  At exit the true relative
+    residual ||f - (Id + Pi S) q||_T^-1 / ||f||_T^-1 is computed once and
+    reported as ``true_residual``; the solve counts as converged only if
+    it is also within ``_TRUE_RESIDUAL_FACTOR * tol``.
     """
     imp = problem.impedance
     b = imp.whiten(f)
-    n = len(b)
-    if maxit is None:
-        maxit = 2 * n
-
-    def matvec(w):
-        return imp.whiten(sk.skeleton_apply(problem, imp.unwhiten(w)))
-
-    x, history, converged = _gmres_core(matvec, b, tol, restart, maxit)
-    iterations = max(len(history) - 1, 0)
-    q = imp.unwhiten(x)
     bnorm = np.linalg.norm(b)
-    true_res = 0.0
-    if bnorm > 0:
-        true_res = float(np.linalg.norm(b - imp.whiten(sk.skeleton_apply(problem, q)))
-                         / bnorm)
+    if bnorm == 0.0:
+        return imp.zeros("dual"), SolveReport(method, 0, [], True, true_residual=0.0)
+    x, history, converged, message = core(lambda w: _whitened_apply(problem, w), b)
+    q = imp.unwhiten(x)
+    true_res = float(np.linalg.norm(b - imp.whiten(sk.skeleton_apply(problem, q))) / bnorm)
+    iterations = max(len(history) - 1, 0)
     limit = _TRUE_RESIDUAL_FACTOR * tol
-    message = "" if converged else f"not converged after {iterations} iterations"
     if converged and true_res > limit:
         converged = False
-        message = (f"Krylov estimate {history[-1] / bnorm:.3e} met tol {tol:.1e}, "
+        message = (f"{method} estimate {history[-1] / bnorm:.3e} met tol {tol:.1e}, "
                    f"but the true residual {true_res:.3e} exceeds {limit:.1e}")
-    return q, SolveReport("gmres", iterations, history, converged,
+    elif not (converged or message):
+        message = f"not converged after {iterations} iterations"
+    return q, SolveReport(method, iterations, history, converged,
                           message=message, true_residual=true_res)
+
+
+def gmres_tinv(problem: Problem, f: SkeletonField, tol: float = 1e-10,
+               restart: int = None, maxit: int = None):
+    """GMRES through ``_solve``; full (unrestarted) iteration by default."""
+    if maxit is None:
+        maxit = 2 * problem.dual_dim
+
+    def core(matvec, b):
+        return (*_gmres_core(matvec, b, tol, restart, maxit), "")
+
+    return _solve(problem, f, "gmres", core, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +287,8 @@ def gmres_tinv(problem: Problem, f: SkeletonField, tol: float = 1e-10,
 def dense_operator(problem: Problem, cap: int = 2000) -> np.ndarray:
     """Dense matrix of the whitened skeleton operator.
 
-    The columns are whiten(skeleton_apply(unwhiten(I))), computed through
-    the same ``skeleton_apply`` as a single vector.  To bound the
+    The columns are ``_whitened_apply`` of the identity, the same path as
+    the solvers' single vectors.  To bound the
     temporaries, the identity goes in one chunk of columns per trace block.
     """
     n = problem.dual_dim
@@ -302,28 +299,8 @@ def dense_operator(problem: Problem, cap: int = 2000) -> np.ndarray:
     for o, m in zip(imp.offsets[:-1], imp.sizes):
         E = np.zeros((n, m), complex)
         E[o:o + m] = np.eye(m)
-        M[:, o:o + m] = imp.whiten(sk.skeleton_apply(problem, imp.unwhiten(E)))
+        M[:, o:o + m] = _whitened_apply(problem, E)
     return M
-
-
-def infsup_skeleton(problem: Problem, cap: int = 2000) -> float:
-    """Smallest singular value of the whitened skeleton operator."""
-    return float(sla.svdvals(dense_operator(problem, cap)).min())
-
-
-def coercivity_constant(problem: Problem, cap: int = 2000) -> float:
-    """Smallest eigenvalue of the Hermitian part of the whitened operator."""
-    M = dense_operator(problem, cap)
-    return float(sla.eigvalsh(0.5 * (M + M.conj().T)).min())
-
-
-def _primary_whitener(problem: Problem):
-    """Cholesky factors of the (volume, multiplier) norm Gram."""
-    H = problem.global_forms.H.toarray()
-    L_h = np.linalg.cholesky(H)
-    t_inv = problem.bc.t_inverse()
-    L_p = np.linalg.cholesky(t_inv)
-    return L_h, L_p
 
 
 def _whitened(L: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -334,16 +311,6 @@ def _whitened(L: np.ndarray, A: np.ndarray) -> np.ndarray:
     """
     X = _solve_lower_complex(L, A)
     return _solve_lower_complex(L, X.T).T
-
-
-def _primary_dense_whitened(problem: Problem) -> np.ndarray:
-    A = monolithic_matrix(problem).toarray()
-    L_h, L_p = _primary_whitener(problem)
-    n = L_h.shape[0]
-    L = np.zeros((A.shape[0], A.shape[0]))
-    L[:n, :n] = L_h
-    L[n:, n:] = L_p
-    return _whitened(L, A)
 
 
 def _primary_extremes_iterative(problem: Problem, tol: float = 1e-8):
@@ -391,7 +358,9 @@ def infsup_primary(problem: Problem, dense_cap: int = _PRIMARY_DENSE_CAP,
     """(sigma_min, sigma_max, kernel_dim) of the whitened monolithic operator."""
     n = problem.mesh.num_vertices + problem.n_gamma
     if n <= dense_cap:
-        svals = sla.svdvals(_primary_dense_whitened(problem))
+        W = sla.block_diag(problem.global_forms.H.toarray(), problem.bc.t_inverse())
+        A = monolithic_matrix(problem).toarray()
+        svals = sla.svdvals(_whitened(np.linalg.cholesky(W), A))
         smax = float(svals.max())
         kernel = int(np.sum(svals < svd_threshold * smax))
         return float(svals.min()), smax, kernel

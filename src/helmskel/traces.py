@@ -122,16 +122,6 @@ class VolumeTuple:
                            [b.copy() for b in self.omega], self.kind)
 
 
-def volume_pair(phi: VolumeTuple, u: VolumeTuple) -> complex:
-    """Bilinear pairing of a dual tuple with a primal tuple."""
-    if phi.kind != "dual" or u.kind != "primal":
-        raise ValueError("volume_pair expects (dual, primal)")
-    acc = phi.gamma[0] @ u.gamma[0] + phi.gamma[1] @ u.gamma[1]
-    for a, b in zip(phi.omega, u.omega):
-        acc += a @ b
-    return complex(acc)
-
-
 def trace_apply(vol: VolumeTuple, n_interior) -> SkeletonField:
     """Dirichlet trace of a volume tuple: boundary slice of every block.
 

@@ -217,10 +217,16 @@ def test_sweep_command(tmp_path):
     lines = (tmp_path / "sw" / "sweep.csv").read_text().strip().split("\n")
     assert len(lines) == 1 + 2 + 2
     assert main(["sweep", "--config", cfg_path, "--k-list", ""]) == 2
+    assert main(["sweep", "--config", cfg_path, "--k-list", "5,abc"]) == 2
+    assert main(["sweep", "--config", cfg_path, "--k-list", "-5"]) == 2
 
 
 def test_cli_config_error_exit(tmp_path):
     cfg_path = _write(tmp_path, "[physics]\nmu_im = -2\n")
+    assert main(["solve", "--config", cfg_path]) == 2
+    cfg_path = _write(tmp_path, "k = 5.0\n", "headless.ini")
+    assert main(["solve", "--config", cfg_path]) == 2
+    cfg_path = _write(tmp_path, "[physics]\nk = 5.0\nk = 6.0\n", "repeated.ini")
     assert main(["solve", "--config", cfg_path]) == 2
 
 

@@ -4,7 +4,8 @@ import pytest
 from helmskel.assembly import Coefficients, assemble_subdomain
 from helmskel.geometry import build_rect_mesh, partition_checkerboard
 from helmskel.impedance import (BlockImpedance, DtnBlock, boundary_h1_impedance,
-                                boundary_mass, collar_impedance, schur_dtn)
+                                boundary_mass, boundary_stiffness, collar_impedance,
+                                schur_dtn)
 from helmskel.problem import build_problem
 
 
@@ -74,6 +75,19 @@ def test_boundary_mass_total_length():
     gamma_dofs = np.unique(mesh.boundary_edges)
     M = boundary_mass(mesh, gamma_dofs)
     assert abs(M.sum() - 10.0) < 1e-12      # perimeter of 2 x 3 rectangle
+    K = boundary_stiffness(mesh, gamma_dofs)
+    assert np.abs(K @ np.ones(len(gamma_dofs))).max() < 1e-12
+    assert np.array_equal(M, M.T) and np.array_equal(K, K.T)
+    # reference: one boundary edge at a time
+    pos = {v: i for i, v in enumerate(gamma_dofs)}
+    M_ref, K_ref = np.zeros_like(M), np.zeros_like(K)
+    for va, vb in mesh.boundary_edges:
+        h = np.linalg.norm(mesh.vertices[vb] - mesh.vertices[va])
+        for a in (pos[va], pos[vb]):
+            for b in (pos[va], pos[vb]):
+                M_ref[a, b] += h / 3.0 if a == b else h / 6.0
+                K_ref[a, b] += 1.0 / h if a == b else -1.0 / h
+    assert np.array_equal(M, M_ref) and np.array_equal(K, K_ref)
 
 
 def test_impedance_rejects_asymmetric_block():

@@ -6,10 +6,9 @@ import pytest
 import helmskel.skeleton as sk
 from helmskel.geometry import build_rect_mesh
 from helmskel.problem import build_problem, make_load
-from helmskel.solvers_spectral import (DenseCapExceeded, coercivity_constant,
-                                       dense_operator, dirichlet_resonance,
-                                       gmres_tinv, infsup_primary,
-                                       infsup_skeleton, richardson,
+from helmskel.solvers_spectral import (DenseCapExceeded, dense_operator,
+                                       dirichlet_resonance, gmres_tinv,
+                                       infsup_primary, richardson,
                                        sweep_wavenumber, verify_estimates,
                                        write_sweep_csv,
                                        _gmres_core, _primary_extremes_iterative)
@@ -46,7 +45,7 @@ def test_richardson_contraction_consistent_with_coercivity(robin_system):
     h = np.array(rep.residual_history)
     tail = h[-21:]
     factors = tail[1:] / tail[:-1]
-    c = coercivity_constant(p)
+    c = verify_estimates(p).coercivity
     r = 0.5
     assert factors.max() <= np.sqrt(1 - 2 * r * c + 4 * r * r) + 0.05
 
@@ -78,6 +77,16 @@ def test_richardson_history_ends_at_returned_iterate(ref_problem):
     assert abs(rep.residual_history[-1] - want) <= 1e-12 * want
     assert rep.true_residual == rep.residual_history[-1] / p.impedance.norm(f)
     assert rep.as_dict()["true_residual"] == rep.true_residual
+
+
+def test_solvers_count_updates_not_residuals(ref_problem):
+    # f = 1 meets tol = 10 at q = 0, before any update
+    p = ref_problem
+    f = sk.skeleton_rhs(p, make_load(p, f=1.0))
+    for solve in (richardson, gmres_tinv):
+        q, rep = solve(p, f, tol=10.0)
+        assert rep.converged and rep.iterations == 0
+        assert len(rep.residual_history) == 1 and p.impedance.norm(q) == 0.0
 
 
 def test_gmres_zero_rhs(ref_problem):
@@ -164,6 +173,12 @@ def test_gmres_breakdown_is_not_convergence(scale):
     assert np.all(x == 0) and history[-1] == pytest.approx(np.linalg.norm(b))
 
 
+@pytest.mark.parametrize("restart", [0, -3])
+def test_gmres_rejects_nonpositive_restart(restart):
+    with pytest.raises(ValueError, match="restart"):
+        _gmres_core(lambda v: 2.0 * v, np.ones(6, complex), 1e-10, restart, 12)
+
+
 def test_gmres_restarted_still_converges(robin_system):
     p, load, f = robin_system
     q, rep = gmres_tinv(p, f, tol=1e-9, restart=10, maxit=2000)
@@ -237,8 +252,8 @@ def test_whitened_singular_values_bounded(ref_problem):
 
 
 def test_coercivity_versus_infsup(ref_problem):
-    c = coercivity_constant(ref_problem)
-    s = infsup_skeleton(ref_problem)
+    rep = verify_estimates(ref_problem)
+    c, s = rep.coercivity, rep.infsup_skeleton
     assert c >= 0.5 * s * s - 1e-9
 
 
@@ -260,7 +275,7 @@ def test_coercivity_against_pencil_oracle(small_problem):
         W[offs[b]:offs[b + 1], offs[b]:offs[b + 1]] = np.linalg.inv(Tb)
     G = W @ L
     lam = sla.eigh(0.5 * (G + G.conj().T), W, eigvals_only=True)[0]
-    assert abs(lam - coercivity_constant(p)) <= 1e-11
+    assert abs(lam - verify_estimates(p).coercivity) <= 1e-11
 
 
 def test_infsup_primary_coercive_limit():
