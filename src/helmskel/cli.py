@@ -28,13 +28,20 @@ __all__ = ["main", "cmd_solve", "cmd_verify", "cmd_spectrum", "cmd_sweep",
 
 
 def _out_dir(cfg: ProblemConfig, override=None) -> Path:
-    d = Path(override) if override else Path(cfg.out_dir)
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+    """The output directory; it is created only by :func:`_open_out`."""
+    return Path(override) if override else Path(cfg.out_dir)
+
+
+def _open_out(path: Path):
+    """Open an output file for writing, creating its directory first, so
+    that a run which fails before it writes leaves no directory behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w")
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _open_out(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +83,11 @@ def cmd_solve(cfg: ProblemConfig, out=None) -> int:
                 f"skeleton operator has a {kdim}-dimensional kernel "
                 f"(resonant configuration); the solve cannot converge")
 
-    with open(out_dir / "solution.txt", "w") as fh:
+    with _open_out(out_dir / "solution.txt") as fh:
         for i, v in enumerate(rec.u):
             fh.write(f"{i} {v.real:.17g} {v.imag:.17g}\n")
     _write_json(out_dir / "solve_report.json", payload)
-    with open(out_dir / "residual_history.csv", "w") as fh:
+    with _open_out(out_dir / "residual_history.csv") as fh:
         fh.write("iter,residual\n")
         for i, r in enumerate(report.residual_history):
             fh.write(f"{i},{r:.12e}\n")
@@ -192,7 +199,7 @@ def cmd_sweep(cfg: ProblemConfig, k_values, out=None) -> int:
     except ss.DenseCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with open(out_dir / "sweep.csv", "w") as fh:
+    with _open_out(out_dir / "sweep.csv") as fh:
         ss.write_sweep_csv(rows, slopes, fh)
     if slopes:
         print(f"slope infsup_skeleton: {slopes['infsup_skeleton']:.4f}")

@@ -35,6 +35,17 @@ __all__ = [
 ]
 
 
+def _splu_spd(A: sp.spmatrix):
+    """Sparse LU of a real SPD matrix in CSC form.
+
+    SPD needs no pivoting, so the factor keeps the diagonal (symmetric
+    mode) of a minimum-degree ordering of A + A^T, which on these 2-D
+    grids gives less fill than the default column ordering.
+    """
+    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+
+
 def schur_dtn(H: sp.spmatrix, n_interior: int):
     """Schur complement of an SPD matrix onto its trailing boundary block.
 
@@ -52,7 +63,7 @@ def schur_dtn(H: sp.spmatrix, n_interior: int):
     H_ii = Hc[:ni, :ni]
     H_ib = Hc[:ni, ni:].tocsr()
     try:
-        lu = spla.splu(H_ii)
+        lu = _splu_spd(H_ii)
     except RuntimeError as exc:  # pragma: no cover - signals an assembly bug
         raise RuntimeError("interior block of H is singular; H should be SPD") from exc
     dense = H_ib.toarray()

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import zaxpy, zdotc
 
 from . import skeleton as sk
 from .impedance import _solve_complex, _solve_lower_complex
@@ -145,8 +146,21 @@ def _givens(h1: complex, h2: complex):
 _BREAKDOWN_RTOL = 100 * np.finfo(float).eps
 
 
+# Rows of the first Krylov basis allocation; the basis doubles as needed, so
+# its memory follows the iteration count, not the dimension.
+_BASIS_ROWS = 16
+
+
 def _gmres_core(matvec, b, tol, restart, maxit):
     """Restarted GMRES with Givens rotations; returns (x, history, converged).
+
+    The Krylov basis is held as contiguous rows ``V[k]``, allocated for
+    ``_BASIS_ROWS`` directions and doubled as needed, with the Hessenberg
+    matrix grown to match.  Each new direction is orthogonalised by two
+    classical Gram-Schmidt passes (CGS2, "twice is enough": Giraud, Langou
+    and Rozloznik, Numer. Math. 101, 2005): each pass takes the projections
+    ``<V[i], w>`` on all rows at once and then subtracts them from ``w``.
+    The first cycle starts from x = 0 without applying the operator.
 
     On a breakdown the Krylov space is invariant and restarting cannot
     help, so the iteration stops there.  The small triangular system may
@@ -166,7 +180,7 @@ def _gmres_core(matvec, b, tol, restart, maxit):
     total = 0
     converged = breakdown = False
     while total < maxit and not (converged or breakdown):
-        r = b - matvec(x)
+        r = b - matvec(x) if total else b
         beta = np.linalg.norm(r)
         if total == 0:
             history.append(beta)
@@ -174,26 +188,38 @@ def _gmres_core(matvec, b, tol, restart, maxit):
             converged = True
             break
         m = min(restart, maxit - total)
-        V = np.zeros((n, m + 1), complex)
-        H = np.zeros((m + 1, m), complex)
+        V = np.empty((min(m + 1, _BASIS_ROWS), n), complex)
+        H = np.zeros((len(V), len(V) - 1), complex)
         cs = np.zeros(m, complex)
         sn = np.zeros(m, complex)
         g = np.zeros(m + 1, complex)
-        V[:, 0] = r / beta
+        V[0] = r / beta
         g[0] = beta
         k_used = 0
         for k in range(m):
-            w = matvec(V[:, k])
+            if k + 1 == len(V):
+                grow = min(len(V), m + 1 - len(V))
+                V = np.pad(V, ((0, grow), (0, 0)))
+                H = np.pad(H, ((0, grow), (0, grow)))
+            # a copy, since the axpy updates below write into w
+            w = np.array(matvec(V[k]), complex)
             wnorm = np.linalg.norm(w)
-            for i in range(k + 1):
-                H[i, k] = np.vdot(V[:, i], w)
-                w = w - H[i, k] * V[:, i]
+            # one BLAS-1 call per row, not a gemv with the basis: as fast on
+            # one BLAS thread, but a threaded gemv wakes the BLAS workers on
+            # every step, which doubled the solve time at two OpenBLAS
+            # threads on a shared two-core host
+            Vk = V[:k + 1]
+            for _ in range(2):
+                h = [zdotc(v, w) for v in Vk]
+                for coeff, v in zip(h, Vk):
+                    w = zaxpy(v, w, a=-coeff)
+                H[:k + 1, k] += h
             H[k + 1, k] = np.linalg.norm(w)
             breakdown = H[k + 1, k].real <= _BREAKDOWN_RTOL * wnorm
             if breakdown:
                 H[k + 1, k] = 0.0
             else:
-                V[:, k + 1] = w / H[k + 1, k]
+                V[k + 1] = w / H[k + 1, k]
             for i in range(k):
                 hi, hi1 = H[i, k], H[i + 1, k]
                 H[i, k] = np.conj(cs[i]) * hi + np.conj(sn[i]) * hi1
@@ -216,7 +242,7 @@ def _gmres_core(matvec, b, tol, restart, maxit):
             history[-1] = math.hypot(history[-1], np.linalg.norm(gr - R @ y))
         else:
             y = sla.solve_triangular(R, gr, lower=False)
-        x = x + V[:, :k_used] @ y
+        x = x + y @ V[:k_used]
         converged = history[-1] <= tol * bnorm
     return x, history, converged
 

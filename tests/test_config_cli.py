@@ -240,3 +240,21 @@ def test_cli_assumption_violation_exit(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "problem_from_config", boom)
     cfg_path = _write(tmp_path, "[physics]\nk = 5.0\n")
     assert main(["solve", "--config", cfg_path]) == 3
+
+
+@pytest.mark.parametrize("argv,code", [(["solve"], 3), (["verify"], 3), (["spectrum"], 3),
+                                       (["sweep", "--k-list", ""], 2)])
+def test_cli_failure_leaves_no_output_dir(tmp_path, monkeypatch, argv, code):
+    # the default output dir is relative to the cwd; a run that fails
+    # before it writes must not create it
+    from helmskel import cli
+    from helmskel.skeleton import AssumptionViolation
+
+    def boom(cfg):
+        raise AssumptionViolation("block 1 singular; perturb kappa or gamma")
+
+    monkeypatch.setattr(cli, "problem_from_config", boom)
+    monkeypatch.chdir(tmp_path)
+    cfg_path = _write(tmp_path, "[physics]\nk = 5.0\n")
+    assert main([argv[0], "--config", cfg_path, *argv[1:]]) == code
+    assert not (tmp_path / "out").exists()

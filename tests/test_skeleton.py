@@ -369,3 +369,21 @@ def test_local_solvability_guard_without_onenormest(monkeypatch):
     monkeypatch.setattr(sk, "_DENSE_RCOND_MAX", 1)
     with pytest.raises(sk.AssumptionViolation, match="block 1 "):
         build_problem(4, 4, 2, 2, k=3.0, bc_kind="robin")
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_solve_tuple_matches_dense_solve(ref_problem, rng, transpose):
+    # the local factors against a dense solve of each C_j = A_j - i B_j^T T_j B_j
+    from helmskel.traces import VolumeTuple
+
+    p = ref_problem
+    blocks = [rng.standard_normal(lf.n_dofs) + 1j * rng.standard_normal(lf.n_dofs)
+              for lf in p.forms]
+    zero = np.zeros(p.n_gamma)
+    u = p.solver.solve_tuple(VolumeTuple((zero, zero), blocks, "dual"), transpose=transpose)
+    for j, (lf, rhs, got) in enumerate(zip(p.forms, blocks, u.omega)):
+        ni = lf.n_interior
+        C = lf.A.toarray().astype(complex)
+        C[ni:, ni:] -= 1j * p.impedance.blocks[j + 1]
+        want = np.linalg.solve(C.T if transpose else C, rhs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

@@ -179,6 +179,72 @@ def test_gmres_rejects_nonpositive_restart(restart):
         _gmres_core(lambda v: 2.0 * v, np.ones(6, complex), 1e-10, restart, 12)
 
 
+def test_gmres_operator_may_return_its_input():
+    # the identity hands back the basis row itself; orthogonalising in
+    # place must not overwrite the basis
+    b = np.arange(1.0, 7.0) + 0j
+    x, history, converged = _gmres_core(lambda v: v, b, 1e-10, None, 12)
+    assert converged and len(history) - 1 == 1
+    np.testing.assert_allclose(x, b, rtol=1e-14)
+
+
+def test_gmres_keeps_the_basis_orthogonal():
+    # with an orthogonal basis, full GMRES spans the whole space in n
+    # steps; one classical Gram-Schmidt pass loses orthogonality on this
+    # spread spectrum and needed 134 steps
+    n = 100
+    d = np.logspace(-4, 0, n)
+    b = np.ones(n, complex)
+    x, history, _ = _gmres_core(lambda v: d * v, b, 1e-12, None, 4 * n)
+    assert len(history) - 1 <= n
+    np.testing.assert_allclose(x, b / d, rtol=1e-8)
+
+
+def test_gmres_memory_follows_iterations():
+    # a basis sized by the dimension would take n (n + 1) complex entries,
+    # 6.4 GB here; the grown basis holds only the directions in use
+    import tracemalloc
+
+    n = 20000
+    d = np.linspace(1.0, 1.1, n)
+    b = np.ones(n, complex)
+    tracemalloc.start()
+    try:
+        x, history, converged = _gmres_core(lambda v: d * v, b, 1e-10, None, 2 * n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert converged and len(history) - 1 <= 10
+    assert peak < 10e6
+    np.testing.assert_allclose(x, b / d, rtol=1e-9)
+
+
+def test_gmres_basis_growth_matches_restart_above_iterations():
+    # 50 distinct eigenvalues on a circle: the iteration runs past 32
+    # steps, so the basis doubles twice; a restart length above the
+    # iteration count must not change a bit of the result
+    n = 200
+    d = np.repeat(1.8 + np.exp(2j * np.pi * np.arange(50) / 50), n // 50)
+    b = np.random.default_rng(3).standard_normal(n) + 0j
+    x1, h1, c1 = _gmres_core(lambda v: d * v, b, 1e-10, None, 1000)
+    x2, h2, c2 = _gmres_core(lambda v: d * v, b, 1e-10, 60, 1000)
+    assert c1 and c2 and len(h1) - 1 > 32
+    np.testing.assert_array_equal(x1, x2)
+    assert h1 == h2
+    np.testing.assert_allclose(x1, b / d, rtol=1e-8)
+
+
+def test_gmres_non_normal_operator():
+    n = 200
+    A = np.diag(np.full(n, 2.0)) + np.diag(np.ones(n - 1), 1)
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x, history, converged = _gmres_core(lambda v: A @ v, b, 1e-12, None, 2 * n)
+    want = np.linalg.solve(A, b)
+    assert converged
+    assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+
 def test_gmres_restarted_still_converges(robin_system):
     p, load, f = robin_system
     q, rep = gmres_tinv(p, f, tol=1e-9, restart=10, maxit=2000)
