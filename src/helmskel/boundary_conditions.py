@@ -128,11 +128,14 @@ class BoundaryCondition:
     def impedance_inverse(self, p_in: np.ndarray, a_in: np.ndarray):
         """(A_Gamma - i B* T B)^-1 applied to the dual pair (p_in, a_in).
 
-        Vectors or ``(n, m)`` column blocks, applied as real columns.
+        Vectors or ``(n, m)`` column blocks, applied as real columns.  An
+        all-zero multiplier slot ``a_in`` (the scattering operator's) takes
+        no product with ``T_Gamma``.
         """
         p_in = np.asarray(p_in, complex)
         a_in = np.asarray(a_in, complex)
-        ta = _apply_complex(self.t_gamma, a_in)
+        ta = (_apply_complex(self.t_gamma, a_in) if a_in.any()
+              else np.zeros(a_in.shape, complex))
         if self.kind == "dirichlet":
             return a_in.copy(), p_in + 1j * ta
         if self.kind == "neumann":

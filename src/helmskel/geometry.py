@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "Mesh",
@@ -113,6 +115,24 @@ class SkeletonIndex:
     @property
     def block_sizes(self) -> tuple:
         return tuple(len(d) for d in self.block_dofs)
+
+    @cached_property
+    def flat_map(self) -> np.ndarray:
+        """``block_map`` concatenated: the skeleton dof of every entry of a
+        concatenated skeleton field."""
+        return np.concatenate(self.block_map)
+
+    @cached_property
+    def dof_sum(self) -> sp.csr_matrix:
+        """The 0/1 matrix adding every entry of a concatenated field onto its
+        skeleton dof, ``(n_sigma, n)``, complex so products need no cast.
+
+        Each row adds its entries in block order, as a loop over the blocks
+        would, and a column block costs one sparse product.
+        """
+        n = len(self.flat_map)
+        return sp.csr_matrix((np.ones(n, complex), (self.flat_map, np.arange(n))),
+                             shape=(self.n_sigma, n))
 
 
 def build_rect_mesh(nx: int, ny: int, width: float = 1.0, height: float = 1.0) -> Mesh:

@@ -23,6 +23,9 @@ import scipy.sparse.linalg as spla
 
 from .geometry import Mesh, build_rect_mesh
 from .assembly import Coefficients, LocalForms, _assemble_on
+from .traces import SkeletonField, _nonzero_blocks, _offsets
+
+_dtrtrs = sla.get_lapack_funcs("trtrs", dtype=np.float64)
 
 __all__ = [
     "DtnBlock",
@@ -241,6 +244,12 @@ class BlockImpedance:
     field to coordinates whose Euclidean norm equals the T^-1 norm, which
     turns the skeleton metric into the plain l2 metric for solvers and
     singular value computations.
+
+    Fields are flat (see :class:`~helmskel.traces.SkeletonField`): every
+    method views the whole complex array, vector or column block, as one
+    real column block, with the real and imaginary part of each column
+    adjacent, and makes one real BLAS or LAPACK call per block into one
+    preallocated output.  Products skip all-zero blocks.
     """
 
     def __init__(self, blocks):
@@ -249,67 +258,75 @@ class BlockImpedance:
             if not np.allclose(b, b.T, rtol=0, atol=1e-12 * (1 + np.abs(b).max())):
                 raise ValueError(f"impedance block {i} is not symmetric")
         self.chol = [np.linalg.cholesky(b) for b in self.blocks]
+        # L^T of a C-ordered L is a Fortran-ordered view: LAPACK reads it as is
+        self._upper = [L.T for L in self.chol]
         self.sizes = [b.shape[0] for b in self.blocks]
-        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
-        self.total = int(self.offsets[-1])
+        self.offsets = _offsets(self.sizes)
+        self.total = self.offsets[-1]
+
+    def _field(self, data, kind: str) -> SkeletonField:
+        return SkeletonField.wrap(data, self.offsets, kind)
+
+    def _products(self, mats, data: np.ndarray) -> np.ndarray:
+        """``mats[b] @ data_b`` for every block b, as real columns; an
+        all-zero block of ``data`` gives a zero block without a product."""
+        X = _real_columns(data)
+        Y = np.zeros(X.shape)
+        o = self.offsets
+        for A, a, b, live in zip(mats, o, o[1:], _nonzero_blocks(data, o)):
+            if live:
+                np.dot(A, X[a:b], out=Y[a:b])
+        return _complex_columns(Y, data)
 
     # -- block-wise algebra -------------------------------------------------
 
-    def apply(self, field):
+    def apply(self, field) -> SkeletonField:
         """T v: primal field to dual field."""
-        from .traces import SkeletonField
-
         if field.kind != "primal":
             raise ValueError("impedance applies to primal fields")
-        return SkeletonField([_apply_complex(T, v) for T, v in zip(self.blocks, field.blocks)],
-                             "dual")
+        return self._field(self._products(self.blocks, field.data), "dual")
 
-    def solve(self, field):
+    def solve(self, field) -> SkeletonField:
         """T^-1 q: dual field to primal field."""
-        from .traces import SkeletonField
-
         if field.kind != "dual":
             raise ValueError("impedance solve expects dual fields")
-        out = []
-        for L, q in zip(self.chol, field.blocks):
-            out.append(sla.cho_solve((L, True), q))
-        return SkeletonField(out, "primal")
+        X = _real_columns(field.data)
+        Y = np.empty_like(X)
+        o = self.offsets
+        for L, a, b in zip(self.chol, o, o[1:]):
+            Y[a:b] = sla.cho_solve((L, True), X[a:b], check_finite=False)
+        return self._field(_complex_columns(Y, field.data), "primal")
 
     def norm(self, field) -> float:
         """T norm of a primal field, T^-1 norm of a dual field."""
         if field.kind != "primal":
             return float(np.linalg.norm(self.whiten(field)))
-        acc = 0.0
-        for L, v in zip(self.chol, field.blocks):
-            w = _apply_complex(L.T, v)
-            acc += float(np.real(np.conj(w) @ w))
-        return float(np.sqrt(acc))
+        return float(np.linalg.norm(self._products(self._upper, field.data)))
 
     # -- whitening ------------------------------------------------------------
 
     def whiten(self, field) -> np.ndarray:
         """Coordinates w = L^-1 q of a dual field, ||w||_2 = ||q||_T^-1.
 
-        Blocks of ``(n_b, m)`` columns give an ``(n, m)`` column block.
+        A field of m columns gives an ``(n, m)`` column block.  Each block
+        is one LAPACK ``dtrtrs`` on ``L^T``, the call ``solve_triangular``
+        makes, without its per-call checks.
         """
         if field.kind != "dual":
             raise ValueError("whitening is defined for dual fields")
-        parts = [_solve_lower_complex(L, q) for L, q in zip(self.chol, field.blocks)]
-        return np.concatenate(parts)
+        X = _real_columns(field.data)
+        Y = np.empty_like(X)
+        o = self.offsets
+        for U, a, b in zip(self._upper, o, o[1:]):
+            Y[a:b] = _dtrtrs(U, X[a:b], lower=0, trans=1)[0]
+        return _complex_columns(Y, field.data)
 
-    def unwhiten(self, w: np.ndarray):
+    def unwhiten(self, w: np.ndarray) -> SkeletonField:
         """Inverse of :meth:`whiten`, for a vector or an ``(n, m)`` column block."""
-        from .traces import SkeletonField
+        return self._field(self._products(self.chol, w), "dual")
 
-        blocks = []
-        for L, o, n in zip(self.chol, self.offsets[:-1], self.sizes):
-            blocks.append(_apply_complex(L, w[o:o + n]))
-        return SkeletonField(blocks, "dual")
-
-    def zeros(self, kind: str):
-        from .traces import SkeletonField
-
-        return SkeletonField([np.zeros(n, complex) for n in self.sizes], kind)
+    def zeros(self, kind: str) -> SkeletonField:
+        return self._field(np.zeros(self.total, complex), kind)
 
     def condition_numbers(self):
         """Spectral condition number of every block (finite for SPD blocks)."""

@@ -158,13 +158,16 @@ class LocalImpedanceSolver:
                     f"(rcond ~ {rcond:.2e}); perturb kappa or gamma and retry")
             self._lus.append(lu)
 
-    def solve_tuple(self, phi: VolumeTuple, transpose: bool = False) -> VolumeTuple:
+    def solve_tuple(self, phi: VolumeTuple, transpose: bool = False,
+                    live=None) -> VolumeTuple:
         """(A - i B^T T B)^-1 applied to a dual tuple, blockwise.
 
         The only code that applies the local factors.  Blocks are vectors
-        or ``(n_b, m)`` column blocks; a zero subdomain block solves to zero
-        without a solve, which keeps block-sparse columns (the identity
-        chunks of ``dense_operator``) cheap.
+        or ``(n_b, m)`` column blocks.  ``live`` holds one flag per trace
+        block, outer boundary first; a block flagged False must be all zero
+        in ``phi`` and solves to zero without a solve, which keeps
+        block-sparse columns (the identity chunks of ``dense_operator``)
+        cheap.  Without ``live`` every block is solved.
 
         All block operators here are complex symmetric (the volume forms by
         construction, the boundary blocks for each supported condition), so
@@ -173,11 +176,17 @@ class LocalImpedanceSolver:
         """
         if phi.kind != "dual":
             raise ValueError("solve_tuple expects a dual tuple")
-        alpha, p = self.bc.impedance_inverse(phi.gamma[0], phi.gamma[1])
+        if live is None:
+            live = [True] * (1 + len(self._lus))
+        if live[0]:
+            gamma = self.bc.impedance_inverse(phi.gamma[0], phi.gamma[1])
+        else:
+            gamma = (np.zeros(phi.gamma[0].shape, complex),
+                     np.zeros(phi.gamma[1].shape, complex))
         trans = "T" if transpose else "N"
-        omega = [lu.solve(b, trans=trans) if b.any() else np.zeros(b.shape, complex)
-                 for lu, b in zip(self._lus, phi.omega)]
-        return VolumeTuple((alpha, p), omega, "primal")
+        omega = [lu.solve(b, trans=trans) if nz else np.zeros(b.shape, complex)
+                 for lu, b, nz in zip(self._lus, phi.omega, live[1:])]
+        return VolumeTuple(gamma, omega, "primal")
 
 
 class ScatteringOperator:
@@ -187,8 +196,9 @@ class ScatteringOperator:
     ``solver.solve_tuple``, the outer block included; ``bc.scattering``
     is that block's closed form, kept as a check.  Without absorption the
     map is a T^-1 isometry; absorption makes it a strict contraction.
-    Fields of ``(n_b, m)`` column blocks take one m-column solve per
-    block, and zero blocks none (see ``solve_tuple``).
+    Fields of m columns take one m-column solve per block.  All-zero
+    blocks are found on the skeleton field, before any volume work, and
+    take no solve and no impedance product.
     """
 
     def __init__(self, solver: LocalImpedanceSolver, impedance: BlockImpedance):
@@ -199,7 +209,8 @@ class ScatteringOperator:
         if q.kind != "dual":
             raise ValueError("scattering operator acts on dual fields")
         solver = self.solver
-        u = solver.solve_tuple(trace_adjoint(q, solver.n_interior, solver.omega_sizes))
+        u = solver.solve_tuple(trace_adjoint(q, solver.n_interior, solver.omega_sizes),
+                               live=q.nonzero_blocks())
         return q + 2j * self.impedance.apply(trace_apply(u, solver.n_interior))
 
 
@@ -281,19 +292,24 @@ def recover_volume(problem, q: SkeletonField, load: VolumeTuple) -> RecoveredSol
     for j in range(problem.num_subdomains - 1, -1, -1):
         u_global[problem.forms[j].dofs] = u.omega[j]
 
-    index = problem.index
-    vals = np.full((index.n_sigma, index.num_blocks), np.nan + 0j)
-    vals[index.block_map[0], 0] = u.gamma[0]
-    for b in range(1, index.num_blocks):
-        vals[index.block_map[b], b] = Bu.blocks[b]
-    mismatch = 0.0
-    for row in vals:
-        fin = row[~np.isnan(row)]
-        if len(fin) > 1:
-            spread = np.abs(fin[:, None] - fin[None, :]).max()
-            mismatch = max(mismatch, float(spread))
-
+    mismatch = _largest_spread(problem.index, Bu.data)
     return RecoveredSolution(u_global, p, mismatch, u.gamma, u)
+
+
+def _largest_spread(index, values: np.ndarray) -> float:
+    """Largest distance between two entries of a flat field that sit on the
+    same skeleton dof.
+
+    The incidences are sorted by dof and laid out as a table with one row
+    per dof, padded with NaN, so all pairs are compared at once.
+    """
+    order = np.argsort(index.flat_map, kind="stable")
+    dofs = index.flat_map[order]
+    rank = np.arange(len(dofs)) - np.searchsorted(dofs, dofs)
+    table = np.full((index.n_sigma, rank.max() + 1), np.nan + 0j)
+    table[dofs, rank] = values[order]
+    spread = np.abs(table[:, :, None] - table[:, None, :])
+    return float(np.max(spread, initial=0.0, where=~np.isnan(spread)))
 
 
 def cauchy_pair_from(problem, q: SkeletonField, transpose: bool = False) -> CauchyPair:

@@ -162,11 +162,13 @@ def _gmres_core(matvec, b, tol, restart, maxit):
     ``<V[i], w>`` on all rows at once and then subtracts them from ``w``.
     The first cycle starts from x = 0 without applying the operator.
 
-    On a breakdown the Krylov space is invariant and restarting cannot
-    help, so the iteration stops there.  The small triangular system may
-    then be singular (the operator is), so it is solved in the
-    least-squares sense and its misfit enters the final residual estimate;
-    ``converged`` holds only if that estimate meets ``tol``.
+    On a breakdown in a basis smaller than the space, the Krylov space is
+    invariant and restarting cannot help, so the iteration stops there.  A
+    basis of all n directions breaks down by construction; that cycle
+    restarts from its new iterate like any other.  On a breakdown the small
+    triangular system may be singular (the operator is), so it is solved in
+    the least-squares sense and its misfit enters the final residual
+    estimate; ``converged`` holds only if that estimate meets ``tol``.
     """
     if restart is not None and restart < 1:
         raise ValueError(f"restart must be None or >= 1, not {restart}")
@@ -244,6 +246,7 @@ def _gmres_core(matvec, b, tol, restart, maxit):
             y = sla.solve_triangular(R, gr, lower=False)
         x = x + y @ V[:k_used]
         converged = history[-1] <= tol * bnorm
+        breakdown = breakdown and k_used < n
     return x, history, converged
 
 
@@ -314,8 +317,9 @@ def dense_operator(problem: Problem, cap: int = 2000) -> np.ndarray:
     """Dense matrix of the whitened skeleton operator.
 
     The columns are ``_whitened_apply`` of the identity, the same path as
-    the solvers' single vectors.  To bound the
-    temporaries, the identity goes in one chunk of columns per trace block.
+    the solvers' single vectors.  To bound the temporaries, the identity
+    goes in one chunk of columns per trace block; a chunk is zero outside
+    its block, and the operators skip the zero blocks.
     """
     n = problem.dual_dim
     if n > cap:

@@ -1,9 +1,9 @@
 """Trace fields, the multi-block trace operator and the single-trace embedding.
 
-A skeleton field is one complex vector per trace block (outer boundary
-first, then one per subdomain), tagged primal (Dirichlet-type) or dual
-(Neumann-type).  All pairings are bilinear: no complex conjugation enters
-a duality bracket, only norms conjugate.
+A skeleton field holds one complex vector per trace block (outer boundary
+first, then one per subdomain), concatenated into one array, and is tagged
+primal (Dirichlet-type) or dual (Neumann-type).  All pairings are bilinear:
+no complex conjugation enters a duality bracket, only norms conjugate.
 """
 
 from __future__ import annotations
@@ -28,59 +28,106 @@ __all__ = [
 ]
 
 
-@dataclass
-class SkeletonField:
-    """Tuple of per-block trace coefficient vectors.
+def _offsets(sizes) -> tuple:
+    """Block offsets ``(0, n_0, n_0 + n_1, ...)`` as Python ints."""
+    out = [0]
+    for n in sizes:
+        out.append(out[-1] + int(n))
+    return tuple(out)
 
-    A block may also be an ``(n_b, m)`` array holding m fields as columns;
-    the operators apply to all columns at once.
+
+def _nonzero_blocks(data: np.ndarray, offsets: tuple) -> np.ndarray:
+    """Boolean mask of the (non-empty) blocks of a flat array, vector or
+    column block, that hold a nonzero entry."""
+    rows = data != 0
+    if rows.ndim > 1:
+        rows = rows.any(axis=1)
+    return np.logical_or.reduceat(rows, offsets[:-1])
+
+
+class SkeletonField:
+    """Trace coefficients of every block, held as one contiguous array.
+
+    ``data`` is an ``(n,)`` complex vector, or an ``(n, m)`` array holding
+    m fields as columns, that all blocks share; ``offsets`` are the block
+    boundaries within it, and ``blocks`` returns views, so an in-place edit
+    of a block edits the field.  The operators apply to all columns at once.
     """
 
-    blocks: list
-    kind: str
+    __slots__ = ("data", "offsets", "kind")
 
-    def __post_init__(self):
-        if self.kind not in ("primal", "dual"):
-            raise ValueError(f"kind must be 'primal' or 'dual', got {self.kind!r}")
-        self.blocks = [np.asarray(b, dtype=complex) for b in self.blocks]
+    def __init__(self, blocks, kind: str):
+        blocks = [np.asarray(b, dtype=complex) for b in blocks]
+        self._set(np.concatenate(blocks), _offsets(len(b) for b in blocks), kind)
+
+    def _set(self, data, offsets, kind):
+        if kind not in ("primal", "dual"):
+            raise ValueError(f"kind must be 'primal' or 'dual', got {kind!r}")
+        if len(data) != offsets[-1]:
+            raise ValueError(f"field of length {len(data)} does not match "
+                             f"blocks of total size {offsets[-1]}")
+        self.data, self.offsets, self.kind = data, offsets, kind
+
+    @classmethod
+    def wrap(cls, data: np.ndarray, offsets: tuple, kind: str) -> "SkeletonField":
+        """Field over an existing complex array with the given block offsets
+        (a tuple of ints starting at 0); the array is not copied."""
+        field = cls.__new__(cls)
+        field._set(data, offsets, kind)
+        return field
+
+    @staticmethod
+    def from_concat(vec: np.ndarray, sizes, kind: str) -> "SkeletonField":
+        """Field over a concatenated vector or column block; shares its memory
+        when it already is a complex array."""
+        return SkeletonField.wrap(np.asarray(vec, dtype=complex), _offsets(sizes), kind)
+
+    @staticmethod
+    def zeros(sizes, kind: str) -> "SkeletonField":
+        offsets = _offsets(sizes)
+        return SkeletonField.wrap(np.zeros(offsets[-1], complex), offsets, kind)
+
+    @property
+    def blocks(self) -> list:
+        """Views of the blocks: ``(n_b,)`` or ``(n_b, m)`` each."""
+        o, d = self.offsets, self.data
+        return [d[a:b] for a, b in zip(o, o[1:])]
+
+    def nonzero_blocks(self) -> np.ndarray:
+        """Boolean mask of the blocks holding a nonzero entry."""
+        return _nonzero_blocks(self.data, self.offsets)
+
+    def _like(self, data) -> "SkeletonField":
+        return SkeletonField.wrap(data, self.offsets, self.kind)
 
     def _check_same(self, other):
         if self.kind != other.kind:
             raise ValueError("arithmetic mixes primal and dual fields")
+        if self.offsets != other.offsets:
+            raise ValueError("arithmetic mixes fields of different block sizes")
 
     def __add__(self, other):
         self._check_same(other)
-        return SkeletonField([a + b for a, b in zip(self.blocks, other.blocks)], self.kind)
+        return self._like(self.data + other.data)
 
     def __sub__(self, other):
         self._check_same(other)
-        return SkeletonField([a - b for a, b in zip(self.blocks, other.blocks)], self.kind)
+        return self._like(self.data - other.data)
 
     def __mul__(self, scalar):
-        return SkeletonField([scalar * b for b in self.blocks], self.kind)
+        return self._like(scalar * self.data)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self * (-1.0)
+        return self._like(-self.data)
 
     def copy(self):
-        return SkeletonField([b.copy() for b in self.blocks], self.kind)
+        return self._like(self.data.copy())
 
     def concat(self) -> np.ndarray:
-        return np.concatenate(self.blocks)
-
-    @staticmethod
-    def from_concat(vec: np.ndarray, sizes, kind: str) -> "SkeletonField":
-        out, o = [], 0
-        for n in sizes:
-            out.append(np.asarray(vec[o:o + n], dtype=complex))
-            o += n
-        return SkeletonField(out, kind)
-
-    @staticmethod
-    def zeros(sizes, kind: str) -> "SkeletonField":
-        return SkeletonField([np.zeros(n, complex) for n in sizes], kind)
+        """The concatenated blocks: the field's own array, not a copy."""
+        return self.data
 
 
 @dataclass
@@ -126,14 +173,18 @@ def trace_apply(vol: VolumeTuple, n_interior) -> SkeletonField:
     """Dirichlet trace of a volume tuple: boundary slice of every block.
 
     The boundary block simply forwards its first component (the trace
-    unknown); subdomain blocks drop their interior entries.
+    unknown); subdomain blocks drop their interior entries.  All slices are
+    written into one new array.
     """
     if vol.kind != "primal":
         raise ValueError("trace_apply expects a primal tuple")
-    blocks = [vol.gamma[0].copy()]
-    for ni, u in zip(n_interior, vol.omega):
-        blocks.append(u[ni:].copy())
-    return SkeletonField(blocks, "primal")
+    alpha = vol.gamma[0]
+    offsets = _offsets([len(alpha)] + [len(u) - ni for ni, u in zip(n_interior, vol.omega)])
+    out = np.empty((offsets[-1],) + alpha.shape[1:], complex)
+    out[:len(alpha)] = alpha
+    for ni, u, a, b in zip(n_interior, vol.omega, offsets[1:], offsets[2:]):
+        out[a:b] = u[ni:]
+    return SkeletonField.wrap(out, offsets, "primal")
 
 
 def trace_adjoint(q: SkeletonField, n_interior, omega_sizes) -> VolumeTuple:
@@ -180,26 +231,26 @@ def lift_adjoint(phi: VolumeTuple, dtn_blocks) -> SkeletonField:
 
 
 def single_trace_embed(x: np.ndarray, index: SkeletonIndex) -> SkeletonField:
-    """Embed a single-valued skeleton vector into matching block traces."""
+    """Embed a single-valued skeleton vector into matching block traces.
+
+    One gather over the concatenated block map; an ``(n_sigma, m)`` block
+    of columns gives a field of m columns.
+    """
     x = np.asarray(x, dtype=complex)
     if len(x) != index.n_sigma:
         raise ValueError("skeleton vector has wrong length")
-    return SkeletonField([x[m] for m in index.block_map], "primal")
+    return SkeletonField.from_concat(x[index.flat_map], index.block_sizes, "primal")
 
 
 def single_trace_adjoint(q: SkeletonField, index: SkeletonIndex) -> np.ndarray:
     """Sum dual contributions of all blocks incident to each skeleton dof.
 
-    Blocks of ``(n_b, m)`` columns give an ``(n_sigma, m)`` result.  A
-    block meets each skeleton dof at most once, so its rows add by plain
-    fancy-index assignment.
+    One scatter-add over the concatenated block map, as a sparse product;
+    a field of m columns gives an ``(n_sigma, m)`` result.
     """
     if q.kind != "dual":
         raise ValueError("single_trace_adjoint expects a dual field")
-    out = np.zeros((index.n_sigma,) + q.blocks[0].shape[1:], complex)
-    for m, qb in zip(index.block_map, q.blocks):
-        out[m] += qb
-    return out
+    return index.dof_sum @ q.data
 
 
 def duality_pair(p: SkeletonField, v: SkeletonField) -> complex:
@@ -207,10 +258,7 @@ def duality_pair(p: SkeletonField, v: SkeletonField) -> complex:
     kinds = {p.kind, v.kind}
     if kinds != {"primal", "dual"}:
         raise ValueError("duality_pair needs one primal and one dual field")
-    acc = 0.0 + 0.0j
-    for a, b in zip(p.blocks, v.blocks):
-        acc += a @ b
-    return complex(acc)
+    return complex(p.data @ v.data)
 
 
 def skew_pair(m, n) -> complex:

@@ -143,21 +143,26 @@ def test_column_blocks_match_columns(nx, ny, px, py, kind, tgamma, m, rng):
     # every operator takes (n_b, m) blocks and must act column by column
     p = build_problem(nx, ny, px, py, k=3.0, bc_kind=kind, tgamma=tgamma)
     imp = p.impedance
-    q = SkeletonField([rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-                       for n in p.block_sizes], "dual")
+    dense = SkeletonField([rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+                           for n in p.block_sizes], "dual")
+    # all blocks zero but one, the pattern of the dense_operator chunks,
+    # whose zero blocks take no solve and no product
+    one_block = SkeletonField([b if i == 2 else np.zeros_like(b)
+                               for i, b in enumerate(dense.blocks)], "dual")
     ops = {"skeleton_apply": lambda f: sk.skeleton_apply(p, f),
            "exchange": p.exchange.apply, "scattering": p.scattering.apply}
-    for name, op in ops.items():
-        out = op(q)
-        assert all(b.shape == (n, m) for b, n in zip(out.blocks, p.block_sizes)), name
+    for q in (dense, one_block):
+        for name, op in ops.items():
+            out = op(q)
+            assert all(b.shape == (n, m) for b, n in zip(out.blocks, p.block_sizes)), name
+            for i in range(m):
+                _assert_rel(_columns(out, i).concat(), op(_columns(q, i)).concat())
+        w = imp.whiten(q)
+        assert w.shape == (p.dual_dim, m)
+        back = imp.unwhiten(w)
         for i in range(m):
-            _assert_rel(_columns(out, i).concat(), op(_columns(q, i)).concat())
-    w = imp.whiten(q)
-    assert w.shape == (p.dual_dim, m)
-    back = imp.unwhiten(w)
-    for i in range(m):
-        _assert_rel(w[:, i], imp.whiten(_columns(q, i)))
-        _assert_rel(_columns(back, i).concat(), imp.unwhiten(w[:, i]).concat())
+            _assert_rel(w[:, i], imp.whiten(_columns(q, i)))
+            _assert_rel(_columns(back, i).concat(), imp.unwhiten(w[:, i]).concat())
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +244,30 @@ def test_recover_matches_monolithic(kind, rng):
     # the boundary pair carries the monolithic multiplier
     np.testing.assert_allclose(rec.gamma_pair[1], p_mono,
                                atol=1e-8 * max(1.0, np.abs(p_mono).max()))
+
+
+def test_recover_mismatch_matches_reference_loop(ref_problem, rng):
+    from helmskel.solvers_spectral import gmres_tinv
+    from helmskel.traces import trace_apply
+
+    p = ref_problem
+    load = make_load(p, f=1.0)
+    q, _ = gmres_tinv(p, sk.skeleton_rhs(p, load), tol=1e-10)
+    q = q + 1e-3 * _rand_dual(p, rng)
+    rec = sk.recover_volume(p, q, load)
+    # the spread of every skeleton dof over the blocks that carry it
+    bu = trace_apply(rec.tuple, p.n_interior)
+    index = p.index
+    vals = np.full((index.n_sigma, index.num_blocks), np.nan + 0j)
+    for b, m in enumerate(index.block_map):
+        vals[m, b] = bu.blocks[b]
+    want = 0.0
+    for row in vals:
+        fin = row[~np.isnan(row)]
+        if len(fin) > 1:
+            want = max(want, float(np.abs(fin[:, None] - fin[None, :]).max()))
+    assert want > 1e-6
+    assert rec.mismatch == want
 
 
 def test_recover_after_one_step_reports_mismatch(ref_problem):

@@ -142,6 +142,36 @@ def test_gmres_true_residual_overrides_estimate(robin_system, monkeypatch):
     assert rep.true_residual > 1e-9 and "true residual" in rep.message
 
 
+def test_gmres_calls_each_layer_once_per_iteration(ref_problem, monkeypatch):
+    # the call contract that per-layer tracing wraps: one scattering,
+    # exchange, whiten and unwhiten per iteration, plus the whitened
+    # right-hand side and the exit residual and solution
+    from helmskel.impedance import BlockImpedance
+
+    calls = {}
+
+    def count(owner, name, label):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[label] = calls.get(label, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    p = ref_problem
+    f = sk.skeleton_rhs(p, make_load(p, f=1.0))
+    count(sk.ScatteringOperator, "apply", "scattering")
+    count(sk.ExchangeOperator, "apply", "exchange")
+    count(BlockImpedance, "whiten", "whiten")
+    count(BlockImpedance, "unwhiten", "unwhiten")
+    q, rep = gmres_tinv(p, f, tol=1e-10, restart=None)
+    it = rep.iterations
+    assert rep.converged and it > 10
+    assert calls == {"scattering": it + 1, "exchange": it + 1,
+                     "whiten": it + 2, "unwhiten": it + 1}
+
+
 def test_gmres_finite_termination_single_domain(rng):
     p = build_problem(4, 4, 1, 1, k=3.0, bc_kind="dirichlet")
     load = make_load(p, f=1.0, g_d=np.cos(np.arange(p.n_gamma)))
@@ -171,6 +201,17 @@ def test_gmres_breakdown_is_not_convergence(scale):
     x, history, converged = _gmres_core(lambda v: d * v, b, 1e-10, None, 12)
     assert not converged and len(history) - 1 == 1
     assert np.all(x == 0) and history[-1] == pytest.approx(np.linalg.norm(b))
+
+
+def test_gmres_full_basis_breakdown_restarts():
+    # a basis of all n directions always breaks down; below the attainable
+    # accuracy of one cycle, the iteration restarts from the new iterate
+    n = 100
+    d = np.logspace(-6, 0, n)
+    b = np.ones(n, complex)
+    x, history, converged = _gmres_core(lambda v: d * v, b, 1e-12, None, 10 * n)
+    assert converged and len(history) - 1 > n
+    assert np.linalg.norm(b - d * x) <= 1e-12 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("restart", [0, -3])

@@ -125,6 +125,24 @@ def test_trace_surjective_constructive(ref_problem, rng, rand_field):
         np.testing.assert_array_equal(a, b)
 
 
+def test_skeleton_field_storage(ref_problem, rng, rand_field):
+    # one array per field: blocks are views of it, copies are deep and
+    # from_concat wraps its input
+    p = ref_problem
+    q = rand_field(p, rng, "dual")
+    q.blocks[1][0] = 7.0
+    assert q.concat()[p.block_sizes[0]] == 7.0
+    c = q.copy()
+    c.blocks[1][0] = -1.0
+    assert q.blocks[1][0] == 7.0 and not np.shares_memory(c.concat(), q.concat())
+    vec = rng.standard_normal((p.dual_dim, 3)) + 0j
+    f = SkeletonField.from_concat(vec, p.block_sizes, "primal")
+    assert np.shares_memory(f.concat(), vec)
+    assert [b.shape for b in f.blocks] == [(n, 3) for n in p.block_sizes]
+    with pytest.raises(ValueError):
+        SkeletonField.from_concat(vec[1:], p.block_sizes, "primal")
+
+
 def test_single_trace_embed_ones(ref_problem):
     p = ref_problem
     x = np.ones(p.index.n_sigma)
