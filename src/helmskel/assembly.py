@@ -27,7 +27,6 @@ __all__ = [
     "primary_from_blocks",
     "restriction_apply",
     "restriction_adjoint",
-    "dump_coo",
 ]
 
 KappaSq = Union[complex, Callable[[np.ndarray, np.ndarray], np.ndarray]]
@@ -273,11 +272,3 @@ def restriction_adjoint(partition: Partition, dual_tuple):
     for j, block in enumerate(dual_tuple.omega):
         np.add.at(g, local_dofs(partition, j), block)
     return g, phi_p.copy()
-
-
-def dump_coo(mat, stream) -> None:
-    """Write a matrix as 'row col re im' lines (cross-checking aid)."""
-    coo = sp.coo_matrix(mat)
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        v = complex(v)
-        stream.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from .impedance import _apply_complex, _complex_columns, _real_columns
+from .impedance import _real_op
 
 __all__ = [
     "BoundaryCondition",
@@ -28,8 +28,7 @@ _KINDS = ("dirichlet", "neumann", "robin", "mixed")
 
 def _cho_solve(L: np.ndarray, q: np.ndarray) -> np.ndarray:
     """(L L^T)^-1 q for a real Cholesky factor L; a complex q as real columns."""
-    X = sla.cho_solve((L, True), _real_columns(q), check_finite=False)
-    return _complex_columns(X, q)
+    return _real_op(lambda X: sla.cho_solve((L, True), X, check_finite=False), q)
 
 
 def mixed_projector(gamma_d_positions: np.ndarray, t_gamma: np.ndarray) -> np.ndarray:
@@ -134,7 +133,7 @@ class BoundaryCondition:
         """
         p_in = np.asarray(p_in, complex)
         a_in = np.asarray(a_in, complex)
-        ta = (_apply_complex(self.t_gamma, a_in) if a_in.any()
+        ta = (_real_op(self.t_gamma.dot, a_in) if a_in.any()
               else np.zeros(a_in.shape, complex))
         if self.kind == "dirichlet":
             return a_in.copy(), p_in + 1j * ta
@@ -143,8 +142,8 @@ class BoundaryCondition:
         if self.kind == "robin":
             return 1j * _cho_solve(self._chol_lt, p_in), ta
         th = self.theta
-        th_p, th_ta = _apply_complex(th, p_in), _apply_complex(th, ta)
-        alpha = _apply_complex(th.T, a_in) + 1j * self._t_solve(p_in - th_p)
+        th_p, th_ta = _real_op(th.dot, p_in), _real_op(th.dot, ta)
+        alpha = _real_op(th.T.dot, a_in) + 1j * self._t_solve(p_in - th_p)
         return alpha, ta - th_ta + 1j * th_ta + th_p
 
     def impedance_apply(self, alpha: np.ndarray, p: np.ndarray):
@@ -166,8 +165,8 @@ class BoundaryCondition:
         if self.kind == "neumann":
             return -q
         if self.kind == "robin":
-            return _apply_complex(self._lam_minus_t, _cho_solve(self._chol_lt, q))
-        return 2.0 * _apply_complex(self.theta, q) - q
+            return _real_op(self._lam_minus_t.dot, _cho_solve(self._chol_lt, q))
+        return 2.0 * _real_op(self.theta.dot, q) - q
 
     # -- dense blocks for monolithic assembly -----------------------------------
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problem import _SIDES
+
 __all__ = ["ProblemConfig", "ConfigError", "parse_config", "problem_from_config",
            "load_from_config"]
 
@@ -84,6 +86,13 @@ class ProblemConfig:
             raise ConfigError("source must be zero, one or manufactured")
         if self.bc_kind not in ("dirichlet", "neumann", "robin", "mixed"):
             raise ConfigError("bc kind must be dirichlet, neumann, robin or mixed")
+        sides = set(self.gamma_d_sides)
+        if not sides <= set(_SIDES):
+            raise ConfigError(f"gamma_d_predicate names unknown sides "
+                              f"{sorted(sides - set(_SIDES))}, expected some of {_SIDES}")
+        if self.bc_kind == "mixed" and not 0 < len(sides) < len(_SIDES):
+            raise ConfigError("mixed condition needs gamma_d_predicate to name a "
+                              "nonempty proper subset of the four sides")
         if self.bc_kind == "robin" and self.lambda_scale <= 0:
             raise ConfigError("(A3)/(A4) violated: robin impedance scale must be "
                               "positive for absorption and local solvability")

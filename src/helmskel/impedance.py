@@ -90,39 +90,18 @@ def _complex_columns(Y: np.ndarray, like: np.ndarray) -> np.ndarray:
     return Z if like.ndim > 1 else Z[:, 0]
 
 
-def _solve_complex(lu, rhs: np.ndarray) -> np.ndarray:
-    """Apply a real factorization to a complex vector or column block.
+def _real_op(op, v: np.ndarray) -> np.ndarray:
+    """``op(v)`` for a real linear map ``op`` of vectors and column blocks.
 
-    The real and imaginary parts go through one solve, as real columns.
-    """
-    rhs = np.asarray(rhs)
-    if not np.iscomplexobj(rhs):
-        return lu.solve(rhs)
-    return _complex_columns(lu.solve(_real_columns(rhs)), rhs)
-
-
-def _solve_lower_complex(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """L^-1 rhs for a real lower triangular L, a complex rhs as real columns.
-
-    ``rhs`` is a vector or a column block.  Given a complex rhs,
-    ``solve_triangular`` would cast L to complex on every call; the real
-    solve of the real and imaginary columns stays in LAPACK.
-    """
-    if not np.iscomplexobj(rhs):
-        return sla.solve_triangular(L, rhs, lower=True, check_finite=False)
-    X = sla.solve_triangular(L, _real_columns(rhs), lower=True, check_finite=False)
-    return _complex_columns(X, rhs)
-
-
-def _apply_complex(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A @ v for a real A, a complex vector or column block as real columns.
-
-    numpy multiplies mixed real and complex operands outside BLAS, about
-    fifty times slower than the real product of the columns.
+    A real ``v`` goes to ``op`` as is; a complex vector or column block goes
+    through ``op`` once, as its real and imaginary parts in real columns.
+    Real factors and matrices so stay real: numpy would multiply mixed real
+    and complex operands outside BLAS, and ``solve_triangular`` would cast
+    its factor to complex on every call.
     """
     if not np.iscomplexobj(v):
-        return A @ v
-    return _complex_columns(A @ _real_columns(v), v)
+        return op(v)
+    return _complex_columns(op(_real_columns(v)), v)
 
 
 class DtnBlock:
@@ -143,7 +122,7 @@ class DtnBlock:
         """Harmonic extension of boundary values v into the full local vector."""
         if self.n_interior == 0:
             return np.asarray(v, dtype=complex).copy()
-        u_i = -_solve_complex(self._interior_lu, _apply_complex(self._H_ib, v))
+        u_i = -_real_op(self._interior_lu.solve, _real_op(self._H_ib.dot, v))
         return np.concatenate([u_i, v]).astype(complex)
 
     def lift_adjoint(self, phi: np.ndarray) -> np.ndarray:
@@ -151,8 +130,8 @@ class DtnBlock:
         if self.n_interior == 0:
             return np.asarray(phi, dtype=complex).copy()
         ni = self.n_interior
-        return phi[ni:] - _apply_complex(self._H_ib.T,
-                                         _solve_complex(self._interior_lu, phi[:ni]))
+        return phi[ni:] - _real_op(self._H_ib.T.dot,
+                                   _real_op(self._interior_lu.solve, phi[:ni]))
 
     def h_energy(self, u: np.ndarray) -> float:
         """Squared volume norm u^H H u of a local vector."""
@@ -253,14 +232,14 @@ class BlockImpedance:
     """
 
     def __init__(self, blocks):
-        self.blocks = [np.ascontiguousarray(b) for b in blocks]
+        self.blocks = tuple(np.ascontiguousarray(b) for b in blocks)
         for i, b in enumerate(self.blocks):
             if not np.allclose(b, b.T, rtol=0, atol=1e-12 * (1 + np.abs(b).max())):
                 raise ValueError(f"impedance block {i} is not symmetric")
-        self.chol = [np.linalg.cholesky(b) for b in self.blocks]
+        self.chol = tuple(np.linalg.cholesky(b) for b in self.blocks)
         # L^T of a C-ordered L is a Fortran-ordered view: LAPACK reads it as is
-        self._upper = [L.T for L in self.chol]
-        self.sizes = [b.shape[0] for b in self.blocks]
+        self._upper = tuple(L.T for L in self.chol)
+        self.sizes = tuple(b.shape[0] for b in self.blocks)
         self.offsets = _offsets(self.sizes)
         self.total = self.offsets[-1]
 
@@ -327,11 +306,3 @@ class BlockImpedance:
 
     def zeros(self, kind: str) -> SkeletonField:
         return self._field(np.zeros(self.total, complex), kind)
-
-    def condition_numbers(self):
-        """Spectral condition number of every block (finite for SPD blocks)."""
-        out = []
-        for b in self.blocks:
-            ev = np.linalg.eigvalsh(b)
-            out.append(float(ev.max() / ev.min()))
-        return out

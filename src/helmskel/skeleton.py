@@ -18,10 +18,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import SkeletonIndex
-from .impedance import BlockImpedance, _solve_complex, _splu_spd
-from .traces import (SkeletonField, VolumeTuple, harmonic_lift, lift_adjoint,
-                     single_trace_adjoint, single_trace_embed, trace_adjoint,
-                     trace_apply)
+from .impedance import BlockImpedance, _real_op, _splu_spd
+from .traces import (SkeletonField, VolumeTuple, _nonzero_blocks, _zero_extension,
+                     lift_adjoint, single_trace_adjoint, single_trace_embed,
+                     trace_adjoint, trace_apply)
 
 __all__ = [
     "AssumptionViolation",
@@ -79,7 +79,7 @@ class ExchangeOperator:
         if q.kind != "dual":
             raise ValueError("exchange operator acts on dual fields")
         y = single_trace_adjoint(q, self.index)
-        x = _solve_complex(self._lu, y)
+        x = _real_op(self._lu.solve, y)
         return self.impedance.apply(single_trace_embed(x, self.index))
 
     def apply(self, q: SkeletonField) -> SkeletonField:
@@ -136,7 +136,7 @@ class LocalImpedanceSolver:
         self.bc = bc
         self.n_interior = tuple(lf.n_interior for lf in forms)
         self.omega_sizes = tuple(lf.n_dofs for lf in forms)
-        self._lus = []
+        lus = []
         for j, lf in enumerate(forms):
             T = impedance.blocks[j + 1]
             ni = lf.n_interior
@@ -156,18 +156,18 @@ class LocalImpedanceSolver:
                 raise AssumptionViolation(
                     f"impedance problem of block {j + 1} is numerically singular "
                     f"(rcond ~ {rcond:.2e}); perturb kappa or gamma and retry")
-            self._lus.append(lu)
+            lus.append(lu)
+        self._lus = tuple(lus)
 
-    def solve_tuple(self, phi: VolumeTuple, transpose: bool = False,
-                    live=None) -> VolumeTuple:
+    def solve_tuple(self, phi: VolumeTuple, transpose: bool = False) -> VolumeTuple:
         """(A - i B^T T B)^-1 applied to a dual tuple, blockwise.
 
-        The only code that applies the local factors.  Blocks are vectors
-        or ``(n_b, m)`` column blocks.  ``live`` holds one flag per trace
-        block, outer boundary first; a block flagged False must be all zero
-        in ``phi`` and solves to zero without a solve, which keeps
-        block-sparse columns (the identity chunks of ``dense_operator``)
-        cheap.  Without ``live`` every block is solved.
+        The only code that applies the local factors.  The result has the
+        layout of ``phi``, vector or m columns, and is written into one new
+        array.  A block that is all zero in ``phi`` (the boundary pair
+        counts as one block) solves to zero without a solve, which keeps
+        block-sparse columns, such as the identity chunks of
+        ``dense_operator``, cheap.
 
         All block operators here are complex symmetric (the volume forms by
         construction, the boundary blocks for each supported condition), so
@@ -176,17 +176,16 @@ class LocalImpedanceSolver:
         """
         if phi.kind != "dual":
             raise ValueError("solve_tuple expects a dual tuple")
-        if live is None:
-            live = [True] * (1 + len(self._lus))
-        if live[0]:
-            gamma = self.bc.impedance_inverse(phi.gamma[0], phi.gamma[1])
-        else:
-            gamma = (np.zeros(phi.gamma[0].shape, complex),
-                     np.zeros(phi.gamma[1].shape, complex))
+        o, data = phi.offsets, phi.data
+        live = _nonzero_blocks(data, o)
+        u = np.zeros(data.shape, complex)
+        if live[0] or live[1]:
+            u[:o[1]], u[o[1]:o[2]] = self.bc.impedance_inverse(*phi.gamma)
         trans = "T" if transpose else "N"
-        omega = [lu.solve(b, trans=trans) if nz else np.zeros(b.shape, complex)
-                 for lu, b, nz in zip(self._lus, phi.omega, live[1:])]
-        return VolumeTuple(gamma, omega, "primal")
+        for lu, a, b, nz in zip(self._lus, o[2:], o[3:], live[2:]):
+            if nz:
+                u[a:b] = lu.solve(data[a:b], trans=trans)
+        return VolumeTuple.wrap(u, o, "primal")
 
 
 class ScatteringOperator:
@@ -196,9 +195,11 @@ class ScatteringOperator:
     ``solver.solve_tuple``, the outer block included; ``bc.scattering``
     is that block's closed form, kept as a check.  Without absorption the
     map is a T^-1 isometry; absorption makes it a strict contraction.
-    Fields of m columns take one m-column solve per block.  All-zero
-    blocks are found on the skeleton field, before any volume work, and
-    take no solve and no impedance product.
+    B^T scatters q into a zero volume tuple and B gathers the trace rows
+    back, so a block that is all zero in q stays all zero on the way: it
+    takes no local solve (``solve_tuple``) and no impedance product
+    (``BlockImpedance.apply``).  Fields of m columns take one m-column
+    solve per block.
     """
 
     def __init__(self, solver: LocalImpedanceSolver, impedance: BlockImpedance):
@@ -209,8 +210,7 @@ class ScatteringOperator:
         if q.kind != "dual":
             raise ValueError("scattering operator acts on dual fields")
         solver = self.solver
-        u = solver.solve_tuple(trace_adjoint(q, solver.n_interior, solver.omega_sizes),
-                               live=q.nonzero_blocks())
+        u = solver.solve_tuple(trace_adjoint(q, solver.n_interior, solver.omega_sizes))
         return q + 2j * self.impedance.apply(trace_apply(u, solver.n_interior))
 
 
@@ -235,7 +235,6 @@ class RecoveredSolution:
     u: np.ndarray
     p: SkeletonField
     mismatch: float
-    gamma_pair: tuple
     tuple: VolumeTuple
 
 
@@ -243,18 +242,14 @@ def apply_A(problem, u: VolumeTuple) -> VolumeTuple:
     """Block-diagonal Helmholtz operator applied to a volume tuple."""
     if u.kind != "primal":
         raise ValueError("apply_A expects a primal tuple")
-    ga = problem.bc.apply(u.gamma[0], u.gamma[1])
+    ga = problem.bc.apply(*u.gamma)
     omega = [lf.A @ ub for lf, ub in zip(problem.forms, u.omega)]
     return VolumeTuple(ga, omega, "dual")
 
 
 def absorption(problem, u: VolumeTuple) -> float:
     """Im <A u, conj(u)>, the dissipated energy of a volume tuple."""
-    au = apply_A(problem, u)
-    acc = (np.conj(u.gamma[0]) @ au.gamma[0] + np.conj(u.gamma[1]) @ au.gamma[1])
-    for ab, ub in zip(au.omega, u.omega):
-        acc += np.conj(ub) @ ab
-    return float(np.imag(acc))
+    return float(np.imag(np.vdot(u.data, apply_A(problem, u).data)))
 
 
 def skeleton_apply(problem, q: SkeletonField) -> SkeletonField:
@@ -289,11 +284,11 @@ def recover_volume(problem, q: SkeletonField, load: VolumeTuple) -> RecoveredSol
 
     mesh = problem.mesh
     u_global = np.zeros(mesh.num_vertices, complex)
-    for j in range(problem.num_subdomains - 1, -1, -1):
-        u_global[problem.forms[j].dofs] = u.omega[j]
+    for lf, uj in reversed(list(zip(problem.forms, u.omega))):
+        u_global[lf.dofs] = uj
 
     mismatch = _largest_spread(problem.index, Bu.data)
-    return RecoveredSolution(u_global, p, mismatch, u.gamma, u)
+    return RecoveredSolution(u_global, p, mismatch, u)
 
 
 def _largest_spread(index, values: np.ndarray) -> float:
@@ -337,14 +332,7 @@ def cauchy_decompose(problem, v: SkeletonField, p: SkeletonField):
     to w, solve the impedance problem for A w - B^T p, and read both parts
     off the solution.  Recomposition is exact up to the local solves.
     """
-    ng = len(v.blocks[0])
-    omega = []
-    for ni, n, vb in zip(problem.n_interior, problem.omega_sizes, v.blocks[1:]):
-        w = np.zeros(n, complex)
-        w[ni:] = vb
-        omega.append(w)
-    w = VolumeTuple((v.blocks[0].copy(), np.zeros(ng, complex)), omega, "primal")
-
+    w = _zero_extension(v, problem.n_interior, problem.omega_sizes)
     rhs = apply_A(problem, w) - trace_adjoint(p, problem.n_interior, problem.omega_sizes)
     vt = problem.solver.solve_tuple(rhs)
     u1 = trace_apply(vt, problem.n_interior)

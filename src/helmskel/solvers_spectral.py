@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.blas import zaxpy, zdotc
 
 from . import skeleton as sk
-from .impedance import _solve_complex, _solve_lower_complex
+from .impedance import _real_op
 from .problem import Problem, monolithic_matrix
 from .traces import SkeletonField
 
@@ -339,8 +339,10 @@ def _whitened(L: np.ndarray, A: np.ndarray) -> np.ndarray:
     A complex A is solved as its real and imaginary columns, so L is never
     cast to complex; a real A gives a real result.
     """
-    X = _solve_lower_complex(L, A)
-    return _solve_lower_complex(L, X.T).T
+    def solve(X):
+        return sla.solve_triangular(L, X, lower=True, check_finite=False)
+
+    return _real_op(solve, _real_op(solve, A).T).T
 
 
 def _primary_extremes_iterative(problem: Problem, tol: float = 1e-8):
@@ -364,7 +366,7 @@ def _primary_extremes_iterative(problem: Problem, tol: float = 1e-8):
         return np.concatenate([H @ x[:nv], t_inv @ x[nv:]])
 
     def w_inv(x):
-        return np.concatenate([_solve_complex(h_lu, x[:nv]), t_gamma @ x[nv:]])
+        return np.concatenate([_real_op(h_lu.solve, x[:nv]), t_gamma @ x[nv:]])
 
     W = spla.LinearOperator((n, n), matvec=w_mat, dtype=complex)
     Winv = spla.LinearOperator((n, n), matvec=w_inv, dtype=complex)

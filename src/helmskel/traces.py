@@ -1,14 +1,20 @@
-"""Trace fields, the multi-block trace operator and the single-trace embedding.
+"""Block arrays of the volume and skeleton spaces, and the trace between them.
 
-A skeleton field holds one complex vector per trace block (outer boundary
-first, then one per subdomain), concatenated into one array, and is tagged
-primal (Dirichlet-type) or dual (Neumann-type).  All pairings are bilinear:
-no complex conjugation enters a duality bracket, only norms conjugate.
+Volume tuples and skeleton fields share one layout: a contiguous complex
+array, ``(N,)`` or ``(N, m)`` with m columns, cut into blocks at fixed
+offsets, and tagged primal (Dirichlet-type) or dual (Neumann-type).  A
+volume tuple has the blocks ``alpha, p, u_1 ... u_J`` (the boundary pair,
+then one block per subdomain in local dof order, interior first); a
+skeleton field has one trace block per trace block, outer boundary first.
+The trace ``B`` is one gather of the trace rows of a volume tuple (alpha
+and the boundary dofs of every subdomain), and ``B^T`` the scatter of a
+field into those rows of a zero tuple.  All pairings are bilinear: no
+complex conjugation enters a duality bracket, only norms conjugate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,13 +51,14 @@ def _nonzero_blocks(data: np.ndarray, offsets: tuple) -> np.ndarray:
     return np.logical_or.reduceat(rows, offsets[:-1])
 
 
-class SkeletonField:
-    """Trace coefficients of every block, held as one contiguous array.
+class _BlockArray:
+    """Coefficients of every block, held as one contiguous array.
 
-    ``data`` is an ``(n,)`` complex vector, or an ``(n, m)`` array holding
-    m fields as columns, that all blocks share; ``offsets`` are the block
+    ``data`` is an ``(N,)`` complex vector, or an ``(N, m)`` array holding
+    m elements as columns, that all blocks share; ``offsets`` are the block
     boundaries within it, and ``blocks`` returns views, so an in-place edit
-    of a block edits the field.  The operators apply to all columns at once.
+    of a block edits the whole.  Arithmetic and copies are one numpy
+    operation on ``data``, and the operators apply to all columns at once.
     """
 
     __slots__ = ("data", "offsets", "kind")
@@ -64,28 +71,28 @@ class SkeletonField:
         if kind not in ("primal", "dual"):
             raise ValueError(f"kind must be 'primal' or 'dual', got {kind!r}")
         if len(data) != offsets[-1]:
-            raise ValueError(f"field of length {len(data)} does not match "
+            raise ValueError(f"array of length {len(data)} does not match "
                              f"blocks of total size {offsets[-1]}")
         self.data, self.offsets, self.kind = data, offsets, kind
 
     @classmethod
-    def wrap(cls, data: np.ndarray, offsets: tuple, kind: str) -> "SkeletonField":
-        """Field over an existing complex array with the given block offsets
-        (a tuple of ints starting at 0); the array is not copied."""
-        field = cls.__new__(cls)
-        field._set(data, offsets, kind)
-        return field
+    def wrap(cls, data: np.ndarray, offsets: tuple, kind: str):
+        """Element over an existing complex array with the given block
+        offsets (a tuple of ints starting at 0); the array is not copied."""
+        out = cls.__new__(cls)
+        out._set(data, offsets, kind)
+        return out
 
-    @staticmethod
-    def from_concat(vec: np.ndarray, sizes, kind: str) -> "SkeletonField":
-        """Field over a concatenated vector or column block; shares its memory
-        when it already is a complex array."""
-        return SkeletonField.wrap(np.asarray(vec, dtype=complex), _offsets(sizes), kind)
+    @classmethod
+    def from_concat(cls, vec: np.ndarray, sizes, kind: str):
+        """Element over a concatenated vector or column block; shares its
+        memory when it already is a complex array."""
+        return cls.wrap(np.asarray(vec, dtype=complex), _offsets(sizes), kind)
 
-    @staticmethod
-    def zeros(sizes, kind: str) -> "SkeletonField":
+    @classmethod
+    def zeros(cls, sizes, kind: str):
         offsets = _offsets(sizes)
-        return SkeletonField.wrap(np.zeros(offsets[-1], complex), offsets, kind)
+        return cls.wrap(np.zeros(offsets[-1], complex), offsets, kind)
 
     @property
     def blocks(self) -> list:
@@ -93,18 +100,14 @@ class SkeletonField:
         o, d = self.offsets, self.data
         return [d[a:b] for a, b in zip(o, o[1:])]
 
-    def nonzero_blocks(self) -> np.ndarray:
-        """Boolean mask of the blocks holding a nonzero entry."""
-        return _nonzero_blocks(self.data, self.offsets)
-
-    def _like(self, data) -> "SkeletonField":
-        return SkeletonField.wrap(data, self.offsets, self.kind)
+    def _like(self, data):
+        return type(self).wrap(data, self.offsets, self.kind)
 
     def _check_same(self, other):
         if self.kind != other.kind:
-            raise ValueError("arithmetic mixes primal and dual fields")
+            raise ValueError("arithmetic mixes primal and dual elements")
         if self.offsets != other.offsets:
-            raise ValueError("arithmetic mixes fields of different block sizes")
+            raise ValueError("arithmetic mixes elements of different block sizes")
 
     def __add__(self, other):
         self._check_same(other)
@@ -126,83 +129,88 @@ class SkeletonField:
         return self._like(self.data.copy())
 
     def concat(self) -> np.ndarray:
-        """The concatenated blocks: the field's own array, not a copy."""
+        """The concatenated blocks: the element's own array, not a copy."""
         return self.data
 
 
-@dataclass
-class VolumeTuple:
+class SkeletonField(_BlockArray):
+    """Trace coefficients, one block per trace block (outer boundary first)."""
+
+    __slots__ = ()
+
+
+class VolumeTuple(_BlockArray):
     """Element of the broken volume space (or its dual).
 
-    ``gamma`` is the boundary pair: for a primal tuple the Dirichlet trace
-    and the multiplier (alpha, p); for a dual tuple the two functionals
-    acting on those slots.  ``omega[j]`` is the subdomain block in local
-    dof order (interior first).
+    The blocks are ``alpha, p, u_1 ... u_J``.  ``gamma`` is the boundary
+    pair: for a primal tuple the Dirichlet trace and the multiplier
+    (alpha, p); for a dual tuple the two functionals acting on those
+    slots.  ``omega[j]`` is the subdomain block in local dof order
+    (interior first).  Both are views of ``data``.
     """
 
-    gamma: tuple
-    omega: list
-    kind: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.gamma = (np.asarray(self.gamma[0], dtype=complex),
-                      np.asarray(self.gamma[1], dtype=complex))
-        self.omega = [np.asarray(b, dtype=complex) for b in self.omega]
+    def __init__(self, gamma, omega, kind: str):
+        super().__init__([gamma[0], gamma[1], *omega], kind)
 
-    def __add__(self, other):
-        if self.kind != other.kind:
-            raise ValueError("arithmetic mixes primal and dual tuples")
-        return VolumeTuple((self.gamma[0] + other.gamma[0], self.gamma[1] + other.gamma[1]),
-                           [a + b for a, b in zip(self.omega, other.omega)], self.kind)
+    @property
+    def gamma(self) -> tuple:
+        o, d = self.offsets, self.data
+        return d[:o[1]], d[o[1]:o[2]]
 
-    def __sub__(self, other):
-        return self + (other * (-1.0))
+    @property
+    def omega(self) -> list:
+        return self.blocks[2:]
 
-    def __mul__(self, scalar):
-        return VolumeTuple((scalar * self.gamma[0], scalar * self.gamma[1]),
-                           [scalar * b for b in self.omega], self.kind)
 
-    __rmul__ = __mul__
-
-    def copy(self):
-        return VolumeTuple((self.gamma[0].copy(), self.gamma[1].copy()),
-                           [b.copy() for b in self.omega], self.kind)
+@lru_cache(maxsize=16)
+def _trace_rows(offsets: tuple, n_interior: tuple):
+    """Rows of the volume layout ``offsets`` that carry a trace, in skeleton
+    order (alpha, then the boundary dofs of each subdomain), and the block
+    offsets of the skeleton field they form."""
+    starts = (0,) + tuple(a + ni for a, ni in zip(offsets[2:], n_interior))
+    ends = (offsets[1],) + offsets[3:]
+    rows = np.concatenate([np.arange(a, b) for a, b in zip(starts, ends)])
+    rows.flags.writeable = False
+    return rows, _offsets(b - a for a, b in zip(starts, ends))
 
 
 def trace_apply(vol: VolumeTuple, n_interior) -> SkeletonField:
-    """Dirichlet trace of a volume tuple: boundary slice of every block.
+    """Dirichlet trace of a volume tuple: one gather of its trace rows.
 
-    The boundary block simply forwards its first component (the trace
-    unknown); subdomain blocks drop their interior entries.  All slices are
-    written into one new array.
+    The boundary block forwards alpha (the trace unknown), subdomain blocks
+    drop their interior entries and the multiplier p is not read.
     """
     if vol.kind != "primal":
         raise ValueError("trace_apply expects a primal tuple")
-    alpha = vol.gamma[0]
-    offsets = _offsets([len(alpha)] + [len(u) - ni for ni, u in zip(n_interior, vol.omega)])
-    out = np.empty((offsets[-1],) + alpha.shape[1:], complex)
-    out[:len(alpha)] = alpha
-    for ni, u, a, b in zip(n_interior, vol.omega, offsets[1:], offsets[2:]):
-        out[a:b] = u[ni:]
-    return SkeletonField.wrap(out, offsets, "primal")
+    rows, offsets = _trace_rows(vol.offsets, tuple(n_interior))
+    return SkeletonField.wrap(vol.data[rows], offsets, "primal")
+
+
+def _zero_extension(field: SkeletonField, n_interior, omega_sizes) -> VolumeTuple:
+    """The volume tuple, of the field's kind, that holds the field in its
+    trace rows and zero elsewhere: one scatter into zeros."""
+    ng = field.offsets[1]
+    offsets = _offsets((ng, ng, *omega_sizes))
+    rows, field_offsets = _trace_rows(offsets, tuple(n_interior))
+    if field_offsets != field.offsets:
+        raise ValueError("field blocks do not match the volume layout")
+    data = np.zeros((offsets[-1],) + field.data.shape[1:], complex)
+    data[rows] = field.data
+    return VolumeTuple.wrap(data, offsets, field.kind)
 
 
 def trace_adjoint(q: SkeletonField, n_interior, omega_sizes) -> VolumeTuple:
-    """Adjoint trace: scatter dual blocks into the boundary slots.
+    """Adjoint trace: scatter a dual field into the trace rows of a zero tuple.
 
-    Interior slots are never written; the boundary block lands in the
-    trace-unknown functional slot.  Blocks of ``(n_b, m)`` columns give
-    ``(n, m)`` volume blocks.
+    Interior slots and the multiplier slot stay zero; the boundary block
+    lands in the trace-unknown functional slot.  A field of m columns gives
+    a tuple of m columns.
     """
     if q.kind != "dual":
         raise ValueError("trace_adjoint expects a dual field")
-    omega = []
-    for ni, n, qb in zip(n_interior, omega_sizes, q.blocks[1:]):
-        v = np.zeros((n,) + qb.shape[1:], complex)
-        v[ni:] = qb
-        omega.append(v)
-    q_gamma = q.blocks[0]
-    return VolumeTuple((q_gamma.copy(), np.zeros(q_gamma.shape, complex)), omega, "dual")
+    return _zero_extension(q, n_interior, omega_sizes)
 
 
 def harmonic_lift(v: SkeletonField, dtn_blocks) -> VolumeTuple:
@@ -215,19 +223,17 @@ def harmonic_lift(v: SkeletonField, dtn_blocks) -> VolumeTuple:
     """
     if v.kind != "primal":
         raise ValueError("harmonic_lift expects a primal field")
-    ng = len(v.blocks[0])
-    omega = [dtn.lift(vb) for dtn, vb in zip(dtn_blocks, v.blocks[1:])]
-    return VolumeTuple((v.blocks[0].copy(), np.zeros(ng, complex)), omega, "primal")
+    alpha, *rest = v.blocks
+    omega = [dtn.lift(vb) for dtn, vb in zip(dtn_blocks, rest)]
+    return VolumeTuple((alpha, np.zeros(alpha.shape)), omega, "primal")
 
 
 def lift_adjoint(phi: VolumeTuple, dtn_blocks) -> SkeletonField:
     """Pair a volume functional against the lifting basis, blockwise."""
     if phi.kind != "dual":
         raise ValueError("lift_adjoint expects a dual tuple")
-    blocks = [phi.gamma[0].copy()]
-    for dtn, pb in zip(dtn_blocks, phi.omega):
-        blocks.append(dtn.lift_adjoint(pb))
-    return SkeletonField(blocks, "dual")
+    blocks = [dtn.lift_adjoint(pb) for dtn, pb in zip(dtn_blocks, phi.omega)]
+    return SkeletonField([phi.gamma[0], *blocks], "dual")
 
 
 def single_trace_embed(x: np.ndarray, index: SkeletonIndex) -> SkeletonField:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helmskel.assembly import (Coefficients, assemble_load, assemble_subdomain,
-                               dump_coo, primary_from_blocks, restriction_adjoint,
+                               primary_from_blocks, restriction_adjoint,
                                restriction_apply)
 from helmskel.geometry import build_rect_mesh, local_dofs, partition_checkerboard
 from helmskel.problem import build_problem, make_load, monolithic_matrix
@@ -244,15 +244,3 @@ def test_restriction_single_domain_bijection(rng):
 def test_restriction_dimension_mismatch(ref_problem):
     with pytest.raises(ValueError):
         restriction_apply(ref_problem.partition, np.zeros(3), np.zeros(2))
-
-
-def test_dump_coo_format(tmp_path):
-    problem = build_problem(2, 2, 1, 1, k=2.0, bc_kind="neumann")
-    import io
-
-    buf = io.StringIO()
-    dump_coo(problem.forms[0].A, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert all(len(line.split()) == 4 for line in lines)
-    r, c, re, im = lines[0].split()
-    int(r), int(c), float(re), float(im)

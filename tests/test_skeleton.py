@@ -242,7 +242,7 @@ def test_recover_matches_monolithic(kind, rng):
     assert h1_norm(p, rec.u - u_mono) <= 1e-8 * h1_norm(p, u_mono)
     assert rec.mismatch <= 1e-9
     # the boundary pair carries the monolithic multiplier
-    np.testing.assert_allclose(rec.gamma_pair[1], p_mono,
+    np.testing.assert_allclose(rec.tuple.gamma[1], p_mono,
                                atol=1e-8 * max(1.0, np.abs(p_mono).max()))
 
 
@@ -401,7 +401,7 @@ def test_local_solvability_guard_without_onenormest(monkeypatch):
 
 
 @pytest.mark.parametrize("transpose", [False, True])
-def test_solve_tuple_matches_dense_solve(ref_problem, rng, transpose):
+def test_solve_tuple_matches_dense_solve(ref_problem, rng, monkeypatch, transpose):
     # the local factors against a dense solve of each C_j = A_j - i B_j^T T_j B_j
     from helmskel.traces import VolumeTuple
 
@@ -416,3 +416,22 @@ def test_solve_tuple_matches_dense_solve(ref_problem, rng, transpose):
         C[ni:, ni:] -= 1j * p.impedance.blocks[j + 1]
         want = np.linalg.solve(C.T if transpose else C, rhs)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    # a tuple that is zero in all blocks but one: only that block is solved
+    class Counting:
+        def __init__(self, lu):
+            self.lu, self.calls = lu, 0
+
+        def solve(self, b, trans="N"):
+            self.calls += 1
+            return self.lu.solve(b, trans=trans)
+
+    proxies = tuple(Counting(lu) for lu in p.solver._lus)
+    monkeypatch.setattr(p.solver, "_lus", proxies)
+    sparse = [np.zeros(lf.n_dofs) for lf in p.forms]
+    sparse[1] = blocks[1]
+    u = p.solver.solve_tuple(VolumeTuple((zero, zero), sparse, "dual"), transpose=transpose)
+    assert [c.calls for c in proxies] == [int(j == 1) for j in range(len(proxies))]
+    assert np.all(u.data[:u.offsets[3]] == 0) and np.all(u.data[u.offsets[4]:] == 0)
+    np.testing.assert_array_equal(u.omega[1], proxies[1].lu.solve(
+        blocks[1], trans="T" if transpose else "N"))

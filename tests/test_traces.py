@@ -143,6 +143,26 @@ def test_skeleton_field_storage(ref_problem, rng, rand_field):
         SkeletonField.from_concat(vec[1:], p.block_sizes, "primal")
 
 
+def test_volume_tuple_storage(ref_problem, rng):
+    # the volume layout is one array over alpha, p, u_1 ... u_J: gamma and
+    # omega are views of it, copies are deep, and layouts must match
+    p = ref_problem
+    u = _rand_tuple(p, rng)
+    ng = p.n_gamma
+    assert u.offsets == (0, ng, 2 * ng) + tuple(2 * ng + np.cumsum(p.omega_sizes))
+    u.gamma[1][0] = 5.0
+    u.omega[2][3] = -4.0
+    assert u.data[ng] == 5.0 and u.data[u.offsets[4] + 3] == -4.0
+    c = u.copy()
+    c.omega[2][3] = 1.0
+    assert u.omega[2][3] == -4.0 and not np.shares_memory(c.data, u.data)
+    short = VolumeTuple(u.gamma, u.omega[:-1], "primal")
+    with pytest.raises(ValueError):
+        u + short
+    with pytest.raises(ValueError):
+        u + _rand_tuple(p, rng, "dual")
+
+
 def test_single_trace_embed_ones(ref_problem):
     p = ref_problem
     x = np.ones(p.index.n_sigma)
