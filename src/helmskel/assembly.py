@@ -1,9 +1,11 @@
 """P1 finite element assembly for the complex Helmholtz cavity forms.
 
-Everything is stored complex even when imaginary parts vanish; the trace
-and scattering machinery downstream is uniformly complex and this keeps
-the plumbing simple.  Volume dofs of a subdomain are ordered interior
-first, boundary last, so that boundary Schur complements are index-free.
+The stiffness, mass and norm Gram matrices K, M and H are real; the
+Helmholtz form A (with its kappa^2-weighted mass) and the loads are
+complex, as is the trace and scattering machinery downstream.  Volume
+dofs of a subdomain are ordered interior first, boundary last (the
+layout of ``Partition.volume_rows``), so that boundary Schur complements
+are index-free.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import Mesh, Partition, local_dofs, triangle_areas
+from .geometry import Mesh, Partition, triangle_areas
 from .traces import VolumeTuple
 
 __all__ = [
@@ -157,7 +159,8 @@ def assemble_subdomain(mesh: Mesh, partition: Partition, j: int,
                        coeffs: Coefficients) -> LocalForms:
     """Assemble the Helmholtz block of subdomain j (interior-first ordering)."""
     tri_ids = np.flatnonzero(partition.subdomain_of_triangle == j)
-    dofs = local_dofs(partition, j)
+    o = partition.volume_offsets
+    dofs = partition.volume_rows[o[j + 2]:o[j + 3]]
     return _assemble_on(mesh, tri_ids, dofs, len(partition.interior_dofs[j]), coeffs)
 
 
@@ -185,20 +188,10 @@ def assemble_load(mesh: Mesh, partition: Partition, f) -> VolumeTuple:
         fvals = np.full(areas.shape, complex(f))
     contrib = areas * fvals / 3.0
 
-    omega = []
-    for j in range(partition.num_subdomains):
-        tri_ids = np.flatnonzero(partition.subdomain_of_triangle == j)
-        dofs = local_dofs(partition, j)
-        g2l = np.full(mesh.num_vertices, -1, dtype=np.int64)
-        g2l[dofs] = np.arange(len(dofs))
-        vec = np.zeros(len(dofs), complex)
-        tl = g2l[mesh.triangles[tri_ids]]
-        np.add.at(vec, tl.ravel(), np.repeat(contrib[tri_ids], 3))
-        omega.append(vec)
-
-    n_gamma = len(partition.gamma_dofs)
-    return VolumeTuple((np.zeros(n_gamma, complex), np.zeros(n_gamma, complex)),
-                       omega, "dual")
+    # triangle-major, so each row sums its triangles in increasing order
+    data = np.zeros(partition.volume_offsets[-1], complex)
+    np.add.at(data, partition.triangle_rows.ravel(), np.repeat(contrib, 3))
+    return VolumeTuple.wrap(data, partition.volume_offsets, "dual")
 
 
 def _gamma_selector(gamma_dofs: np.ndarray, n: int) -> sp.csr_matrix:
@@ -223,52 +216,33 @@ def assemble_primary(volume: sp.spmatrix, bc, gamma_dofs: np.ndarray) -> sp.csc_
 def primary_from_blocks(partition: Partition, forms, bc) -> sp.csc_matrix:
     """Independent assembly path: fold the block-diagonal forms together.
 
-    Sums the per-subdomain Helmholtz blocks into global position and adds
-    the boundary operator, i.e. the two-sided restriction of the block
-    operator.  Must agree entrywise with the bordered global form.
+    R^T diag(A_j) R for the 0/1 restriction R of the volume rows, plus the
+    boundary operator: the two-sided restriction of the block operator.
+    Must agree entrywise with the bordered global form.
     """
-    mesh = partition.mesh
-    n = mesh.num_vertices
-    rows, cols, vals = [], [], []
-    for j, lf in enumerate(forms):
-        A = lf.A.tocoo()
-        rows.append(lf.dofs[A.row])
-        cols.append(lf.dofs[A.col])
-        vals.append(A.data)
-    vol = sp.coo_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(n, n)).tocsr()
+    rows = partition.volume_rows[partition.volume_offsets[2]:]
+    R = sp.csr_matrix((np.ones(len(rows)), (np.arange(len(rows)), rows)),
+                      shape=(len(rows), partition.mesh.num_vertices))
+    vol = R.T @ sp.block_diag([lf.A for lf in forms], format="csr") @ R
     return assemble_primary(vol, bc, partition.gamma_dofs)
 
 
-def restriction_apply(partition: Partition, u_global: np.ndarray, p: np.ndarray):
-    """Restrict a monolithic pair (u, p) to the block tuple.
-
-    Returns the boundary pair (u on the outer boundary, p) and one volume
-    vector per subdomain in local dof order.
-    """
-    if len(u_global) != partition.mesh.num_vertices:
-        raise ValueError("u_global has wrong length")
-    if len(p) != len(partition.gamma_dofs):
-        raise ValueError("p has wrong length")
-    omega = [np.asarray(u_global)[local_dofs(partition, j)]
-             for j in range(partition.num_subdomains)]
-    gamma = (np.asarray(u_global)[partition.gamma_dofs], np.asarray(p))
-    return VolumeTuple(gamma, omega, kind="primal")
+def restriction_apply(partition: Partition, z: np.ndarray) -> VolumeTuple:
+    """Restrict a monolithic vector z = (u, p), or m such columns, to the
+    block tuple: one gather of ``partition.volume_rows``."""
+    z = np.asarray(z, dtype=complex)
+    if len(z) != partition.mesh.num_vertices + len(partition.gamma_dofs):
+        raise ValueError("monolithic vector has wrong length")
+    return VolumeTuple.wrap(z[partition.volume_rows], partition.volume_offsets, "primal")
 
 
-def restriction_adjoint(partition: Partition, dual_tuple):
-    """Adjoint of the restriction: sum duplicated interface contributions.
-
-    Maps a dual block tuple to a (global volume functional, multiplier
-    functional) pair.
-    """
+def restriction_adjoint(partition: Partition, dual_tuple: VolumeTuple) -> np.ndarray:
+    """Adjoint of the restriction: one scatter-add of a dual tuple (vector or
+    m columns) into the monolithic functional over (u, p).  Duplicated
+    interface rows add up in tuple order, the subdomain blocks in turn."""
     if dual_tuple.kind != "dual":
         raise ValueError("restriction_adjoint expects a dual tuple")
-    n = partition.mesh.num_vertices
-    g = np.zeros(n, complex)
-    phi_a, phi_p = dual_tuple.gamma
-    np.add.at(g, partition.gamma_dofs, phi_a)
-    for j, block in enumerate(dual_tuple.omega):
-        np.add.at(g, local_dofs(partition, j), block)
-    return g, phi_p.copy()
+    n = partition.mesh.num_vertices + len(partition.gamma_dofs)
+    out = np.zeros((n,) + dual_tuple.data.shape[1:], complex)
+    np.add.at(out, partition.volume_rows, dual_tuple.data)
+    return out

@@ -112,11 +112,12 @@ class BoundaryCondition:
     # -- the boundary operator -------------------------------------------------
 
     def apply(self, alpha: np.ndarray, p: np.ndarray):
-        """A_Gamma(alpha, p) as a pair of functionals."""
+        """A_Gamma(alpha, p) as a pair of functionals; vectors or ``(n, m)``
+        column blocks."""
         if self.kind == "dirichlet":
             return np.asarray(p, complex).copy(), np.asarray(alpha, complex).copy()
         if self.kind == "neumann":
-            return np.zeros(self.n, complex), self._t_solve(p)
+            return np.zeros(np.shape(alpha), complex), self._t_solve(p)
         if self.kind == "robin":
             return -1j * (self.lam @ alpha), self._t_solve(p)
         tp = self.theta @ p

@@ -24,7 +24,6 @@ __all__ = [
     "partition_checkerboard",
     "tag_boundary",
     "skeleton_index",
-    "local_dofs",
     "triangle_areas",
     "export_listing",
 ]
@@ -68,6 +67,11 @@ class Mesh:
         return self.triangles.shape[0]
 
 
+def _offsets(sizes) -> tuple:
+    """Block offsets ``(0, n_0, n_0 + n_1, ...)`` as Python ints."""
+    return tuple(int(n) for n in np.cumsum([0, *sizes]))
+
+
 @dataclass(frozen=True)
 class Partition:
     """Non-overlapping decomposition of a mesh into J edge-connected subdomains.
@@ -75,6 +79,13 @@ class Partition:
     ``boundary_dofs[j]`` and ``interior_dofs[j]`` split the vertices of the
     closed subdomain; both are sorted by global vertex id, which fixes a
     deterministic ordering for all downstream trace operators.
+
+    The partition also owns the row order of a volume tuple: the blocks
+    ``alpha, p, u_1 ... u_J`` hold the trace unknown and the multiplier on
+    ``gamma_dofs``, then one block per subdomain, interior dofs first and
+    boundary dofs last.  The cached properties below describe that order,
+    so the restriction, the trace and their adjoints are one gather or one
+    scatter-add each, for a vector and a block of columns alike.
     """
 
     mesh: Mesh
@@ -86,6 +97,52 @@ class Partition:
     @property
     def num_subdomains(self) -> int:
         return len(self.boundary_dofs)
+
+    @cached_property
+    def volume_offsets(self) -> tuple:
+        """Block offsets of a volume tuple."""
+        ng = len(self.gamma_dofs)
+        return _offsets((ng, ng, *(len(i) + len(b) for i, b in
+                                   zip(self.interior_dofs, self.boundary_dofs))))
+
+    @cached_property
+    def volume_rows(self) -> np.ndarray:
+        """The row of the monolithic vector ``(u, p)`` behind each row of a
+        volume tuple: ``R`` gathers these rows and ``R^T`` adds into them."""
+        ng = len(self.gamma_dofs)
+        return np.concatenate([self.gamma_dofs, self.mesh.num_vertices + np.arange(ng),
+                               *map(np.concatenate, zip(self.interior_dofs,
+                                                        self.boundary_dofs))])
+
+    @cached_property
+    def trace_rows(self) -> np.ndarray:
+        """Rows of a volume tuple that carry a trace, in skeleton order:
+        alpha, then the last (boundary) rows of each subdomain block."""
+        ends = self.volume_offsets[3:]
+        return np.concatenate([np.arange(self.volume_offsets[1]),
+                               *(np.arange(e - len(b), e)
+                                 for b, e in zip(self.boundary_dofs, ends))])
+
+    @cached_property
+    def trace_offsets(self) -> tuple:
+        """Block offsets of the skeleton field of the trace rows."""
+        return _offsets((len(self.gamma_dofs), *map(len, self.boundary_dofs)))
+
+    @cached_property
+    def vertex_rows(self) -> np.ndarray:
+        """Row of each mesh vertex in the first subdomain block holding it."""
+        start = self.volume_offsets[2]
+        return start + np.unique(self.volume_rows[start:], return_index=True)[1]
+
+    @cached_property
+    def triangle_rows(self) -> np.ndarray:
+        """``(nt, 3)`` rows of the triangle vertices in their own subdomain's block."""
+        o, nv = self.volume_offsets, self.mesh.num_vertices
+        keys = (np.repeat(np.arange(self.num_subdomains), np.diff(o[2:])) * nv
+                + self.volume_rows[o[2]:])
+        order = np.argsort(keys)
+        wanted = self.subdomain_of_triangle[:, None] * nv + self.mesh.triangles
+        return o[2] + order[np.searchsorted(keys, wanted, sorter=order)]
 
 
 @dataclass(frozen=True)
@@ -253,11 +310,6 @@ def partition_checkerboard(mesh: Mesh, px: int, py: int) -> Partition:
 
     return Partition(mesh, sub_of_tri,
                      tuple(boundary_dofs), tuple(interior_dofs), gamma_dofs)
-
-
-def local_dofs(partition: Partition, j: int) -> np.ndarray:
-    """Global vertex ids of subdomain j, interior first then boundary."""
-    return np.concatenate([partition.interior_dofs[j], partition.boundary_dofs[j]])
 
 
 def skeleton_index(partition: Partition) -> SkeletonIndex:

@@ -21,9 +21,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import Mesh, build_rect_mesh
+from .geometry import Mesh, _offsets, build_rect_mesh
 from .assembly import Coefficients, LocalForms, _assemble_on
-from .traces import SkeletonField, _nonzero_blocks, _offsets
+from .traces import SkeletonField, _nonzero_blocks
 
 _dtrtrs = sla.get_lapack_funcs("trtrs", dtype=np.float64)
 

@@ -86,10 +86,6 @@ class Problem:
         return self.partition.num_subdomains
 
     @property
-    def n_interior(self):
-        return tuple(lf.n_interior for lf in self.forms)
-
-    @property
     def omega_sizes(self):
         return tuple(lf.n_dofs for lf in self.forms)
 
@@ -150,7 +146,7 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
 
     exchange = ExchangeOperator(index, impedance)
     solver = LocalImpedanceSolver(forms, impedance, bc, rcond_floor=rcond_floor)
-    scattering = ScatteringOperator(solver, impedance)
+    scattering = ScatteringOperator(partition, solver, impedance)
 
     return Problem(mesh, partition, index, coeffs, bc, forms, global_forms,
                    dtn, impedance, m_gamma, exchange, solver, scattering)
@@ -174,8 +170,8 @@ def monolithic_matrix(problem: Problem) -> sp.csc_matrix:
 
 
 def monolithic_rhs(problem: Problem, load: VolumeTuple) -> np.ndarray:
-    """Fold a block load into the monolithic right-hand side."""
-    return np.concatenate(restriction_adjoint(problem.partition, load))
+    """Fold a block load into the monolithic right-hand side: R^T l."""
+    return restriction_adjoint(problem.partition, load)
 
 
 def solve_monolithic(problem: Problem, load: VolumeTuple):

@@ -17,7 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import SkeletonIndex
+from .assembly import restriction_apply
+from .geometry import Partition, SkeletonIndex
 from .impedance import BlockImpedance, _real_op, _splu_spd
 from .traces import (SkeletonField, VolumeTuple, _nonzero_blocks, _zero_extension,
                      lift_adjoint, single_trace_adjoint, single_trace_embed,
@@ -134,8 +135,6 @@ class LocalImpedanceSolver:
 
     def __init__(self, forms, impedance: BlockImpedance, bc, rcond_floor: float = 1e-12):
         self.bc = bc
-        self.n_interior = tuple(lf.n_interior for lf in forms)
-        self.omega_sizes = tuple(lf.n_dofs for lf in forms)
         lus = []
         for j, lf in enumerate(forms):
             T = impedance.blocks[j + 1]
@@ -159,7 +158,7 @@ class LocalImpedanceSolver:
             lus.append(lu)
         self._lus = tuple(lus)
 
-    def solve_tuple(self, phi: VolumeTuple, transpose: bool = False) -> VolumeTuple:
+    def solve_tuple(self, phi: VolumeTuple) -> VolumeTuple:
         """(A - i B^T T B)^-1 applied to a dual tuple, blockwise.
 
         The only code that applies the local factors.  The result has the
@@ -167,12 +166,8 @@ class LocalImpedanceSolver:
         array.  A block that is all zero in ``phi`` (the boundary pair
         counts as one block) solves to zero without a solve, which keeps
         block-sparse columns, such as the identity chunks of
-        ``dense_operator``, cheap.
-
-        All block operators here are complex symmetric (the volume forms by
-        construction, the boundary blocks for each supported condition), so
-        the transposed solve reuses the same closed form on the boundary
-        block and transposed triangular solves in the volume.
+        ``dense_operator``, cheap.  Every block operator is complex
+        symmetric, so this is also the transposed solve.
         """
         if phi.kind != "dual":
             raise ValueError("solve_tuple expects a dual tuple")
@@ -181,10 +176,9 @@ class LocalImpedanceSolver:
         u = np.zeros(data.shape, complex)
         if live[0] or live[1]:
             u[:o[1]], u[o[1]:o[2]] = self.bc.impedance_inverse(*phi.gamma)
-        trans = "T" if transpose else "N"
         for lu, a, b, nz in zip(self._lus, o[2:], o[3:], live[2:]):
             if nz:
-                u[a:b] = lu.solve(data[a:b], trans=trans)
+                u[a:b] = lu.solve(data[a:b])
         return VolumeTuple.wrap(u, o, "primal")
 
 
@@ -202,16 +196,17 @@ class ScatteringOperator:
     solve per block.
     """
 
-    def __init__(self, solver: LocalImpedanceSolver, impedance: BlockImpedance):
+    def __init__(self, partition: Partition, solver: LocalImpedanceSolver,
+                 impedance: BlockImpedance):
+        self.partition = partition
         self.solver = solver
         self.impedance = impedance
 
     def apply(self, q: SkeletonField) -> SkeletonField:
         if q.kind != "dual":
             raise ValueError("scattering operator acts on dual fields")
-        solver = self.solver
-        u = solver.solve_tuple(trace_adjoint(q, solver.n_interior, solver.omega_sizes))
-        return q + 2j * self.impedance.apply(trace_apply(u, solver.n_interior))
+        u = self.solver.solve_tuple(trace_adjoint(q, self.partition))
+        return q + 2j * self.impedance.apply(trace_apply(u, self.partition))
 
 
 @dataclass
@@ -264,10 +259,11 @@ def skeleton_apply(problem, q: SkeletonField) -> SkeletonField:
 def skeleton_rhs(problem, load: VolumeTuple) -> SkeletonField:
     """Skeleton right-hand side f = -2i Pi T B (A - i B^T T B)^-1 l.
 
-    ``load`` is the dual volume tuple l of ``make_load``.
+    ``load`` is the dual volume tuple l of ``make_load``, or m such loads
+    as columns, which give a field of m columns.
     """
     u = problem.solver.solve_tuple(load)
-    g = problem.impedance.apply(trace_apply(u, problem.n_interior))
+    g = problem.impedance.apply(trace_apply(u, problem.partition))
     return -2j * problem.exchange.apply(g)
 
 
@@ -275,20 +271,16 @@ def recover_volume(problem, q: SkeletonField, load: VolumeTuple) -> RecoveredSol
     """Volume solution u = (A - i B^T T B)^-1 (B^T q + l) and p = q + iTBu.
 
     Duplicated interface dofs take the value of the lowest-indexed
-    subdomain block; the spread across blocks is returned as ``mismatch``.
+    subdomain block; the spread across blocks is returned as ``mismatch``
+    (the largest over all columns, for m right-hand sides as columns).
     """
-    rhs = trace_adjoint(q, problem.n_interior, problem.omega_sizes) + load
+    partition = problem.partition
+    rhs = trace_adjoint(q, partition) + load
     u = problem.solver.solve_tuple(rhs)
-    Bu = trace_apply(u, problem.n_interior)
+    Bu = trace_apply(u, partition)
     p = q + 1j * problem.impedance.apply(Bu)
-
-    mesh = problem.mesh
-    u_global = np.zeros(mesh.num_vertices, complex)
-    for lf, uj in reversed(list(zip(problem.forms, u.omega))):
-        u_global[lf.dofs] = uj
-
     mismatch = _largest_spread(problem.index, Bu.data)
-    return RecoveredSolution(u_global, p, mismatch, u)
+    return RecoveredSolution(u.data[partition.vertex_rows], p, mismatch, u)
 
 
 def _largest_spread(index, values: np.ndarray) -> float:
@@ -296,22 +288,22 @@ def _largest_spread(index, values: np.ndarray) -> float:
     same skeleton dof.
 
     The incidences are sorted by dof and laid out as a table with one row
-    per dof, padded with NaN, so all pairs are compared at once.
+    per dof, padded with NaN, so all pairs (of each column) are compared at
+    once.
     """
     order = np.argsort(index.flat_map, kind="stable")
     dofs = index.flat_map[order]
     rank = np.arange(len(dofs)) - np.searchsorted(dofs, dofs)
-    table = np.full((index.n_sigma, rank.max() + 1), np.nan + 0j)
+    table = np.full((index.n_sigma, rank.max() + 1) + values.shape[1:], np.nan + 0j)
     table[dofs, rank] = values[order]
     spread = np.abs(table[:, :, None] - table[:, None, :])
     return float(np.max(spread, initial=0.0, where=~np.isnan(spread)))
 
 
-def cauchy_pair_from(problem, q: SkeletonField, transpose: bool = False) -> CauchyPair:
+def cauchy_pair_from(problem, q: SkeletonField) -> CauchyPair:
     """The Cauchy pair with incoming trace q: v = Bu, p = q + iTBu."""
-    u = problem.solver.solve_tuple(
-        trace_adjoint(q, problem.n_interior, problem.omega_sizes), transpose)
-    v = trace_apply(u, problem.n_interior)
+    u = problem.solver.solve_tuple(trace_adjoint(q, problem.partition))
+    v = trace_apply(u, problem.partition)
     p = q + 1j * problem.impedance.apply(v)
     return CauchyPair(v, p, u)
 
@@ -332,10 +324,10 @@ def cauchy_decompose(problem, v: SkeletonField, p: SkeletonField):
     to w, solve the impedance problem for A w - B^T p, and read both parts
     off the solution.  Recomposition is exact up to the local solves.
     """
-    w = _zero_extension(v, problem.n_interior, problem.omega_sizes)
-    rhs = apply_A(problem, w) - trace_adjoint(p, problem.n_interior, problem.omega_sizes)
+    w = _zero_extension(v, problem.partition)
+    rhs = apply_A(problem, w) - trace_adjoint(p, problem.partition)
     vt = problem.solver.solve_tuple(rhs)
-    u1 = trace_apply(vt, problem.n_interior)
+    u1 = trace_apply(vt, problem.partition)
     p1 = 1j * problem.impedance.apply(u1)
     u2 = v - u1
     p2 = p - p1
@@ -351,11 +343,8 @@ def kernel_lift(problem, z: np.ndarray) -> SkeletonField:
     residual against the harmonic lifting; it satisfies (Id + Pi S) q ~ 0
     whenever z is (numerically) in the kernel.
     """
-    from .assembly import restriction_apply
-
-    nv = problem.mesh.num_vertices
-    rz = restriction_apply(problem.partition, z[:nv], z[nv:])
-    v = trace_apply(rz, problem.n_interior)
+    rz = restriction_apply(problem.partition, z)
+    v = trace_apply(rz, problem.partition)
     arz = apply_A(problem, rz)
     p = lift_adjoint(arz, problem.dtn)
     return p - 1j * problem.impedance.apply(v)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import zaxpy, zdotc
 
@@ -256,6 +255,9 @@ _TRUE_RESIDUAL_FACTOR = 10.0
 # Largest monolithic dimension that infsup_primary treats by a dense SVD.
 _PRIMARY_DENSE_CAP = 2500
 
+# Mesh resolution rule of the wavenumber sweep.
+_POINTS_PER_WAVELENGTH = 10.0
+
 # Rounding allowance of the inequalities checked by verify_estimates.
 _SLACK = 1e-9
 
@@ -350,7 +352,8 @@ def _primary_extremes_iterative(problem: Problem, tol: float = 1e-8):
 
     Both extremes come from Lanczos on SPD pencils: sigma_max^2 is the top
     eigenvalue of (A^H W^-1 A, W) and 1/sigma_min^2 the top eigenvalue of
-    (A^-H W A^-1, W^-1), with W the block norm Gram.
+    (A^-H W A^-1, W^-1), with W the block norm Gram.  Both start from one
+    seeded vector, so the result does not depend on earlier ARPACK calls.
     """
     A = monolithic_matrix(problem)
     nv = problem.mesh.num_vertices
@@ -361,6 +364,8 @@ def _primary_extremes_iterative(problem: Problem, tol: float = 1e-8):
     t_gamma = problem.bc.t_gamma
     t_inv = problem.bc.t_inverse()
     a_lu = spla.splu(A.tocsc())
+    rng = np.random.default_rng(0)
+    v0 = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
 
     def w_mat(x):
         return np.concatenate([H @ x[:nv], t_inv @ x[nv:]])
@@ -373,14 +378,14 @@ def _primary_extremes_iterative(problem: Problem, tol: float = 1e-8):
 
     K = spla.LinearOperator((n, n), dtype=complex,
                             matvec=lambda x: A.conj().T @ w_inv(A @ x))
-    lam_max = spla.eigsh(K, k=1, M=W, Minv=Winv, which="LA",
+    lam_max = spla.eigsh(K, k=1, M=W, Minv=Winv, which="LA", v0=v0,
                          return_eigenvectors=False, tol=tol)[0]
 
     # 1/sigma_min^2 = max of y^H (A^-1 W A^-H) y over y^H W^-1 y; the two
     # solve orders give the same singular spectrum.
     Ginv = spla.LinearOperator((n, n), dtype=complex,
                                matvec=lambda y: a_lu.solve(w_mat(a_lu.solve(y, trans="H"))))
-    lam_inv = spla.eigsh(Ginv, k=1, M=Winv, Minv=W, which="LA",
+    lam_inv = spla.eigsh(Ginv, k=1, M=Winv, Minv=W, which="LA", v0=v0,
                          return_eigenvectors=False, tol=tol)[0]
     return float(1.0 / np.sqrt(lam_inv)), float(np.sqrt(lam_max))
 
@@ -486,20 +491,19 @@ SWEEP_COLUMNS = ("k", "n_sigma", "infsup_primary", "norm_A", "infsup_skeleton",
                  "pass_thm_final", "pass_cor_coercivity")
 
 
-def _resolution(k: float, px: int, py: int, points_per_wavelength: float) -> int:
-    cells = max(int(math.ceil(points_per_wavelength * k / (2.0 * math.pi))), 1)
+def _resolution(k: float, px: int, py: int) -> int:
+    cells = max(int(math.ceil(_POINTS_PER_WAVELENGTH * k / (2.0 * math.pi))), 1)
     step = math.lcm(px, py)
     return ((cells + step - 1) // step) * step
 
 
 def sweep_wavenumber(k_values, px: int = 2, py: int = 2,
-                     points_per_wavelength: float = 10.0,
                      tgamma: str = "collar", lambda_scale: float = 1.0,
                      dense_cap: int = 2000, svd_threshold: float = 1e-8):
     """Constants of the robin reference family across wavenumbers.
 
-    Per k: resolution from the points-per-wavelength rule rounded to the
-    partition grid, gamma = 1/k, robin impedance k times the boundary
+    Per k: resolution from the rule of ``_POINTS_PER_WAVELENGTH`` points
+    per wavelength, rounded to the partition grid, gamma = 1/k, robin impedance k times the boundary
     mass.  Returns (rows, slopes); slopes are the log-log regression
     coefficients of the skeleton inf-sup and coercivity constants against
     k, or None for fewer than two wavenumbers.
@@ -511,7 +515,7 @@ def sweep_wavenumber(k_values, px: int = 2, py: int = 2,
 
     rows = []
     for k in k_values:
-        n = _resolution(k, px, py, points_per_wavelength)
+        n = _resolution(k, px, py)
         problem = build_problem(n, n, px, py, k=float(k), bc_kind="robin",
                                 lambda_scale=lambda_scale, tgamma=tgamma)
         rep = verify_estimates(problem, svd_threshold=svd_threshold,

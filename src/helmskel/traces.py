@@ -6,19 +6,19 @@ offsets, and tagged primal (Dirichlet-type) or dual (Neumann-type).  A
 volume tuple has the blocks ``alpha, p, u_1 ... u_J`` (the boundary pair,
 then one block per subdomain in local dof order, interior first); a
 skeleton field has one trace block per trace block, outer boundary first.
-The trace ``B`` is one gather of the trace rows of a volume tuple (alpha
-and the boundary dofs of every subdomain), and ``B^T`` the scatter of a
-field into those rows of a zero tuple.  All pairings are bilinear: no
-complex conjugation enters a duality bracket, only norms conjugate.
+The partition owns the volume layout (``Partition.volume_offsets``,
+``volume_rows`` and ``trace_rows``): the trace ``B`` is one gather of the
+trace rows of a volume tuple (alpha and the boundary dofs of every
+subdomain), and ``B^T`` the scatter of a field into those rows of a zero
+tuple.  All pairings are bilinear: no complex conjugation enters a
+duality bracket, only norms conjugate.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .geometry import SkeletonIndex
+from .geometry import Partition, SkeletonIndex, _offsets
 
 __all__ = [
     "SkeletonField",
@@ -32,14 +32,6 @@ __all__ = [
     "duality_pair",
     "skew_pair",
 ]
-
-
-def _offsets(sizes) -> tuple:
-    """Block offsets ``(0, n_0, n_0 + n_1, ...)`` as Python ints."""
-    out = [0]
-    for n in sizes:
-        out.append(out[-1] + int(n))
-    return tuple(out)
 
 
 def _nonzero_blocks(data: np.ndarray, offsets: tuple) -> np.ndarray:
@@ -164,19 +156,7 @@ class VolumeTuple(_BlockArray):
         return self.blocks[2:]
 
 
-@lru_cache(maxsize=16)
-def _trace_rows(offsets: tuple, n_interior: tuple):
-    """Rows of the volume layout ``offsets`` that carry a trace, in skeleton
-    order (alpha, then the boundary dofs of each subdomain), and the block
-    offsets of the skeleton field they form."""
-    starts = (0,) + tuple(a + ni for a, ni in zip(offsets[2:], n_interior))
-    ends = (offsets[1],) + offsets[3:]
-    rows = np.concatenate([np.arange(a, b) for a, b in zip(starts, ends)])
-    rows.flags.writeable = False
-    return rows, _offsets(b - a for a, b in zip(starts, ends))
-
-
-def trace_apply(vol: VolumeTuple, n_interior) -> SkeletonField:
+def trace_apply(vol: VolumeTuple, partition: Partition) -> SkeletonField:
     """Dirichlet trace of a volume tuple: one gather of its trace rows.
 
     The boundary block forwards alpha (the trace unknown), subdomain blocks
@@ -184,24 +164,24 @@ def trace_apply(vol: VolumeTuple, n_interior) -> SkeletonField:
     """
     if vol.kind != "primal":
         raise ValueError("trace_apply expects a primal tuple")
-    rows, offsets = _trace_rows(vol.offsets, tuple(n_interior))
-    return SkeletonField.wrap(vol.data[rows], offsets, "primal")
+    if vol.offsets != partition.volume_offsets:
+        raise ValueError("tuple blocks do not match the volume layout")
+    return SkeletonField.wrap(vol.data[partition.trace_rows],
+                              partition.trace_offsets, "primal")
 
 
-def _zero_extension(field: SkeletonField, n_interior, omega_sizes) -> VolumeTuple:
+def _zero_extension(field: SkeletonField, partition: Partition) -> VolumeTuple:
     """The volume tuple, of the field's kind, that holds the field in its
     trace rows and zero elsewhere: one scatter into zeros."""
-    ng = field.offsets[1]
-    offsets = _offsets((ng, ng, *omega_sizes))
-    rows, field_offsets = _trace_rows(offsets, tuple(n_interior))
-    if field_offsets != field.offsets:
+    if field.offsets != partition.trace_offsets:
         raise ValueError("field blocks do not match the volume layout")
+    offsets = partition.volume_offsets
     data = np.zeros((offsets[-1],) + field.data.shape[1:], complex)
-    data[rows] = field.data
+    data[partition.trace_rows] = field.data
     return VolumeTuple.wrap(data, offsets, field.kind)
 
 
-def trace_adjoint(q: SkeletonField, n_interior, omega_sizes) -> VolumeTuple:
+def trace_adjoint(q: SkeletonField, partition: Partition) -> VolumeTuple:
     """Adjoint trace: scatter a dual field into the trace rows of a zero tuple.
 
     Interior slots and the multiplier slot stay zero; the boundary block
@@ -210,7 +190,7 @@ def trace_adjoint(q: SkeletonField, n_interior, omega_sizes) -> VolumeTuple:
     """
     if q.kind != "dual":
         raise ValueError("trace_adjoint expects a dual field")
-    return _zero_extension(q, n_interior, omega_sizes)
+    return _zero_extension(q, partition)
 
 
 def harmonic_lift(v: SkeletonField, dtn_blocks) -> VolumeTuple:

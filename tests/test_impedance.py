@@ -43,7 +43,7 @@ def test_trace_norm_dominated_by_volume_norm(ref_problem, rng):
     p = ref_problem
     for j, dtn in enumerate(p.dtn):
         n = p.omega_sizes[j]
-        ni = p.n_interior[j]
+        ni = p.forms[j].n_interior
         for _ in range(50 // p.num_subdomains + 1):
             u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             tr = u[ni:]

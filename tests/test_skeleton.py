@@ -5,8 +5,10 @@ import scipy.sparse.linalg as spla
 
 import helmskel.skeleton as sk
 import helmskel.verification as vf
+from helmskel.assembly import restriction_adjoint, restriction_apply
 from helmskel.problem import build_problem, h1_norm, make_load, monolithic_matrix, solve_monolithic
-from helmskel.traces import SkeletonField, single_trace_adjoint, single_trace_embed, skew_pair
+from helmskel.traces import (SkeletonField, VolumeTuple, single_trace_adjoint,
+                             single_trace_embed, skew_pair)
 
 
 def _rand_dual(p, rng):
@@ -131,6 +133,10 @@ def _columns(field, i):
     return SkeletonField([b[:, i] for b in field.blocks], field.kind)
 
 
+def _volume_column(vol, i):
+    return VolumeTuple.wrap(vol.data[:, i], vol.offsets, vol.kind)
+
+
 def _assert_rel(got, want, rtol=1e-13):
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
@@ -164,6 +170,32 @@ def test_column_blocks_match_columns(nx, ny, px, py, kind, tgamma, m, rng):
             _assert_rel(w[:, i], imp.whiten(_columns(q, i)))
             _assert_rel(_columns(back, i).concat(), imp.unwhiten(w[:, i]).concat())
 
+    # the volume side: A, the restriction and its adjoint, the right-hand
+    # side of m loads and the recovery of m solutions
+    part = p.partition
+    n_vol = part.volume_offsets[-1]
+    z = rng.standard_normal((p.mesh.num_vertices + p.n_gamma, m)) + 0j
+    u = restriction_apply(part, z)
+    load = VolumeTuple.wrap(rng.standard_normal((n_vol, m)) + 1j * rng.standard_normal((n_vol, m)),
+                            part.volume_offsets, "dual")
+    au = sk.apply_A(p, u)
+    rt = restriction_adjoint(part, load)
+    f = sk.skeleton_rhs(p, load)
+    rec = sk.recover_volume(p, dense, load)
+    assert au.data.shape == (n_vol, m) and rec.u.shape == (p.mesh.num_vertices, m)
+    spreads = []
+    for i in range(m):
+        u_i, load_i = _volume_column(u, i), _volume_column(load, i)
+        np.testing.assert_array_equal(u_i.data, restriction_apply(part, z[:, i]).data)
+        _assert_rel(au.data[:, i], sk.apply_A(p, u_i).data)
+        _assert_rel(rt[:, i], restriction_adjoint(part, load_i))
+        _assert_rel(_columns(f, i).concat(), sk.skeleton_rhs(p, load_i).concat())
+        rec_i = sk.recover_volume(p, _columns(dense, i), load_i)
+        _assert_rel(rec.u[:, i], rec_i.u)
+        _assert_rel(_columns(rec.p, i).concat(), rec_i.p.concat())
+        spreads.append(rec_i.mismatch)
+    assert rec.mismatch == pytest.approx(max(spreads), rel=1e-13)
+
 
 # ---------------------------------------------------------------------------
 # skeleton system
@@ -186,7 +218,7 @@ def test_rhs_nonlocality_witness(rng):
     # before the exchange step the trace data lives only on block 1
     u = p.solver.solve_tuple(load)
     from helmskel.traces import trace_apply
-    g = p.impedance.apply(trace_apply(u, p.n_interior))
+    g = p.impedance.apply(trace_apply(u, p.partition))
     norms = [np.abs(b).max() for b in g.blocks]
     assert norms[1] > 0
     assert max(norms[0], *norms[2:]) <= 1e-14 * norms[1]
@@ -256,7 +288,7 @@ def test_recover_mismatch_matches_reference_loop(ref_problem, rng):
     q = q + 1e-3 * _rand_dual(p, rng)
     rec = sk.recover_volume(p, q, load)
     # the spread of every skeleton dof over the blocks that carry it
-    bu = trace_apply(rec.tuple, p.n_interior)
+    bu = trace_apply(rec.tuple, p.partition)
     index = p.index
     vals = np.full((index.n_sigma, index.num_blocks), np.nan + 0j)
     for b, m in enumerate(index.block_map):
@@ -340,10 +372,9 @@ def test_cauchy_self_polarity_sampling(ref_problem, rng):
     p = ref_problem
     imp = p.impedance
     pairs_a = [sk.cauchy_pair_from(p, _rand_dual(p, rng)) for _ in range(20)]
-    pairs_at = [sk.cauchy_pair_from(p, _rand_dual(p, rng), transpose=True)
-                for _ in range(20)]
+    pairs_b = [sk.cauchy_pair_from(p, _rand_dual(p, rng)) for _ in range(20)]
     for ca in pairs_a:
-        for cb in pairs_at:
+        for cb in pairs_b:
             val = skew_pair((ca.v, ca.p), (cb.v, cb.p))
             scale = ((imp.norm(ca.v) + imp.norm(ca.p))
                      * (imp.norm(cb.v) + imp.norm(cb.p)))
@@ -400,21 +431,20 @@ def test_local_solvability_guard_without_onenormest(monkeypatch):
         build_problem(4, 4, 2, 2, k=3.0, bc_kind="robin")
 
 
-@pytest.mark.parametrize("transpose", [False, True])
-def test_solve_tuple_matches_dense_solve(ref_problem, rng, monkeypatch, transpose):
-    # the local factors against a dense solve of each C_j = A_j - i B_j^T T_j B_j
-    from helmskel.traces import VolumeTuple
-
+def test_solve_tuple_matches_dense_solve(ref_problem, rng, monkeypatch):
+    # the local factors against a dense solve of each C_j = A_j - i B_j^T T_j B_j;
+    # every C_j equals its transpose, so the plain solve is the transposed one
     p = ref_problem
     blocks = [rng.standard_normal(lf.n_dofs) + 1j * rng.standard_normal(lf.n_dofs)
               for lf in p.forms]
     zero = np.zeros(p.n_gamma)
-    u = p.solver.solve_tuple(VolumeTuple((zero, zero), blocks, "dual"), transpose=transpose)
+    u = p.solver.solve_tuple(VolumeTuple((zero, zero), blocks, "dual"))
     for j, (lf, rhs, got) in enumerate(zip(p.forms, blocks, u.omega)):
         ni = lf.n_interior
         C = lf.A.toarray().astype(complex)
         C[ni:, ni:] -= 1j * p.impedance.blocks[j + 1]
-        want = np.linalg.solve(C.T if transpose else C, rhs)
+        assert np.array_equal(C, C.T)
+        want = np.linalg.solve(C, rhs)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     # a tuple that is zero in all blocks but one: only that block is solved
@@ -422,16 +452,15 @@ def test_solve_tuple_matches_dense_solve(ref_problem, rng, monkeypatch, transpos
         def __init__(self, lu):
             self.lu, self.calls = lu, 0
 
-        def solve(self, b, trans="N"):
+        def solve(self, b):
             self.calls += 1
-            return self.lu.solve(b, trans=trans)
+            return self.lu.solve(b)
 
     proxies = tuple(Counting(lu) for lu in p.solver._lus)
     monkeypatch.setattr(p.solver, "_lus", proxies)
     sparse = [np.zeros(lf.n_dofs) for lf in p.forms]
     sparse[1] = blocks[1]
-    u = p.solver.solve_tuple(VolumeTuple((zero, zero), sparse, "dual"), transpose=transpose)
+    u = p.solver.solve_tuple(VolumeTuple((zero, zero), sparse, "dual"))
     assert [c.calls for c in proxies] == [int(j == 1) for j in range(len(proxies))]
     assert np.all(u.data[:u.offsets[3]] == 0) and np.all(u.data[u.offsets[4]:] == 0)
-    np.testing.assert_array_equal(u.omega[1], proxies[1].lu.solve(
-        blocks[1], trans="T" if transpose else "N"))
+    np.testing.assert_array_equal(u.omega[1], proxies[1].lu.solve(blocks[1]))

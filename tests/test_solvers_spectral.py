@@ -398,6 +398,12 @@ def test_primary_extremes_iterative_matches_dense(ref_problem):
     assert abs(smax_i - smax_d) <= 1e-6 * smax_d
 
 
+def test_primary_extremes_iterative_deterministic():
+    # a seeded ARPACK start vector: repeated calls agree bit for bit
+    p = build_problem(8, 8, 2, 2, k=5.0, bc_kind="robin", tgamma="boundary_h1")
+    assert _primary_extremes_iterative(p) == _primary_extremes_iterative(p)
+
+
 def _continuity_modulus_complex_svd(problem):
     """Oracle: every block whitened in complex arithmetic, normed by SVD."""
     import scipy.linalg as sla
@@ -495,11 +501,11 @@ def test_sweep_empty_rejected():
 def test_sweep_resolution_rule():
     from helmskel.solvers_spectral import _resolution
 
-    assert _resolution(5.0, 2, 2, 10.0) == 8
-    assert _resolution(10.0, 2, 2, 10.0) == 16
-    assert _resolution(20.0, 2, 2, 10.0) == 32
-    assert _resolution(40.0, 2, 2, 10.0) == 64
-    assert _resolution(5.0, 3, 2, 10.0) == 12   # rounded up to lcm(3, 2)
+    assert _resolution(5.0, 2, 2) == 8
+    assert _resolution(10.0, 2, 2) == 16
+    assert _resolution(20.0, 2, 2) == 32
+    assert _resolution(40.0, 2, 2) == 64
+    assert _resolution(5.0, 3, 2) == 12   # rounded up to lcm(3, 2)
 
 
 def test_sweep_csv_format():

@@ -20,7 +20,7 @@ def test_constant_tuple_traces_to_ones(ref_problem):
     p = ref_problem
     vol = VolumeTuple((np.ones(p.n_gamma), np.zeros(p.n_gamma)),
                       [np.ones(n) for n in p.omega_sizes], "primal")
-    tr = trace_apply(vol, p.n_interior)
+    tr = trace_apply(vol, p.partition)
     assert all(np.all(b == 1) for b in tr.blocks)
 
 
@@ -30,9 +30,40 @@ def test_trace_gamma_block_forwards_alpha(ref_problem):
     e1[0] = 1.0
     vol = VolumeTuple((e1, np.zeros(p.n_gamma)),
                       [np.zeros(n) for n in p.omega_sizes], "primal")
-    tr = trace_apply(vol, p.n_interior)
+    tr = trace_apply(vol, p.partition)
     assert np.all(tr.blocks[0] == e1)
     assert all(np.all(b == 0) for b in tr.blocks[1:])
+
+
+@pytest.mark.parametrize("nx,ny,px,py", [(8, 8, 2, 2), (12, 12, 3, 4)])
+def test_partition_volume_layout(nx, ny, px, py):
+    # the partition's row order of a volume tuple is that of the assembled
+    # forms, the boundary pair and the trace
+    from helmskel.problem import build_problem
+
+    p = build_problem(nx, ny, px, py, k=3.0)
+    part = p.partition
+    o, rows = part.volume_offsets, part.volume_rows
+    ng, nv = p.n_gamma, p.mesh.num_vertices
+    assert o == VolumeTuple((np.zeros(ng), np.zeros(ng)),
+                            [np.zeros(n) for n in p.omega_sizes], "dual").offsets
+    np.testing.assert_array_equal(rows[:ng], part.gamma_dofs)
+    np.testing.assert_array_equal(rows[ng:2 * ng], nv + np.arange(ng))
+    for j, lf in enumerate(p.forms):
+        np.testing.assert_array_equal(rows[o[j + 2]:o[j + 3]], lf.dofs)
+    assert part.trace_offsets == p.impedance.offsets
+    tr = part.trace_rows
+    np.testing.assert_array_equal(tr[:ng], np.arange(ng))
+    for j, b in enumerate(part.boundary_dofs):
+        block = tr[part.trace_offsets[j + 1]:part.trace_offsets[j + 2]]
+        np.testing.assert_array_equal(block, np.arange(o[j + 3] - len(b), o[j + 3]))
+        np.testing.assert_array_equal(rows[block], b)
+    # the first subdomain row of each vertex, and each triangle's own rows
+    np.testing.assert_array_equal(rows[part.vertex_rows], np.arange(nv))
+    for j in range(part.num_subdomains):
+        own = part.triangle_rows[part.subdomain_of_triangle == j]
+        assert np.all((own >= o[j + 2]) & (own < o[j + 3]))
+    np.testing.assert_array_equal(rows[part.triangle_rows], p.mesh.triangles)
 
 
 def test_trace_of_lift_is_identity(ref_problem, rng, rand_field):
@@ -40,7 +71,7 @@ def test_trace_of_lift_is_identity(ref_problem, rng, rand_field):
     for _ in range(20):
         v = rand_field(p, rng, "primal")
         lifted = harmonic_lift(v, p.dtn)
-        back = trace_apply(lifted, p.n_interior)
+        back = trace_apply(lifted, p.partition)
         for a, b in zip(back.blocks, v.blocks):
             np.testing.assert_allclose(a, b, atol=1e-13)
 
@@ -70,7 +101,7 @@ def test_lift_minimizes_energy(ref_problem, rng):
         for j, dtn in enumerate(p.dtn):
             n = p.omega_sizes[j]
             u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            tr = u[p.n_interior[j]:]
+            tr = u[p.forms[j].n_interior:]
             assert dtn.h_energy(dtn.lift(tr)) <= dtn.h_energy(u) * (1 + 1e-12)
 
 
@@ -79,10 +110,10 @@ def test_trace_adjoint_is_adjoint(ref_problem, rng, rand_field):
     for _ in range(20):
         q = rand_field(p, rng, "dual")
         u = _rand_tuple(p, rng)
-        qt = trace_adjoint(q, p.n_interior, p.omega_sizes)
+        qt = trace_adjoint(q, p.partition)
         lhs = (qt.gamma[0] @ u.gamma[0] + qt.gamma[1] @ u.gamma[1]
                + sum(a @ b for a, b in zip(qt.omega, u.omega)))
-        tr = trace_apply(u, p.n_interior)
+        tr = trace_apply(u, p.partition)
         rhs = duality_pair(q, tr)
         assert abs(lhs - rhs) <= 1e-14 * max(abs(rhs), 1.0)
 
@@ -90,9 +121,9 @@ def test_trace_adjoint_is_adjoint(ref_problem, rng, rand_field):
 def test_trace_adjoint_never_writes_interior(ref_problem, rng, rand_field):
     p = ref_problem
     q = rand_field(p, rng, "dual")
-    qt = trace_adjoint(q, p.n_interior, p.omega_sizes)
-    for ni, block in zip(p.n_interior, qt.omega):
-        assert np.all(block[:ni] == 0)
+    qt = trace_adjoint(q, p.partition)
+    for lf, block in zip(p.forms, qt.omega):
+        assert np.all(block[:lf.n_interior] == 0)
     assert np.all(qt.gamma[1] == 0)
 
 
@@ -105,7 +136,7 @@ def test_trace_adjoint_injective(small_problem):
         e = np.zeros(n)
         e[i] = 1.0
         q = SkeletonField.from_concat(e, p.block_sizes, "dual")
-        qt = trace_adjoint(q, p.n_interior, p.omega_sizes)
+        qt = trace_adjoint(q, p.partition)
         cols.append(np.concatenate([qt.gamma[0], qt.gamma[1]] + list(qt.omega)))
     B_adj = np.column_stack(cols)
     assert np.linalg.matrix_rank(B_adj) == n
@@ -115,12 +146,12 @@ def test_trace_surjective_constructive(ref_problem, rng, rand_field):
     p = ref_problem
     g = rand_field(p, rng, "primal")
     omega = []
-    for ni, n, gb in zip(p.n_interior, p.omega_sizes, g.blocks[1:]):
-        u = np.zeros(n, complex)
-        u[ni:] = gb
+    for lf, gb in zip(p.forms, g.blocks[1:]):
+        u = np.zeros(lf.n_dofs, complex)
+        u[lf.n_interior:] = gb
         omega.append(u)
     witness = VolumeTuple((g.blocks[0], np.zeros(p.n_gamma)), omega, "primal")
-    tr = trace_apply(witness, p.n_interior)
+    tr = trace_apply(witness, p.partition)
     for a, b in zip(tr.blocks, g.blocks):
         np.testing.assert_array_equal(a, b)
 
@@ -251,7 +282,7 @@ def test_jump_tuples_annihilate_restrictions(ref_problem, rng, rand_field):
         q = r - proj            # now in the kernel of the embedding adjoint
         u = rng.standard_normal(nv) + 1j * rng.standard_normal(nv)
         pp = rng.standard_normal(p.n_gamma) + 1j * rng.standard_normal(p.n_gamma)
-        tup = restriction_apply(p.partition, u, pp)
-        val = duality_pair(q, trace_apply(tup, p.n_interior))
+        tup = restriction_apply(p.partition, np.concatenate([u, pp]))
+        val = duality_pair(q, trace_apply(tup, p.partition))
         scale = max(np.abs(q.concat()).max() * np.abs(u).max(), 1.0)
         assert abs(val) <= 1e-12 * scale
