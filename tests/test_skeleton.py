@@ -431,7 +431,8 @@ def test_local_solvability_guard_without_onenormest(monkeypatch):
         build_problem(4, 4, 2, 2, k=3.0, bc_kind="robin")
 
 
-def test_solve_tuple_matches_dense_solve(ref_problem, rng, monkeypatch):
+@pytest.mark.parametrize("transpose", [False, True])
+def test_solve_tuple_matches_dense_solve(ref_problem, rng, monkeypatch, transpose):
     # the local factors against a dense solve of each C_j = A_j - i B_j^T T_j B_j;
     # every C_j equals its transpose, so the plain solve is the transposed one
     p = ref_problem
@@ -444,7 +445,7 @@ def test_solve_tuple_matches_dense_solve(ref_problem, rng, monkeypatch):
         C = lf.A.toarray().astype(complex)
         C[ni:, ni:] -= 1j * p.impedance.blocks[j + 1]
         assert np.array_equal(C, C.T)
-        want = np.linalg.solve(C, rhs)
+        want = np.linalg.solve(C.T if transpose else C, rhs)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     # a tuple that is zero in all blocks but one: only that block is solved
