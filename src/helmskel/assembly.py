@@ -81,7 +81,9 @@ class LocalForms:
     ``dofs`` maps local indices to global vertex ids (interior first,
     boundary last).  A = mu^-1 K - M_kappa, with M_kappa the kappa^2-weighted
     mass, is the complex symmetric Helmholtz form; H = K + gamma^-2 M is the
-    SPD volume norm Gram.
+    SPD volume norm Gram.  The forms carry no boundary condition (the outer
+    boundary enters through the boundary pair of the volume tuple), so every
+    block floats: K annihilates the constants.
     """
 
     dofs: np.ndarray

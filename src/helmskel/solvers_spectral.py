@@ -19,6 +19,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.blas import zaxpy, zdotc
 
 from . import skeleton as sk
+from .assembly import Coefficients, LocalForms
 from .impedance import _real_op
 from .problem import Problem, monolithic_matrix
 from .traces import SkeletonField
@@ -409,6 +410,10 @@ def infsup_primary(problem: Problem, dense_cap: int = _PRIMARY_DENSE_CAP,
 def _block_norm(A: np.ndarray, W: np.ndarray) -> float:
     """Spectral norm of A whitened by the SPD Gram W = L L^T: ||L^-1 A L^-T||_2.
 
+    The dense fallback of ``continuity_modulus`` (the outer block and
+    subdomain blocks without constant real coefficients), and the oracle
+    that tests hold the closed form of ``_subdomain_block_norm`` to.
+
     A real symmetric A whitens to a real symmetric matrix, whose norm is
     its largest eigenvalue in modulus: the real generalized eigensolve of
     the pencil (A, W) whitens by the real Cholesky factor and finds them.
@@ -421,14 +426,52 @@ def _block_norm(A: np.ndarray, W: np.ndarray) -> float:
     return float(sla.svdvals(_whitened(np.linalg.cholesky(W), A)).max())
 
 
+# Relative slack of the test kappa^2 gamma^2 >= 1/mu: the default
+# kappa^2 = k^2 with gamma = 1/k rounds to either side of 1.
+_CLOSED_FORM_SLACK = 8 * np.finfo(float).eps
+
+
+def _subdomain_block_norm(lf: LocalForms, coeffs: Coefficients) -> float:
+    """Whitened norm of one subdomain block: the closed form of
+    ``continuity_modulus`` for constant real coefficients, else the dense
+    ``_block_norm``."""
+    ksq, mu = coeffs.kappa_sq, complex(coeffs.mu)
+    if callable(ksq) or complex(ksq).imag or mu.imag:
+        return _block_norm(lf.A.toarray(), lf.H.toarray())
+    ksq, mu_inv, g2 = complex(ksq).real, 1.0 / mu.real, coeffs.gamma ** 2
+    at_zero = abs(ksq) * g2
+    if mu_inv <= ksq * g2 * (1.0 + _CLOSED_FORM_SLACK):
+        return max(at_zero, mu_inv)
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, lf.n_dofs)
+    lam = spla.eigsh(lf.K, k=1, M=lf.M, which="LA", v0=v0, tol=0,
+                     return_eigenvectors=False)[0]
+    return max(at_zero, abs((lam * mu_inv - ksq) / (lam + 1.0 / g2)))
+
+
 def continuity_modulus(problem: Problem) -> float:
     """Operator norm of the block-diagonal form in the block trace norms.
 
     Block diagonality makes this the maximum over blocks of the whitened
     block norm: the boundary block in the (T, T^-1) pair norm, each
-    subdomain in its volume norm.  Lossless blocks (a real symmetric
-    form) take a real symmetric eigensolve, absorbing ones a complex SVD;
-    the Cholesky factors stay real either way (see ``_block_norm``).
+    subdomain in its volume norm.
+
+    A subdomain block with a constant real kappa^2 and a real mu has a
+    closed-form norm.  Its form is A = mu^-1 K - kappa^2 M in the Gram
+    H = K + gamma^-2 M, so its whitened eigenvalues are
+    f(lam) = (lam / mu - kappa^2) / (lam + gamma^-2) over the spectrum of
+    the pencil (K, M).  The local forms carry no boundary condition, so K
+    annihilates the constants and lam = 0 is attained.  f is monotone on
+    [0, inf), so the norm is max(|kappa^2| gamma^2, |f(lam_max)|).
+
+    When 1/mu <= kappa^2 gamma^2, f rises from -kappa^2 gamma^2 towards
+    1/mu, so every block has the norm kappa^2 gamma^2 and none is touched.
+    That comparison allows a few ulps, because the defaults kappa^2 = k^2,
+    gamma = 1/k and mu = 1 round to either side of equality; within them
+    the result is max(kappa^2 gamma^2, 1/mu).  Otherwise lam_max of each
+    block comes from one sparse Lanczos solve with a seeded start vector.
+
+    The dense ``_block_norm`` stays for the boundary block and for every
+    subdomain block under a callable or complex kappa^2 or a complex mu.
     """
     Baa, Bap, Bpa, Bpp = problem.bc.a_gamma_blocks()
     t = problem.bc.t_gamma
@@ -436,7 +479,7 @@ def continuity_modulus(problem: Problem) -> float:
     best = _block_norm(np.block([[Baa, Bap], [Bpa, Bpp]]),
                        np.block([[t, Z], [Z, problem.bc.t_inverse()]]))
     for lf in problem.forms:
-        best = max(best, _block_norm(lf.A.toarray(), lf.H.toarray()))
+        best = max(best, _subdomain_block_norm(lf, problem.coeffs))
     return best
 
 

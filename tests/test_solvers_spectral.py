@@ -424,6 +424,12 @@ def _continuity_modulus_complex_svd(problem):
     return best
 
 
+def _absorbing_layer(x, y):
+    # a step layer, as config's absorbing-layer, that every block of the
+    # 2 x 3 partition meets, so every block absorbs
+    return 25.0 * (1.0 + 0.5j * (x >= 0.25))
+
+
 @pytest.mark.parametrize("config,lossless", [
     (dict(bc_kind="robin"), True),
     (dict(bc_kind="dirichlet"), True),
@@ -431,15 +437,78 @@ def _continuity_modulus_complex_svd(problem):
     (dict(bc_kind="mixed"), True),
     (dict(bc_kind="robin", mu=1 + 0.3j), False),
     (dict(bc_kind="dirichlet", kappa_sq=25 + 5j, tgamma="boundary_h1"), False),
+    (dict(bc_kind="robin", kappa_sq=_absorbing_layer), False),
 ])
 def test_continuity_modulus_against_complex_svd(config, lossless):
     from helmskel.solvers_spectral import continuity_modulus
 
     p = build_problem(12, 12, 2, 3, k=5.0, **config)
-    # lossless volume blocks take the real eigensolve, absorbing ones the SVD
+    # lossless volume blocks take the closed form, absorbing ones the
+    # dense SVD
     assert all(np.any(lf.A.toarray().imag) != lossless for lf in p.forms)
     want = _continuity_modulus_complex_svd(p)
     assert abs(continuity_modulus(p) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("px,py", [(1, 1), (2, 3), (4, 4)])
+@pytest.mark.parametrize("config,bc_kind", [
+    (dict(mu=0.5, kappa_sq=0.0, gamma=0.05), "robin"),     # k^2 g^2 < 1/mu
+    (dict(), "neumann"),                                   # = 1/mu, defaults
+    (dict(k=7.0), "dirichlet"),                            # rounds below 1
+    (dict(mu=2.0), "mixed"),                               # > 1/mu
+    (dict(gamma=1.0), "robin"),                            # > 1/mu
+    (dict(kappa_sq=-10.0), "dirichlet"),                   # negative real
+    (dict(kappa_sq=-50.0), "neumann"),                     # |f(0)| sets it
+])
+def test_subdomain_closed_form_against_dense_block_norm(px, py, config, bc_kind):
+    from helmskel.solvers_spectral import _block_norm, _subdomain_block_norm
+
+    config = {"k": 5.0, **config}
+    p = build_problem(12, 12, px, py, bc_kind=bc_kind, **config)
+    for lf in p.forms:
+        # the closed form rests on every block floating: K kills constants
+        K = lf.K.toarray()
+        assert np.abs(K @ np.ones(lf.n_dofs)).max() <= 1e-13 * np.abs(K).max()
+        want = _block_norm(lf.A.toarray(), lf.H.toarray())
+        assert abs(_subdomain_block_norm(lf, p.coeffs) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("k", [5.0, 7.0])   # k^2 (1/k)^2 rounds above, below 1
+def test_continuity_modulus_defaults_solve_no_subdomain_block(monkeypatch, k):
+    import helmskel.solvers_spectral as ss
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve on a subdomain block")
+
+    sizes = []
+
+    def outer_only(A, W):
+        sizes.append(len(A))
+        return 0.5
+
+    p = build_problem(12, 12, 2, 2, k=k)
+    monkeypatch.setattr(ss.spla, "eigsh", refuse)
+    monkeypatch.setattr(ss.sla, "eigh", refuse)
+    monkeypatch.setattr(ss, "_block_norm", outer_only)
+    assert abs(ss.continuity_modulus(p) - 1.0) <= 1e-15
+    assert sizes == [2 * p.n_gamma]
+
+
+def test_continuity_modulus_one_seeded_eigensolve_per_block(monkeypatch):
+    import helmskel.solvers_spectral as ss
+
+    calls = []
+    eigsh = ss.spla.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return eigsh(*args, **kwargs)
+
+    p = build_problem(12, 12, 2, 3, k=5.0, mu=0.5, kappa_sq=0.0, gamma=0.05)
+    monkeypatch.setattr(ss.spla, "eigsh", counted)
+    first = ss.continuity_modulus(p)
+    assert calls == [lf.n_dofs for lf in p.forms]
+    assert ss.continuity_modulus(p) == first
 
 
 def test_continuity_modulus_observed_across_partitions():
