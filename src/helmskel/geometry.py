@@ -209,29 +209,16 @@ def build_rect_mesh(nx: int, ny: int, width: float = 1.0, height: float = 1.0) -
     X, Y = np.meshgrid(xs, ys)          # row-major: vertex id = j*(nx+1) + i
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
+    v = np.arange((ny + 1) * (nx + 1), dtype=np.int64).reshape(ny + 1, nx + 1)
+    v00, v10, v01, v11 = v[:-1, :-1], v[:-1, 1:], v[1:, :-1], v[1:, 1:]
+    # cell (i, j) gives (v00, v10, v11) then (v00, v11, v01), cells row by row
+    triangles = np.stack([np.stack([v00, v10, v11], axis=-1),
+                          np.stack([v00, v11, v01], axis=-1)], axis=2).reshape(-1, 3)
 
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    triangles = np.array(tris, dtype=np.int64)
-
-    edges = []
-    for i in range(nx):
-        edges.append((vid(i, 0), vid(i + 1, 0)))            # bottom
-    for j in range(ny):
-        edges.append((vid(nx, j), vid(nx, j + 1)))          # right
-    for i in range(nx, 0, -1):
-        edges.append((vid(i, ny), vid(i - 1, ny)))          # top
-    for j in range(ny, 0, -1):
-        edges.append((vid(0, j), vid(0, j - 1)))            # left
-    boundary_edges = np.array(edges, dtype=np.int64)
-    boundary_tags = np.full(len(edges), "D", dtype="<U1")
+    # counterclockwise loop from the origin: bottom, right, top, left
+    ring = np.concatenate([v[0, :nx], v[:ny, nx], v[ny, nx:0:-1], v[ny:0:-1, 0]])
+    boundary_edges = np.column_stack([ring, np.roll(ring, -1)])
+    boundary_tags = np.full(len(ring), "D", dtype="<U1")
 
     return Mesh(vertices, triangles, boundary_edges, boundary_tags,
                 nx=nx, ny=ny, width=float(width), height=float(height))
@@ -292,17 +279,23 @@ def partition_checkerboard(mesh: Mesh, px: int, py: int) -> Partition:
     sub_of_tri = bj * px + bi
 
     J = px * py
+    nv = mesh.num_vertices
     boundary_dofs = []
     interior_dofs = []
-    for j in range(J):
-        tris = mesh.triangles[sub_of_tri == j]
+    # triangles grouped by subdomain, in mesh order within each group
+    order = np.argsort(sub_of_tri, kind="stable")
+    groups = np.split(mesh.triangles[order],
+                      np.cumsum(np.bincount(sub_of_tri, minlength=J))[:-1])
+    for tris in groups:
         verts = np.unique(tris)
         # An edge used by exactly one subdomain triangle lies on the
-        # subdomain boundary (outer boundary or interface).
-        e = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-        e = np.sort(e, axis=1)
-        uniq, counts = np.unique(e, axis=0, return_counts=True)
-        bverts = np.unique(uniq[counts == 1])
+        # subdomain boundary (outer boundary or interface).  Each edge is
+        # counted by one key a*nv + b of its sorted vertex pair.
+        a, b = tris, tris[:, [1, 2, 0]]
+        keys, counts = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
+                                 return_counts=True)
+        once = keys[counts == 1]
+        bverts = np.unique(np.concatenate([once // nv, once % nv]))
         boundary_dofs.append(bverts)
         interior_dofs.append(np.setdiff1d(verts, bverts))
 

@@ -7,6 +7,11 @@ boundary dofs, i.e. the discrete Dirichlet-to-Neumann map of the operator
 bounded exterior, so two SPD surrogates are provided: the Schur complement
 of a one-cell exterior collar mesh (default), and a boundary H1 matrix.
 
+Every Schur complement is read off a sparse factor: H is factored with
+its boundary dofs last and no pivoting, which SPD allows, and T is the
+trailing block of that factor (``schur_dtn``).  No dense solve against
+the boundary columns is made.
+
 The induced norms ||v||_T and ||q||_T^-1 are the working metric of the
 whole skeleton formulation; the Cholesky factors of the blocks double as
 the whitening transform used by Krylov solvers and the spectral harness.
@@ -49,6 +54,38 @@ def _splu_spd(A: sp.spmatrix):
                      options=dict(SymmetricMode=True))
 
 
+def _trailing_schur(Hc: sp.csc_matrix, pos: np.ndarray, n_interior: int) -> np.ndarray:
+    """Schur complement of a real SPD matrix onto its rows and columns from
+    ``n_interior`` on, read off one unpivoted factor.
+
+    Row and column i of ``Hc`` move to ``pos[i]``, which must leave the
+    trailing rows where they are.  The permuted matrix is factored in that
+    order (no column reordering, no row pivoting) as L U with L unit lower
+    triangular.  Gaussian elimination of the leading rows leaves their Schur
+    complement as the trailing block L_bb U_bb, and a symmetric matrix has
+    U = diag(U) L^T, so the complement is U_bb^T diag(U_bb)^-1 U_bb.  Only
+    the trailing columns of U are read; the factor is dropped on return.
+    """
+    n, ni = Hc.shape[0], n_interior
+    C = Hc.tocoo()
+    lu = spla.splu(sp.csc_matrix((C.data, (pos[C.row], pos[C.col])), shape=(n, n)),
+                   permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
+    ident = np.arange(n)
+    if not (np.array_equal(lu.perm_r, ident) and np.array_equal(lu.perm_c, ident)):
+        raise RuntimeError("the boundary-last factor of H was pivoted or reordered, "
+                           "so its trailing block is not the Schur complement; "
+                           "H should be SPD")
+    U = lu.U
+    a = U.indptr[ni]
+    rows = U.indices[a:] - ni
+    cols = np.repeat(np.arange(n - ni), np.diff(U.indptr[ni:]))
+    keep = rows >= 0
+    U_bb = np.zeros((n - ni, n - ni))
+    U_bb[rows[keep], cols[keep]] = U.data[a:][keep]
+    return U_bb.T @ (U_bb / np.diag(U_bb)[:, None])
+
+
 def schur_dtn(H: sp.spmatrix, n_interior: int):
     """Schur complement of an SPD matrix onto its trailing boundary block.
 
@@ -56,21 +93,30 @@ def schur_dtn(H: sp.spmatrix, n_interior: int):
     interior factorization and the sparse coupling H_ib (both reused for
     harmonic lifting), or None for both when the block has no interior
     dofs.
+
+    T is not formed by solving the interior factor against the n_b
+    columns of H_ib.  H is factored once more, with the interior dofs in
+    the column order of the interior factor and the boundary dofs last,
+    and T is the trailing block of that factor (see ``_trailing_schur``).
+    The factor takes its pivots on the diagonal in the given order, which
+    is safe because H is SPD: each reduced matrix of the elimination is SPD
+    again, so every pivot is positive and no entry grows past the largest
+    diagonal entry of H.  A factor that was pivoted or reordered anyway
+    raises ``RuntimeError`` instead of giving a wrong T.
     """
     n = H.shape[0]
     ni = n_interior
     Hc = H.tocsc()
-    H_bb = Hc[ni:, ni:].toarray()
     if ni == 0:
-        return H_bb, None, None
+        return Hc.toarray(), None, None
     H_ii = Hc[:ni, :ni]
     H_ib = Hc[:ni, ni:].tocsr()
     try:
         lu = _splu_spd(H_ii)
     except RuntimeError as exc:  # pragma: no cover - signals an assembly bug
         raise RuntimeError("interior block of H is singular; H should be SPD") from exc
-    dense = H_ib.toarray()
-    T = H_bb - dense.T @ lu.solve(dense)
+    # SuperLU factors A Pc with column i of A at position perm_c[i]
+    T = _trailing_schur(Hc, np.concatenate([lu.perm_c, np.arange(ni, n)]), ni)
     T = 0.5 * (T + T.T)
     return T, lu, H_ib
 
@@ -107,9 +153,12 @@ def _real_op(op, v: np.ndarray) -> np.ndarray:
 class DtnBlock:
     """Boundary impedance of one subdomain plus its harmonic lifting.
 
-    ``lift`` extends boundary data by the discrete (-Laplace + gamma^-2)
-    harmonic function; ``lift_adjoint`` pairs a volume functional against
-    the lifting basis.  Both reuse the interior factorization of H.
+    ``T`` is the Schur complement of H onto the boundary dofs, from
+    :func:`schur_dtn`: the trailing block of an unpivoted, boundary-last
+    factor of H, which is dropped once T is read.  ``lift`` extends boundary
+    data by the discrete (-Laplace + gamma^-2) harmonic function;
+    ``lift_adjoint`` pairs a volume functional against the lifting basis.
+    Both use the factor of the interior block H_ii that ``schur_dtn`` keeps.
     """
 
     def __init__(self, forms: LocalForms):
@@ -176,14 +225,9 @@ def boundary_h1_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> n
     return 0.5 * (T + T.T)
 
 
-def collar_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> np.ndarray:
-    """Exterior-collar surrogate for the outer impedance.
-
-    Meshes a one-cell-thick ring around the rectangle with the same grid
-    spacing, assembles K + gamma^-2 M on it with the natural condition on
-    the outer rim, and eliminates every collar dof except those matching
-    the boundary vertices.  The result is real SPD by construction.
-    """
+def _collar_forms(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> LocalForms:
+    """Forms of the one-cell exterior collar, with ``n_interior`` its dofs
+    off the boundary and the boundary vertices last, in ``gamma_dofs`` order."""
     dx = mesh.width / mesh.nx
     dy = mesh.height / mesh.ny
     big = build_rect_mesh(mesh.nx + 2, mesh.ny + 2,
@@ -196,23 +240,30 @@ def collar_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> np.nda
     ring_ids = np.flatnonzero(~inside)
     ring_verts = np.unique(big.triangles[ring_ids])
 
-    # Match ring vertices on the inner rim to the mesh boundary dofs.
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(big.vertices[ring_verts])
-    targets = mesh.vertices[gamma_dofs]
-    dist, idx = tree.query(targets)
+    # Boundary vertex (i, j) of the mesh is vertex (i+1, j+1) of the collar grid.
+    j, i = np.divmod(gamma_dofs, mesh.nx + 1)
+    inner = (j + 1) * (mesh.nx + 3) + i + 1
     tol = 1e-9 * max(mesh.width, mesh.height)
-    if np.any(dist > tol):
+    if not np.allclose(big.vertices[inner], mesh.vertices[gamma_dofs], rtol=0, atol=tol):
         raise RuntimeError("collar mesh does not line up with the boundary")
-    inner = ring_verts[idx]
 
-    # Assemble H on the ring with dofs ordered exterior first so the
-    # Schur elimination lands on the boundary block.
+    # Order the ring dofs exterior first so the Schur elimination lands on
+    # the boundary block.
     others = np.setdiff1d(ring_verts, inner)
-    lf = _assemble_on(big, ring_ids, np.concatenate([others, inner]), len(others),
-                      Coefficients(k=1.0, gamma=gamma))
-    T, _, _ = schur_dtn(lf.H, len(others))
+    return _assemble_on(big, ring_ids, np.concatenate([others, inner]), len(others),
+                        Coefficients(k=1.0, gamma=gamma))
+
+
+def collar_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> np.ndarray:
+    """Exterior-collar surrogate for the outer impedance.
+
+    Meshes a one-cell-thick ring around the rectangle with the same grid
+    spacing, assembles K + gamma^-2 M on it with the natural condition on
+    the outer rim, and eliminates every collar dof except those matching
+    the boundary vertices.  The result is real SPD by construction.
+    """
+    lf = _collar_forms(mesh, gamma_dofs, gamma)
+    T, _, _ = schur_dtn(lf.H, lf.n_interior)
     return T
 
 

@@ -377,8 +377,9 @@ def _primary_extremes_iterative(problem: Problem, tol: float = 1e-8):
     W = spla.LinearOperator((n, n), matvec=w_mat, dtype=complex)
     Winv = spla.LinearOperator((n, n), matvec=w_inv, dtype=complex)
 
+    AH = A.conj().T
     K = spla.LinearOperator((n, n), dtype=complex,
-                            matvec=lambda x: A.conj().T @ w_inv(A @ x))
+                            matvec=lambda x: AH @ w_inv(A @ x))
     lam_max = spla.eigsh(K, k=1, M=W, Minv=Winv, which="LA", v0=v0,
                          return_eigenvectors=False, tol=tol)[0]
 
@@ -410,9 +411,10 @@ def infsup_primary(problem: Problem, dense_cap: int = _PRIMARY_DENSE_CAP,
 def _block_norm(A: np.ndarray, W: np.ndarray) -> float:
     """Spectral norm of A whitened by the SPD Gram W = L L^T: ||L^-1 A L^-T||_2.
 
-    The dense fallback of ``continuity_modulus`` (the outer block and
+    The dense fallback of ``continuity_modulus`` (the mixed outer block and
     subdomain blocks without constant real coefficients), and the oracle
-    that tests hold the closed form of ``_subdomain_block_norm`` to.
+    that tests hold the closed forms of ``_outer_block_norm`` and
+    ``_subdomain_block_norm`` to.
 
     A real symmetric A whitens to a real symmetric matrix, whose norm is
     its largest eigenvalue in modulus: the real generalized eigensolve of
@@ -448,6 +450,30 @@ def _subdomain_block_norm(lf: LocalForms, coeffs: Coefficients) -> float:
     return max(at_zero, abs((lam * mu_inv - ksq) / (lam + 1.0 / g2)))
 
 
+def _outer_block_norm(bc) -> float:
+    """Whitened norm of the boundary block in the pair norm (T, T^-1).
+
+    Whitened by the symmetric square root of W = diag(T, T^-1), the
+    Dirichlet swap stays the swap and the Neumann block T^-1 on the
+    multiplier becomes the identity: both have norm 1.  Robin adds the
+    trace block -i lam, which whitens to -i T^-1/2 lam T^-1/2; for a real
+    symmetric lam (positive definite, as the condition checks) its norm is
+    the top eigenvalue of the pencil (lam, T).  The mixed condition, and a
+    robin lam that is not real symmetric, keep the dense ``_block_norm``.
+    """
+    if bc.kind in ("dirichlet", "neumann"):
+        return 1.0
+    if bc.kind == "robin" and np.isrealobj(bc.lam) and np.array_equal(bc.lam, bc.lam.T):
+        n = bc.n
+        top = sla.eigh(bc.lam, bc.t_gamma, eigvals_only=True,
+                       subset_by_index=[n - 1, n - 1], check_finite=False)[0]
+        return max(1.0, float(top))
+    Baa, Bap, Bpa, Bpp = bc.a_gamma_blocks()
+    Z = np.zeros_like(bc.t_gamma)
+    return _block_norm(np.block([[Baa, Bap], [Bpa, Bpp]]),
+                       np.block([[bc.t_gamma, Z], [Z, bc.t_inverse()]]))
+
+
 def continuity_modulus(problem: Problem) -> float:
     """Operator norm of the block-diagonal form in the block trace norms.
 
@@ -470,14 +496,12 @@ def continuity_modulus(problem: Problem) -> float:
     the result is max(kappa^2 gamma^2, 1/mu).  Otherwise lam_max of each
     block comes from one sparse Lanczos solve with a seeded start vector.
 
-    The dense ``_block_norm`` stays for the boundary block and for every
-    subdomain block under a callable or complex kappa^2 or a complex mu.
+    The boundary block has a closed form too, except under the mixed
+    condition (see ``_outer_block_norm``).  The dense ``_block_norm`` stays
+    for the mixed boundary block and for every subdomain block under a
+    callable or complex kappa^2 or a complex mu.
     """
-    Baa, Bap, Bpa, Bpp = problem.bc.a_gamma_blocks()
-    t = problem.bc.t_gamma
-    Z = np.zeros_like(t)
-    best = _block_norm(np.block([[Baa, Bap], [Bpa, Bpp]]),
-                       np.block([[t, Z], [Z, problem.bc.t_inverse()]]))
+    best = _outer_block_norm(problem.bc)
     for lf in problem.forms:
         best = max(best, _subdomain_block_norm(lf, problem.coeffs))
     return best

@@ -48,6 +48,56 @@ def test_boundary_edges_unique_to_one_triangle():
         assert c == (1 if e in boundary else 2)
 
 
+def _loop_mesh_arrays(nx, ny):
+    """Oracle: triangles and boundary edges built vertex by vertex."""
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    edges = []
+    for i in range(nx):
+        edges.append((vid(i, 0), vid(i + 1, 0)))            # bottom
+    for j in range(ny):
+        edges.append((vid(nx, j), vid(nx, j + 1)))          # right
+    for i in range(nx, 0, -1):
+        edges.append((vid(i, ny), vid(i - 1, ny)))          # top
+    for j in range(ny, 0, -1):
+        edges.append((vid(0, j), vid(0, j - 1)))            # left
+    return np.array(tris, dtype=np.int64), np.array(edges, dtype=np.int64)
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (1, 4), (5, 3), (7, 5)])
+def test_rect_mesh_matches_loop_oracle(nx, ny):
+    mesh = build_rect_mesh(nx, ny, 2.0)
+    tris, edges = _loop_mesh_arrays(nx, ny)
+    for got, want in ((mesh.triangles, tris), (mesh.boundary_edges, edges)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert mesh.boundary_tags.dtype == np.dtype("<U1")
+    np.testing.assert_array_equal(mesh.boundary_tags, np.full(len(edges), "D"))
+
+
+@pytest.mark.parametrize("nx,ny,px,py", [
+    (2, 2, 1, 1), (6, 4, 2, 2), (7, 5, 7, 5), (30, 20, 3, 2), (16, 16, 8, 8)])
+def test_partition_matches_row_unique_oracle(nx, ny, px, py):
+    mesh = build_rect_mesh(nx, ny, 2.0)
+    part = partition_checkerboard(mesh, px, py)
+    for j, (bdofs, idofs) in enumerate(zip(part.boundary_dofs, part.interior_dofs)):
+        tris = mesh.triangles[part.subdomain_of_triangle == j]
+        e = np.sort(np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
+        uniq, counts = np.unique(e, axis=0, return_counts=True)
+        want = np.unique(uniq[counts == 1])
+        assert bdofs.dtype == want.dtype
+        np.testing.assert_array_equal(bdofs, want)
+        np.testing.assert_array_equal(idofs, np.setdiff1d(np.unique(tris), want))
+
+
 def test_checkerboard_basic():
     mesh = build_rect_mesh(2, 2)
     part = partition_checkerboard(mesh, 2, 2)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from helmskel.assembly import Coefficients, assemble_subdomain
 from helmskel.geometry import build_rect_mesh, partition_checkerboard
-from helmskel.impedance import (BlockImpedance, DtnBlock, boundary_h1_impedance,
-                                boundary_mass, boundary_stiffness, collar_impedance,
-                                schur_dtn)
+from helmskel.impedance import (BlockImpedance, DtnBlock, _collar_forms,
+                                boundary_h1_impedance, boundary_mass, boundary_stiffness,
+                                collar_impedance, schur_dtn)
 from helmskel.problem import build_problem
 
 
@@ -27,6 +28,46 @@ def test_dtn_norm_equals_lift_energy(ref_problem, rng):
             lhs = float(np.real(np.conj(v) @ (dtn.T @ v)))
             rhs = dtn.h_energy(dtn.lift(v))
             assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
+def _dense_schur(H, ni):
+    H = H.toarray()
+    return H[ni:, ni:] - H[ni:, :ni] @ np.linalg.solve(H[:ni, :ni], H[:ni, ni:])
+
+
+def _forms_of(nx, ny, px, py):
+    mesh = build_rect_mesh(nx, ny)
+    part = partition_checkerboard(mesh, px, py)
+    return [assemble_subdomain(mesh, part, j, Coefficients(k=10.0))
+            for j in range(part.num_subdomains)]
+
+
+def _collar_of(mesh):
+    return _collar_forms(mesh, np.unique(mesh.boundary_edges), 0.1)
+
+
+@pytest.mark.parametrize("forms", [
+    pytest.param(lambda: _forms_of(32, 32, 8, 8)[:1], id="8x8-block"),
+    pytest.param(lambda: _forms_of(32, 32, 2, 2)[:1], id="2x2-block"),
+    pytest.param(lambda: _forms_of(30, 20, 3, 2), id="30x20-3x2-blocks"),
+    pytest.param(lambda: [_collar_of(build_rect_mesh(12, 8, 1.5, 1.0))], id="collar-ring"),
+])
+def test_schur_dtn_matches_dense_formula(forms):
+    for lf in forms():
+        T, lu, H_ib = schur_dtn(lf.H, lf.n_interior)
+        want = _dense_schur(lf.H, lf.n_interior)
+        assert np.abs(T - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(T, T.T)
+        assert lu.shape == (lf.n_interior, lf.n_interior)
+        assert (H_ib != lf.H.tocsr()[:lf.n_interior, lf.n_interior:]).nnz == 0
+
+
+def test_schur_dtn_refuses_a_pivoted_factor():
+    # symmetric indefinite: the zero diagonal of the interior block forces
+    # SuperLU to pivot, so the trailing block is no Schur complement
+    H = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 2.0]]))
+    with pytest.raises(RuntimeError, match="pivoted or reordered"):
+        schur_dtn(H, 2)
 
 
 def test_no_interior_block_is_plain_gram():

@@ -482,16 +482,36 @@ def test_continuity_modulus_defaults_solve_no_subdomain_block(monkeypatch, k):
 
     sizes = []
 
-    def outer_only(A, W):
-        sizes.append(len(A))
+    def outer_only(bc):
+        sizes.append(bc.n)
         return 0.5
 
     p = build_problem(12, 12, 2, 2, k=k)
     monkeypatch.setattr(ss.spla, "eigsh", refuse)
     monkeypatch.setattr(ss.sla, "eigh", refuse)
-    monkeypatch.setattr(ss, "_block_norm", outer_only)
+    monkeypatch.setattr(ss, "_block_norm", refuse)
+    monkeypatch.setattr(ss, "_outer_block_norm", outer_only)
     assert abs(ss.continuity_modulus(p) - 1.0) <= 1e-15
-    assert sizes == [2 * p.n_gamma]
+    assert sizes == [p.n_gamma]
+
+
+@pytest.mark.parametrize("tgamma", ["collar", "boundary_h1"])
+@pytest.mark.parametrize("bc_kind,lambda_scale", [
+    ("robin", 1.0), ("robin", 30.0), ("dirichlet", 1.0), ("neumann", 1.0)])
+def test_outer_closed_form_against_dense_block_norm(tgamma, bc_kind, lambda_scale):
+    from helmskel.solvers_spectral import _block_norm, _outer_block_norm
+
+    p = build_problem(12, 12, 2, 2, k=5.0, bc_kind=bc_kind, tgamma=tgamma,
+                      lambda_scale=lambda_scale)
+    bc = p.bc
+    Baa, Bap, Bpa, Bpp = bc.a_gamma_blocks()
+    Z = np.zeros_like(bc.t_gamma)
+    want = _block_norm(np.block([[Baa, Bap], [Bpa, Bpp]]),
+                       np.block([[bc.t_gamma, Z], [Z, bc.t_inverse()]]))
+    # robin at lambda_scale 30 sets the norm well above 1 (70.4 with the
+    # collar, 30.0 with boundary_h1); the others give 1 up to rounding
+    assert want > (20.0 if lambda_scale > 1 else 0.99)
+    assert abs(_outer_block_norm(bc) - want) <= 1e-13 * want
 
 
 def test_continuity_modulus_one_seeded_eigensolve_per_block(monkeypatch):
