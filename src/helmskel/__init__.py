@@ -22,8 +22,7 @@ from .skeleton import (AssumptionViolation, CauchyPair, ExchangeOperator,
 from .solvers_spectral import (SolveReport, SpectralReport, dense_operator,
                                dirichlet_resonance, gmres_tinv, infsup_primary,
                                richardson, sweep_wavenumber, verify_estimates)
-from .traces import (SkeletonField, VolumeTuple, duality_pair, harmonic_lift,
-                     single_trace_adjoint, single_trace_embed, skew_pair,
-                     trace_adjoint, trace_apply)
+from .traces import (SkeletonField, VolumeTuple, duality_pair, single_trace_adjoint,
+                     single_trace_embed, skew_pair, trace_adjoint, trace_apply)
 
 __version__ = "0.1.0"

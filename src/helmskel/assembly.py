@@ -97,10 +97,6 @@ class LocalForms:
     def n_dofs(self) -> int:
         return len(self.dofs)
 
-    @property
-    def n_boundary(self) -> int:
-        return len(self.dofs) - self.n_interior
-
 
 def _element_matrices(mesh: Mesh, tri_ids: np.ndarray, coeffs: Coefficients):
     """Vectorized element stiffness, mass and kappa^2-weighted mass."""

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import _SIDES
+from .geometry import build_rect_mesh
+from .problem import _SIDES, build_problem, make_load
+from .solvers_spectral import dirichlet_resonance
 
 __all__ = ["ProblemConfig", "ConfigError", "parse_config", "problem_from_config",
            "load_from_config"]
@@ -206,10 +208,6 @@ def manufactured_solution(cfg: ProblemConfig):
 
 def problem_from_config(cfg: ProblemConfig):
     """Build the Problem described by a config, resolving kappa modes."""
-    from .geometry import build_rect_mesh
-    from .problem import build_problem
-    from .solvers_spectral import dirichlet_resonance
-
     kappa_sq = None
     if cfg.kappa_mode == "zero":
         kappa_sq = 0.0
@@ -237,8 +235,6 @@ def load_from_config(cfg: ProblemConfig, problem):
     whose solution vanishes on the boundary); the Neumann functional is
     ``g_n`` times the boundary mass applied to ones.
     """
-    from .problem import make_load
-
     ones = np.ones(problem.n_gamma)
     g_d = (0.0 if cfg.source == "manufactured" else cfg.g_d) * ones
     return make_load(problem, source_function(cfg, problem), g_d=g_d,

@@ -10,7 +10,9 @@ of a one-cell exterior collar mesh (default), and a boundary H1 matrix.
 Every Schur complement is read off a sparse factor: H is factored with
 its boundary dofs last and no pivoting, which SPD allows, and T is the
 trailing block of that factor (``schur_dtn``).  No dense solve against
-the boundary columns is made.
+the boundary columns is made, and no factor of H is kept: the skeleton
+operators need only the blocks T_b, so a built problem holds no interior
+factor and no harmonic lifting.
 
 The induced norms ||v||_T and ||q||_T^-1 are the working metric of the
 whole skeleton formulation; the Cholesky factors of the blocks double as
@@ -86,39 +88,34 @@ def _trailing_schur(Hc: sp.csc_matrix, pos: np.ndarray, n_interior: int) -> np.n
     return U_bb.T @ (U_bb / np.diag(U_bb)[:, None])
 
 
-def schur_dtn(H: sp.spmatrix, n_interior: int):
-    """Schur complement of an SPD matrix onto its trailing boundary block.
+def schur_dtn(H: sp.spmatrix, n_interior: int) -> np.ndarray:
+    """Schur complement T = H_bb - H_bi H_ii^-1 H_ib of an SPD matrix onto
+    its trailing boundary block; H itself when it has no interior dofs.
 
-    Returns the dense boundary operator T = H_bb - H_bi H_ii^-1 H_ib, the
-    interior factorization and the sparse coupling H_ib (both reused for
-    harmonic lifting), or None for both when the block has no interior
-    dofs.
-
-    T is not formed by solving the interior factor against the n_b
-    columns of H_ib.  H is factored once more, with the interior dofs in
-    the column order of the interior factor and the boundary dofs last,
-    and T is the trailing block of that factor (see ``_trailing_schur``).
-    The factor takes its pivots on the diagonal in the given order, which
-    is safe because H is SPD: each reduced matrix of the elimination is SPD
-    again, so every pivot is positive and no entry grows past the largest
-    diagonal entry of H.  A factor that was pivoted or reordered anyway
-    raises ``RuntimeError`` instead of giving a wrong T.
+    T is not formed by solving an interior factor against the n_b columns
+    of H_ib.  H is factored once, with the interior dofs in the column order
+    of a fill-reducing factor of H_ii and the boundary dofs last, and T is
+    the trailing block of that factor (see ``_trailing_schur``).  The
+    interior factor is made only for its column order and, like the
+    boundary-last factor, is dropped on return.  The factor takes its pivots
+    on the diagonal in the given order, which is safe because H is SPD: each
+    reduced matrix of the elimination is SPD again, so every pivot is
+    positive and no entry grows past the largest diagonal entry of H.  A
+    factor that was pivoted or reordered anyway raises ``RuntimeError``
+    instead of giving a wrong T.
     """
     n = H.shape[0]
     ni = n_interior
     Hc = H.tocsc()
     if ni == 0:
-        return Hc.toarray(), None, None
-    H_ii = Hc[:ni, :ni]
-    H_ib = Hc[:ni, ni:].tocsr()
+        return Hc.toarray()
     try:
-        lu = _splu_spd(H_ii)
+        perm_c = _splu_spd(Hc[:ni, :ni]).perm_c
     except RuntimeError as exc:  # pragma: no cover - signals an assembly bug
         raise RuntimeError("interior block of H is singular; H should be SPD") from exc
     # SuperLU factors A Pc with column i of A at position perm_c[i]
-    T = _trailing_schur(Hc, np.concatenate([lu.perm_c, np.arange(ni, n)]), ni)
-    T = 0.5 * (T + T.T)
-    return T, lu, H_ib
+    T = _trailing_schur(Hc, np.concatenate([perm_c, np.arange(ni, n)]), ni)
+    return 0.5 * (T + T.T)
 
 
 def _real_columns(v: np.ndarray) -> np.ndarray:
@@ -151,40 +148,14 @@ def _real_op(op, v: np.ndarray) -> np.ndarray:
 
 
 class DtnBlock:
-    """Boundary impedance of one subdomain plus its harmonic lifting.
+    """Boundary impedance ``T`` of one subdomain: the Schur complement of
+    its volume norm Gram H onto the boundary dofs, from :func:`schur_dtn`.
 
-    ``T`` is the Schur complement of H onto the boundary dofs, from
-    :func:`schur_dtn`: the trailing block of an unpivoted, boundary-last
-    factor of H, which is dropped once T is read.  ``lift`` extends boundary
-    data by the discrete (-Laplace + gamma^-2) harmonic function;
-    ``lift_adjoint`` pairs a volume functional against the lifting basis.
-    Both use the factor of the interior block H_ii that ``schur_dtn`` keeps.
+    Only T is kept; no factor of H outlives the build.
     """
 
     def __init__(self, forms: LocalForms):
-        self.n_interior = forms.n_interior
-        self.n_boundary = forms.n_boundary
-        self.H = forms.H
-        self.T, self._interior_lu, self._H_ib = schur_dtn(forms.H, forms.n_interior)
-
-    def lift(self, v: np.ndarray) -> np.ndarray:
-        """Harmonic extension of boundary values v into the full local vector."""
-        if self.n_interior == 0:
-            return np.asarray(v, dtype=complex).copy()
-        u_i = -_real_op(self._interior_lu.solve, _real_op(self._H_ib.dot, v))
-        return np.concatenate([u_i, v]).astype(complex)
-
-    def lift_adjoint(self, phi: np.ndarray) -> np.ndarray:
-        """Pair a local dual vector with the lifting: (lift)^T phi."""
-        if self.n_interior == 0:
-            return np.asarray(phi, dtype=complex).copy()
-        ni = self.n_interior
-        return phi[ni:] - _real_op(self._H_ib.T.dot,
-                                   _real_op(self._interior_lu.solve, phi[:ni]))
-
-    def h_energy(self, u: np.ndarray) -> float:
-        """Squared volume norm u^H H u of a local vector."""
-        return float(np.real(np.conj(u) @ (self.H @ u)))
+        self.T = schur_dtn(forms.H, forms.n_interior)
 
 
 def _boundary_edge_lengths(mesh: Mesh) -> np.ndarray:
@@ -234,10 +205,11 @@ def _collar_forms(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> LocalForm
                           mesh.width + 2 * dx, mesh.height + 2 * dy)
     big = replace(big, vertices=big.vertices - np.array([dx, dy]))
 
-    cents = big.vertices[big.triangles].mean(axis=1)
-    inside = ((cents[:, 0] > 0) & (cents[:, 0] < mesh.width)
-              & (cents[:, 1] > 0) & (cents[:, 1] < mesh.height))
-    ring_ids = np.flatnonzero(~inside)
+    # the ring is the outermost layer of cells; each cell holds two
+    # consecutive triangles, cells row by row
+    ring = np.ones((mesh.ny + 2, mesh.nx + 2), dtype=bool)
+    ring[1:-1, 1:-1] = False
+    ring_ids = np.flatnonzero(np.repeat(ring.ravel(), 2))
     ring_verts = np.unique(big.triangles[ring_ids])
 
     # Boundary vertex (i, j) of the mesh is vertex (i+1, j+1) of the collar grid.
@@ -263,8 +235,7 @@ def collar_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> np.nda
     the boundary vertices.  The result is real SPD by construction.
     """
     lf = _collar_forms(mesh, gamma_dofs, gamma)
-    T, _, _ = schur_dtn(lf.H, lf.n_interior)
-    return T
+    return schur_dtn(lf.H, lf.n_interior)
 
 
 class BlockImpedance:

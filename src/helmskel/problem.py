@@ -74,7 +74,6 @@ class Problem:
     bc: BoundaryCondition
     forms: tuple
     global_forms: LocalForms = field(repr=False)
-    dtn: tuple = field(repr=False)
     impedance: BlockImpedance = field(repr=False)
     gamma_mass: np.ndarray = field(repr=False)
     exchange: ExchangeOperator = field(repr=False)
@@ -123,7 +122,7 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
     index = skeleton_index(partition)
 
     forms, global_forms = assembly.assemble_forms(mesh, partition, coeffs)
-    dtn = tuple(DtnBlock(lf) for lf in forms)
+    t_omega = [DtnBlock(lf).T for lf in forms]
 
     if tgamma == "collar":
         t_gamma = collar_impedance(mesh, partition.gamma_dofs, coeffs.gamma)
@@ -132,7 +131,7 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
     else:
         raise ValueError(f"unknown tgamma surrogate {tgamma!r}")
 
-    impedance = BlockImpedance([t_gamma] + [d.T for d in dtn])
+    impedance = BlockImpedance([t_gamma] + t_omega)
     m_gamma = boundary_mass(mesh, partition.gamma_dofs)
 
     lam = None
@@ -149,7 +148,7 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
     scattering = ScatteringOperator(partition, solver, impedance)
 
     return Problem(mesh, partition, index, coeffs, bc, forms, global_forms,
-                   dtn, impedance, m_gamma, exchange, solver, scattering)
+                   impedance, m_gamma, exchange, solver, scattering)
 
 
 def make_load(problem: Problem, f=0.0, g_d=None, g_n=None) -> VolumeTuple:

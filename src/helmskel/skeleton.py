@@ -21,8 +21,8 @@ from .assembly import restriction_apply
 from .geometry import Partition, SkeletonIndex
 from .impedance import BlockImpedance, _real_op, _splu_spd
 from .traces import (SkeletonField, VolumeTuple, _nonzero_blocks, _zero_extension,
-                     lift_adjoint, single_trace_adjoint, single_trace_embed,
-                     trace_adjoint, trace_apply)
+                     single_trace_adjoint, single_trace_embed, trace_adjoint,
+                     trace_apply)
 
 __all__ = [
     "AssumptionViolation",
@@ -339,12 +339,20 @@ def kernel_lift(problem, z: np.ndarray) -> SkeletonField:
     """Map a kernel vector of the monolithic operator to the skeleton kernel.
 
     z = (u, p) with the volume part first.  The image is q = p' - iTv with
-    v the traces of the restriction and p' the pairing of the block
-    residual against the harmonic lifting; it satisfies (Id + Pi S) q ~ 0
-    whenever z is (numerically) in the kernel.
+    v = B R z the traces of the restriction and p' = L^T A R z the Neumann
+    trace, the block residual paired against a right inverse L of the trace
+    B.  L is the zero extension, so p' is one gather of the trace rows of
+    A R z.  Any right inverse, the harmonic lifting included, gives the same
+    p' on a kernel vector: two right inverses that leave the multiplier slot
+    zero differ only in interior rows, and the interior rows of A R z
+    vanish there.  An interior dof of subdomain j lies in triangles
+    of j only and off the outer boundary, so its row of A_j R_j z is its row
+    of the monolithic A z, which is zero on the kernel.  So q satisfies
+    (Id + Pi S) q ~ 0 whenever z is (numerically) in the kernel.
     """
-    rz = restriction_apply(problem.partition, z)
-    v = trace_apply(rz, problem.partition)
+    partition = problem.partition
+    rz = restriction_apply(partition, z)
+    v = trace_apply(rz, partition)
     arz = apply_A(problem, rz)
-    p = lift_adjoint(arz, problem.dtn)
+    p = SkeletonField.wrap(arz.data[partition.trace_rows], partition.trace_offsets, "dual")
     return p - 1j * problem.impedance.apply(v)

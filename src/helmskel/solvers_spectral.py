@@ -19,9 +19,9 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.blas import zaxpy, zdotc
 
 from . import skeleton as sk
-from .assembly import Coefficients, LocalForms
+from .assembly import Coefficients, LocalForms, _assemble_on
 from .impedance import _real_op
-from .problem import Problem, monolithic_matrix
+from .problem import Problem, build_problem, monolithic_matrix
 from .traces import SkeletonField
 
 __all__ = [
@@ -578,7 +578,6 @@ def sweep_wavenumber(k_values, px: int = 2, py: int = 2,
     k_values = list(k_values)
     if not k_values:
         raise ValueError("empty wavenumber list")
-    from .problem import build_problem
 
     rows = []
     for k in k_values:
@@ -642,8 +641,6 @@ def dirichlet_resonance(mesh) -> float:
     eigenvalue is simple on a rectangle), which the skeleton operator
     must inherit.
     """
-    from .assembly import Coefficients, _assemble_on
-
     coeffs = Coefficients(k=1.0, kappa_sq=0.0, gamma=1.0)
     glob = _assemble_on(mesh, np.arange(mesh.num_triangles),
                         np.arange(mesh.num_vertices), 0, coeffs)

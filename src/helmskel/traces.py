@@ -10,8 +10,10 @@ The partition owns the volume layout (``Partition.volume_offsets``,
 ``volume_rows`` and ``trace_rows``): the trace ``B`` is one gather of the
 trace rows of a volume tuple (alpha and the boundary dofs of every
 subdomain), and ``B^T`` the scatter of a field into those rows of a zero
-tuple.  All pairings are bilinear: no complex conjugation enters a
-duality bracket, only norms conjugate.
+tuple.  The zero extension, the same scatter applied to a primal field,
+is a right inverse of ``B``; it is the only lifting of traces into the
+volume that the package uses.  All pairings are bilinear: no complex
+conjugation enters a duality bracket, only norms conjugate.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ __all__ = [
     "VolumeTuple",
     "trace_apply",
     "trace_adjoint",
-    "harmonic_lift",
-    "lift_adjoint",
     "single_trace_embed",
     "single_trace_adjoint",
     "duality_pair",
@@ -198,29 +198,6 @@ def trace_adjoint(q: SkeletonField, partition: Partition) -> VolumeTuple:
     if q.kind != "dual":
         raise ValueError("trace_adjoint expects a dual field")
     return _zero_extension(q, partition)
-
-
-def harmonic_lift(v: SkeletonField, dtn_blocks) -> VolumeTuple:
-    """Minimal-norm extension of a primal field into the volume.
-
-    Subdomain blocks are extended by the interior solve of the SPD norm
-    Gram (the discrete homogeneous -Laplace + gamma^-2 equation); the
-    boundary block lifts to (alpha, 0).  The trace of the result is the
-    input again.
-    """
-    if v.kind != "primal":
-        raise ValueError("harmonic_lift expects a primal field")
-    alpha, *rest = v.blocks
-    omega = [dtn.lift(vb) for dtn, vb in zip(dtn_blocks, rest)]
-    return VolumeTuple((alpha, np.zeros(alpha.shape)), omega, "primal")
-
-
-def lift_adjoint(phi: VolumeTuple, dtn_blocks) -> SkeletonField:
-    """Pair a volume functional against the lifting basis, blockwise."""
-    if phi.kind != "dual":
-        raise ValueError("lift_adjoint expects a dual tuple")
-    blocks = [dtn.lift_adjoint(pb) for dtn, pb in zip(dtn_blocks, phi.omega)]
-    return SkeletonField([phi.gamma[0], *blocks], "dual")
 
 
 def single_trace_embed(x: np.ndarray, index: SkeletonIndex) -> SkeletonField:

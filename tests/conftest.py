@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from helmskel import build_problem
 from helmskel.traces import SkeletonField
@@ -29,3 +30,15 @@ def rand_field():
             [rng.standard_normal(n) + 1j * rng.standard_normal(n)
              for n in problem.block_sizes], kind)
     return make
+
+
+@pytest.fixture
+def harmonic_extension():
+    """Discrete (-Laplace + gamma^-2) harmonic extension of boundary values v
+    into a subdomain block: the full local vector, interior first, whose
+    interior part is H_ii^-1 (-H_ib v) for the block's volume norm Gram H."""
+    def extend(forms, v):
+        ni = forms.n_interior
+        H = forms.H.tocsc()
+        return np.concatenate([spla.spsolve(H[:ni, :ni], -(H[:ni, ni:] @ v)), v])
+    return extend

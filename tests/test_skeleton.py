@@ -8,7 +8,7 @@ import helmskel.verification as vf
 from helmskel.assembly import restriction_adjoint, restriction_apply
 from helmskel.problem import build_problem, h1_norm, make_load, monolithic_matrix, solve_monolithic
 from helmskel.traces import (SkeletonField, VolumeTuple, single_trace_adjoint,
-                             single_trace_embed, skew_pair)
+                             single_trace_embed, skew_pair, trace_apply)
 
 
 def _rand_dual(p, rng):
@@ -392,7 +392,9 @@ def test_kernel_lift_zero(ref_problem):
     assert p.impedance.norm(q) == 0.0
 
 
-def test_kernel_lift_at_resonance():
+def _resonant_kernel():
+    """The 8x8/2x2 Dirichlet cavity at its first resonance, and a unit
+    kernel vector of its monolithic operator."""
     from helmskel.geometry import build_rect_mesh
     from helmskel.solvers_spectral import dirichlet_resonance
 
@@ -402,10 +404,64 @@ def test_kernel_lift_at_resonance():
     A = monolithic_matrix(p).toarray()
     _, svals, Vh = np.linalg.svd(A)
     assert svals[-1] <= 1e-10 * svals[0]
-    z = Vh[-1].conj()
+    return p, Vh[-1].conj()
+
+
+def test_kernel_lift_at_resonance():
+    p, z = _resonant_kernel()
     q = sk.kernel_lift(p, z)
     res = p.impedance.norm(sk.skeleton_apply(p, q)) / p.impedance.norm(q)
     assert res <= 1e-7
+
+
+def test_kernel_lift_matches_harmonic_lifting():
+    # on a kernel vector the zero extension and the harmonic lifting give
+    # the same Neumann trace: p'_j = phi_b - H_bi H_ii^-1 phi_i, phi = A R z
+    p, z = _resonant_kernel()
+    rz = restriction_apply(p.partition, z)
+    arz = sk.apply_A(p, rz)
+    blocks = [arz.gamma[0]]
+    for lf, phi in zip(p.forms, arz.omega):
+        ni = lf.n_interior
+        H = lf.H.tocsc()
+        blocks.append(phi[ni:] - H[ni:, :ni] @ spla.spsolve(H[:ni, :ni], phi[:ni]))
+    v = trace_apply(rz, p.partition)
+    want = SkeletonField(blocks, "dual") - 1j * p.impedance.apply(v)
+    q = sk.kernel_lift(p, z)
+    assert p.impedance.norm(q - want) <= 1e-10 * p.impedance.norm(want)
+
+
+def _reachable_superlu(obj) -> int:
+    """Count the distinct SuperLU factors reachable from obj through
+    attributes (``__dict__`` and ``__slots__``) and containers."""
+    seen, found, stack = set(), set(), [obj]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(o, (np.ndarray, np.generic, str, type)):
+            continue
+        seen.add(id(o))
+        if isinstance(o, spla.SuperLU):
+            found.add(id(o))
+        elif isinstance(o, dict):
+            stack.extend(o.values())
+        elif isinstance(o, (list, tuple, set, frozenset)):
+            stack.extend(o)
+        else:
+            stack.extend(getattr(o, "__dict__", {}).values())
+            for cls in type(o).__mro__:
+                slots = getattr(cls, "__slots__", ())
+                for name in (slots,) if isinstance(slots, str) else slots:
+                    if hasattr(o, name):
+                        stack.append(getattr(o, name))
+    return len(found)
+
+
+def test_built_problem_keeps_only_operator_factors(ref_problem):
+    # the J local impedance factors and the factor of G; no factor made
+    # for an impedance block outlives the build
+    p = ref_problem
+    assert len(p.solver._lus) == p.num_subdomains
+    assert _reachable_superlu(p) == p.num_subdomains + 1
 
 
 def test_local_solvability_guard():

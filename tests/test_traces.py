@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from helmskel.traces import (SkeletonField, VolumeTuple, _nonzero_blocks,
-                             duality_pair, harmonic_lift, single_trace_adjoint,
-                             single_trace_embed, skew_pair, trace_adjoint,
-                             trace_apply)
+                             duality_pair, single_trace_adjoint, single_trace_embed,
+                             skew_pair, trace_adjoint, trace_apply)
 
 
 def _rand_tuple(problem, rng, kind="primal"):
@@ -66,43 +65,19 @@ def test_partition_volume_layout(nx, ny, px, py):
     np.testing.assert_array_equal(rows[part.triangle_rows], p.mesh.triangles)
 
 
-def test_trace_of_lift_is_identity(ref_problem, rng, rand_field):
+def test_lift_minimizes_energy(ref_problem, rng, harmonic_extension):
+    # the harmonic extension of a trace has the least H-energy of all local
+    # vectors with that trace
+    def energy(H, u):
+        return float(np.real(np.conj(u) @ (H @ u)))
+
     p = ref_problem
     for _ in range(20):
-        v = rand_field(p, rng, "primal")
-        lifted = harmonic_lift(v, p.dtn)
-        back = trace_apply(lifted, p.partition)
-        for a, b in zip(back.blocks, v.blocks):
-            np.testing.assert_allclose(a, b, atol=1e-13)
-
-
-def test_lift_zero(ref_problem):
-    p = ref_problem
-    z = SkeletonField.zeros(p.block_sizes, "primal")
-    lifted = harmonic_lift(z, p.dtn)
-    assert all(np.all(b == 0) for b in lifted.omega)
-
-
-def test_lift_energy_equals_impedance_norm(ref_problem, rng, rand_field):
-    p = ref_problem
-    for _ in range(5):
-        v = rand_field(p, rng, "primal")
-        lifted = harmonic_lift(v, p.dtn)
-        for j, dtn in enumerate(p.dtn):
-            lhs = dtn.h_energy(lifted.omega[j])
-            tv = p.impedance.blocks[j + 1] @ v.blocks[j + 1]
-            rhs = float(np.real(np.conj(v.blocks[j + 1]) @ tv))
-            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-
-
-def test_lift_minimizes_energy(ref_problem, rng):
-    p = ref_problem
-    for _ in range(20):
-        for j, dtn in enumerate(p.dtn):
+        for j, lf in enumerate(p.forms):
             n = p.omega_sizes[j]
             u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            tr = u[p.forms[j].n_interior:]
-            assert dtn.h_energy(dtn.lift(tr)) <= dtn.h_energy(u) * (1 + 1e-12)
+            tr = u[lf.n_interior:]
+            assert energy(lf.H, harmonic_extension(lf, tr)) <= energy(lf.H, u) * (1 + 1e-12)
 
 
 def test_trace_adjoint_is_adjoint(ref_problem, rng, rand_field):
