@@ -65,6 +65,21 @@ def test_partition_volume_layout(nx, ny, px, py):
     np.testing.assert_array_equal(rows[part.triangle_rows], p.mesh.triangles)
 
 
+def test_lift_energy_equals_impedance_norm(ref_problem, rng, rand_field,
+                                          harmonic_extension):
+    # the H-energy of the harmonic extension of each trace block is its
+    # impedance norm ||v_j||_T^2
+    p = ref_problem
+    for _ in range(5):
+        v = rand_field(p, rng, "primal")
+        for j, lf in enumerate(p.forms):
+            u = harmonic_extension(lf, v.blocks[j + 1])
+            lhs = float(np.real(np.conj(u) @ (lf.H @ u)))
+            tv = p.impedance.blocks[j + 1] @ v.blocks[j + 1]
+            rhs = float(np.real(np.conj(v.blocks[j + 1]) @ tv))
+            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
 def test_lift_minimizes_energy(ref_problem, rng, harmonic_extension):
     # the harmonic extension of a trace has the least H-energy of all local
     # vectors with that trace
