@@ -131,26 +131,47 @@ def _element_matrices(mesh: Mesh, tri_ids: np.ndarray, coeffs: Coefficients):
     return tris, area, Ke, Me, Mke
 
 
-def _scatter(tris_local: np.ndarray, elem: np.ndarray, n: int, dtype) -> sp.csr_matrix:
-    rows = np.repeat(tris_local, 3, axis=1).ravel()
-    cols = np.tile(tris_local, (1, 3)).ravel()
-    mat = sp.coo_matrix((elem.ravel().astype(dtype), (rows, cols)), shape=(n, n))
-    return mat.tocsr()
+def _pattern(tris_local: np.ndarray, n: int):
+    """CSR pattern ``(indices, indptr)`` of the couplings of the elements
+    ``tris_local`` (local dof ids, one row per triangle), and the slot in it
+    of every entry of the stacked ``(ne, 3, 3)`` element matrices."""
+    key = (np.repeat(tris_local, 3, axis=1) * n + np.tile(tris_local, (1, 3))).ravel()
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    first = np.ones(len(key), bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    slot = np.empty(len(key), np.intp)
+    slot[order] = np.cumsum(first) - 1
+    entries = ordered[first]
+    indptr = np.searchsorted(entries, np.arange(n + 1) * n)
+    return (entries % n).astype(np.int32), indptr.astype(np.int32), slot
 
 
 def _assemble_on(mesh: Mesh, tri_ids: np.ndarray, dof_ids: np.ndarray,
                  n_interior: int, coeffs: Coefficients) -> LocalForms:
+    """Forms over the triangles ``tri_ids`` with local dofs ``dof_ids``.
+
+    K, M, A and H share one sparsity pattern, which is computed once: each
+    form is a sum over its slots of the element entries, and they share
+    their index arrays.
+    """
     tris, _, Ke, Me, Mke = _element_matrices(mesh, tri_ids, coeffs)
     n = len(dof_ids)
     g2l = np.full(mesh.num_vertices, -1, dtype=np.int64)
     g2l[dof_ids] = np.arange(n)
-    tl = g2l[tris]
-    K = _scatter(tl, Ke, n, float)
-    M = _scatter(tl, Me, n, float)
-    Mk = _scatter(tl, Mke, n, complex)
-    A = ((1.0 / complex(coeffs.mu)) * K - Mk).tocsr()
-    H = (K + coeffs.gamma ** (-2) * M).tocsr()
-    return LocalForms(dof_ids, n_interior, K, M, A, H)
+    indices, indptr, slot = _pattern(g2l[tris], n)
+
+    def summed(elem):
+        return np.bincount(slot, elem.ravel(), len(indices))
+
+    def form(data):
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+    k, m = summed(Ke), summed(Me)
+    mk = summed(Mke.real) + 1j * summed(Mke.imag)
+    return LocalForms(dof_ids, n_interior, form(k), form(m),
+                      form((1.0 / complex(coeffs.mu)) * k - mk),
+                      form(k + coeffs.gamma ** (-2) * m))
 
 
 def assemble_subdomain(mesh: Mesh, partition: Partition, j: int,

@@ -5,8 +5,9 @@ Each condition contributes a 2x2 block operator on the boundary pair
 through a plain swap, Neumann and Robin decouple the multiplier, and the
 mixed condition routes through an oblique projector onto the functionals
 supported on the Dirichlet part.  The closed form of each impedance
-inverse gives the scattering operator its outer block, by the resolvent
-formula; the closed form of that block is kept as an independent check.
+inverse serves the volume solves on the boundary pair, and the closed form
+of the boundary scattering block is the outer block of the scattering
+operator; the two agree by the resolvent formula.
 """
 
 from __future__ import annotations
@@ -26,24 +27,27 @@ __all__ = [
 _KINDS = ("dirichlet", "neumann", "robin", "mixed")
 
 
-def _cho_solve(L: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(L L^T)^-1 q for a real Cholesky factor L; a complex q as real columns."""
-    return _real_op(lambda X: sla.cho_solve((L, True), X, check_finite=False), q)
+def _cho_solve(U: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(U^T U)^-1 q for a real upper Cholesky factor U; a complex q as real
+    columns."""
+    return _real_op(lambda X: sla.cho_solve((U, False), X, check_finite=False), q)
 
 
-def mixed_projector(gamma_d_positions: np.ndarray, t_gamma: np.ndarray) -> np.ndarray:
+def mixed_projector(gamma_d_positions: np.ndarray, t_gamma: np.ndarray,
+                    chol_t=None) -> np.ndarray:
     """Projector onto multipliers supported on the Dirichlet part.
 
     Orthogonal in the inverse-impedance inner product: with P the column
     selector of the Dirichlet positions, Theta = P (P^T T^-1 P)^-1 P^T T^-1.
-    Real, idempotent, and satisfies T^-1 Theta = Theta^T T^-1.
+    Real, idempotent, and satisfies T^-1 Theta = Theta^T T^-1.  ``chol_t``
+    is the lower Cholesky factor of T if it is already at hand.
     """
     n = t_gamma.shape[0]
     d = np.asarray(gamma_d_positions, dtype=np.int64)
     if len(d) == 0 or len(np.unique(d)) >= n:
         raise ValueError("Dirichlet dof set must be a nonempty proper subset")
     d = np.unique(d)
-    L = np.linalg.cholesky(t_gamma)
+    L = np.linalg.cholesky(t_gamma) if chol_t is None else chol_t
     Tinv = sla.cho_solve((L, True), np.eye(n))
     X = np.linalg.solve(Tinv[np.ix_(d, d)], Tinv[d, :])
     theta = np.zeros((n, n))
@@ -68,31 +72,35 @@ class BoundaryCondition:
 
     Exposes the operator itself (``apply``), the closed-form inverse of
     the impedance-shifted operator (``impedance_inverse``), the closed form
-    of the boundary scattering block (``scattering``, the check of the
-    resolvent formula) and the dense 2x2 blocks used by the monolithic
-    assembly.
+    of the boundary scattering block (``scattering``, the outer block of the
+    scattering operator) and the dense 2x2 blocks used by the monolithic
+    assembly.  ``chol_t`` is the lower Cholesky factor of ``t_gamma`` if it
+    is already at hand (``BlockImpedance.chol[0]``); it is not copied.
     """
 
-    def __init__(self, kind: str, t_gamma: np.ndarray, lam=None, theta=None):
+    def __init__(self, kind: str, t_gamma: np.ndarray, lam=None, theta=None, chol_t=None):
         if kind not in _KINDS:
             raise ValueError(f"unknown boundary condition kind {kind!r}")
         self.kind = kind
         self.t_gamma = np.ascontiguousarray(t_gamma)
         self.n = t_gamma.shape[0]
-        self._chol_t = np.asfortranarray(np.linalg.cholesky(self.t_gamma))
+        if chol_t is None:
+            chol_t = np.linalg.cholesky(self.t_gamma)
+        # Upper factors are kept as transposes of C-ordered lower ones: they are
+        # Fortran-ordered, so cho_solve passes them to LAPACK uncopied.
+        self._upper_t = np.asarray(chol_t).T
         self.lam = None if lam is None else np.ascontiguousarray(lam)
         self.theta = None if theta is None else np.ascontiguousarray(theta)
 
         if kind == "robin":
             if self.lam is None:
                 raise ValueError("robin condition needs an impedance matrix")
-            ev = np.linalg.eigvalsh(0.5 * (self.lam + self.lam.T))
-            if ev.min() <= 0:
-                raise ValueError("robin impedance must be positive definite")
             try:
-                # Fortran order: cho_solve then passes it to LAPACK uncopied
-                self._chol_lt = np.asfortranarray(
-                    np.linalg.cholesky(self.lam + self.t_gamma))
+                np.linalg.cholesky(0.5 * (self.lam + self.lam.T))
+            except np.linalg.LinAlgError as exc:
+                raise ValueError("robin impedance must be positive definite") from exc
+            try:
+                self._upper_lt = np.linalg.cholesky(self.lam + self.t_gamma).T
             except np.linalg.LinAlgError as exc:
                 raise ValueError("robin impedance plus boundary impedance "
                                  "is not positive definite") from exc
@@ -103,11 +111,11 @@ class BoundaryCondition:
     # -- small solves ---------------------------------------------------------
 
     def _t_solve(self, q):
-        return _cho_solve(self._chol_t, q)
+        return _cho_solve(self._upper_t, q)
 
     def t_inverse(self) -> np.ndarray:
         """Dense inverse of the outer impedance (the multiplier norm Gram)."""
-        return sla.cho_solve((self._chol_t, True), np.eye(self.n))
+        return sla.cho_solve((self._upper_t, False), np.eye(self.n))
 
     # -- the boundary operator -------------------------------------------------
 
@@ -129,8 +137,8 @@ class BoundaryCondition:
         """(A_Gamma - i B* T B)^-1 applied to the dual pair (p_in, a_in).
 
         Vectors or ``(n, m)`` column blocks, applied as real columns.  An
-        all-zero multiplier slot ``a_in`` (the scattering operator's) takes
-        no product with ``T_Gamma``.
+        all-zero multiplier slot ``a_in`` (as in ``B^T q``) takes no product
+        with ``T_Gamma``.
         """
         p_in = np.asarray(p_in, complex)
         a_in = np.asarray(a_in, complex)
@@ -141,7 +149,7 @@ class BoundaryCondition:
         if self.kind == "neumann":
             return 1j * self._t_solve(p_in), ta
         if self.kind == "robin":
-            return 1j * _cho_solve(self._chol_lt, p_in), ta
+            return 1j * _cho_solve(self._upper_lt, p_in), ta
         th = self.theta
         th_p, th_ta = _real_op(th.dot, p_in), _real_op(th.dot, ta)
         alpha = _real_op(th.T.dot, a_in) + 1j * self._t_solve(p_in - th_p)
@@ -166,7 +174,7 @@ class BoundaryCondition:
         if self.kind == "neumann":
             return -q
         if self.kind == "robin":
-            return _real_op(self._lam_minus_t.dot, _cho_solve(self._chol_lt, q))
+            return _real_op(self._lam_minus_t.dot, _cho_solve(self._upper_lt, q))
         return 2.0 * _real_op(self.theta.dot, q) - q
 
     # -- dense blocks for monolithic assembly -----------------------------------
@@ -202,11 +210,15 @@ class BoundaryCondition:
 
 
 def make_boundary_condition(kind: str, t_gamma: np.ndarray, *, lam=None,
-                            gamma_d_positions=None) -> BoundaryCondition:
-    """Build a condition, deriving the mixed projector when needed."""
+                            gamma_d_positions=None, chol_t=None) -> BoundaryCondition:
+    """Build a condition, deriving the mixed projector when needed.
+
+    ``chol_t``, the lower Cholesky factor of ``t_gamma`` if at hand, serves
+    the condition and the projector alike.
+    """
     theta = None
     if kind == "mixed":
         if gamma_d_positions is None:
             raise ValueError("mixed condition needs the Dirichlet dof positions")
-        theta = mixed_projector(gamma_d_positions, t_gamma)
-    return BoundaryCondition(kind, t_gamma, lam=lam, theta=theta)
+        theta = mixed_projector(gamma_d_positions, t_gamma, chol_t)
+    return BoundaryCondition(kind, t_gamma, lam=lam, theta=theta, chol_t=chol_t)

@@ -8,11 +8,14 @@ bounded exterior, so two SPD surrogates are provided: the Schur complement
 of a one-cell exterior collar mesh (default), and a boundary H1 matrix.
 
 Every Schur complement is read off a sparse factor: H is factored with
-its boundary dofs last and no pivoting, which SPD allows, and T is the
-trailing block of that factor (``schur_dtn``).  No dense solve against
-the boundary columns is made, and no factor of H is kept: the skeleton
-operators need only the blocks T_b, so a built problem holds no interior
-factor and no harmonic lifting.
+its boundary dofs last and no pivoting, which SPD allows, and T and its
+Cholesky factor are the trailing block of that factor (``schur_dtn``).
+No dense solve against the boundary columns is made, and no factor of H
+is kept: the skeleton operators need only the blocks T_b, so a built
+problem holds no interior factor and no harmonic lifting.  The
+boundary-last dof order of a subdomain's factor (``DtnBlock.order``) is
+passed on to the factor of its impedance problem, which has the same
+sparsity.
 
 The induced norms ||v||_T and ||q||_T^-1 are the working metric of the
 whole skeleton formulation; the Cholesky factors of the blocks double as
@@ -56,17 +59,32 @@ def _splu_spd(A: sp.spmatrix):
                      options=dict(SymmetricMode=True))
 
 
-def _trailing_schur(Hc: sp.csc_matrix, pos: np.ndarray, n_interior: int) -> np.ndarray:
-    """Schur complement of a real SPD matrix onto its rows and columns from
-    ``n_interior`` on, read off one unpivoted factor.
+def _trailing_block(F, n_interior: int) -> np.ndarray:
+    """Dense trailing block, the rows and columns from ``n_interior`` on,
+    of a square CSC matrix."""
+    n, ni = F.shape[0], n_interior
+    a = F.indptr[ni]
+    rows = F.indices[a:] - ni
+    cols = np.repeat(np.arange(n - ni), np.diff(F.indptr[ni:]))
+    keep = rows >= 0
+    out = np.zeros((n - ni, n - ni), F.dtype)
+    out[rows[keep], cols[keep]] = F.data[a:][keep]
+    return out
+
+
+def _trailing_schur(Hc: sp.csc_matrix, pos: np.ndarray, n_interior: int):
+    """Schur complement T of a real SPD matrix onto its rows and columns from
+    ``n_interior`` on, and the lower Cholesky factor of T, read off one
+    unpivoted factor.
 
     Row and column i of ``Hc`` move to ``pos[i]``, which must leave the
     trailing rows where they are.  The permuted matrix is factored in that
     order (no column reordering, no row pivoting) as L U with L unit lower
     triangular.  Gaussian elimination of the leading rows leaves their Schur
     complement as the trailing block L_bb U_bb, and a symmetric matrix has
-    U = diag(U) L^T, so the complement is U_bb^T diag(U_bb)^-1 U_bb.  Only
-    the trailing columns of U are read; the factor is dropped on return.
+    U = diag(U) L^T, so the complement is U_bb^T diag(U_bb)^-1 U_bb = R R^T
+    with R = U_bb^T diag(U_bb)^-1/2 its Cholesky factor.  Only the trailing
+    columns of U are read; the factor is dropped on return.
     """
     n, ni = Hc.shape[0], n_interior
     C = Hc.tocoo()
@@ -78,14 +96,36 @@ def _trailing_schur(Hc: sp.csc_matrix, pos: np.ndarray, n_interior: int) -> np.n
         raise RuntimeError("the boundary-last factor of H was pivoted or reordered, "
                            "so its trailing block is not the Schur complement; "
                            "H should be SPD")
-    U = lu.U
-    a = U.indptr[ni]
-    rows = U.indices[a:] - ni
-    cols = np.repeat(np.arange(n - ni), np.diff(U.indptr[ni:]))
-    keep = rows >= 0
-    U_bb = np.zeros((n - ni, n - ni))
-    U_bb[rows[keep], cols[keep]] = U.data[a:][keep]
-    return U_bb.T @ (U_bb / np.diag(U_bb)[:, None])
+    U_bb = _trailing_block(lu.U, ni)
+    chol = np.ascontiguousarray(U_bb.T)
+    chol /= np.sqrt(np.diag(U_bb))
+    T = chol @ chol.T
+    return 0.5 * (T + T.T), chol
+
+
+def _schur_and_order(H: sp.spmatrix, n_interior: int, interior_order=None):
+    """``schur_dtn(H, n_interior)``, its lower Cholesky factor, and the
+    boundary-last position ``pos[i]`` of each dof i in the factor both were
+    read from.
+
+    The interior takes the column order ``interior_order`` (a permutation of
+    the interior dofs, as SuperLU's ``perm_c``: dof i at position
+    ``interior_order[i]``), or when None that of a fill-reducing factor of
+    H_ii.  Any permutation gives the same T; the order only sets the fill.
+    """
+    n = H.shape[0]
+    ni = n_interior
+    Hc = H.tocsc()
+    if ni == 0:
+        T = Hc.toarray()
+        return T, np.linalg.cholesky(T), np.arange(n)
+    if interior_order is None:
+        try:
+            interior_order = _splu_spd(Hc[:ni, :ni]).perm_c
+        except RuntimeError as exc:  # pragma: no cover - signals an assembly bug
+            raise RuntimeError("interior block of H is singular; H should be SPD") from exc
+    pos = np.concatenate([interior_order, np.arange(ni, n)])
+    return (*_trailing_schur(Hc, pos, ni), pos)
 
 
 def schur_dtn(H: sp.spmatrix, n_interior: int) -> np.ndarray:
@@ -104,18 +144,7 @@ def schur_dtn(H: sp.spmatrix, n_interior: int) -> np.ndarray:
     factor that was pivoted or reordered anyway raises ``RuntimeError``
     instead of giving a wrong T.
     """
-    n = H.shape[0]
-    ni = n_interior
-    Hc = H.tocsc()
-    if ni == 0:
-        return Hc.toarray()
-    try:
-        perm_c = _splu_spd(Hc[:ni, :ni]).perm_c
-    except RuntimeError as exc:  # pragma: no cover - signals an assembly bug
-        raise RuntimeError("interior block of H is singular; H should be SPD") from exc
-    # SuperLU factors A Pc with column i of A at position perm_c[i]
-    T = _trailing_schur(Hc, np.concatenate([perm_c, np.arange(ni, n)]), ni)
-    return 0.5 * (T + T.T)
+    return _schur_and_order(H, n_interior)[0]
 
 
 def _real_columns(v: np.ndarray) -> np.ndarray:
@@ -151,11 +180,20 @@ class DtnBlock:
     """Boundary impedance ``T`` of one subdomain: the Schur complement of
     its volume norm Gram H onto the boundary dofs, from :func:`schur_dtn`.
 
-    Only T is kept; no factor of H outlives the build.
+    ``chol`` is the lower Cholesky factor of T, read off the same factor.
+    ``order`` is the boundary-last dof order of the factor T was read off:
+    local dof i sits at position ``order[i]``, the interior in a
+    fill-reducing column order and the boundary last, in place.  The local
+    impedance problem has the sparsity of H, so its factor takes the same
+    order.  The interior order is that of a factor of H_ii, or
+    ``interior_order`` when given: it depends on the sparsity of H only, so
+    subdomains with the same pattern can share it.  No factor of H outlives
+    the build.
     """
 
-    def __init__(self, forms: LocalForms):
-        self.T = schur_dtn(forms.H, forms.n_interior)
+    def __init__(self, forms: LocalForms, interior_order=None):
+        self.T, self.chol, self.order = _schur_and_order(forms.H, forms.n_interior,
+                                                         interior_order)
 
 
 def _boundary_edge_lengths(mesh: Mesh) -> np.ndarray:
@@ -241,10 +279,12 @@ def collar_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> np.nda
 class BlockImpedance:
     """Block-diagonal SPD impedance T = diag(T_Gamma, T_1, ..., T_J).
 
-    Holds the Cholesky factor of every block.  ``whiten`` maps a dual
-    field to coordinates whose Euclidean norm equals the T^-1 norm, which
-    turns the skeleton metric into the plain l2 metric for solvers and
-    singular value computations.
+    Holds the lower Cholesky factor of every block: ``chol`` gives those
+    already at hand (None for a block to factor here), such as the factors
+    :class:`DtnBlock` reads off the factor of H; a block factored here must
+    be symmetric.  ``whiten`` maps a dual field to coordinates whose
+    Euclidean norm equals the T^-1 norm, which turns the skeleton metric
+    into the plain l2 metric for solvers and singular value computations.
 
     Fields are flat (see :class:`~helmskel.traces.SkeletonField`): every
     method views the whole complex array, vector or column block, as one
@@ -253,12 +293,16 @@ class BlockImpedance:
     preallocated output.  Products skip all-zero blocks.
     """
 
-    def __init__(self, blocks):
+    def __init__(self, blocks, chol=None):
         self.blocks = tuple(np.ascontiguousarray(b) for b in blocks)
+        factors = list(chol) if chol is not None else [None] * len(self.blocks)
         for i, b in enumerate(self.blocks):
+            if factors[i] is not None:
+                continue
             if not np.allclose(b, b.T, rtol=0, atol=1e-12 * (1 + np.abs(b).max())):
                 raise ValueError(f"impedance block {i} is not symmetric")
-        self.chol = tuple(np.linalg.cholesky(b) for b in self.blocks)
+            factors[i] = np.linalg.cholesky(b)
+        self.chol = tuple(np.ascontiguousarray(L) for L in factors)
         # L^T of a C-ordered L is a Fortran-ordered view: LAPACK reads it as is
         self._upper = tuple(L.T for L in self.chol)
         self.sizes = tuple(b.shape[0] for b in self.blocks)

@@ -1,12 +1,20 @@
 """Exchange operator, scattering operator and the skeleton system.
 
 The cavity problem is recast as an equation for a tuple q of outgoing
-Robin traces on the skeleton: (Id + Pi S) q = f.  S solves the impedance
-problem of each block independently and flips incoming to outgoing
-traces; Pi is the non-local exchange operator, a reflection across the
-single-trace subspace in the inverse-impedance metric.  Pi couples every
-block meeting a skeleton dof at once, which is exactly what makes cross
-points unproblematic here.
+Robin traces on the skeleton: (Id + Pi S) q = f.  S flips incoming to
+outgoing traces block by block; Pi is the non-local exchange operator, a
+reflection across the single-trace subspace in the inverse-impedance
+metric.  Pi couples every block meeting a skeleton dof at once, which is
+exactly what makes cross points unproblematic here.
+
+Each subdomain keeps one sparse factor of its impedance problem
+C_j = A_j - i B_j^T T_j B_j, made with the boundary dofs last.  The block
+S_j = I + 2i T_j Sigma_j^-1 of the scattering operator, with Sigma_j the
+Schur complement of C_j onto the boundary, is read off that factor once
+and kept dense, so applying S takes one matrix product per subdomain and
+no sparse solve.  The factor serves the volume solves: the right-hand
+side, the recovery of the volume solution and the Cauchy pairs.  The
+exchange keeps one sparse factor of G = E^T T E.
 """
 
 from __future__ import annotations
@@ -14,15 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import restriction_apply
-from .geometry import Partition, SkeletonIndex
-from .impedance import BlockImpedance, _real_op, _splu_spd
+from .geometry import SkeletonIndex
+from .impedance import BlockImpedance, _real_op, _splu_spd, _trailing_block
 from .traces import (SkeletonField, VolumeTuple, _nonzero_blocks, _zero_extension,
-                     single_trace_adjoint, single_trace_embed, trace_adjoint,
-                     trace_apply)
+                     single_trace_adjoint, trace_adjoint, trace_apply)
 
 __all__ = [
     "AssumptionViolation",
@@ -59,29 +67,31 @@ class ExchangeOperator:
     an involution and an isometry for the T^-1 norm; it fixes tuples of
     matching Neumann data and negates tuples of opposite Neumann jumps.
     G is assembled sparse from the impedance blocks and factored once by a
-    real sparse LU (symmetric mode, fill-reducing ordering of G + G^T); a
-    complex right-hand side is solved as its real and imaginary parts, real
-    columns of one solve.  Fields of ``(n_b, m)`` column blocks are applied
-    to all m columns at once.
+    real sparse LU (symmetric mode, fill-reducing ordering of G + G^T); only
+    the factor is kept.  A complex right-hand side is solved as its real and
+    imaginary parts, real columns of one solve.  The embedding E is one
+    gather of ``index.flat_map``.  Fields of ``(n_b, m)`` column blocks are
+    applied to all m columns at once.
     """
 
     def __init__(self, index: SkeletonIndex, impedance: BlockImpedance):
         self.index = index
         self.impedance = impedance
+        self._flat_map = index.flat_map
         n = index.n_sigma
-        rows = np.concatenate([np.repeat(m, len(m)) for m in index.block_map])
-        cols = np.concatenate([np.tile(m, len(m)) for m in index.block_map])
+        maps = [m.astype(np.int32) for m in index.block_map]
+        rows = np.concatenate([np.repeat(m, len(m)) for m in maps])
+        cols = np.concatenate([np.tile(m, len(m)) for m in maps])
         vals = np.concatenate([T.ravel() for T in impedance.blocks])
-        self.G = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-        self._lu = _splu_spd(self.G)
+        self._lu = _splu_spd(sp.csc_matrix((vals, (rows, cols)), shape=(n, n)))
 
     def project(self, q: SkeletonField) -> SkeletonField:
         """Q q: the T^-1-orthogonal projection onto T(single-trace space)."""
         if q.kind != "dual":
             raise ValueError("exchange operator acts on dual fields")
-        y = single_trace_adjoint(q, self.index)
-        x = _real_op(self._lu.solve, y)
-        return self.impedance.apply(single_trace_embed(x, self.index))
+        x = _real_op(self._lu.solve, single_trace_adjoint(q, self.index))
+        tx = SkeletonField.wrap(x[self._flat_map], q.offsets, "primal")
+        return self.impedance.apply(tx)
 
     def apply(self, q: SkeletonField) -> SkeletonField:
         """Pi q = 2 Q q - q."""
@@ -91,19 +101,28 @@ class ExchangeOperator:
 # Largest block whose inverse the rcond fallback forms densely (64 MB complex).
 _DENSE_RCOND_MAX = 2000
 
+# SuperLU keeps the diagonal pivot of a column unless it is smaller than this
+# fraction of the column's largest entry.
+_PIVOT_THRESHOLD = 0.1
+
 
 def _estimate_rcond(C: sp.spmatrix, lu, block: int) -> float:
     """1-norm reciprocal condition estimate of a factored sparse matrix.
 
-    If the iterative estimator fails, blocks of up to ``_DENSE_RCOND_MAX``
-    dofs take the exact 1-norm of the inverse from the factor applied to
-    the identity; larger blocks raise :class:`AssumptionViolation`, since
-    an unchecked factorization would disable the solvability guard.
+    The estimator's products with C^-1 and C^-H are each one solve on a
+    block of columns.  If the estimator fails, blocks of up to
+    ``_DENSE_RCOND_MAX`` dofs take the exact 1-norm of the inverse from the
+    factor applied to the identity; larger blocks raise
+    :class:`AssumptionViolation`, since an unchecked factorization would
+    disable the solvability guard.
     """
     norm_c = float(abs(C).sum(axis=0).max())
-    inv_op = spla.LinearOperator(C.shape, dtype=complex,
-                                 matvec=lambda x: lu.solve(x),
-                                 rmatvec=lambda x: lu.solve(x, trans="H"))
+
+    def solve_h(X):
+        return lu.solve(X, trans="H")
+
+    inv_op = spla.LinearOperator(C.shape, dtype=complex, matvec=lu.solve,
+                                 rmatvec=solve_h, matmat=lu.solve, rmatmat=solve_h)
     try:
         norm_inv = float(spla.onenormest(inv_op))
     except (RuntimeError, ValueError, ArithmeticError) as exc:
@@ -118,34 +137,124 @@ def _estimate_rcond(C: sp.spmatrix, lu, block: int) -> float:
     return 1.0 / (norm_c * norm_inv)
 
 
+def _bordered(A: sp.spmatrix, T: np.ndarray, pos: np.ndarray, n_interior: int):
+    """C = A - i B^T T B in CSC form, with row and column i at ``pos[i]``;
+    ``pos`` leaves the trailing (boundary) rows in place."""
+    n, ni = A.shape[0], n_interior
+    Ac = A.tocoo()
+    nb = n - ni
+    rows = np.concatenate([pos[Ac.row], np.repeat(np.arange(ni, n), nb)])
+    cols = np.concatenate([pos[Ac.col], np.tile(np.arange(ni, n), nb)])
+    vals = np.concatenate([Ac.data.astype(complex), -1j * T.ravel()])
+    return sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def _read_trailing_factors(lu, n_interior: int):
+    """Dense trailing blocks L_bb and U_bb of a SuperLU factor.
+
+    ``lu.L`` and ``lu.U`` are CSC copies of the whole factor, which SuperLU
+    caches for as long as the factor lives (``lu.U is lu.U``).  They are
+    emptied after the read, so a kept factor holds its own storage only;
+    its ``L`` and ``U`` then read as zero, while ``solve`` is untouched.
+    """
+    L, U = lu.L, lu.U
+    blocks = _trailing_block(L, n_interior), _trailing_block(U, n_interior)
+    for F in (L, U):
+        F.data = np.zeros(0, F.dtype)
+        F.indices = np.zeros(0, F.indices.dtype)
+        F.indptr = np.zeros_like(F.indptr)
+    return blocks
+
+
+def _boundary_last_lu(C: sp.csc_matrix):
+    """SuperLU factor P_r C = L U of C in its given column order (no column
+    reordering) with threshold pivoting at ``_PIVOT_THRESHOLD``."""
+    return spla.splu(C, permc_spec="NATURAL", diag_pivot_thresh=_PIVOT_THRESHOLD,
+                     options=dict(SymmetricMode=True))
+
+
+def _scattering_block(lu, T: np.ndarray, n_interior: int):
+    """S = I + 2i T Sigma^-1 for a symmetric T, with Sigma the Schur
+    complement onto the trailing ``n - n_interior`` rows and columns of the
+    matrix C that ``lu`` factors (from :func:`_boundary_last_lu`).
+
+    Returns S and whether the factor was pivoted across the interior/boundary
+    split.  If it was not, the trailing block of the factor is Sigma with
+    its rows permuted by the boundary row swaps, L_bb U_bb = P_b Sigma, and S
+    follows from two dense triangular solves against T.  Otherwise
+    Sigma^-1 = B C^-1 B^T is one n_b-column solve with the factor.
+    """
+    n, ni = lu.shape[0], n_interior
+    nb = n - ni
+    rows = lu.perm_r[ni:] - ni
+    crossed = rows.min(initial=0) < 0 or not np.array_equal(lu.perm_c, np.arange(n))
+    if not crossed:
+        # P_b moves row k to rows[k], so T Sigma^-1 = X P_b with
+        # X^T = L_bb^-T U_bb^-T T, and column k of X P_b is column rows[k] of X
+        L_bb, U_bb = _read_trailing_factors(lu, ni)
+        Z = np.array(T, complex, order="F")
+        Z = sla.solve_triangular(U_bb, Z, trans="T", overwrite_b=True, check_finite=False)
+        Z = sla.solve_triangular(L_bb, Z, trans="T", lower=True, unit_diagonal=True,
+                                 overwrite_b=True, check_finite=False)
+        S = Z.T[:, rows]
+    else:
+        E = np.zeros((n, nb), complex)
+        E[ni:] = np.eye(nb)
+        S = _real_op(T.dot, lu.solve(E)[ni:])
+    S *= 2j
+    S[np.diag_indices_from(S)] += 1.0
+    return S, crossed
+
+
+class _BoundaryLastFactor:
+    """SuperLU factor of a matrix C whose row and column i sit at ``pos[i]``;
+    ``solve`` takes and returns vectors and column blocks in C's own order."""
+
+    def __init__(self, lu, pos: np.ndarray):
+        self.lu = lu
+        self.pos = pos
+        self.dofs = np.argsort(pos)  # the dof at each position
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self.lu.solve(b[self.dofs])[self.pos]
+
+
 class LocalImpedanceSolver:
-    """Factorizations of the impedance-shifted block operators.
+    """One factor per subdomain of the impedance-shifted block operator,
+    and the dense scattering matrix read off it.
 
     Per subdomain this is C_j = A_j - i B_j^T T_j B_j, a complex symmetric
-    sparse matrix bordered by the dense impedance on its boundary dofs.
-    Each is factored by SuperLU with a minimum-degree ordering of C + C^T,
-    which on these bordered 2-D grids holds about half the fill of the
-    default column ordering.  The default threshold partial pivoting stays:
-    C_j is indefinite, so a symmetric-mode factor without pivoting is not
-    safe.  The outer-boundary block is handled by the closed-form inverse
-    of the boundary condition.  A reciprocal-condition estimate below the
-    floor raises :class:`AssumptionViolation` instead of silently
-    returning garbage.
+    sparse matrix bordered by the dense impedance on its boundary dofs.  It
+    has the sparsity of the volume norm Gram H_j, so it is factored in the
+    boundary-last order ``orders[j]`` of :class:`~helmskel.impedance.DtnBlock`
+    (the interior in the fill-reducing column order of H_ii, the boundary
+    dofs last), with SuperLU's threshold pivoting at ``_PIVOT_THRESHOLD``:
+    C_j is indefinite, so a factor without pivoting is not safe.
+
+    The factor gives the local Schur complement Sigma_j of C_j onto the
+    boundary, and with it the dense block S_j = I + 2i T_j Sigma_j^-1 of the
+    scattering operator, kept in ``scattering_blocks`` (see
+    :func:`_scattering_block`).  It is read off the trailing block of the
+    factor unless a row swap crossed from the interior to the boundary
+    rows; such a block takes an n_b-column solve with the same factor
+    instead, and ``fallbacks`` counts it.  No option selects the path; the
+    factor decides.
+
+    The factor is the only one a subdomain keeps: ``solve_tuple`` applies
+    it to loads, recovery and Cauchy pairs.  A reciprocal-condition estimate
+    on it below ``rcond_floor`` raises :class:`AssumptionViolation` instead
+    of silently returning garbage.  The outer-boundary block is handled by
+    the closed-form inverse of the boundary condition.
     """
 
-    def __init__(self, forms, impedance: BlockImpedance, bc, rcond_floor: float = 1e-12):
+    def __init__(self, forms, orders, impedance: BlockImpedance, bc,
+                 rcond_floor: float = 1e-12):
         self.bc = bc
         lus = []
-        for j, lf in enumerate(forms):
-            T = impedance.blocks[j + 1]
-            ni = lf.n_interior
-            n = lf.n_dofs
-            rows = np.repeat(np.arange(ni, n), n - ni)
-            cols = np.tile(np.arange(ni, n), n - ni)
-            border = sp.coo_matrix((T.ravel(), (rows, cols)), shape=(n, n))
-            C = (lf.A - 1j * border.tocsr()).tocsc()
+        for j, (lf, pos) in enumerate(zip(forms, orders)):
+            C = _bordered(lf.A, impedance.blocks[j + 1], pos, lf.n_interior)
             try:
-                lu = spla.splu(C, permc_spec="MMD_AT_PLUS_A")
+                lu = _boundary_last_lu(C)
             except RuntimeError as exc:
                 raise AssumptionViolation(
                     f"impedance problem of block {j + 1} is singular; "
@@ -155,19 +264,26 @@ class LocalImpedanceSolver:
                 raise AssumptionViolation(
                     f"impedance problem of block {j + 1} is numerically singular "
                     f"(rcond ~ {rcond:.2e}); perturb kappa or gamma and retry")
-            lus.append(lu)
+            lus.append(_BoundaryLastFactor(lu, pos))
+        # Every factor is made before any is read: the transient copies the
+        # reads take then reuse one another's memory.
+        blocks = [_scattering_block(f.lu, impedance.blocks[j + 1], lf.n_interior)
+                  for j, (lf, f) in enumerate(zip(forms, lus))]
+        self.scattering_blocks = tuple(S for S, _ in blocks)
+        self.fallbacks = sum(crossed for _, crossed in blocks)
         self._lus = tuple(lus)
 
     def solve_tuple(self, phi: VolumeTuple) -> VolumeTuple:
         """(A - i B^T T B)^-1 applied to a dual tuple, blockwise.
 
-        The only code that applies the local factors.  The result has the
-        layout of ``phi``, vector or m columns, and is written into one new
-        array.  A block that is all zero in ``phi`` (the boundary pair
-        counts as one block) solves to zero without a solve, which keeps
-        block-sparse columns, such as the identity chunks of
-        ``dense_operator``, cheap.  Every block operator is complex
-        symmetric, so this is also the transposed solve.
+        The only code that applies the local factors: the skeleton
+        right-hand side, the volume recovery and the Cauchy pairs go
+        through it (the scattering operator does not; its blocks are
+        dense).  The result has the layout of ``phi``, vector or m columns,
+        and is written into one new array.  A block that is all zero in
+        ``phi`` (the boundary pair counts as one block) solves to zero
+        without a solve.  Every block operator is complex symmetric, so
+        this is also the transposed solve.
         """
         if phi.kind != "dual":
             raise ValueError("solve_tuple expects a dual tuple")
@@ -185,28 +301,29 @@ class LocalImpedanceSolver:
 class ScatteringOperator:
     """Blockwise map from incoming (p - iTv) to outgoing (p + iTv) traces.
 
-    S q = q + 2i T B (A - i B^T T B)^-1 B^T q through the local resolvent
-    ``solver.solve_tuple``, the outer block included; ``bc.scattering``
-    is that block's closed form, kept as a check.  Without absorption the
-    map is a T^-1 isometry; absorption makes it a strict contraction.
-    B^T scatters q into a zero volume tuple and B gathers the trace rows
-    back, so a block that is all zero in q stays all zero on the way: it
-    takes no local solve (``solve_tuple``) and no impedance product
-    (``BlockImpedance.apply``).  Fields of m columns take one m-column
-    solve per block.
+    S q = q + 2i T B (A - i B^T T B)^-1 B^T q, block by block.  The outer
+    block is the closed form ``bc.scattering``.  Subdomain block j is the
+    dense matrix S_j = I + 2i T_j Sigma_j^-1 of
+    :class:`LocalImpedanceSolver`, with Sigma_j the Schur complement of the
+    local impedance problem onto the boundary, so an application is one
+    matrix product per subdomain and no sparse solve, for a vector and for
+    a field of m columns alike.  Without absorption the map is a T^-1
+    isometry; absorption makes it a strict contraction.
     """
 
-    def __init__(self, partition: Partition, solver: LocalImpedanceSolver,
-                 impedance: BlockImpedance):
-        self.partition = partition
-        self.solver = solver
-        self.impedance = impedance
+    def __init__(self, solver: LocalImpedanceSolver):
+        self.bc = solver.bc
+        self.blocks = solver.scattering_blocks
 
     def apply(self, q: SkeletonField) -> SkeletonField:
         if q.kind != "dual":
             raise ValueError("scattering operator acts on dual fields")
-        u = self.solver.solve_tuple(trace_adjoint(q, self.partition))
-        return q + 2j * self.impedance.apply(trace_apply(u, self.partition))
+        o, data = q.offsets, q.data
+        out = np.empty(data.shape, complex)
+        out[:o[1]] = self.bc.scattering(data[:o[1]])
+        for S, a, b in zip(self.blocks, o[1:], o[2:]):
+            np.dot(S, data[a:b], out=out[a:b])
+        return SkeletonField.wrap(out, o, "dual")
 
 
 @dataclass

@@ -322,7 +322,7 @@ def dense_operator(problem: Problem, cap: int = 2000) -> np.ndarray:
     The columns are ``_whitened_apply`` of the identity, the same path as
     the solvers' single vectors.  To bound the temporaries, the identity
     goes in one chunk of columns per trace block; a chunk is zero outside
-    its block, and the operators skip the zero blocks.
+    its block, and the impedance products skip the zero blocks.
     """
     n = problem.dual_dim
     if n > cap:

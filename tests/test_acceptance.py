@@ -19,8 +19,8 @@ import helmskel.verification as vf
 from helmskel.geometry import build_rect_mesh
 from helmskel.problem import build_problem, make_load
 from helmskel.solvers_spectral import (dense_operator, dirichlet_resonance,
-                                       gmres_tinv, infsup_primary, richardson,
-                                       sweep_wavenumber, verify_estimates)
+                                       gmres_tinv, richardson, sweep_wavenumber,
+                                       verify_estimates)
 
 SEED = 42
 KINDS = ("dirichlet", "neumann", "robin", "mixed")

@@ -3,10 +3,9 @@ import pytest
 
 from helmskel.boundary_conditions import (BoundaryCondition,
                                           gamma_d_positions_from_tags,
-                                          make_boundary_condition,
                                           mixed_projector)
 from helmskel.problem import build_problem
-from helmskel.traces import SkeletonField
+from helmskel.traces import SkeletonField, trace_adjoint, trace_apply
 
 
 @pytest.fixture(scope="module")
@@ -124,15 +123,17 @@ def test_robin_matched_impedance_annihilates(setup, rng):
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin", "mixed"])
 def test_scattering_matches_resolvent_formula(setup, kind, rng):
-    # the outer block of S is the resolvent formula Id + 2i T B (..)^-1 B*;
-    # the closed form of the condition must reproduce it, on vectors and on
-    # column blocks
+    # the outer block of S is the closed form of the condition; it must
+    # reproduce the resolvent formula Id + 2i T B (..)^-1 B*, here through
+    # the local solves, on vectors and on column blocks
     problem = setup[kind]
     bc = problem.bc
     for shape in [()] * 10 + [(5,)]:
         q = SkeletonField([_rand((n,) + shape, rng) for n in problem.block_sizes], "dual")
-        closed = bc.scattering(q.blocks[0])
-        resolvent = problem.scattering.apply(q).blocks[0]
+        closed = problem.scattering.apply(q).blocks[0]
+        u = problem.solver.solve_tuple(trace_adjoint(q, problem.partition))
+        tv = problem.impedance.apply(trace_apply(u, problem.partition))
+        resolvent = (q + 2j * tv).blocks[0]
         assert resolvent.shape == closed.shape == (bc.n,) + shape
         np.testing.assert_allclose(resolvent, closed, atol=1e-11 * np.abs(closed).max())
 

@@ -8,7 +8,7 @@ import helmskel.verification as vf
 from helmskel.assembly import restriction_adjoint, restriction_apply
 from helmskel.problem import build_problem, h1_norm, make_load, monolithic_matrix, solve_monolithic
 from helmskel.traces import (SkeletonField, VolumeTuple, single_trace_adjoint,
-                             single_trace_embed, skew_pair, trace_apply)
+                             single_trace_embed, skew_pair, trace_adjoint, trace_apply)
 
 
 def _rand_dual(p, rng):
@@ -49,9 +49,9 @@ def test_exchange_against_dense_projector(nx, ny, px, py, tgamma, rng):
     # the larger partitions have many interior cross points, where G
     # couples four blocks per dof
     p = build_problem(nx, ny, px, py, k=3.0, bc_kind="robin", tgamma=tgamma)
-    # the exchange holds G sparse and no dense n_sigma x n_sigma array
+    # the exchange holds the sparse factor of G and no dense n_sigma x n_sigma array
     n_sigma = p.index.n_sigma
-    assert sp.issparse(p.exchange.G)
+    assert isinstance(p.exchange._lu, spla.SuperLU)
     for v in vars(p.exchange).values():
         assert not (isinstance(v, np.ndarray) and v.shape == (n_sigma, n_sigma))
     # dense oracle: Q = T E (E^T T E)^-1 E^T assembled explicitly
@@ -127,6 +127,80 @@ def test_scattering_strict_contraction_with_absorption(rng):
         q = _rand_dual(p, rng)
         sq = p.scattering.apply(q)
         assert p.impedance.norm(sq) < p.impedance.norm(q)
+
+
+def _cellwise_kappa_sq(seed, k, cells=4):
+    """kappa^2 = k^2 w, with w constant on each of cells x cells squares of
+    the unit square and seeded uniform in [0.5, 1.5]."""
+    w = np.random.default_rng(seed).uniform(0.5, 1.5, size=(cells, cells))
+
+    def kappa_sq(x, y):
+        i = np.minimum((x * cells).astype(int), cells - 1)
+        j = np.minimum((y * cells).astype(int), cells - 1)
+        return k * k * w[j, i]
+
+    return kappa_sq
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin", "mixed"])
+@pytest.mark.parametrize("config", ["reference", "fallback"])
+def test_dense_scattering_matches_resolvent(config, kind, rng):
+    # the dense blocks S_j = I + 2i T_j Sigma_j^-1 against the resolvent
+    # q + 2i T B (A - i B^T T B)^-1 B^T q through solve_tuple.  At k = 20 with
+    # a seeded cellwise kappa^2, the factors of two of the four blocks swap
+    # rows across the interior/boundary split, so those take the n_b-column
+    # solve and the other two the trailing-block read.
+    if config == "reference":
+        p = build_problem(8, 8, 2, 2, k=5.0, bc_kind=kind)
+        assert p.solver.fallbacks == 0
+    else:
+        p = build_problem(8, 8, 2, 2, k=20.0, kappa_sq=_cellwise_kappa_sq(1, 20.0),
+                          bc_kind=kind)
+        assert 1 <= p.solver.fallbacks < p.num_subdomains
+        # the factors themselves, crossing swaps or not, against dense solves
+        for j, (lf, lu) in enumerate(zip(p.forms, p.solver._lus)):
+            ni = lf.n_interior
+            C = lf.A.toarray().astype(complex)
+            C[ni:, ni:] -= 1j * p.impedance.blocks[j + 1]
+            b = rng.standard_normal(lf.n_dofs) + 1j * rng.standard_normal(lf.n_dofs)
+            want = np.linalg.solve(C, b)
+            assert np.linalg.norm(lu.solve(b) - want) <= 1e-12 * np.linalg.norm(want)
+    for shape in [(p.dual_dim,), (p.dual_dim, 5)]:
+        q = SkeletonField.from_concat(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                                      p.block_sizes, "dual")
+        u = p.solver.solve_tuple(trace_adjoint(q, p.partition))
+        want = q + 2j * p.impedance.apply(trace_apply(u, p.partition))
+        got = p.scattering.apply(q)
+        assert got.data.shape == shape
+        assert np.linalg.norm(got.data - want.data) <= 1e-12 * np.linalg.norm(want.data)
+
+
+@pytest.mark.parametrize("cross", [False, True], ids=["boundary-swaps", "crossing-swap"])
+def test_scattering_block_under_row_swaps(cross, rng):
+    # a matrix whose tiny boundary diagonal makes the factor swap boundary
+    # rows among themselves; with an interior column whose only nonzero
+    # below the diagonal is a boundary row, the factor swaps across the split
+    ni, nb = 4, 3
+    C = np.zeros((ni + nb, ni + nb), complex)
+    C[:ni, :ni] = np.diag(4.0 + np.arange(ni)) + 0.1 * (rng.standard_normal((ni, ni))
+                                                       + 1j * rng.standard_normal((ni, ni)))
+    C[:ni, ni:] = 0.1 * rng.standard_normal((ni, nb))
+    C[ni:, :ni] = C[:ni, ni:].T
+    D = rng.standard_normal((nb, nb)) + 1j * rng.standard_normal((nb, nb))
+    C[ni:, ni:] = D + D.T
+    C[np.arange(ni, ni + nb), np.arange(ni, ni + nb)] = 1e-3
+    if cross:
+        C[0, :ni] = C[:ni, 0] = 0.0
+    lu = sk._boundary_last_lu(sp.csc_matrix(C))
+    rows = lu.perm_r[ni:] - ni
+    assert (rows.min() < 0) == cross
+    assert cross or not np.array_equal(rows, np.arange(nb))
+    T = rng.standard_normal((nb, nb))
+    T = T + T.T
+    S, crossed = sk._scattering_block(lu, T, ni)
+    assert crossed == cross
+    want = np.eye(nb) + 2j * T @ np.linalg.inv(C)[ni:, ni:]
+    assert np.abs(S - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _columns(field, i):
@@ -462,6 +536,15 @@ def test_built_problem_keeps_only_operator_factors(ref_problem):
     p = ref_problem
     assert len(p.solver._lus) == p.num_subdomains
     assert _reachable_superlu(p) == p.num_subdomains + 1
+
+
+def test_factors_keep_no_csc_copies(ref_problem):
+    # reading S_j converts the whole factor to CSC, a copy SuperLU would keep
+    # for the factor's lifetime; the read empties it, and the solves (checked
+    # against dense ones below) do not use it
+    assert ref_problem.solver.fallbacks == 0
+    for f in ref_problem.solver._lus:
+        assert f.lu.L.nnz == 0 and f.lu.U.nnz == 0
 
 
 def test_local_solvability_guard():
