@@ -5,9 +5,10 @@ Each condition contributes a 2x2 block operator on the boundary pair
 through a plain swap, Neumann and Robin decouple the multiplier, and the
 mixed condition routes through an oblique projector onto the functionals
 supported on the Dirichlet part.  The closed form of each impedance
-inverse serves the volume solves on the boundary pair, and the closed form
-of the boundary scattering block is the outer block of the scattering
-operator; the two agree by the resolvent formula.
+inverse serves the volume solves on the boundary pair.  The closed form of
+the boundary scattering block agrees with it by the resolvent formula;
+written in whitened coordinates, it is the outer block of the scattering
+operator.
 """
 
 from __future__ import annotations
@@ -72,10 +73,11 @@ class BoundaryCondition:
 
     Exposes the operator itself (``apply``), the closed-form inverse of
     the impedance-shifted operator (``impedance_inverse``), the closed form
-    of the boundary scattering block (``scattering``, the outer block of the
-    scattering operator) and the dense 2x2 blocks used by the monolithic
-    assembly.  ``chol_t`` is the lower Cholesky factor of ``t_gamma`` if it
-    is already at hand (``BlockImpedance.chol[0]``); it is not copied.
+    of the boundary scattering block (``scattering``, and in whitened
+    coordinates ``whitened_scattering``, the outer block of the scattering
+    operator) and the dense 2x2 blocks used by the monolithic assembly.
+    ``chol_t`` is the lower Cholesky factor of ``t_gamma`` if it is already
+    at hand (``BlockImpedance.chol[0]``); it is not copied.
     """
 
     def __init__(self, kind: str, t_gamma: np.ndarray, lam=None, theta=None, chol_t=None):
@@ -176,6 +178,26 @@ class BoundaryCondition:
         if self.kind == "robin":
             return _real_op(self._lam_minus_t.dot, _cho_solve(self._upper_lt, q))
         return 2.0 * _real_op(self.theta.dot, q) - q
+
+    def whitened_scattering(self) -> np.ndarray:
+        """The boundary scattering block in whitened coordinates, L^-1 S L
+        for the lower Cholesky factor L of ``t_gamma``: a real dense matrix.
+
+        Dirichlet gives the identity and Neumann its negative.  Robin, with
+        S = I - 2T (lam + T)^-1 and lam + T = U^T U, gives the symmetric
+        I - 2 X^T X with X = U^-T L.  The mixed condition gives
+        2 L^-1 Theta L - I.
+        """
+        n, L = self.n, self._upper_t.T
+        if self.kind == "dirichlet":
+            return np.eye(n)
+        if self.kind == "neumann":
+            return -np.eye(n)
+        if self.kind == "robin":
+            X = sla.solve_triangular(self._upper_lt, L, trans="T", check_finite=False)
+            return np.eye(n) - 2.0 * (X.T @ X)
+        return 2.0 * sla.solve_triangular(L, self.theta @ L, lower=True,
+                                          check_finite=False) - np.eye(n)
 
     # -- dense blocks for monolithic assembly -----------------------------------
 

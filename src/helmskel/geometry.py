@@ -22,6 +22,7 @@ __all__ = [
     "SkeletonIndex",
     "build_rect_mesh",
     "partition_checkerboard",
+    "partition_from_labels",
     "tag_boundary",
     "skeleton_index",
     "triangle_areas",
@@ -276,9 +277,18 @@ def partition_checkerboard(mesh: Mesh, px: int, py: int) -> Partition:
     cj = np.clip(np.floor(cents[:, 1] / dy).astype(int), 0, mesh.ny - 1)
     bi = ci // (mesh.nx // px)
     bj = cj // (mesh.ny // py)
-    sub_of_tri = bj * px + bi
+    return partition_from_labels(mesh, bj * px + bi)
 
-    J = px * py
+
+def partition_from_labels(mesh: Mesh, sub_of_tri: np.ndarray) -> Partition:
+    """Partition a mesh by a subdomain label 0 ... J-1 per triangle.
+
+    Each label must name an edge-connected, nonempty set of triangles; the
+    closed subdomain's vertices are split into its boundary (the vertices
+    of edges used by one of its triangles only) and its interior.
+    """
+    sub_of_tri = np.asarray(sub_of_tri)
+    J = int(sub_of_tri.max()) + 1
     nv = mesh.num_vertices
     boundary_dofs = []
     interior_dofs = []

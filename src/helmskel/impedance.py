@@ -18,8 +18,13 @@ passed on to the factor of its impedance problem, which has the same
 sparsity.
 
 The induced norms ||v||_T and ||q||_T^-1 are the working metric of the
-whole skeleton formulation; the Cholesky factors of the blocks double as
-the whitening transform used by Krylov solvers and the spectral harness.
+whole skeleton formulation.  The Cholesky factors L_b of the blocks double
+as the whitening transform w = L^-1 q: the Krylov solvers and the spectral
+harness work in those coordinates, where the skeleton operators are
+applied directly and the exchange takes one product with L and one with
+L^T.  Only a dual field entering or leaving them is whitened or unwhitened.
+Equal-size blocks of T and of L are stacked, so each such product is one
+matrix product per block size.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import scipy.sparse.linalg as spla
 
 from .geometry import Mesh, _offsets, build_rect_mesh
 from .assembly import Coefficients, LocalForms, _assemble_on
-from .traces import SkeletonField, _nonzero_blocks
+from .traces import SkeletonField
 
 _dtrtrs = sla.get_lapack_funcs("trtrs", dtype=np.float64)
 
@@ -264,16 +269,65 @@ def _collar_forms(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> LocalForm
                         Coefficients(k=1.0, gamma=gamma))
 
 
-def collar_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> np.ndarray:
+def collar_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float,
+                     with_chol: bool = False):
     """Exterior-collar surrogate for the outer impedance.
 
     Meshes a one-cell-thick ring around the rectangle with the same grid
     spacing, assembles K + gamma^-2 M on it with the natural condition on
     the outer rim, and eliminates every collar dof except those matching
-    the boundary vertices.  The result is real SPD by construction.
+    the boundary vertices.  The result is real SPD by construction.  With
+    ``with_chol`` the pair (T, L) is returned, L the lower Cholesky factor
+    of T read off the same factor (see :func:`schur_dtn`).
     """
     lf = _collar_forms(mesh, gamma_dofs, gamma)
-    return schur_dtn(lf.H, lf.n_interior)
+    T, chol, _ = _schur_and_order(lf.H, lf.n_interior)
+    return (T, chol) if with_chol else T
+
+
+class _StackedBlocks:
+    """Square blocks on the diagonal of a block-diagonal matrix, stacked by size.
+
+    The blocks of one size are one ``(g, n, n)`` array, and the product of
+    all blocks with a flat array is one ``np.matmul`` per size.  A size
+    whose blocks sit next to each other reads and writes its rows as one
+    slice; any other takes an index array.  ``blocks`` are views of the
+    stacks, in the given order.
+    """
+
+    def __init__(self, blocks):
+        sizes = [len(b) for b in blocks]
+        offsets = _offsets(sizes)
+        views = [None] * len(blocks)
+        self.groups = []
+        for n in sorted(set(sizes)):
+            ids = [i for i, s in enumerate(sizes) if s == n]
+            stack = np.stack([blocks[i] for i in ids])
+            if ids == list(range(ids[0], ids[-1] + 1)):
+                rows = slice(offsets[ids[0]], offsets[ids[-1] + 1])
+            else:
+                rows = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in ids])
+            self.groups.append((stack, rows))
+            for k, i in enumerate(ids):
+                views[i] = stack[k]
+        self.blocks = tuple(views)
+        self.real = not any(np.iscomplexobj(stack) for stack, _ in self.groups)
+
+    def matmul(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """The product of every block (or its transpose) with its rows of
+        ``x``, a vector or column block; a complex ``x`` meets real blocks as
+        its real and imaginary parts in real columns."""
+        if self.real and np.iscomplexobj(x):
+            return _complex_columns(self.matmul(_real_columns(x), transpose), x)
+        dtype = np.result_type(x.dtype, *(stack.dtype for stack, _ in self.groups))
+        out = np.empty(x.shape, dtype)
+        for stack, rows in self.groups:
+            g, n = stack.shape[:2]
+            A = stack.transpose(0, 2, 1) if transpose else stack
+            X = x[rows] if isinstance(rows, slice) else x.take(rows, axis=0)
+            Y = np.matmul(A, X.reshape(g, n, -1))
+            out[rows] = Y.reshape((g * n,) + x.shape[1:])
+        return out
 
 
 class BlockImpedance:
@@ -281,30 +335,34 @@ class BlockImpedance:
 
     Holds the lower Cholesky factor of every block: ``chol`` gives those
     already at hand (None for a block to factor here), such as the factors
-    :class:`DtnBlock` reads off the factor of H; a block factored here must
-    be symmetric.  ``whiten`` maps a dual field to coordinates whose
-    Euclidean norm equals the T^-1 norm, which turns the skeleton metric
-    into the plain l2 metric for solvers and singular value computations.
+    :class:`DtnBlock` and :func:`collar_impedance` read off the factor of
+    H; a block factored here must be symmetric.  ``whiten`` maps a dual
+    field to coordinates w = L^-1 q whose Euclidean norm equals the T^-1
+    norm, which turns the skeleton metric into the plain l2 metric for
+    solvers and singular value computations.  The skeleton operators are
+    applied in those coordinates directly; whitening happens only where a
+    dual field enters or leaves them.
 
-    Fields are flat (see :class:`~helmskel.traces.SkeletonField`): every
-    method views the whole complex array, vector or column block, as one
-    real column block, with the real and imaginary part of each column
-    adjacent, and makes one real BLAS or LAPACK call per block into one
-    preallocated output.  Products skip all-zero blocks.
+    Fields are flat (see :class:`~helmskel.traces.SkeletonField`).  The
+    blocks of T and of L are stacked by size, and each product with them
+    is one real ``np.matmul`` per block size, the complex array, vector or
+    column block, viewed as one real column block with the real and
+    imaginary part of each column adjacent (``factor_product``).
     """
 
     def __init__(self, blocks, chol=None):
-        self.blocks = tuple(np.ascontiguousarray(b) for b in blocks)
-        factors = list(chol) if chol is not None else [None] * len(self.blocks)
-        for i, b in enumerate(self.blocks):
+        blocks = [np.asarray(b) for b in blocks]
+        factors = list(chol) if chol is not None else [None] * len(blocks)
+        for i, b in enumerate(blocks):
             if factors[i] is not None:
                 continue
             if not np.allclose(b, b.T, rtol=0, atol=1e-12 * (1 + np.abs(b).max())):
                 raise ValueError(f"impedance block {i} is not symmetric")
             factors[i] = np.linalg.cholesky(b)
-        self.chol = tuple(np.ascontiguousarray(L) for L in factors)
-        # L^T of a C-ordered L is a Fortran-ordered view: LAPACK reads it as is
-        self._upper = tuple(L.T for L in self.chol)
+        self._t = _StackedBlocks(blocks)
+        self._l = _StackedBlocks(factors)
+        self.blocks = self._t.blocks
+        self.chol = self._l.blocks
         self.sizes = tuple(b.shape[0] for b in self.blocks)
         self.offsets = _offsets(self.sizes)
         self.total = self.offsets[-1]
@@ -312,16 +370,9 @@ class BlockImpedance:
     def _field(self, data, kind: str) -> SkeletonField:
         return SkeletonField.wrap(data, self.offsets, kind)
 
-    def _products(self, mats, data: np.ndarray) -> np.ndarray:
-        """``mats[b] @ data_b`` for every block b, as real columns; an
-        all-zero block of ``data`` gives a zero block without a product."""
-        X = _real_columns(data)
-        Y = np.zeros(X.shape)
-        o = self.offsets
-        for A, a, b, live in zip(mats, o, o[1:], _nonzero_blocks(data, o)):
-            if live:
-                np.dot(A, X[a:b], out=Y[a:b])
-        return _complex_columns(Y, data)
+    def factor_product(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """L x, or L^T x with ``transpose``, for a flat vector or column block."""
+        return self._l.matmul(x, transpose)
 
     # -- block-wise algebra -------------------------------------------------
 
@@ -329,7 +380,7 @@ class BlockImpedance:
         """T v: primal field to dual field."""
         if field.kind != "primal":
             raise ValueError("impedance applies to primal fields")
-        return self._field(self._products(self.blocks, field.data), "dual")
+        return self._field(self._t.matmul(field.data), "dual")
 
     def solve(self, field) -> SkeletonField:
         """T^-1 q: dual field to primal field."""
@@ -346,7 +397,7 @@ class BlockImpedance:
         """T norm of a primal field, T^-1 norm of a dual field."""
         if field.kind != "primal":
             return float(np.linalg.norm(self.whiten(field)))
-        return float(np.linalg.norm(self._products(self._upper, field.data)))
+        return float(np.linalg.norm(self.factor_product(field.data, transpose=True)))
 
     # -- whitening ------------------------------------------------------------
 
@@ -362,13 +413,14 @@ class BlockImpedance:
         X = _real_columns(field.data)
         Y = np.empty_like(X)
         o = self.offsets
-        for U, a, b in zip(self._upper, o, o[1:]):
-            Y[a:b] = _dtrtrs(U, X[a:b], lower=0, trans=1)[0]
+        # L^T of a C-ordered L is a Fortran-ordered view: LAPACK reads it as is
+        for L, a, b in zip(self.chol, o, o[1:]):
+            Y[a:b] = _dtrtrs(L.T, X[a:b], lower=0, trans=1)[0]
         return _complex_columns(Y, field.data)
 
     def unwhiten(self, w: np.ndarray) -> SkeletonField:
         """Inverse of :meth:`whiten`, for a vector or an ``(n, m)`` column block."""
-        return self._field(self._products(self.chol, w), "dual")
+        return self._field(self.factor_product(w), "dual")
 
     def zeros(self, kind: str) -> SkeletonField:
         return self._field(np.zeros(self.total, complex), kind)

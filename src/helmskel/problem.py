@@ -132,14 +132,20 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
         orders.setdefault(key, dtn[-1].order[:lf.n_interior])
 
     if tgamma == "collar":
-        t_gamma = collar_impedance(mesh, partition.gamma_dofs, coeffs.gamma)
+        t_gamma, chol_gamma = collar_impedance(mesh, partition.gamma_dofs, coeffs.gamma,
+                                               with_chol=True)
     elif tgamma == "boundary_h1":
         t_gamma = boundary_h1_impedance(mesh, partition.gamma_dofs, coeffs.gamma)
+        chol_gamma = None
     else:
         raise ValueError(f"unknown tgamma surrogate {tgamma!r}")
 
     impedance = BlockImpedance([t_gamma] + [d.T for d in dtn],
-                                chol=[None] + [d.chol for d in dtn])
+                                chol=[chol_gamma] + [d.chol for d in dtn])
+    # The impedance holds its own stacked copies of the blocks and factors;
+    # only the boundary-last orders of the DtN factors are still needed.
+    local_orders = [d.order for d in dtn]
+    del dtn, t_gamma, chol_gamma
     m_gamma = boundary_mass(mesh, partition.gamma_dofs)
 
     lam = None
@@ -148,14 +154,14 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
         lam = lambda_scale * k * m_gamma
     elif bc_kind == "mixed":
         gamma_d_positions = gamma_d_positions_from_tags(mesh, partition.gamma_dofs)
-    bc = make_boundary_condition(bc_kind, t_gamma, lam=lam,
+    bc = make_boundary_condition(bc_kind, impedance.blocks[0], lam=lam,
                                  gamma_d_positions=gamma_d_positions,
                                  chol_t=impedance.chol[0])
 
     exchange = ExchangeOperator(index, impedance)
-    solver = LocalImpedanceSolver(forms, [d.order for d in dtn], impedance, bc,
+    solver = LocalImpedanceSolver(forms, local_orders, impedance, bc,
                                   rcond_floor=rcond_floor)
-    scattering = ScatteringOperator(solver)
+    scattering = ScatteringOperator(solver, impedance)
 
     return Problem(mesh, partition, index, coeffs, bc, forms, global_forms,
                    impedance, m_gamma, exchange, solver, scattering)

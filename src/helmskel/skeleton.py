@@ -7,14 +7,19 @@ reflection across the single-trace subspace in the inverse-impedance
 metric.  Pi couples every block meeting a skeleton dof at once, which is
 exactly what makes cross points unproblematic here.
 
-Each subdomain keeps one sparse factor of its impedance problem
-C_j = A_j - i B_j^T T_j B_j, made with the boundary dofs last.  The block
-S_j = I + 2i T_j Sigma_j^-1 of the scattering operator, with Sigma_j the
+Both operators act on dual fields and, written directly in the whitened
+coordinates w = L^-1 q of the impedance Cholesky factor L, on plain
+arrays: there they are S~ = L^-1 S L and Pi~ = L^-1 Pi L, and the
+iterative solvers and the spectral harness apply them with no whitening
+inside a step.  Each subdomain keeps one sparse factor of its impedance
+problem C_j = A_j - i B_j^T T_j B_j, made with the boundary dofs last.
+The whitened block S~_j = I + 2i L_j^T Sigma_j^-1 L_j, with Sigma_j the
 Schur complement of C_j onto the boundary, is read off that factor once
-and kept dense, so applying S takes one matrix product per subdomain and
-no sparse solve.  The factor serves the volume solves: the right-hand
-side, the recovery of the volume solution and the Cauchy pairs.  The
-exchange keeps one sparse factor of G = E^T T E.
+and kept dense, stacked with the blocks of its size, so applying S~ takes
+one matrix product per block size and no sparse solve; S on a dual field
+whitens, applies S~ and unwhitens.  The factor serves the volume solves:
+the right-hand side, the recovery of the volume solution and the Cauchy
+pairs.  The exchange keeps one sparse factor of G = E^T T E.
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ import scipy.sparse.linalg as spla
 
 from .assembly import restriction_apply
 from .geometry import SkeletonIndex
-from .impedance import BlockImpedance, _real_op, _splu_spd, _trailing_block
+from .impedance import (BlockImpedance, _complex_columns, _real_columns, _real_op,
+                        _splu_spd, _StackedBlocks, _trailing_block)
 from .traces import (SkeletonField, VolumeTuple, _nonzero_blocks, _zero_extension,
-                     single_trace_adjoint, trace_adjoint, trace_apply)
+                     trace_adjoint, trace_apply)
 
 __all__ = [
     "AssumptionViolation",
@@ -59,6 +65,20 @@ class AssumptionViolation(RuntimeError):
     """
 
 
+def _exchange_gram(index: SkeletonIndex, impedance: BlockImpedance) -> sp.csc_matrix:
+    """G = E^T T E, sparse, holding no explicit zero: a banded impedance
+    block (the boundary H1 surrogate) adds its band only, so the fill of
+    the factor follows the nonzeros of G."""
+    n = index.n_sigma
+    maps = [m.astype(np.int32) for m in index.block_map]
+    rows = np.concatenate([np.repeat(m, len(m)) for m in maps])
+    cols = np.concatenate([np.tile(m, len(m)) for m in maps])
+    vals = np.concatenate([T.ravel() for T in impedance.blocks])
+    G = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    G.eliminate_zeros()
+    return G
+
+
 class ExchangeOperator:
     """Reflection across the impedance image of the single-trace space.
 
@@ -66,36 +86,46 @@ class ExchangeOperator:
     Q q = T E G^-1 E^T q and the exchange operator is Pi = 2Q - Id.  Pi is
     an involution and an isometry for the T^-1 norm; it fixes tuples of
     matching Neumann data and negates tuples of opposite Neumann jumps.
-    G is assembled sparse from the impedance blocks and factored once by a
-    real sparse LU (symmetric mode, fill-reducing ordering of G + G^T); only
-    the factor is kept.  A complex right-hand side is solved as its real and
-    imaginary parts, real columns of one solve.  The embedding E is one
-    gather of ``index.flat_map``.  Fields of ``(n_b, m)`` column blocks are
-    applied to all m columns at once.
+
+    ``apply`` takes a dual field, or a plain array of whitened coordinates
+    w = L^-1 q, on which it is Pi~ w = 2 L^T E G^-1 E^T L w - w, the
+    exchange written in those coordinates; the products with L and L^T are
+    one matrix product per block size.  G is assembled sparse from the
+    impedance blocks, with no explicit zero, and factored once by a real
+    sparse LU (symmetric mode, fill-reducing ordering of G + G^T); only the
+    factor is kept.  Everything runs in real arithmetic: a complex field is
+    solved as its real and imaginary parts, real columns of one solve.
+    E^T is one real sparse sum and E one gather of ``index.flat_map``.
+    Fields of ``(n_b, m)`` column blocks are applied to all m columns at
+    once.
     """
 
     def __init__(self, index: SkeletonIndex, impedance: BlockImpedance):
         self.index = index
         self.impedance = impedance
         self._flat_map = index.flat_map
-        n = index.n_sigma
-        maps = [m.astype(np.int32) for m in index.block_map]
-        rows = np.concatenate([np.repeat(m, len(m)) for m in maps])
-        cols = np.concatenate([np.tile(m, len(m)) for m in maps])
-        vals = np.concatenate([T.ravel() for T in impedance.blocks])
-        self._lu = _splu_spd(sp.csc_matrix((vals, (rows, cols)), shape=(n, n)))
+        self._sum = index.dof_sum.real
+        self._lu = _splu_spd(_exchange_gram(index, impedance))
+
+    def _embed_solve(self, X: np.ndarray) -> np.ndarray:
+        """E G^-1 E^T X for a real column block X of concatenated fields."""
+        return self._lu.solve(self._sum @ X).take(self._flat_map, axis=0)
 
     def project(self, q: SkeletonField) -> SkeletonField:
         """Q q: the T^-1-orthogonal projection onto T(single-trace space)."""
         if q.kind != "dual":
             raise ValueError("exchange operator acts on dual fields")
-        x = _real_op(self._lu.solve, single_trace_adjoint(q, self.index))
-        tx = SkeletonField.wrap(x[self._flat_map], q.offsets, "primal")
+        tx = SkeletonField.wrap(_real_op(self._embed_solve, q.data), q.offsets, "primal")
         return self.impedance.apply(tx)
 
-    def apply(self, q: SkeletonField) -> SkeletonField:
-        """Pi q = 2 Q q - q."""
-        return 2.0 * self.project(q) - q
+    def apply(self, q):
+        """Pi q = 2 Q q - q of a dual field, or Pi~ w of whitened coordinates."""
+        if isinstance(q, SkeletonField):
+            return 2.0 * self.project(q) - q
+        imp = self.impedance
+        X = _real_columns(q)
+        Y = imp.factor_product(self._embed_solve(imp.factor_product(X)), transpose=True)
+        return 2.0 * _complex_columns(Y, q) - q
 
 
 # Largest block whose inverse the rcond fallback forms densely (64 MB complex).
@@ -173,34 +203,36 @@ def _boundary_last_lu(C: sp.csc_matrix):
                      options=dict(SymmetricMode=True))
 
 
-def _scattering_block(lu, T: np.ndarray, n_interior: int):
-    """S = I + 2i T Sigma^-1 for a symmetric T, with Sigma the Schur
+def _whitened_scattering_block(lu, L: np.ndarray, n_interior: int):
+    """S~ = I + 2i L^T Sigma^-1 L for a real matrix L, with Sigma the Schur
     complement onto the trailing ``n - n_interior`` rows and columns of the
-    matrix C that ``lu`` factors (from :func:`_boundary_last_lu`).
+    matrix C that ``lu`` factors (from :func:`_boundary_last_lu`).  With L
+    the lower Cholesky factor of T, this is L^-1 S L for the scattering
+    block S = I + 2i T Sigma^-1.
 
-    Returns S and whether the factor was pivoted across the interior/boundary
+    Returns S~ and whether the factor was pivoted across the interior/boundary
     split.  If it was not, the trailing block of the factor is Sigma with
-    its rows permuted by the boundary row swaps, L_bb U_bb = P_b Sigma, and S
-    follows from two dense triangular solves against T.  Otherwise
-    Sigma^-1 = B C^-1 B^T is one n_b-column solve with the factor.
+    its rows permuted by the boundary row swaps, L_bb U_bb = P_b Sigma, and
+    Sigma^-1 L follows from two dense triangular solves against P_b L.
+    Otherwise Sigma^-1 L = B C^-1 B^T L is one n_b-column solve with the
+    factor.  One product with L^T ends both.
     """
     n, ni = lu.shape[0], n_interior
-    nb = n - ni
     rows = lu.perm_r[ni:] - ni
     crossed = rows.min(initial=0) < 0 or not np.array_equal(lu.perm_c, np.arange(n))
     if not crossed:
-        # P_b moves row k to rows[k], so T Sigma^-1 = X P_b with
-        # X^T = L_bb^-T U_bb^-T T, and column k of X P_b is column rows[k] of X
+        # P_b moves row k of L to row rows[k]
         L_bb, U_bb = _read_trailing_factors(lu, ni)
-        Z = np.array(T, complex, order="F")
-        Z = sla.solve_triangular(U_bb, Z, trans="T", overwrite_b=True, check_finite=False)
-        Z = sla.solve_triangular(L_bb, Z, trans="T", lower=True, unit_diagonal=True,
+        Z = np.empty(L.shape, complex, order="F")
+        Z[rows] = L
+        Z = sla.solve_triangular(L_bb, Z, lower=True, unit_diagonal=True,
                                  overwrite_b=True, check_finite=False)
-        S = Z.T[:, rows]
+        Z = sla.solve_triangular(U_bb, Z, overwrite_b=True, check_finite=False)
     else:
-        E = np.zeros((n, nb), complex)
-        E[ni:] = np.eye(nb)
-        S = _real_op(T.dot, lu.solve(E)[ni:])
+        E = np.zeros((n, L.shape[1]), complex)
+        E[ni:] = L
+        Z = lu.solve(E)[ni:]
+    S = _real_op(L.T.dot, Z)
     S *= 2j
     S[np.diag_indices_from(S)] += 1.0
     return S, crossed
@@ -221,7 +253,7 @@ class _BoundaryLastFactor:
 
 class LocalImpedanceSolver:
     """One factor per subdomain of the impedance-shifted block operator,
-    and the dense scattering matrix read off it.
+    and the whitened scattering matrix read off it.
 
     Per subdomain this is C_j = A_j - i B_j^T T_j B_j, a complex symmetric
     sparse matrix bordered by the dense impedance on its boundary dofs.  It
@@ -232,13 +264,14 @@ class LocalImpedanceSolver:
     C_j is indefinite, so a factor without pivoting is not safe.
 
     The factor gives the local Schur complement Sigma_j of C_j onto the
-    boundary, and with it the dense block S_j = I + 2i T_j Sigma_j^-1 of the
-    scattering operator, kept in ``scattering_blocks`` (see
-    :func:`_scattering_block`).  It is read off the trailing block of the
-    factor unless a row swap crossed from the interior to the boundary
-    rows; such a block takes an n_b-column solve with the same factor
-    instead, and ``fallbacks`` counts it.  No option selects the path; the
-    factor decides.
+    boundary, and with it the dense block S~_j = I + 2i L_j^T Sigma_j^-1 L_j
+    of the scattering operator in whitened coordinates, L_j the Cholesky
+    factor of T_j (see :func:`_whitened_scattering_block`).  The blocks are
+    kept stacked by size in ``whitened_blocks``.  Each is read off the
+    trailing block of the factor unless a row swap crossed from the interior
+    to the boundary rows; such a block takes an n_b-column solve with the
+    same factor instead, and ``fallbacks`` counts it.  No option selects
+    the path; the factor decides.
 
     The factor is the only one a subdomain keeps: ``solve_tuple`` applies
     it to loads, recovery and Cauchy pairs.  A reciprocal-condition estimate
@@ -267,9 +300,9 @@ class LocalImpedanceSolver:
             lus.append(_BoundaryLastFactor(lu, pos))
         # Every factor is made before any is read: the transient copies the
         # reads take then reuse one another's memory.
-        blocks = [_scattering_block(f.lu, impedance.blocks[j + 1], lf.n_interior)
+        blocks = [_whitened_scattering_block(f.lu, impedance.chol[j + 1], lf.n_interior)
                   for j, (lf, f) in enumerate(zip(forms, lus))]
-        self.scattering_blocks = tuple(S for S, _ in blocks)
+        self.whitened_blocks = _StackedBlocks([S for S, _ in blocks])
         self.fallbacks = sum(crossed for _, crossed in blocks)
         self._lus = tuple(lus)
 
@@ -301,29 +334,36 @@ class LocalImpedanceSolver:
 class ScatteringOperator:
     """Blockwise map from incoming (p - iTv) to outgoing (p + iTv) traces.
 
-    S q = q + 2i T B (A - i B^T T B)^-1 B^T q, block by block.  The outer
-    block is the closed form ``bc.scattering``.  Subdomain block j is the
-    dense matrix S_j = I + 2i T_j Sigma_j^-1 of
-    :class:`LocalImpedanceSolver`, with Sigma_j the Schur complement of the
-    local impedance problem onto the boundary, so an application is one
-    matrix product per subdomain and no sparse solve, for a vector and for
-    a field of m columns alike.  Without absorption the map is a T^-1
-    isometry; absorption makes it a strict contraction.
+    S q = q + 2i T B (A - i B^T T B)^-1 B^T q, block by block.  Only its
+    whitened blocks S~ = L^-1 S L are kept, and ``apply`` of a plain array
+    of whitened coordinates w = L^-1 q applies them: the outer block is the
+    real dense matrix ``bc.whitened_scattering()``, and subdomain block j is
+    S~_j = I + 2i L_j^T Sigma_j^-1 L_j of :class:`LocalImpedanceSolver`,
+    with Sigma_j the Schur complement of the local impedance problem onto
+    the boundary.  An application is one matrix product per block size and
+    no sparse solve, for a vector and for m columns alike.  A dual field is
+    whitened, scattered and unwhitened.  Without absorption the map is a
+    T^-1 isometry, so S~ is unitary; absorption makes it a strict
+    contraction.
     """
 
-    def __init__(self, solver: LocalImpedanceSolver):
-        self.bc = solver.bc
-        self.blocks = solver.scattering_blocks
+    def __init__(self, solver: LocalImpedanceSolver, impedance: BlockImpedance):
+        self.impedance = impedance
+        self.outer = solver.bc.whitened_scattering()
+        self.blocks = solver.whitened_blocks
 
-    def apply(self, q: SkeletonField) -> SkeletonField:
-        if q.kind != "dual":
-            raise ValueError("scattering operator acts on dual fields")
-        o, data = q.offsets, q.data
-        out = np.empty(data.shape, complex)
-        out[:o[1]] = self.bc.scattering(data[:o[1]])
-        for S, a, b in zip(self.blocks, o[1:], o[2:]):
-            np.dot(S, data[a:b], out=out[a:b])
-        return SkeletonField.wrap(out, o, "dual")
+    def apply(self, q):
+        """S q of a dual field, or S~ w of whitened coordinates."""
+        imp = self.impedance
+        if isinstance(q, SkeletonField):
+            if q.kind != "dual":
+                raise ValueError("scattering operator acts on dual fields")
+            return imp.unwhiten(self.apply(imp.whiten(q)))
+        n0 = imp.sizes[0]
+        out = np.empty(q.shape, complex)
+        out[:n0] = _real_op(self.outer.dot, q[:n0])
+        out[n0:] = self.blocks.matmul(q[n0:])
+        return out
 
 
 @dataclass
@@ -368,7 +408,8 @@ def skeleton_apply(problem, q: SkeletonField) -> SkeletonField:
     """(Id + Pi S) q, applied operator by operator (never assembled).
 
     The blocks of q are vectors or ``(n_b, m)`` column blocks; the m
-    columns are applied together.
+    columns are applied together.  The solvers apply the same operator in
+    whitened coordinates instead (``solvers_spectral._whitened_apply``).
     """
     return q + problem.exchange.apply(problem.scattering.apply(q))
 

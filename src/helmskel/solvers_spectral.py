@@ -1,11 +1,14 @@
 """Iterative solvers in the T^-1 metric and the dense spectral harness.
 
 Both run on one whitened skeleton operator, ``_whitened_apply``, so that
-Euclidean norms are T^-1 norms; one driver, ``_solve``, runs the
-Richardson and GMRES cores.  The spectral harness turns the structural
-guarantees into numbers: inf-sup constants of both formulations, the
-coercivity constant of the skeleton operator, kernel dimensions on both
-sides, and the wavenumber scaling of the constants.
+Euclidean norms are T^-1 norms.  It applies the exchange and scattering
+operators written in whitened coordinates, so no step whitens or
+unwhitens; one driver, ``_solve``, whitens the right-hand side once,
+unwhitens the solution once, and runs the Richardson and GMRES cores in
+between.  The spectral harness turns the structural guarantees into
+numbers: inf-sup constants of both formulations, the coercivity constant
+of the skeleton operator, kernel dimensions on both sides, and the
+wavenumber scaling of the constants.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import zaxpy, zdotc
 
-from . import skeleton as sk
 from .assembly import Coefficients, LocalForms, _assemble_on
 from .impedance import _real_op
 from .problem import Problem, build_problem, monolithic_matrix
@@ -264,10 +266,11 @@ _SLACK = 1e-9
 
 
 def _whitened_apply(problem: Problem, w: np.ndarray) -> np.ndarray:
-    """L^-1 (Id + Pi S) L w for the impedance Cholesky factor L; ``w`` is a
-    vector or an ``(n, m)`` column block."""
-    imp = problem.impedance
-    return imp.whiten(sk.skeleton_apply(problem, imp.unwhiten(w)))
+    """L^-1 (Id + Pi S) L w = w + Pi~ S~ w for the impedance Cholesky factor
+    L; ``w`` is a vector or an ``(n, m)`` column block.  Both operators act
+    on whitened coordinates directly: one scattering and one exchange call,
+    no whitening."""
+    return w + problem.exchange.apply(problem.scattering.apply(w))
 
 
 def _solve(problem: Problem, f: SkeletonField, method: str, core, tol: float):
@@ -276,9 +279,11 @@ def _solve(problem: Problem, f: SkeletonField, method: str, core, tol: float):
     ``core`` returns ``(x, history, converged, message)`` for the whitened
     operator and right-hand side, with the residual norms of the initial
     and of every updated iterate in ``history``.  At exit the true relative
-    residual ||f - (Id + Pi S) q||_T^-1 / ||f||_T^-1 is computed once and
-    reported as ``true_residual``; the solve counts as converged only if
-    it is also within ``_TRUE_RESIDUAL_FACTOR * tol``.
+    residual ||f - (Id + Pi S) q||_T^-1 / ||f||_T^-1 is computed once, as
+    the Euclidean norm of the whitened residual, and reported as
+    ``true_residual``; the solve counts as converged only if it is also
+    within ``_TRUE_RESIDUAL_FACTOR * tol``.  ``f`` is whitened and the
+    solution unwhitened once each.
     """
     imp = problem.impedance
     b = imp.whiten(f)
@@ -286,8 +291,8 @@ def _solve(problem: Problem, f: SkeletonField, method: str, core, tol: float):
     if bnorm == 0.0:
         return imp.zeros("dual"), SolveReport(method, 0, [], True, true_residual=0.0)
     x, history, converged, message = core(lambda w: _whitened_apply(problem, w), b)
+    true_res = float(np.linalg.norm(b - _whitened_apply(problem, x)) / bnorm)
     q = imp.unwhiten(x)
-    true_res = float(np.linalg.norm(b - imp.whiten(sk.skeleton_apply(problem, q))) / bnorm)
     iterations = max(len(history) - 1, 0)
     limit = _TRUE_RESIDUAL_FACTOR * tol
     if converged and true_res > limit:
@@ -320,9 +325,9 @@ def dense_operator(problem: Problem, cap: int = 2000) -> np.ndarray:
     """Dense matrix of the whitened skeleton operator.
 
     The columns are ``_whitened_apply`` of the identity, the same path as
-    the solvers' single vectors.  To bound the temporaries, the identity
-    goes in one chunk of columns per trace block; a chunk is zero outside
-    its block, and the impedance products skip the zero blocks.
+    the solvers' single vectors: the exchange and scattering operators in
+    whitened coordinates, so no column is whitened.  To bound the
+    temporaries, the identity goes in one chunk of columns per trace block.
     """
     n = problem.dual_dim
     if n > cap:

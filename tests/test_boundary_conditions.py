@@ -114,6 +114,17 @@ def test_scattering_closed_forms(setup, rng):
     np.testing.assert_array_equal(setup["neumann"].bc.scattering(q), -q)
 
 
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin", "mixed"])
+def test_whitened_scattering_is_the_closed_form_whitened(setup, kind):
+    # L^-1 S L from the closed form applied to the columns of L
+    bc = setup[kind].bc
+    L = np.linalg.cholesky(bc.t_gamma)
+    want = np.linalg.solve(L, bc.scattering(L))
+    got = bc.whitened_scattering()
+    assert np.isrealobj(got) and not np.any(want.imag)
+    assert np.abs(got - want.real).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_robin_matched_impedance_annihilates(setup, rng):
     t = setup["robin"].bc.t_gamma
     bc = BoundaryCondition("robin", t, lam=t.copy())

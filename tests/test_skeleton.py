@@ -6,7 +6,10 @@ import scipy.sparse.linalg as spla
 import helmskel.skeleton as sk
 import helmskel.verification as vf
 from helmskel.assembly import restriction_adjoint, restriction_apply
+import helmskel.problem as problem_mod
+from helmskel.geometry import partition_from_labels
 from helmskel.problem import build_problem, h1_norm, make_load, monolithic_matrix, solve_monolithic
+from helmskel.solvers_spectral import _whitened_apply
 from helmskel.traces import (SkeletonField, VolumeTuple, single_trace_adjoint,
                              single_trace_embed, skew_pair, trace_adjoint, trace_apply)
 
@@ -145,8 +148,9 @@ def _cellwise_kappa_sq(seed, k, cells=4):
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin", "mixed"])
 @pytest.mark.parametrize("config", ["reference", "fallback"])
 def test_dense_scattering_matches_resolvent(config, kind, rng):
-    # the dense blocks S_j = I + 2i T_j Sigma_j^-1 against the resolvent
-    # q + 2i T B (A - i B^T T B)^-1 B^T q through solve_tuple.  At k = 20 with
+    # the dense whitened blocks S~_j = I + 2i L_j^T Sigma_j^-1 L_j, applied to
+    # a dual field between a whitening and an unwhitening, against the
+    # resolvent q + 2i T B (A - i B^T T B)^-1 B^T q through solve_tuple.  At k = 20 with
     # a seeded cellwise kappa^2, the factors of two of the four blocks swap
     # rows across the interior/boundary split, so those take the n_b-column
     # solve and the other two the trailing-block read.
@@ -165,6 +169,10 @@ def test_dense_scattering_matches_resolvent(config, kind, rng):
             b = rng.standard_normal(lf.n_dofs) + 1j * rng.standard_normal(lf.n_dofs)
             want = np.linalg.solve(C, b)
             assert np.linalg.norm(lu.solve(b) - want) <= 1e-12 * np.linalg.norm(want)
+    _assert_scattering_matches_resolvent(p, rng)
+
+
+def _assert_scattering_matches_resolvent(p, rng):
     for shape in [(p.dual_dim,), (p.dual_dim, 5)]:
         q = SkeletonField.from_concat(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
                                       p.block_sizes, "dual")
@@ -195,12 +203,73 @@ def test_scattering_block_under_row_swaps(cross, rng):
     rows = lu.perm_r[ni:] - ni
     assert (rows.min() < 0) == cross
     assert cross or not np.array_equal(rows, np.arange(nb))
-    T = rng.standard_normal((nb, nb))
-    T = T + T.T
-    S, crossed = sk._scattering_block(lu, T, ni)
+    L = np.linalg.cholesky(np.eye(nb) + 0.1 * np.ones((nb, nb)))
+    S, crossed = sk._whitened_scattering_block(lu, L, ni)
     assert crossed == cross
-    want = np.eye(nb) + 2j * T @ np.linalg.inv(C)[ni:, ni:]
+    want = np.eye(nb) + 2j * L.T @ np.linalg.inv(C)[ni:, ni:] @ L
     assert np.abs(S - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _assert_whitened_apply_matches(p, rng):
+    # the operators written in whitened coordinates against the dual-field
+    # operators between a whitening and an unwhitening, on a vector and on
+    # a block of columns
+    imp = p.impedance
+    for shape in [(p.dual_dim,), (p.dual_dim, 4)]:
+        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = imp.whiten(sk.skeleton_apply(p, imp.unwhiten(w)))
+        got = _whitened_apply(p, w)
+        assert got.shape == shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("tgamma", ["collar", "boundary_h1"])
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin", "mixed"])
+def test_whitened_apply_matches_dual_operators(kind, tgamma, rng):
+    _assert_whitened_apply_matches(build_problem(8, 8, 2, 2, k=5.0, bc_kind=kind,
+                                                 tgamma=tgamma), rng)
+
+
+def test_whitened_apply_with_fallback_blocks(rng):
+    p = build_problem(8, 8, 2, 2, k=20.0, kappa_sq=_cellwise_kappa_sq(1, 20.0))
+    assert p.solver.fallbacks >= 1
+    _assert_whitened_apply_matches(p, rng)
+
+
+def test_whitened_apply_on_blocks_of_unequal_sizes(monkeypatch, rng):
+    # a 2x2 checkerboard of a 12x12 mesh whose first cell is cut in two
+    # halves, labelled first and last: the 18-dof halves are one size group
+    # read through an index array, the three 24-dof cells one group read as
+    # a slice.  A cellwise kappa^2 makes the two halves' blocks differ.
+    def halved(mesh, px, py):
+        labels = partition_checkerboard(mesh, px, py).subdomain_of_triangle.copy()
+        cents = mesh.vertices[mesh.triangles].mean(axis=1)
+        labels[(labels == 0) & (cents[:, 0] > 0.25)] = px * py
+        return partition_from_labels(mesh, labels)
+
+    partition_checkerboard = problem_mod.partition_checkerboard
+    monkeypatch.setattr(problem_mod, "partition_checkerboard", halved)
+    p = build_problem(12, 12, 2, 2, k=5.0, kappa_sq=_cellwise_kappa_sq(2, 5.0))
+    assert p.block_sizes == (48, 18, 24, 24, 24, 18)
+    rows = {stack.shape[1]: rows for stack, rows in p.scattering.blocks.groups}
+    assert isinstance(rows[24], slice) and not isinstance(rows[18], slice)
+    _assert_whitened_apply_matches(p, rng)
+    _assert_scattering_matches_resolvent(p, rng)
+
+
+def test_exchange_gram_stores_no_zero():
+    # boundary_h1 makes T_Gamma banded: its zeros must not enter G
+    p = build_problem(8, 8, 2, 2, k=5.0, tgamma="boundary_h1")
+    G = sk._exchange_gram(p.index, p.impedance)
+    assert np.all(G.data != 0)
+    E = np.zeros((p.dual_dim, p.index.n_sigma))
+    E[np.arange(p.dual_dim), p.index.flat_map] = 1.0
+    T = np.zeros((p.dual_dim, p.dual_dim))
+    for Tb, a, b in zip(p.impedance.blocks, p.impedance.offsets, p.impedance.offsets[1:]):
+        T[a:b, a:b] = Tb
+    want = E.T @ T @ E
+    assert G.nnz == np.count_nonzero(want)
+    assert np.abs(G.toarray() - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def _columns(field, i):
