@@ -106,7 +106,6 @@ class BoundaryCondition:
             except np.linalg.LinAlgError as exc:
                 raise ValueError("robin impedance plus boundary impedance "
                                  "is not positive definite") from exc
-            self._lam_minus_t = self.lam - self.t_gamma
         if kind == "mixed" and self.theta is None:
             raise ValueError("mixed condition needs a projector")
 
@@ -176,7 +175,7 @@ class BoundaryCondition:
         if self.kind == "neumann":
             return -q
         if self.kind == "robin":
-            return _real_op(self._lam_minus_t.dot, _cho_solve(self._upper_lt, q))
+            return _real_op((self.lam - self.t_gamma).dot, _cho_solve(self._upper_lt, q))
         return 2.0 * _real_op(self.theta.dot, q) - q
 
     def whitened_scattering(self) -> np.ndarray:

@@ -233,10 +233,14 @@ def boundary_stiffness(mesh: Mesh, gamma_dofs: np.ndarray) -> np.ndarray:
     return _boundary_form(mesh, gamma_dofs, (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
-def boundary_h1_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> np.ndarray:
-    """Boundary H1 surrogate for the outer impedance: K_Gamma + gamma^-1 M_Gamma."""
+def boundary_h1_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float):
+    """Boundary H1 surrogate for the outer impedance: K_Gamma + gamma^-1 M_Gamma.
+
+    Returns the pair (T, L), L the lower Cholesky factor of T.
+    """
     T = boundary_stiffness(mesh, gamma_dofs) + boundary_mass(mesh, gamma_dofs) / gamma
-    return 0.5 * (T + T.T)
+    T = 0.5 * (T + T.T)
+    return T, np.linalg.cholesky(T)
 
 
 def _collar_forms(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> LocalForms:
@@ -269,30 +273,28 @@ def _collar_forms(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> LocalForm
                         Coefficients(k=1.0, gamma=gamma))
 
 
-def collar_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float,
-                     with_chol: bool = False):
+def collar_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float):
     """Exterior-collar surrogate for the outer impedance.
 
     Meshes a one-cell-thick ring around the rectangle with the same grid
     spacing, assembles K + gamma^-2 M on it with the natural condition on
     the outer rim, and eliminates every collar dof except those matching
-    the boundary vertices.  The result is real SPD by construction.  With
-    ``with_chol`` the pair (T, L) is returned, L the lower Cholesky factor
-    of T read off the same factor (see :func:`schur_dtn`).
+    the boundary vertices.  The result is real SPD by construction.
+    Returns the pair (T, L), L the lower Cholesky factor of T read off the
+    same factor (see :func:`schur_dtn`).
     """
     lf = _collar_forms(mesh, gamma_dofs, gamma)
     T, chol, _ = _schur_and_order(lf.H, lf.n_interior)
-    return (T, chol) if with_chol else T
+    return T, chol
 
 
 class _StackedBlocks:
     """Square blocks on the diagonal of a block-diagonal matrix, stacked by size.
 
     The blocks of one size are one ``(g, n, n)`` array, and the product of
-    all blocks with a flat array is one ``np.matmul`` per size.  A size
-    whose blocks sit next to each other reads and writes its rows as one
-    slice; any other takes an index array.  ``blocks`` are views of the
-    stacks, in the given order.
+    all blocks with a flat array is one ``np.matmul`` per size, on the rows
+    of those blocks gathered by one index array and scattered back by it.
+    ``blocks`` are views of the stacks, in the given order.
     """
 
     def __init__(self, blocks):
@@ -303,10 +305,7 @@ class _StackedBlocks:
         for n in sorted(set(sizes)):
             ids = [i for i, s in enumerate(sizes) if s == n]
             stack = np.stack([blocks[i] for i in ids])
-            if ids == list(range(ids[0], ids[-1] + 1)):
-                rows = slice(offsets[ids[0]], offsets[ids[-1] + 1])
-            else:
-                rows = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in ids])
+            rows = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in ids])
             self.groups.append((stack, rows))
             for k, i in enumerate(ids):
                 views[i] = stack[k]
@@ -324,8 +323,7 @@ class _StackedBlocks:
         for stack, rows in self.groups:
             g, n = stack.shape[:2]
             A = stack.transpose(0, 2, 1) if transpose else stack
-            X = x[rows] if isinstance(rows, slice) else x.take(rows, axis=0)
-            Y = np.matmul(A, X.reshape(g, n, -1))
+            Y = np.matmul(A, x.take(rows, axis=0).reshape(g, n, -1))
             out[rows] = Y.reshape((g * n,) + x.shape[1:])
         return out
 
@@ -335,8 +333,8 @@ class BlockImpedance:
 
     Holds the lower Cholesky factor of every block: ``chol`` gives those
     already at hand (None for a block to factor here), such as the factors
-    :class:`DtnBlock` and :func:`collar_impedance` read off the factor of
-    H; a block factored here must be symmetric.  ``whiten`` maps a dual
+    :class:`DtnBlock` and the outer surrogates return with their blocks; a
+    block factored here must be symmetric.  ``whiten`` maps a dual
     field to coordinates w = L^-1 q whose Euclidean norm equals the T^-1
     norm, which turns the skeleton metric into the plain l2 metric for
     solvers and singular value computations.  The skeleton operators are

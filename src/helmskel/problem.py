@@ -132,11 +132,9 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
         orders.setdefault(key, dtn[-1].order[:lf.n_interior])
 
     if tgamma == "collar":
-        t_gamma, chol_gamma = collar_impedance(mesh, partition.gamma_dofs, coeffs.gamma,
-                                               with_chol=True)
+        t_gamma, chol_gamma = collar_impedance(mesh, partition.gamma_dofs, coeffs.gamma)
     elif tgamma == "boundary_h1":
-        t_gamma = boundary_h1_impedance(mesh, partition.gamma_dofs, coeffs.gamma)
-        chol_gamma = None
+        t_gamma, chol_gamma = boundary_h1_impedance(mesh, partition.gamma_dofs, coeffs.gamma)
     else:
         raise ValueError(f"unknown tgamma surrogate {tgamma!r}")
 

@@ -354,15 +354,19 @@ class ScatteringOperator:
 
     def apply(self, q):
         """S q of a dual field, or S~ w of whitened coordinates."""
+        if not isinstance(q, SkeletonField):
+            return self._apply_whitened(q)
+        if q.kind != "dual":
+            raise ValueError("scattering operator acts on dual fields")
         imp = self.impedance
-        if isinstance(q, SkeletonField):
-            if q.kind != "dual":
-                raise ValueError("scattering operator acts on dual fields")
-            return imp.unwhiten(self.apply(imp.whiten(q)))
-        n0 = imp.sizes[0]
-        out = np.empty(q.shape, complex)
-        out[:n0] = _real_op(self.outer.dot, q[:n0])
-        out[n0:] = self.blocks.matmul(q[n0:])
+        return imp.unwhiten(self._apply_whitened(imp.whiten(q)))
+
+    def _apply_whitened(self, w: np.ndarray) -> np.ndarray:
+        """S~ w for a vector or column block of whitened coordinates."""
+        n0 = self.impedance.sizes[0]
+        out = np.empty(w.shape, complex)
+        out[:n0] = _real_op(self.outer.dot, w[:n0])
+        out[n0:] = self.blocks.matmul(w[n0:])
         return out
 
 

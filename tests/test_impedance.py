@@ -100,16 +100,18 @@ def test_trace_norm_dominated_by_volume_norm(ref_problem, rng):
 def test_gamma_surrogates_spd(surrogate):
     mesh = build_rect_mesh(8, 8)
     gamma_dofs = np.unique(mesh.boundary_edges)
-    T = surrogate(mesh, gamma_dofs, 0.2)
+    T, L = surrogate(mesh, gamma_dofs, 0.2)
     np.testing.assert_allclose(T, T.T)
     assert np.linalg.eigvalsh(T).min() > 0
+    np.testing.assert_allclose(L @ L.T, T, rtol=0, atol=1e-12 * np.abs(T).max())
+    assert np.array_equal(L, np.tril(L))
 
 
 def test_collar_monotone_in_gamma(rng):
     mesh = build_rect_mesh(6, 6)
     gamma_dofs = np.unique(mesh.boundary_edges)
-    T1 = collar_impedance(mesh, gamma_dofs, 0.1)
-    T2 = collar_impedance(mesh, gamma_dofs, 0.2)
+    T1, _ = collar_impedance(mesh, gamma_dofs, 0.1)
+    T2, _ = collar_impedance(mesh, gamma_dofs, 0.2)
     for _ in range(10):
         q = rng.standard_normal(len(gamma_dofs))
         assert q @ (T2 @ q) <= q @ (T1 @ q) * (1 + 1e-12)

@@ -175,6 +175,11 @@ def test_gmres_calls_each_layer_once_per_iteration(ref_problem, monkeypatch):
     assert rep.converged and it > 10
     assert calls == {"scattering": it + 1, "exchange": it + 1,
                      "whiten": 1, "unwhiten": 1}
+    # a dual field passes through each operator in one call as well: the
+    # scattering whitens it, applies its whitened blocks and unwhitens
+    calls.clear()
+    sk.skeleton_apply(p, f)
+    assert calls == {"scattering": 1, "exchange": 1, "whiten": 1, "unwhiten": 1}
 
 
 def test_gmres_finite_termination_single_domain(rng):
