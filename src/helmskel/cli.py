@@ -14,6 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import skeleton as sk
 from . import solvers_spectral as ss
@@ -110,8 +111,9 @@ def _tampered(problem):
     scaled by 1.05, a metric that the norms and the scattering do not use."""
     blocks = list(problem.impedance.blocks)
     blocks[1] = 1.05 * blocks[1]
-    return replace(problem, exchange=sk.ExchangeOperator(problem.index,
-                                                         BlockImpedance(blocks)))
+    exchange = sk.ExchangeOperator(problem.index, BlockImpedance(blocks),
+                                   sp.csc_matrix(blocks[0]))
+    return replace(problem, exchange=exchange)
 
 
 def run_verification(cfg: ProblemConfig, seed=None, tamper_t: bool = False) -> dict:

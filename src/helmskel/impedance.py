@@ -6,6 +6,9 @@ boundary dofs, i.e. the discrete Dirichlet-to-Neumann map of the operator
 -Laplace + gamma^-2.  For the outer boundary there is no canonical
 bounded exterior, so two SPD surrogates are provided: the Schur complement
 of a one-cell exterior collar mesh (default), and a boundary H1 matrix.
+Each surrogate also returns the sparse form its T_Gamma is the Schur
+complement of (the collar's H, or T_Gamma itself), from which the exchange
+operator builds its sparse system instead of from the dense T_Gamma.
 
 Every Schur complement is read off a sparse factor: H is factored with
 its boundary dofs last and no pivoting, which SPD allows, and T and its
@@ -236,11 +239,13 @@ def boundary_stiffness(mesh: Mesh, gamma_dofs: np.ndarray) -> np.ndarray:
 def boundary_h1_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float):
     """Boundary H1 surrogate for the outer impedance: K_Gamma + gamma^-1 M_Gamma.
 
-    Returns the pair (T, L), L the lower Cholesky factor of T.
+    Returns (T, L, F): L the lower Cholesky factor of T, and F the
+    tridiagonal T as a sparse matrix, the form whose Schur complement onto
+    the boundary is T with no dofs to eliminate (see ``collar_impedance``).
     """
     T = boundary_stiffness(mesh, gamma_dofs) + boundary_mass(mesh, gamma_dofs) / gamma
     T = 0.5 * (T + T.T)
-    return T, np.linalg.cholesky(T)
+    return T, np.linalg.cholesky(T), sp.csc_matrix(T)
 
 
 def _collar_forms(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> LocalForms:
@@ -280,12 +285,14 @@ def collar_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float):
     spacing, assembles K + gamma^-2 M on it with the natural condition on
     the outer rim, and eliminates every collar dof except those matching
     the boundary vertices.  The result is real SPD by construction.
-    Returns the pair (T, L), L the lower Cholesky factor of T read off the
-    same factor (see :func:`schur_dtn`).
+    Returns (T, L, F): L the lower Cholesky factor of T read off the same
+    factor (see :func:`schur_dtn`), and F the sparse collar form H, the
+    other collar dofs first and the boundary vertices last in
+    ``gamma_dofs`` order, whose Schur complement onto those last rows is T.
     """
     lf = _collar_forms(mesh, gamma_dofs, gamma)
     T, chol, _ = _schur_and_order(lf.H, lf.n_interior)
-    return T, chol
+    return T, chol, lf.H.tocsc()
 
 
 class _StackedBlocks:
@@ -293,8 +300,11 @@ class _StackedBlocks:
 
     The blocks of one size are one ``(g, n, n)`` array, and the product of
     all blocks with a flat array is one ``np.matmul`` per size, on the rows
-    of those blocks gathered by one index array and scattered back by it.
-    ``blocks`` are views of the stacks, in the given order.
+    of those blocks gathered by one index array.  The products of all sizes
+    are put back in flat order by one more gather, ``take`` with the
+    inverse of the stacked row order: numpy gathers rows far faster than it
+    assigns them through an index array.  ``blocks`` are views of the
+    stacks, in the given order.
     """
 
     def __init__(self, blocks):
@@ -311,6 +321,8 @@ class _StackedBlocks:
                 views[i] = stack[k]
         self.blocks = tuple(views)
         self.real = not any(np.iscomplexobj(stack) for stack, _ in self.groups)
+        # the stacked position of each flat row
+        self._flat_order = np.argsort(np.concatenate([rows for _, rows in self.groups]))
 
     def matmul(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
         """The product of every block (or its transpose) with its rows of
@@ -318,14 +330,13 @@ class _StackedBlocks:
         its real and imaginary parts in real columns."""
         if self.real and np.iscomplexobj(x):
             return _complex_columns(self.matmul(_real_columns(x), transpose), x)
-        dtype = np.result_type(x.dtype, *(stack.dtype for stack, _ in self.groups))
-        out = np.empty(x.shape, dtype)
+        parts = []
         for stack, rows in self.groups:
             g, n = stack.shape[:2]
             A = stack.transpose(0, 2, 1) if transpose else stack
             Y = np.matmul(A, x.take(rows, axis=0).reshape(g, n, -1))
-            out[rows] = Y.reshape((g * n,) + x.shape[1:])
-        return out
+            parts.append(Y.reshape((g * n,) + x.shape[1:]))
+        return np.concatenate(parts).take(self._flat_order, axis=0)
 
 
 class BlockImpedance:

@@ -132,9 +132,11 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
         orders.setdefault(key, dtn[-1].order[:lf.n_interior])
 
     if tgamma == "collar":
-        t_gamma, chol_gamma = collar_impedance(mesh, partition.gamma_dofs, coeffs.gamma)
+        t_gamma, chol_gamma, outer_form = collar_impedance(mesh, partition.gamma_dofs,
+                                                           coeffs.gamma)
     elif tgamma == "boundary_h1":
-        t_gamma, chol_gamma = boundary_h1_impedance(mesh, partition.gamma_dofs, coeffs.gamma)
+        t_gamma, chol_gamma, outer_form = boundary_h1_impedance(mesh, partition.gamma_dofs,
+                                                                coeffs.gamma)
     else:
         raise ValueError(f"unknown tgamma surrogate {tgamma!r}")
 
@@ -156,7 +158,7 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
                                  gamma_d_positions=gamma_d_positions,
                                  chol_t=impedance.chol[0])
 
-    exchange = ExchangeOperator(index, impedance)
+    exchange = ExchangeOperator(index, impedance, outer_form)
     solver = LocalImpedanceSolver(forms, local_orders, impedance, bc,
                                   rcond_floor=rcond_floor)
     scattering = ScatteringOperator(solver, impedance)

@@ -19,7 +19,10 @@ and kept dense, stacked with the blocks of its size, so applying S~ takes
 one matrix product per block size and no sparse solve; S on a dual field
 whitens, applies S~ and unwhitens.  The factor serves the volume solves:
 the right-hand side, the recovery of the volume solution and the Cauchy
-pairs.  The exchange keeps one sparse factor of G = E^T T E.
+pairs.  The exchange keeps one sparse factor of a bordered matrix K whose
+Schur complement onto the skeleton dofs is G = E^T T E: the outer block
+enters K as the sparse form it is the Schur complement of (the collar's
+volume Gram), so no dense T_Gamma row enters the factor.
 """
 
 from __future__ import annotations
@@ -65,18 +68,32 @@ class AssumptionViolation(RuntimeError):
     """
 
 
-def _exchange_gram(index: SkeletonIndex, impedance: BlockImpedance) -> sp.csc_matrix:
-    """G = E^T T E, sparse, holding no explicit zero: a banded impedance
-    block (the boundary H1 surrogate) adds its band only, so the fill of
-    the factor follows the nonzeros of G."""
+def _exchange_system(index: SkeletonIndex, impedance: BlockImpedance,
+                     outer_form: sp.spmatrix) -> sp.csc_matrix:
+    """K, the sparse SPD matrix whose Schur complement onto its first
+    ``n_sigma`` rows and columns is G = E^T T E.
+
+    ``outer_form`` is a sparse SPD matrix F with the outer dofs Gamma last,
+    in the order of impedance block 0, whose Schur complement onto them is
+    T_Gamma; its leading rows are extra unknowns of K, after the skeleton
+    dofs.  Each subdomain block T_j adds onto its skeleton dofs and F adds
+    onto the Gamma dofs and the extra unknowns, so eliminating the extras
+    gives back E^T T E, without the dense T_Gamma ever entering K.  With no
+    extra unknowns (F = T_Gamma) K is G.  K stores no explicit zero: a
+    banded F adds its band only, so the fill of the factor follows the
+    nonzeros of K.
+    """
     n = index.n_sigma
-    maps = [m.astype(np.int32) for m in index.block_map]
-    rows = np.concatenate([np.repeat(m, len(m)) for m in maps])
-    cols = np.concatenate([np.tile(m, len(m)) for m in maps])
-    vals = np.concatenate([T.ravel() for T in impedance.blocks])
-    G = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-    G.eliminate_zeros()
-    return G
+    n_extra = outer_form.shape[0] - impedance.sizes[0]
+    F = outer_form.tocoo()
+    outer = np.concatenate([n + np.arange(n_extra), index.block_map[0]]).astype(np.int32)
+    maps = [m.astype(np.int32) for m in index.block_map[1:]]
+    rows = np.concatenate([outer[F.row]] + [np.repeat(m, len(m)) for m in maps])
+    cols = np.concatenate([outer[F.col]] + [np.tile(m, len(m)) for m in maps])
+    vals = np.concatenate([F.data] + [T.ravel() for T in impedance.blocks[1:]])
+    K = sp.csc_matrix((vals, (rows, cols)), shape=(n + n_extra, n + n_extra))
+    K.eliminate_zeros()
+    return K
 
 
 class ExchangeOperator:
@@ -90,22 +107,33 @@ class ExchangeOperator:
     ``apply`` takes a dual field, or a plain array of whitened coordinates
     w = L^-1 q, on which it is Pi~ w = 2 L^T E G^-1 E^T L w - w, the
     exchange written in those coordinates; the products with L and L^T are
-    one matrix product per block size.  G is assembled sparse from the
-    impedance blocks, with no explicit zero, and factored once by a real
-    sparse LU (symmetric mode, fill-reducing ordering of G + G^T); only the
-    factor is kept.  Everything runs in real arithmetic: a complex field is
-    solved as its real and imaginary parts, real columns of one solve.
-    E^T is one real sparse sum and E one gather of ``index.flat_map``.
-    Fields of ``(n_b, m)`` column blocks are applied to all m columns at
-    once.
+    one matrix product per block size.
+
+    G is never formed.  ``outer_form`` is the sparse form F whose Schur
+    complement onto its trailing rows is the outer block T_Gamma (the
+    collar's H, or T_Gamma itself, as the outer surrogates return it), and
+    G is the Schur complement onto the skeleton dofs of the sparse bordered
+    matrix K of :func:`_exchange_system`, which holds the subdomain blocks
+    and F.  K is factored once by a real sparse LU (symmetric mode,
+    fill-reducing ordering of K + K^T), and G^-1 y is the first ``n_sigma``
+    rows of K^-1 [y; 0]; only the factor is kept, not F.  Everything runs
+    in real arithmetic: a complex field is solved as its real and imaginary
+    parts, real columns of one solve.  E^T is one real sparse sum, padded
+    with zero rows for the extra unknowns of K, and E one gather of
+    ``index.flat_map``.  Fields of ``(n_b, m)`` column blocks are applied to
+    all m columns at once.
     """
 
-    def __init__(self, index: SkeletonIndex, impedance: BlockImpedance):
+    def __init__(self, index: SkeletonIndex, impedance: BlockImpedance,
+                 outer_form: sp.spmatrix):
         self.index = index
         self.impedance = impedance
         self._flat_map = index.flat_map
-        self._sum = index.dof_sum.real
-        self._lu = _splu_spd(_exchange_gram(index, impedance))
+        K = _exchange_system(index, impedance, outer_form)
+        S = index.dof_sum.real
+        indptr = np.pad(S.indptr, (0, K.shape[0] - S.shape[0]), mode="edge")
+        self._sum = sp.csr_matrix((S.data, S.indices, indptr), shape=(K.shape[0], S.shape[1]))
+        self._lu = _splu_spd(K)
 
     def _embed_solve(self, X: np.ndarray) -> np.ndarray:
         """E G^-1 E^T X for a real column block X of concatenated fields."""

@@ -22,8 +22,9 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.blas import zaxpy, zdotc
 
 from .assembly import Coefficients, LocalForms, _assemble_on
-from .impedance import _real_op
+from .impedance import _real_op, _splu_spd
 from .problem import Problem, build_problem, monolithic_matrix
+from .skeleton import _PIVOT_THRESHOLD
 from .traces import SkeletonField
 
 __all__ = [
@@ -194,8 +195,7 @@ def _gmres_core(matvec, b, tol, restart, maxit):
         m = min(restart, maxit - total)
         V = np.empty((min(m + 1, _BASIS_ROWS), n), complex)
         H = np.zeros((len(V), len(V) - 1), complex)
-        cs = np.zeros(m, complex)
-        sn = np.zeros(m, complex)
+        rotations = []
         g = np.zeros(m + 1, complex)
         V[0] = r / beta
         g[0] = beta
@@ -224,16 +224,20 @@ def _gmres_core(matvec, b, tol, restart, maxit):
                 H[k + 1, k] = 0.0
             else:
                 V[k + 1] = w / H[k + 1, k]
-            for i in range(k):
-                hi, hi1 = H[i, k], H[i + 1, k]
-                H[i, k] = np.conj(cs[i]) * hi + np.conj(sn[i]) * hi1
-                H[i + 1, k] = -sn[i] * hi + cs[i] * hi1
-            c, s = _givens(H[k, k], H[k + 1, k])
-            cs[k], sn[k] = c, s
-            H[k, k] = np.conj(c) * H[k, k] + np.conj(s) * H[k + 1, k]
-            H[k + 1, k] = 0.0
+            # the rotations run on Python complex numbers: indexing numpy
+            # scalars one at a time costs more than the arithmetic
+            col = H[:k + 2, k].tolist()
+            for i, (c, s) in enumerate(rotations):
+                hi, hi1 = col[i], col[i + 1]
+                col[i] = c.conjugate() * hi + s.conjugate() * hi1
+                col[i + 1] = -s * hi + c * hi1
+            c, s = _givens(col[k], col[k + 1])
+            rotations.append((c, s))
+            col[k] = c.conjugate() * col[k] + s.conjugate() * col[k + 1]
+            col[k + 1] = 0.0
+            H[:k + 2, k] = col
             gk = g[k]
-            g[k] = np.conj(c) * gk
+            g[k] = c.conjugate() * gk
             g[k + 1] = -s * gk
             total += 1
             k_used = k + 1
@@ -366,10 +370,14 @@ def _primary_extremes_iterative(problem: Problem, tol: float = 1e-8):
     ng = problem.n_gamma
     n = nv + ng
     H = problem.global_forms.H.tocsc()
-    h_lu = spla.splu(H)
+    h_lu = _splu_spd(H)
     t_gamma = problem.bc.t_gamma
     t_inv = problem.bc.t_inverse()
-    a_lu = spla.splu(A.tocsc())
+    # A is complex symmetric: a symmetric fill-reducing order, diagonal
+    # pivots where they are large enough, as for the local impedance factors
+    a_lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=_PIVOT_THRESHOLD,
+                     options=dict(SymmetricMode=True))
     rng = np.random.default_rng(0)
     v0 = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
 

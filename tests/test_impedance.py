@@ -100,18 +100,30 @@ def test_trace_norm_dominated_by_volume_norm(ref_problem, rng):
 def test_gamma_surrogates_spd(surrogate):
     mesh = build_rect_mesh(8, 8)
     gamma_dofs = np.unique(mesh.boundary_edges)
-    T, L = surrogate(mesh, gamma_dofs, 0.2)
+    T, L, _ = surrogate(mesh, gamma_dofs, 0.2)
     np.testing.assert_allclose(T, T.T)
     assert np.linalg.eigvalsh(T).min() > 0
     np.testing.assert_allclose(L @ L.T, T, rtol=0, atol=1e-12 * np.abs(T).max())
     assert np.array_equal(L, np.tril(L))
 
 
+@pytest.mark.parametrize("surrogate", [collar_impedance, boundary_h1_impedance])
+def test_gamma_surrogate_form_reduces_to_t(surrogate):
+    # the sparse form a surrogate returns has T as its Schur complement onto
+    # its trailing Gamma rows, in gamma_dofs order
+    mesh = build_rect_mesh(10, 6, 1.5, 1.0)
+    gamma_dofs = np.unique(mesh.boundary_edges)
+    T, _, F = surrogate(mesh, gamma_dofs, 0.2)
+    assert sp.issparse(F) and np.all(F.data != 0)
+    want = _dense_schur(F, F.shape[0] - len(gamma_dofs))
+    assert np.abs(want - T).max() <= 1e-13 * np.abs(T).max()
+
+
 def test_collar_monotone_in_gamma(rng):
     mesh = build_rect_mesh(6, 6)
     gamma_dofs = np.unique(mesh.boundary_edges)
-    T1, _ = collar_impedance(mesh, gamma_dofs, 0.1)
-    T2, _ = collar_impedance(mesh, gamma_dofs, 0.2)
+    T1 = collar_impedance(mesh, gamma_dofs, 0.1)[0]
+    T2 = collar_impedance(mesh, gamma_dofs, 0.2)[0]
     for _ in range(10):
         q = rng.standard_normal(len(gamma_dofs))
         assert q @ (T2 @ q) <= q @ (T1 @ q) * (1 + 1e-12)

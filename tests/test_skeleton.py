@@ -8,6 +8,7 @@ import helmskel.verification as vf
 from helmskel.assembly import restriction_adjoint, restriction_apply
 import helmskel.problem as problem_mod
 from helmskel.geometry import partition_from_labels
+from helmskel.impedance import boundary_h1_impedance, collar_impedance
 from helmskel.problem import build_problem, h1_norm, make_load, monolithic_matrix, solve_monolithic
 from helmskel.solvers_spectral import _whitened_apply
 from helmskel.traces import (SkeletonField, VolumeTuple, single_trace_adjoint,
@@ -52,9 +53,11 @@ def test_exchange_against_dense_projector(nx, ny, px, py, tgamma, rng):
     # the larger partitions have many interior cross points, where G
     # couples four blocks per dof
     p = build_problem(nx, ny, px, py, k=3.0, bc_kind="robin", tgamma=tgamma)
-    # the exchange holds the sparse factor of G and no dense n_sigma x n_sigma array
+    # the exchange holds the sparse factor of its bordered system K, at
+    # least n_sigma square, and no dense n_sigma x n_sigma array
     n_sigma = p.index.n_sigma
     assert isinstance(p.exchange._lu, spla.SuperLU)
+    assert p.exchange._lu.shape[0] >= n_sigma
     for v in vars(p.exchange).values():
         assert not (isinstance(v, np.ndarray) and v.shape == (n_sigma, n_sigma))
     # dense oracle: Q = T E (E^T T E)^-1 E^T assembled explicitly
@@ -236,19 +239,26 @@ def test_whitened_apply_with_fallback_blocks(rng):
     _assert_whitened_apply_matches(p, rng)
 
 
-def test_whitened_apply_on_blocks_of_unequal_sizes(monkeypatch, rng):
-    # a 2x2 checkerboard of a 12x12 mesh whose first cell is cut in two
-    # halves, labelled first and last: the 18-dof halves, which are not
-    # adjacent, are one size group, the three 24-dof cells another.  A
-    # cellwise kappa^2 makes the two halves' blocks differ.
+def _halve_first_cell(monkeypatch):
+    # a px x py checkerboard whose first cell is cut in two halves,
+    # labelled first and last
+    partition_checkerboard = problem_mod.partition_checkerboard
+
     def halved(mesh, px, py):
         labels = partition_checkerboard(mesh, px, py).subdomain_of_triangle.copy()
         cents = mesh.vertices[mesh.triangles].mean(axis=1)
         labels[(labels == 0) & (cents[:, 0] > 0.25)] = px * py
         return partition_from_labels(mesh, labels)
 
-    partition_checkerboard = problem_mod.partition_checkerboard
     monkeypatch.setattr(problem_mod, "partition_checkerboard", halved)
+
+
+def test_whitened_apply_on_blocks_of_unequal_sizes(monkeypatch, rng):
+    # a 2x2 checkerboard of a 12x12 mesh with its first cell halved: the
+    # 18-dof halves, which are not adjacent, are one size group, the three
+    # 24-dof cells another.  A cellwise kappa^2 makes the two halves'
+    # blocks differ.
+    _halve_first_cell(monkeypatch)
     p = build_problem(12, 12, 2, 2, k=5.0, kappa_sq=_cellwise_kappa_sq(2, 5.0))
     assert p.block_sizes == (48, 18, 24, 24, 24, 18)
     assert sorted(stack.shape for stack, _ in p.scattering.blocks.groups) == [
@@ -257,19 +267,62 @@ def test_whitened_apply_on_blocks_of_unequal_sizes(monkeypatch, rng):
     _assert_scattering_matches_resolvent(p, rng)
 
 
-def test_exchange_gram_stores_no_zero():
-    # boundary_h1 makes T_Gamma banded: its zeros must not enter G
-    p = build_problem(8, 8, 2, 2, k=5.0, tgamma="boundary_h1")
-    G = sk._exchange_gram(p.index, p.impedance)
-    assert np.all(G.data != 0)
+def _dense_gram(p):
+    """E^T T E, assembled densely from the embedding and the impedance."""
     E = np.zeros((p.dual_dim, p.index.n_sigma))
     E[np.arange(p.dual_dim), p.index.flat_map] = 1.0
     T = np.zeros((p.dual_dim, p.dual_dim))
     for Tb, a, b in zip(p.impedance.blocks, p.impedance.offsets, p.impedance.offsets[1:]):
         T[a:b, a:b] = Tb
-    want = E.T @ T @ E
+    return E.T @ T @ E
+
+
+def _outer_form(p, tgamma):
+    surrogate = {"collar": collar_impedance, "boundary_h1": boundary_h1_impedance}[tgamma]
+    return surrogate(p.mesh, p.partition.gamma_dofs, p.coeffs.gamma)[2]
+
+
+def test_exchange_gram_stores_no_zero():
+    # boundary_h1 makes T_Gamma banded and adds no unknown, so the exchange
+    # system is G itself: the zeros of T_Gamma must not enter it
+    p = build_problem(8, 8, 2, 2, k=5.0, tgamma="boundary_h1")
+    G = sk._exchange_system(p.index, p.impedance, _outer_form(p, "boundary_h1"))
+    assert np.all(G.data != 0)
+    want = _dense_gram(p)
+    assert G.shape == want.shape
     assert G.nnz == np.count_nonzero(want)
     assert np.abs(G.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("tgamma", ["collar", "boundary_h1"])
+@pytest.mark.parametrize("halved", [False, True])
+def test_exchange_system_reduces_to_gram(tgamma, halved, monkeypatch):
+    # eliminating the extra unknowns of K gives back E^T T E, on a checkerboard
+    # and on a partition with blocks of unequal sizes
+    if halved:
+        _halve_first_cell(monkeypatch)
+    p = build_problem(12, 12, 2, 2, k=5.0, tgamma=tgamma)
+    K = sk._exchange_system(p.index, p.impedance, _outer_form(p, tgamma)).toarray()
+    n = p.index.n_sigma
+    # the collar adds its outer rim, 4 * (12 + 2) dofs, as extra unknowns
+    assert K.shape[0] == n + {"collar": 56, "boundary_h1": 0}[tgamma]
+    assert np.array_equal(K, K.T)
+    schur = K[:n, :n] - K[:n, n:] @ np.linalg.solve(K[n:, n:], K[n:, :n])
+    want = _dense_gram(p)
+    assert np.abs(schur - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_collar_exchange_system_holds_no_dense_outer_block():
+    # the collar's T_Gamma is dense; K takes the collar's sparse form in its
+    # place, so it stores fewer nonzeros than G, and its Gamma block has
+    # the pattern it would have with the banded boundary H1 block
+    p = build_problem(16, 16, 4, 4, k=5.0, tgamma="collar")
+    assert np.count_nonzero(p.impedance.blocks[0]) == p.n_gamma ** 2
+    K = sk._exchange_system(p.index, p.impedance, _outer_form(p, "collar"))
+    assert K.nnz < np.count_nonzero(_dense_gram(p))
+    banded = sk._exchange_system(p.index, p.impedance, _outer_form(p, "boundary_h1"))
+    gamma = p.index.block_map[0]
+    assert K[gamma][:, gamma].nnz == banded[gamma][:, gamma].nnz < p.n_gamma ** 2 // 4
 
 
 def _columns(field, i):
