@@ -50,7 +50,9 @@ def _write_json(path: Path, payload) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(cfg: ProblemConfig, out=None) -> int:
-    """Skeleton solve, volume recovery and report emission."""
+    """Skeleton solve, volume recovery and report emission.  A solve that
+    does not converge is diagnosed at any size by the kernel count of the
+    sparse ``infsup_primary``, which the skeleton operator inherits."""
     out_dir = _out_dir(cfg, out)
     problem = problem_from_config(cfg)
     load = load_from_config(cfg, problem)
@@ -75,14 +77,12 @@ def cmd_solve(cfg: ProblemConfig, out=None) -> int:
         l2 = float(np.sqrt(np.real(np.conj(err) @ (M @ err))))
         ref = float(np.sqrt(np.real(exact @ (M @ exact))))
         payload["l2_error_rel"] = l2 / ref
-    if not report.converged and problem.dual_dim <= cfg.dense_cap:
-        svals = np.linalg.svd(ss.dense_operator(problem, cfg.dense_cap),
-                              compute_uv=False)
-        kdim = int(np.sum(svals < cfg.svd_threshold * svals.max()))
+    if not report.converged:
+        kdim = ss.infsup_primary(problem, svd_threshold=cfg.svd_threshold)[2]
         if kdim > 0:
             payload["kernel_diagnosis"] = (
-                f"skeleton operator has a {kdim}-dimensional kernel "
-                f"(resonant configuration); the solve cannot converge")
+                f"the Helmholtz problem has a {kdim}-dimensional kernel, inherited by the "
+                f"skeleton operator (resonant configuration); the solve cannot converge")
 
     with _open_out(out_dir / "solution.txt") as fh:
         for i, v in enumerate(rec.u):

@@ -78,6 +78,8 @@ class ProblemConfig:
             raise ConfigError("(A2) violated: Im(mu) must be nonnegative")
         if self.kappa_mode not in _KAPPA_MODES:
             raise ConfigError(f"kappa_mode must be one of {_KAPPA_MODES}")
+        if self.kappa_mode == "resonant" and min(self.nx, self.ny) < 2:
+            raise ConfigError("resonant kappa needs an interior vertex: nx, ny >= 2")
         if self.gamma is None:
             self.gamma = 1.0 / self.k
         if self.gamma <= 0:

@@ -73,7 +73,8 @@ class SolveReport:
 
 @dataclass
 class SpectralReport:
-    """Measured constants and inequality checks of one configuration."""
+    """Measured constants and inequality checks of one configuration; the
+    kernel dimensions are exact counts of singular values under the threshold."""
 
     n_dual: int
     n_sigma: int
@@ -259,9 +260,6 @@ def _gmres_core(matvec, b, tol, restart, maxit):
 # The true residual may exceed the Krylov estimate by rounding only.
 _TRUE_RESIDUAL_FACTOR = 10.0
 
-# Largest monolithic dimension that infsup_primary treats by a dense SVD.
-_PRIMARY_DENSE_CAP = 2500
-
 # Mesh resolution rule of the wavenumber sweep.
 _POINTS_PER_WAVELENGTH = 10.0
 
@@ -357,13 +355,16 @@ def _whitened(L: np.ndarray, A: np.ndarray) -> np.ndarray:
     return _real_op(solve, _real_op(solve, A).T).T
 
 
-def _primary_extremes_iterative(problem: Problem, tol: float = 1e-8):
-    """(sigma_min, sigma_max) of the whitened monolithic operator, matrix-free.
+def infsup_primary(problem: Problem, svd_threshold: float = 1e-8):
+    """(sigma_min, sigma_max, kernel_dim) of the whitened monolithic operator.
 
-    Both extremes come from Lanczos on SPD pencils: sigma_max^2 is the top
-    eigenvalue of (A^H W^-1 A, W) and 1/sigma_min^2 the top eigenvalue of
-    (A^-H W A^-1, W^-1), with W the block norm Gram.  Both start from one
-    seeded vector, so the result does not depend on earlier ARPACK calls.
+    One sparse path at every size.  Both extremes come from Lanczos on SPD
+    pencils: sigma_max^2 is the top eigenvalue of (A^H W^-1 A, W) and
+    1/sigma_min^2 the top eigenvalue of (A^-H W A^-1, W^-1), with W the
+    block norm Gram; every call starts from one seeded vector.  The kernel
+    counts singular values under ``svd_threshold * sigma_max``: 0 while
+    sigma_min clears that limit, else the top m = 2, 4, 8, ... (m < n)
+    eigenvalues of the inverse pencil are taken until one of them clears it.
     """
     A = monolithic_matrix(problem)
     nv = problem.mesh.num_vertices
@@ -394,30 +395,24 @@ def _primary_extremes_iterative(problem: Problem, tol: float = 1e-8):
     K = spla.LinearOperator((n, n), dtype=complex,
                             matvec=lambda x: AH @ w_inv(A @ x))
     lam_max = spla.eigsh(K, k=1, M=W, Minv=Winv, which="LA", v0=v0,
-                         return_eigenvectors=False, tol=tol)[0]
+                         return_eigenvectors=False, tol=1e-8)[0]
 
     # 1/sigma_min^2 = max of y^H (A^-1 W A^-H) y over y^H W^-1 y; the two
     # solve orders give the same singular spectrum.
     Ginv = spla.LinearOperator((n, n), dtype=complex,
                                matvec=lambda y: a_lu.solve(w_mat(a_lu.solve(y, trans="H"))))
-    lam_inv = spla.eigsh(Ginv, k=1, M=Winv, Minv=W, which="LA", v0=v0,
-                         return_eigenvectors=False, tol=tol)[0]
-    return float(1.0 / np.sqrt(lam_inv)), float(np.sqrt(lam_max))
 
+    def smallest(m):
+        lam = spla.eigsh(Ginv, k=m, M=Winv, Minv=W, which="LA", v0=v0,
+                         return_eigenvectors=False, tol=1e-8)
+        return 1.0 / np.sqrt(lam)
 
-def infsup_primary(problem: Problem, dense_cap: int = _PRIMARY_DENSE_CAP,
-                   svd_threshold: float = 1e-8):
-    """(sigma_min, sigma_max, kernel_dim) of the whitened monolithic operator."""
-    n = problem.mesh.num_vertices + problem.n_gamma
-    if n <= dense_cap:
-        W = sla.block_diag(problem.global_forms.H.toarray(), problem.bc.t_inverse())
-        A = monolithic_matrix(problem).toarray()
-        svals = sla.svdvals(_whitened(np.linalg.cholesky(W), A))
-        smax = float(svals.max())
-        kernel = int(np.sum(svals < svd_threshold * smax))
-        return float(svals.min()), smax, kernel
-    smin, smax = _primary_extremes_iterative(problem)
-    kernel = 1 if smin < svd_threshold * smax else 0
+    smin, smax = float(smallest(1)[0]), float(np.sqrt(lam_max))
+    limit = svd_threshold * smax
+    kernel = m = int(smin < limit)
+    while kernel == m and 0 < m < n - 1:
+        m = min(2 * m, n - 1)
+        kernel = int(np.sum(smallest(m) < limit))
     return smin, smax, kernel
 
 

@@ -119,16 +119,34 @@ def test_solve_manufactured_convergence(tmp_path):
 
 
 def test_solve_resonant_failure_diagnosed(tmp_path):
+    # the skeleton dimension (96) exceeds the dense cap: the kernel is
+    # counted on the sparse monolithic operator, at any size
     cfg_path = _write(tmp_path, "\n".join([
         "[physics]", "k = 5.0", "kappa_mode = resonant", "source = one",
         "[bc]", "kind = dirichlet",
         "[solver]", "maxit = 60",
+        "[analysis]", "dense_cap = 4",
         "[output]", f"dir = {tmp_path}/outres",
     ]))
     assert main(["solve", "--config", cfg_path]) == 1
     report = json.loads((tmp_path / "outres" / "solve_report.json").read_text())
     assert not report["converged"]
-    assert "kernel" in report.get("kernel_diagnosis", "")
+    assert "1-dimensional kernel" in report.get("kernel_diagnosis", "")
+
+
+def test_resonant_kappa_needs_interior_vertex(tmp_path):
+    with pytest.raises(ConfigError, match="interior vertex"):
+        ProblemConfig(nx=1, ny=4, px=1, py=2, bc_kind="dirichlet",
+                      kappa_mode="resonant")
+    cfg_path = _write(tmp_path, "\n".join([
+        "[geometry]", "nx = 1", "ny = 4",
+        "[partition]", "px = 1", "py = 2",
+        "[physics]", "kappa_mode = resonant",
+        "[bc]", "kind = dirichlet",
+        "[output]", f"dir = {tmp_path}/outiv",
+    ]))
+    assert main(["spectrum", "--config", cfg_path]) == 2
+    assert not (tmp_path / "outiv").exists()
 
 
 def test_verify_all_pass_and_deterministic(tmp_path):

@@ -1,4 +1,5 @@
-"""A lint step from the standard library: no top-level import goes unused."""
+"""A lint step from the standard library: no top-level import goes unused,
+and no top-level private name of the package goes unread."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,63 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> dict:
+    """Top-level private names that ``source`` binds by assignment, def or
+    class, with their line numbers; dunder names are not private."""
+    bound = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        bound.update((name, node.lineno) for name in names
+                     if name.startswith("_") and not name.startswith("__"))
+    return bound
+
+
+def names_read(source: str) -> set:
+    """Names that ``source`` loads, reads as an attribute or imports."""
+    read = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            read.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            read.update(alias.name for alias in n.names)
+    return read
+
+
+def dead_private_names(source: str, read_elsewhere: set) -> list:
+    """Private top-level names of ``source`` that ``source`` does not read
+    and that are not in ``read_elsewhere``."""
+    read = names_read(source) | read_elsewhere
+    return sorted(f"{name} (line {line})"
+                  for name, line in private_definitions(source).items()
+                  if name not in read)
+
+
+def test_dead_private_name_is_found():
+    source = ("_A = 1\n_B, _C = 2, 3\n__all__ = []\n"
+              "def _f():\n    return _A\n\nclass _K:\n    pass\n")
+    other = "from m import _C\nprint(m._K)\n"
+    assert dead_private_names(source, names_read(other)) == ["_B (line 2)", "_f (line 4)"]
+
+
+@pytest.fixture(scope="module")
+def reads_by_file():
+    """Names read by each Python file of the source, tests, bench and demos."""
+    return {p: names_read(p.read_text()) for d in ("src", "tests", "bench", "demos")
+            for p in (ROOT / d).rglob("*.py")}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "helmskel").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_dead_private_names(path, reads_by_file):
+    elsewhere = set().union(*(r for p, r in reads_by_file.items() if p != path))
+    assert dead_private_names(path.read_text(), elsewhere) == []

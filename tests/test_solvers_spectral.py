@@ -10,8 +10,7 @@ from helmskel.solvers_spectral import (DenseCapExceeded, dense_operator,
                                        dirichlet_resonance, gmres_tinv,
                                        infsup_primary, richardson,
                                        sweep_wavenumber, verify_estimates,
-                                       write_sweep_csv,
-                                       _gmres_core, _primary_extremes_iterative)
+                                       write_sweep_csv, _gmres_core)
 from helmskel.traces import SkeletonField
 
 
@@ -401,17 +400,51 @@ def test_infsup_primary_coercive_limit():
     assert smin > 0 and kdim == 0
 
 
-def test_primary_extremes_iterative_matches_dense(ref_problem):
-    smin_d, smax_d, _ = infsup_primary(ref_problem, dense_cap=10 ** 9)
-    smin_i, smax_i = _primary_extremes_iterative(ref_problem)
-    assert abs(smin_i - smin_d) <= 1e-6 * smin_d
-    assert abs(smax_i - smax_d) <= 1e-6 * smax_d
+def _resonant_dirichlet(n):
+    lam = dirichlet_resonance(build_rect_mesh(n, n))
+    return build_problem(n, n, 2, 2, k=5.0, kappa_sq=lam, bc_kind="dirichlet")
 
 
-def test_primary_extremes_iterative_deterministic():
+def _dense_primary_svdvals(problem):
+    """Oracle: singular values of the dense monolithic matrix A whitened by
+    the Cholesky factor L of the block norm Gram W, L^-1 A L^-H."""
+    import scipy.linalg as sla
+
+    from helmskel.problem import monolithic_matrix
+
+    W = sla.block_diag(problem.global_forms.H.toarray(), problem.bc.t_inverse())
+    L = np.linalg.cholesky(W)
+    A = monolithic_matrix(problem).toarray()
+    X = sla.solve_triangular(L, A, lower=True)
+    return sla.svdvals(sla.solve_triangular(L, X.conj().T, lower=True).conj().T)
+
+
+@pytest.mark.parametrize("make,threshold", [
+    (lambda: build_problem(8, 8, 2, 2, k=5.0, bc_kind="robin"), 1e-8),
+    (lambda: _resonant_dirichlet(8), 1e-8),
+    (lambda: _resonant_dirichlet(16), 1e-8),
+    (lambda: build_problem(8, 8, 2, 2, k=5.0, kappa_sq=0.0, bc_kind="neumann"), 1e-8),
+    # three singular values under the threshold: the count doubles m to 4
+    (lambda: build_problem(8, 8, 2, 2, k=5.0, bc_kind="mixed"), 0.2),
+], ids=["reference", "resonance_8", "resonance_16", "neumann_zero", "mixed_0.2"])
+def test_infsup_primary_matches_dense_oracle(make, threshold):
+    p = make()
+    svals = _dense_primary_svdvals(p)
+    smin_d, smax_d = svals.min(), svals.max()
+    smin, smax, kernel = infsup_primary(p, svd_threshold=threshold)
+    if smin_d > 1e-12 * smax_d:
+        assert abs(smin - smin_d) <= 1e-6 * smin_d
+    else:
+        # at an exact kernel sigma_min is rounding noise on both sides
+        assert smin <= 1e-12 * smax_d
+    assert abs(smax - smax_d) <= 1e-6 * smax_d
+    assert kernel == np.sum(svals < threshold * smax_d)
+
+
+def test_infsup_primary_deterministic():
     # a seeded ARPACK start vector: repeated calls agree bit for bit
     p = build_problem(8, 8, 2, 2, k=5.0, bc_kind="robin", tgamma="boundary_h1")
-    assert _primary_extremes_iterative(p) == _primary_extremes_iterative(p)
+    assert infsup_primary(p) == infsup_primary(p)
 
 
 def _continuity_modulus_complex_svd(problem):
