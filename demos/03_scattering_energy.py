@@ -56,12 +56,16 @@ absorbing = build_problem(8, 8, 2, 2, k=k, bc_kind="neumann",
                           kappa_sq=lambda x, y: k ** 2 * (1 + 0.5j * (x >= 0.5)))
 report(absorbing, "neumann, absorbing layer")
 
-# S applies its outer block in closed form; the resolvent formula
-# q + 2i T B (A - i B^T T B)^-1 B^T q, through the local solves, reproduces it.
+# S acts in the whitened coordinates w = L^-1 q of the impedance Cholesky
+# factor L, as S~ = L^-1 S L, and applies its outer block in closed form; the
+# resolvent formula q + 2i T B (A - i B^T T B)^-1 B^T q, through the local
+# solves and whitened, reproduces it.
 for kind in ("dirichlet", "neumann", "robin", "mixed"):
     problem = build_problem(8, 8, 2, 2, k=k, bc_kind=kind)
+    imp = problem.impedance
     q = rand_dual(problem)
     u = problem.solver.solve_tuple(trace_adjoint(q, problem.partition))
-    resolvent = q + 2j * problem.impedance.apply(trace_apply(u, problem.partition))
-    err = np.abs(problem.scattering.apply(q).blocks[0] - resolvent.blocks[0]).max()
+    resolvent = imp.whiten(q + 2j * imp.apply(trace_apply(u, problem.partition)))
+    n0 = problem.n_gamma
+    err = np.abs(problem.scattering.apply(imp.whiten(q))[:n0] - resolvent[:n0]).max()
     print(f"boundary block [{kind:9s}] closed form vs resolvent: {err:.2e}")

@@ -6,9 +6,10 @@ through a plain swap, Neumann and Robin decouple the multiplier, and the
 mixed condition routes through an oblique projector onto the functionals
 supported on the Dirichlet part.  The closed form of each impedance
 inverse serves the volume solves on the boundary pair.  The closed form of
-the boundary scattering block agrees with it by the resolvent formula;
-written in whitened coordinates, it is the outer block of the scattering
-operator.
+the boundary scattering block agrees with it by the resolvent formula.  The
+scattering operator acts in whitened coordinates only, so its outer block
+is that closed form written in those coordinates (``whitened_scattering``);
+``scattering`` on a plain trace vector is its oracle.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from . import solvers_spectral as ss
 from . import verification as vf
 from .config import (ConfigError, ProblemConfig, load_from_config,
                      manufactured_solution, parse_config, problem_from_config)
-from .impedance import BlockImpedance
 from .skeleton import AssumptionViolation
 
 __all__ = ["main", "cmd_solve", "cmd_verify", "cmd_spectrum", "cmd_sweep",
@@ -107,12 +106,11 @@ def condition_problems(cfg: ProblemConfig) -> dict:
 
 
 def _tampered(problem):
-    """Copy of a problem whose exchange is built on an impedance with block 1
-    scaled by 1.05, a metric that the norms and the scattering do not use."""
-    blocks = list(problem.impedance.blocks)
-    blocks[1] = 1.05 * blocks[1]
-    exchange = sk.ExchangeOperator(problem.index, BlockImpedance(blocks),
-                                   sp.csc_matrix(blocks[0]))
+    """Copy of a problem whose exchange factors G with the outer block
+    1.05 T_Gamma but whitens by the problem's impedance, so it is no
+    Euclidean reflection there; the scattering is untouched."""
+    imp = problem.impedance
+    exchange = sk.ExchangeOperator(problem.index, imp, sp.csc_matrix(1.05 * imp.blocks[0]))
     return replace(problem, exchange=exchange)
 
 
@@ -121,8 +119,8 @@ def run_verification(cfg: ProblemConfig, seed=None, tamper_t: bool = False) -> d
 
     Each suite draws from its own generator seeded with the recorded seed,
     so reruns are reproducible bit for bit.  ``tamper_t`` runs the suites
-    on a copy whose exchange uses one rescaled impedance block (a negative
-    control: the exchange isometry suite must then fail).
+    on a copy whose exchange factors a rescaled outer impedance block (a
+    negative control: the exchange axioms must then fail).
     """
     seed = cfg.seed if seed is None else seed
     conds = condition_problems(cfg)
@@ -239,7 +237,7 @@ def main(argv=None) -> int:
                            help="comma separated wavenumbers")
         if name == "verify":
             p.add_argument("--tamper", action="store_true",
-                           help="negative control: exchange on a rescaled impedance block")
+                           help="negative control: exchange on a rescaled outer block")
 
     args = parser.parse_args(argv)
     try:

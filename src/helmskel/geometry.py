@@ -285,17 +285,21 @@ def partition_from_labels(mesh: Mesh, sub_of_tri: np.ndarray) -> Partition:
 
     Each label must name an edge-connected, nonempty set of triangles; the
     closed subdomain's vertices are split into its boundary (the vertices
-    of edges used by one of its triangles only) and its interior.
+    of edges used by one of its triangles only) and its interior.  A negative
+    or empty label raises ``ValueError``.
     """
     sub_of_tri = np.asarray(sub_of_tri)
-    J = int(sub_of_tri.max()) + 1
+    if sub_of_tri.min() < 0:
+        raise ValueError(f"negative subdomain label {int(sub_of_tri.min())}")
+    sizes = np.bincount(sub_of_tri)
+    if not sizes.all():
+        raise ValueError(f"subdomain label {int(np.argmin(sizes))} names no triangle")
     nv = mesh.num_vertices
     boundary_dofs = []
     interior_dofs = []
     # triangles grouped by subdomain, in mesh order within each group
     order = np.argsort(sub_of_tri, kind="stable")
-    groups = np.split(mesh.triangles[order],
-                      np.cumsum(np.bincount(sub_of_tri, minlength=J))[:-1])
+    groups = np.split(mesh.triangles[order], np.cumsum(sizes)[:-1])
     for tris in groups:
         verts = np.unique(tris)
         # An edge used by exactly one subdomain triangle lies on the

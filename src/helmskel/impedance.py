@@ -22,12 +22,12 @@ sparsity.
 
 The induced norms ||v||_T and ||q||_T^-1 are the working metric of the
 whole skeleton formulation.  The Cholesky factors L_b of the blocks double
-as the whitening transform w = L^-1 q: the Krylov solvers and the spectral
-harness work in those coordinates, where the skeleton operators are
-applied directly and the exchange takes one product with L and one with
-L^T.  Only a dual field entering or leaving them is whitened or unwhitened.
-Equal-size blocks of T and of L are stacked, so each such product is one
-matrix product per block size.
+as the whitening transform w = L^-1 q.  The skeleton operators act in
+those coordinates only, where the T^-1 norm is Euclidean and the exchange
+takes one product with L and one with L^T; a dual field is whitened on
+the way in and unwhitened on the way out, and T v of a primal field
+whitens to L^T v with no solve.  Equal-size blocks of T and of L are
+stacked, so each such product is one matrix product per block size.
 """
 
 from __future__ import annotations
@@ -348,9 +348,9 @@ class BlockImpedance:
     block factored here must be symmetric.  ``whiten`` maps a dual
     field to coordinates w = L^-1 q whose Euclidean norm equals the T^-1
     norm, which turns the skeleton metric into the plain l2 metric for
-    solvers and singular value computations.  The skeleton operators are
-    applied in those coordinates directly; whitening happens only where a
-    dual field enters or leaves them.
+    solvers and singular value computations.  The skeleton operators act
+    in those coordinates only; whitening happens only where a dual field
+    enters or leaves them.
 
     Fields are flat (see :class:`~helmskel.traces.SkeletonField`).  The
     blocks of T and of L are stacked by size, and each product with them
@@ -390,17 +390,6 @@ class BlockImpedance:
         if field.kind != "primal":
             raise ValueError("impedance applies to primal fields")
         return self._field(self._t.matmul(field.data), "dual")
-
-    def solve(self, field) -> SkeletonField:
-        """T^-1 q: dual field to primal field."""
-        if field.kind != "dual":
-            raise ValueError("impedance solve expects dual fields")
-        X = _real_columns(field.data)
-        Y = np.empty_like(X)
-        o = self.offsets
-        for L, a, b in zip(self.chol, o, o[1:]):
-            Y[a:b] = sla.cho_solve((L, True), X[a:b], check_finite=False)
-        return self._field(_complex_columns(Y, field.data), "primal")
 
     def norm(self, field) -> float:
         """T norm of a primal field, T^-1 norm of a dual field."""

@@ -105,8 +105,7 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
                   width: float = 1.0, height: float = 1.0,
                   k: float = 5.0, mu: complex = 1.0, kappa_sq=None, gamma=None,
                   bc_kind: str = "robin", lambda_scale: float = 1.0,
-                  gamma_d_sides=("left", "bottom"), tgamma: str = "collar",
-                  rcond_floor: float = 1e-12) -> Problem:
+                  gamma_d_sides=("left", "bottom"), tgamma: str = "collar") -> Problem:
     """Build every operator of a cavity configuration.
 
     Defaults follow the reference setup: unit square, robin condition with
@@ -159,9 +158,8 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
                                  chol_t=impedance.chol[0])
 
     exchange = ExchangeOperator(index, impedance, outer_form)
-    solver = LocalImpedanceSolver(forms, local_orders, impedance, bc,
-                                  rcond_floor=rcond_floor)
-    scattering = ScatteringOperator(solver, impedance)
+    solver = LocalImpedanceSolver(forms, local_orders, impedance, bc)
+    scattering = ScatteringOperator(solver)
 
     return Problem(mesh, partition, index, coeffs, bc, forms, global_forms,
                    impedance, m_gamma, exchange, solver, scattering)

@@ -7,22 +7,23 @@ reflection across the single-trace subspace in the inverse-impedance
 metric.  Pi couples every block meeting a skeleton dof at once, which is
 exactly what makes cross points unproblematic here.
 
-Both operators act on dual fields and, written directly in the whitened
-coordinates w = L^-1 q of the impedance Cholesky factor L, on plain
-arrays: there they are S~ = L^-1 S L and Pi~ = L^-1 Pi L, and the
-iterative solvers and the spectral harness apply them with no whitening
-inside a step.  Each subdomain keeps one sparse factor of its impedance
-problem C_j = A_j - i B_j^T T_j B_j, made with the boundary dofs last.
-The whitened block S~_j = I + 2i L_j^T Sigma_j^-1 L_j, with Sigma_j the
-Schur complement of C_j onto the boundary, is read off that factor once
-and kept dense, stacked with the blocks of its size, so applying S~ takes
-one matrix product per block size and no sparse solve; S on a dual field
-whitens, applies S~ and unwhitens.  The factor serves the volume solves:
-the right-hand side, the recovery of the volume solution and the Cauchy
-pairs.  The exchange keeps one sparse factor of a bordered matrix K whose
-Schur complement onto the skeleton dofs is G = E^T T E: the outer block
-enters K as the sparse form it is the Schur complement of (the collar's
-volume Gram), so no dense T_Gamma row enters the factor.
+Both operators act only in the whitened coordinates w = L^-1 q of the
+impedance Cholesky factor L, vectors or ``(n, m)`` column blocks, as
+S~ = L^-1 S L and Pi~ = L^-1 Pi L; the T^-1 metric is Euclidean there.
+``_whitened_apply``, w + Pi~ S~ w, is their one composition: the solvers
+and the spectral harness apply it with no whitening inside a step, and
+``skeleton_apply`` wraps it in one whitening and one unwhitening.  Each
+subdomain keeps one sparse factor of its impedance problem
+C_j = A_j - i B_j^T T_j B_j, made with the boundary dofs last.  The
+whitened block S~_j = I + 2i L_j^T Sigma_j^-1 L_j, with Sigma_j the Schur
+complement of C_j onto the boundary, is read off that factor once and
+kept dense, stacked with the blocks of its size, so applying S~ takes one
+matrix product per block size and no sparse solve.  The factor serves the
+volume solves: the right-hand side, the recovery of the volume solution
+and the Cauchy pairs.  The exchange keeps one sparse factor of a bordered
+matrix K whose Schur complement onto the skeleton dofs is G = E^T T E:
+the outer block enters K as the sparse form it is the Schur complement of
+(the collar's volume Gram), so no dense T_Gamma row enters the factor.
 """
 
 from __future__ import annotations
@@ -104,10 +105,10 @@ class ExchangeOperator:
     an involution and an isometry for the T^-1 norm; it fixes tuples of
     matching Neumann data and negates tuples of opposite Neumann jumps.
 
-    ``apply`` takes a dual field, or a plain array of whitened coordinates
-    w = L^-1 q, on which it is Pi~ w = 2 L^T E G^-1 E^T L w - w, the
-    exchange written in those coordinates; the products with L and L^T are
-    one matrix product per block size.
+    ``apply`` takes whitened coordinates w = L^-1 q, a vector or an
+    ``(n, m)`` column block, on which the exchange is the Euclidean
+    reflection Pi~ w = 2 L^T E G^-1 E^T L w - w; the products with L and
+    L^T are one matrix product per block size.
 
     G is never formed.  ``outer_form`` is the sparse form F whose Schur
     complement onto its trailing rows is the outer block T_Gamma (the
@@ -117,11 +118,10 @@ class ExchangeOperator:
     and F.  K is factored once by a real sparse LU (symmetric mode,
     fill-reducing ordering of K + K^T), and G^-1 y is the first ``n_sigma``
     rows of K^-1 [y; 0]; only the factor is kept, not F.  Everything runs
-    in real arithmetic: a complex field is solved as its real and imaginary
+    in real arithmetic: a complex array is solved as its real and imaginary
     parts, real columns of one solve.  E^T is one real sparse sum, padded
     with zero rows for the extra unknowns of K, and E one gather of
-    ``index.flat_map``.  Fields of ``(n_b, m)`` column blocks are applied to
-    all m columns at once.
+    ``index.flat_map``.  The m columns of a column block are applied at once.
     """
 
     def __init__(self, index: SkeletonIndex, impedance: BlockImpedance,
@@ -135,25 +135,13 @@ class ExchangeOperator:
         self._sum = sp.csr_matrix((S.data, S.indices, indptr), shape=(K.shape[0], S.shape[1]))
         self._lu = _splu_spd(K)
 
-    def _embed_solve(self, X: np.ndarray) -> np.ndarray:
-        """E G^-1 E^T X for a real column block X of concatenated fields."""
-        return self._lu.solve(self._sum @ X).take(self._flat_map, axis=0)
-
-    def project(self, q: SkeletonField) -> SkeletonField:
-        """Q q: the T^-1-orthogonal projection onto T(single-trace space)."""
-        if q.kind != "dual":
-            raise ValueError("exchange operator acts on dual fields")
-        tx = SkeletonField.wrap(_real_op(self._embed_solve, q.data), q.offsets, "primal")
-        return self.impedance.apply(tx)
-
-    def apply(self, q):
-        """Pi q = 2 Q q - q of a dual field, or Pi~ w of whitened coordinates."""
-        if isinstance(q, SkeletonField):
-            return 2.0 * self.project(q) - q
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        """Pi~ w = 2 L^T E G^-1 E^T L w - w of whitened coordinates."""
         imp = self.impedance
-        X = _real_columns(q)
-        Y = imp.factor_product(self._embed_solve(imp.factor_product(X)), transpose=True)
-        return 2.0 * _complex_columns(Y, q) - q
+        X = imp.factor_product(_real_columns(w))
+        X = self._lu.solve(self._sum @ X).take(self._flat_map, axis=0)
+        Y = imp.factor_product(X, transpose=True)
+        return 2.0 * _complex_columns(Y, w) - w
 
 
 # Largest block whose inverse the rcond fallback forms densely (64 MB complex).
@@ -162,6 +150,9 @@ _DENSE_RCOND_MAX = 2000
 # SuperLU keeps the diagonal pivot of a column unless it is smaller than this
 # fraction of the column's largest entry.
 _PIVOT_THRESHOLD = 0.1
+
+# Smallest reciprocal condition estimate a local impedance factor may have.
+_RCOND_FLOOR = 1e-12
 
 
 def _estimate_rcond(C: sp.spmatrix, lu, block: int) -> float:
@@ -303,13 +294,12 @@ class LocalImpedanceSolver:
 
     The factor is the only one a subdomain keeps: ``solve_tuple`` applies
     it to loads, recovery and Cauchy pairs.  A reciprocal-condition estimate
-    on it below ``rcond_floor`` raises :class:`AssumptionViolation` instead
+    on it below ``_RCOND_FLOOR`` raises :class:`AssumptionViolation` instead
     of silently returning garbage.  The outer-boundary block is handled by
     the closed-form inverse of the boundary condition.
     """
 
-    def __init__(self, forms, orders, impedance: BlockImpedance, bc,
-                 rcond_floor: float = 1e-12):
+    def __init__(self, forms, orders, impedance: BlockImpedance, bc):
         self.bc = bc
         lus = []
         for j, (lf, pos) in enumerate(zip(forms, orders)):
@@ -321,7 +311,7 @@ class LocalImpedanceSolver:
                     f"impedance problem of block {j + 1} is singular; "
                     "perturb kappa or gamma and retry") from exc
             rcond = _estimate_rcond(C, lu, j + 1)
-            if rcond < rcond_floor:
+            if rcond < _RCOND_FLOOR:
                 raise AssumptionViolation(
                     f"impedance problem of block {j + 1} is numerically singular "
                     f"(rcond ~ {rcond:.2e}); perturb kappa or gamma and retry")
@@ -363,35 +353,25 @@ class ScatteringOperator:
     """Blockwise map from incoming (p - iTv) to outgoing (p + iTv) traces.
 
     S q = q + 2i T B (A - i B^T T B)^-1 B^T q, block by block.  Only its
-    whitened blocks S~ = L^-1 S L are kept, and ``apply`` of a plain array
-    of whitened coordinates w = L^-1 q applies them: the outer block is the
-    real dense matrix ``bc.whitened_scattering()``, and subdomain block j is
-    S~_j = I + 2i L_j^T Sigma_j^-1 L_j of :class:`LocalImpedanceSolver`,
-    with Sigma_j the Schur complement of the local impedance problem onto
-    the boundary.  An application is one matrix product per block size and
-    no sparse solve, for a vector and for m columns alike.  A dual field is
-    whitened, scattered and unwhitened.  Without absorption the map is a
-    T^-1 isometry, so S~ is unitary; absorption makes it a strict
-    contraction.
+    whitened blocks S~ = L^-1 S L are kept, and ``apply`` takes whitened
+    coordinates w = L^-1 q, a vector or an ``(n, m)`` column block: the
+    outer block is the real dense matrix ``bc.whitened_scattering()``, and
+    subdomain block j is S~_j = I + 2i L_j^T Sigma_j^-1 L_j of
+    :class:`LocalImpedanceSolver`, with Sigma_j the Schur complement of the
+    local impedance problem onto the boundary.  An application is one
+    matrix product per block size and no sparse solve.  Without absorption
+    the map is a T^-1 isometry, so S~ is unitary; absorption makes it a
+    strict contraction.
     """
 
-    def __init__(self, solver: LocalImpedanceSolver, impedance: BlockImpedance):
-        self.impedance = impedance
+    def __init__(self, solver: LocalImpedanceSolver):
+        self.n0 = solver.bc.n
         self.outer = solver.bc.whitened_scattering()
         self.blocks = solver.whitened_blocks
 
-    def apply(self, q):
-        """S q of a dual field, or S~ w of whitened coordinates."""
-        if not isinstance(q, SkeletonField):
-            return self._apply_whitened(q)
-        if q.kind != "dual":
-            raise ValueError("scattering operator acts on dual fields")
-        imp = self.impedance
-        return imp.unwhiten(self._apply_whitened(imp.whiten(q)))
-
-    def _apply_whitened(self, w: np.ndarray) -> np.ndarray:
-        """S~ w for a vector or column block of whitened coordinates."""
-        n0 = self.impedance.sizes[0]
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        """S~ w of whitened coordinates."""
+        n0 = self.n0
         out = np.empty(w.shape, complex)
         out[:n0] = _real_op(self.outer.dot, w[:n0])
         out[n0:] = self.blocks.matmul(w[n0:])
@@ -436,25 +416,35 @@ def absorption(problem, u: VolumeTuple) -> float:
     return float(np.imag(np.vdot(u.data, apply_A(problem, u).data)))
 
 
+def _whitened_apply(problem, w: np.ndarray) -> np.ndarray:
+    """L^-1 (Id + Pi S) L w = w + Pi~ S~ w for the impedance Cholesky factor
+    L; ``w`` is a vector or an ``(n, m)`` column block.  One scattering and
+    one exchange call, no whitening."""
+    return w + problem.exchange.apply(problem.scattering.apply(w))
+
+
 def skeleton_apply(problem, q: SkeletonField) -> SkeletonField:
-    """(Id + Pi S) q, applied operator by operator (never assembled).
+    """(Id + Pi S) q of a dual field, never assembled: q is whitened, goes
+    through ``_whitened_apply`` and is unwhitened.
 
     The blocks of q are vectors or ``(n_b, m)`` column blocks; the m
-    columns are applied together.  The solvers apply the same operator in
-    whitened coordinates instead (``solvers_spectral._whitened_apply``).
+    columns are applied together.
     """
-    return q + problem.exchange.apply(problem.scattering.apply(q))
+    imp = problem.impedance
+    return imp.unwhiten(_whitened_apply(problem, imp.whiten(q)))
 
 
 def skeleton_rhs(problem, load: VolumeTuple) -> SkeletonField:
     """Skeleton right-hand side f = -2i Pi T B (A - i B^T T B)^-1 l.
 
     ``load`` is the dual volume tuple l of ``make_load``, or m such loads
-    as columns, which give a field of m columns.
+    as columns, which give a field of m columns.  g = T B u whitens to
+    L^T B u with no triangular solve, and f is -2i Pi~ of it, unwhitened.
     """
     u = problem.solver.solve_tuple(load)
-    g = problem.impedance.apply(trace_apply(u, problem.partition))
-    return -2j * problem.exchange.apply(g)
+    g = problem.impedance.factor_product(trace_apply(u, problem.partition).data,
+                                         transpose=True)
+    return problem.impedance.unwhiten(-2j * problem.exchange.apply(g))
 
 
 def recover_volume(problem, q: SkeletonField, load: VolumeTuple) -> RecoveredSolution:
@@ -499,12 +489,15 @@ def cauchy_pair_from(problem, q: SkeletonField) -> CauchyPair:
 
 
 def cauchy_membership_residual(problem, v: SkeletonField, p: SkeletonField) -> float:
-    """Relative residual of p + iTv = S(p - iTv); zero iff (v, p) is Cauchy data."""
-    itv = 1j * problem.impedance.apply(v)
-    outgoing = p + itv
-    scattered = problem.scattering.apply(p - itv)
-    denom = max(problem.impedance.norm(outgoing), 1e-300)
-    return problem.impedance.norm(scattered - outgoing) / denom
+    """Relative residual of p + iTv = S(p - iTv); zero iff (v, p) is Cauchy data.
+    Measured in whitened coordinates, where iTv is i L^T v."""
+    imp = problem.impedance
+    wp = imp.whiten(p)
+    itv = 1j * imp.factor_product(v.data, transpose=True)
+    outgoing = wp + itv
+    scattered = problem.scattering.apply(wp - itv)
+    denom = max(np.linalg.norm(outgoing), 1e-300)
+    return float(np.linalg.norm(scattered - outgoing) / denom)
 
 
 def cauchy_decompose(problem, v: SkeletonField, p: SkeletonField):

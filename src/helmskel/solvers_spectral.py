@@ -1,8 +1,8 @@
 """Iterative solvers in the T^-1 metric and the dense spectral harness.
 
-Both run on one whitened skeleton operator, ``_whitened_apply``, so that
-Euclidean norms are T^-1 norms.  It applies the exchange and scattering
-operators written in whitened coordinates, so no step whitens or
+Both run on the whitened skeleton operator ``skeleton._whitened_apply``,
+so that Euclidean norms are T^-1 norms.  The exchange and scattering
+operators act in whitened coordinates only, so no step whitens or
 unwhitens; one driver, ``_solve``, whitens the right-hand side once,
 unwhitens the solution once, and runs the Richardson and GMRES cores in
 between.  The spectral harness turns the structural guarantees into
@@ -24,7 +24,7 @@ from scipy.linalg.blas import zaxpy, zdotc
 from .assembly import Coefficients, LocalForms, _assemble_on
 from .impedance import _real_op, _splu_spd
 from .problem import Problem, build_problem, monolithic_matrix
-from .skeleton import _PIVOT_THRESHOLD
+from .skeleton import _PIVOT_THRESHOLD, _whitened_apply
 from .traces import SkeletonField
 
 __all__ = [
@@ -265,14 +265,6 @@ _POINTS_PER_WAVELENGTH = 10.0
 
 # Rounding allowance of the inequalities checked by verify_estimates.
 _SLACK = 1e-9
-
-
-def _whitened_apply(problem: Problem, w: np.ndarray) -> np.ndarray:
-    """L^-1 (Id + Pi S) L w = w + Pi~ S~ w for the impedance Cholesky factor
-    L; ``w`` is a vector or an ``(n, m)`` column block.  Both operators act
-    on whitened coordinates directly: one scattering and one exchange call,
-    no whitening."""
-    return w + problem.exchange.apply(problem.scattering.apply(w))
 
 
 def _solve(problem: Problem, f: SkeletonField, method: str, core, tol: float):

@@ -12,11 +12,12 @@ the same numbers for the same seed.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import norm
 
 from . import skeleton as sk
 from .assembly import primary_from_blocks
 from .problem import h1_norm, make_load, monolithic_matrix, solve_monolithic
-from .solvers_spectral import gmres_tinv
+from .solvers_spectral import gmres_tinv, infsup_primary
 from .traces import SkeletonField, single_trace_adjoint, single_trace_embed
 
 __all__ = [
@@ -51,14 +52,15 @@ def _largest(values) -> float:
 
 
 def exchange_axioms(problem, rng) -> dict:
-    """Pi is an involution and a T^-1 isometry, on 100 random fields."""
+    """Pi is an involution and a T^-1 isometry, on 100 random fields: Pi~
+    is a Euclidean one on their whitened coordinates."""
     imp, pi = problem.impedance, problem.exchange
     res = []
     for _ in range(100):
-        q = random_field(problem, rng)
-        nq = imp.norm(q)
-        piq = pi.apply(q)
-        res += [imp.norm(pi.apply(piq) - q) / nq, abs(imp.norm(piq) / nq - 1.0)]
+        w = imp.whiten(random_field(problem, rng))
+        nw = norm(w)
+        piw = pi.apply(w)
+        res += [norm(pi.apply(piw) - w) / nw, abs(norm(piw) / nw - 1.0)]
     worst = _largest(res)
     return {"max_residual": worst, "passed": worst <= 1e-10}
 
@@ -69,7 +71,8 @@ def energy_identity(problem, rng, lossless=()) -> dict:
     Checked on 100 random fields of ``problem``; then, drawing from the
     same generator, S is checked to be an isometry on 34 fields of each
     problem in ``lossless`` (conditions that absorb nothing, on a lossless
-    volume).  ``max_isometry`` is None when ``lossless`` is empty.
+    volume), as the Euclidean isometry of S~ on whitened fields.
+    ``max_isometry`` is None when ``lossless`` is empty.
     """
     imp = problem.impedance
     res, iso = [], []
@@ -82,9 +85,8 @@ def energy_identity(problem, rng, lossless=()) -> dict:
                        - nq2) / nq2)
     for pk in lossless:
         for _ in range(34):
-            q = random_field(pk, rng)
-            iso.append(abs(pk.impedance.norm(pk.scattering.apply(q))
-                           / pk.impedance.norm(q) - 1.0))
+            w = pk.impedance.whiten(random_field(pk, rng))
+            iso.append(abs(norm(pk.scattering.apply(w)) / norm(w) - 1.0))
     worst, worst_iso = _largest(res), _largest(iso)
     return {"max_residual": worst,
             "max_isometry": worst_iso if lossless else None,
@@ -95,9 +97,16 @@ def transmission(problem, rng) -> dict:
     """Pi (p + iTv) = -p + iTv exactly for single-valued v and jump p.
 
     50 valid pairs must satisfy the identity; 50 generic pairs, drawn in
-    the same loop, must violate it by a wide margin.
+    the same loop, must violate it by a wide margin.  Measured in whitened
+    coordinates: p whitens to L^-1 p and iTv to i L^T v.
     """
     imp, index, pi = problem.impedance, problem.index, problem.exchange
+
+    def residual(p, v):
+        wp = imp.whiten(p)
+        itv = 1j * imp.factor_product(v.data, transpose=True)
+        return norm((itv - wp) - pi.apply(wp + itv)) / norm(wp + itv)
+
     counts = np.zeros(index.n_sigma)
     for m in index.block_map:
         np.add.at(counts, m, 1.0)
@@ -110,15 +119,11 @@ def transmission(problem, rng) -> dict:
         # single-valued fields
         y = single_trace_adjoint(r, index)
         jump = r - SkeletonField([(y / counts)[m] for m in index.block_map], "dual")
-        itu = 1j * imp.apply(u)
-        res = imp.norm((-1.0 * jump + itu) - pi.apply(jump + itu))
-        valid.append(res / imp.norm(jump + itu))
+        valid.append(residual(jump, u))
 
         bad_u = random_field(problem, rng, "primal")
         bad_p = random_field(problem, rng)
-        itu = 1j * imp.apply(bad_u)
-        res = imp.norm((-1.0 * bad_p + itu) - pi.apply(bad_p + itu))
-        invalid.append(res / imp.norm(bad_p + itu))
+        invalid.append(residual(bad_p, bad_u))
     worst_valid, worst_invalid = _largest(valid), float(np.min(invalid))
     return {"max_residual": worst_valid, "min_violation": worst_invalid,
             "passed": worst_valid <= 1e-11 and worst_invalid >= 1e-3}
@@ -127,14 +132,20 @@ def transmission(problem, rng) -> dict:
 def equivalence(problems) -> dict:
     """Skeleton GMRES plus recovery against the direct monolithic solve.
 
-    Each problem gets the load f = 1, g_d = 0.3 and g_n = 0.5 M_Gamma 1.
+    Each problem gets the load f = 1, g_d = 0.3 and g_n = 0.5 M_Gamma 1.  A
+    problem whose solve fails on a kernel that ``infsup_primary`` counts
+    (pure Neumann at kappa^2 = 0, Dirichlet at a resonance) is listed by bc
+    kind under ``singular``, skips the rest and does not fail the suite.
     """
-    h1, mm = [], []
+    h1, mm, singular = [], [], []
     converged = True
     for p in problems:
         ones = np.ones(p.n_gamma)
         load = make_load(p, f=1.0, g_d=0.3 * ones, g_n=0.5 * (p.gamma_mass @ ones))
         q, rep = gmres_tinv(p, sk.skeleton_rhs(p, load), tol=1e-10)
+        if not rep.converged and infsup_primary(p)[2] > 0:
+            singular.append(p.bc.kind)
+            continue
         converged = converged and bool(rep.converged)
         rec = sk.recover_volume(p, q, load)
         u_mono, _ = solve_monolithic(p, load)
@@ -142,7 +153,7 @@ def equivalence(problems) -> dict:
         mm.append(rec.mismatch)
     worst_h1, worst_mm = _largest(h1), _largest(mm)
     return {"max_h1_error": worst_h1, "max_mismatch": worst_mm,
-            "converged": converged,
+            "converged": converged, "singular": singular,
             "passed": converged and worst_h1 <= 1e-8 and worst_mm <= 1e-9}
 
 

@@ -42,3 +42,13 @@ def harmonic_extension():
         H = forms.H.tocsc()
         return np.concatenate([spla.spsolve(H[:ni, :ni], -(H[:ni, ni:] @ v)), v])
     return extend
+
+
+@pytest.fixture
+def dual_apply():
+    """S q or Pi q of a dual field: the operators act in whitened coordinates
+    only, so q is whitened, ``op`` applied and the result unwhitened."""
+    def apply(problem, op, q):
+        imp = problem.impedance
+        return imp.unwhiten(op.apply(imp.whiten(q)))
+    return apply

@@ -133,7 +133,7 @@ def test_robin_matched_impedance_annihilates(setup, rng):
 
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin", "mixed"])
-def test_scattering_matches_resolvent_formula(setup, kind, rng):
+def test_scattering_matches_resolvent_formula(setup, kind, rng, dual_apply):
     # the outer block of S is the closed form of the condition; it must
     # reproduce the resolvent formula Id + 2i T B (..)^-1 B*, here through
     # the local solves, on vectors and on column blocks
@@ -141,7 +141,7 @@ def test_scattering_matches_resolvent_formula(setup, kind, rng):
     bc = problem.bc
     for shape in [()] * 10 + [(5,)]:
         q = SkeletonField([_rand((n,) + shape, rng) for n in problem.block_sizes], "dual")
-        closed = problem.scattering.apply(q).blocks[0]
+        closed = dual_apply(problem, problem.scattering, q).blocks[0]
         u = problem.solver.solve_tuple(trace_adjoint(q, problem.partition))
         tv = problem.impedance.apply(trace_apply(u, problem.partition))
         resolvent = (q + 2j * tv).blocks[0]

@@ -172,13 +172,27 @@ def test_verify_tamper_negative_control(tmp_path):
     report = json.loads((tmp_path / "vt" / "verify_report.json").read_text())
     failed = {name for name, res in report.items()
               if isinstance(res, dict) and not res["passed"]}
+    # the tampered exchange is no reflection; the scattering is untouched
     assert "exchange_axioms" in failed
+    assert "energy_identity" not in failed
+
+
+@pytest.mark.parametrize("kappa_mode,singular", [("zero", ["neumann"]),
+                                                 ("resonant", ["dirichlet"])])
+def test_verify_lists_singular_conditions(kappa_mode, singular):
+    # pure Neumann is singular at kappa^2 = 0, and Dirichlet at the
+    # resonance: their solves cannot converge, so equivalence lists them
+    # instead of failing; the reference config lists none (below)
+    results = run_verification(ProblemConfig(kappa_mode=kappa_mode), seed=42)
+    assert results["equivalence"]["singular"] == singular
+    assert results["all_passed"]
 
 
 def test_verification_suites_directly(tmp_path):
     cfg = ProblemConfig()
     results = run_verification(cfg, seed=42)
     assert results["all_passed"]
+    assert results["equivalence"]["singular"] == []
     assert results["seed"] == 42
     # the same numbers as the acceptance gate: one suite, one seed per suite
     ref = build_problem(8, 8, 2, 2, k=5.0, bc_kind="robin")

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from helmskel.geometry import (build_rect_mesh, export_listing,
-                               partition_checkerboard, skeleton_index,
-                               tag_boundary, triangle_areas)
+                               partition_checkerboard, partition_from_labels,
+                               skeleton_index, tag_boundary, triangle_areas)
 
 
 def test_unit_cell_counts():
@@ -133,6 +133,20 @@ def test_checkerboard_divisibility_rejected():
         partition_checkerboard(mesh, 3, 1)
     with pytest.raises(ValueError, match="divide"):
         partition_checkerboard(mesh, 1, 3)
+
+
+def test_partition_from_labels_rejects_bad_labels():
+    # labels {0, 2} leave subdomain 1 without a triangle, which would give
+    # it no dofs and a trace block of size 0
+    mesh = build_rect_mesh(4, 4)
+    labels = partition_checkerboard(mesh, 2, 1).subdomain_of_triangle * 2
+    with pytest.raises(ValueError, match="label 1 names no triangle"):
+        partition_from_labels(mesh, labels)
+    labels = partition_checkerboard(mesh, 2, 1).subdomain_of_triangle - 1
+    with pytest.raises(ValueError, match="negative subdomain label -1"):
+        partition_from_labels(mesh, labels)
+    # the labels {0, 1} of the same cells partition the mesh
+    assert partition_from_labels(mesh, labels + 1).num_subdomains == 2
 
 
 def test_partition_cover_and_disjoint_dofs():

@@ -155,15 +155,12 @@ def test_impedance_rejects_asymmetric_block():
         BlockImpedance([bad])
 
 
-def test_apply_solve_roundtrip_and_norms(ref_problem, rng, rand_field):
+def test_apply_norm_pair(ref_problem, rng, rand_field):
     p = ref_problem
     imp = p.impedance
     for _ in range(10):
         v = rand_field(p, rng, "primal")
         q = imp.apply(v)
-        back = imp.solve(q)
-        for a, b in zip(back.blocks, v.blocks):
-            np.testing.assert_allclose(a, b, atol=1e-11 * max(1, np.abs(b).max()))
         # norm compatibility through the pair
         assert abs(imp.norm(q) - imp.norm(v)) <= 1e-12 * imp.norm(v)
 

@@ -10,7 +10,6 @@ import helmskel.problem as problem_mod
 from helmskel.geometry import partition_from_labels
 from helmskel.impedance import boundary_h1_impedance, collar_impedance
 from helmskel.problem import build_problem, h1_norm, make_load, monolithic_matrix, solve_monolithic
-from helmskel.solvers_spectral import _whitened_apply
 from helmskel.traces import (SkeletonField, VolumeTuple, single_trace_adjoint,
                              single_trace_embed, skew_pair, trace_adjoint, trace_apply)
 
@@ -24,16 +23,16 @@ def _rand_dual(p, rng):
 # exchange operator
 # ---------------------------------------------------------------------------
 
-def test_exchange_fixes_impedance_image(ref_problem, rng):
+def test_exchange_fixes_impedance_image(ref_problem, rng, dual_apply):
     p = ref_problem
     for _ in range(10):
         x = rng.standard_normal(p.index.n_sigma) + 1j * rng.standard_normal(p.index.n_sigma)
         q = p.impedance.apply(single_trace_embed(x, p.index))
-        out = p.exchange.apply(q)
+        out = dual_apply(p, p.exchange, q)
         assert p.impedance.norm(out - q) <= 1e-12 * p.impedance.norm(q)
 
 
-def test_exchange_negates_jumps(ref_problem, rng):
+def test_exchange_negates_jumps(ref_problem, rng, dual_apply):
     p = ref_problem
     counts = np.zeros(p.index.n_sigma)
     for m in p.index.block_map:
@@ -43,13 +42,13 @@ def test_exchange_negates_jumps(ref_problem, rng):
         y = single_trace_adjoint(r, p.index)
         proj = SkeletonField([(y / counts)[m] for m in p.index.block_map], "dual")
         q = r - proj
-        out = p.exchange.apply(q)
+        out = dual_apply(p, p.exchange, q)
         assert p.impedance.norm(out + q) <= 1e-12 * p.impedance.norm(q)
 
 
 @pytest.mark.parametrize("tgamma", ["collar", "boundary_h1"])
 @pytest.mark.parametrize("nx,ny,px,py", [(4, 4, 2, 2), (16, 16, 4, 4), (12, 12, 3, 4)])
-def test_exchange_against_dense_projector(nx, ny, px, py, tgamma, rng):
+def test_exchange_against_dense_projector(nx, ny, px, py, tgamma, rng, dual_apply):
     # the larger partitions have many interior cross points, where G
     # couples four blocks per dof
     p = build_problem(nx, ny, px, py, k=3.0, bc_kind="robin", tgamma=tgamma)
@@ -60,20 +59,10 @@ def test_exchange_against_dense_projector(nx, ny, px, py, tgamma, rng):
     assert p.exchange._lu.shape[0] >= n_sigma
     for v in vars(p.exchange).values():
         assert not (isinstance(v, np.ndarray) and v.shape == (n_sigma, n_sigma))
-    # dense oracle: Q = T E (E^T T E)^-1 E^T assembled explicitly
-    E = np.zeros((p.dual_dim, n_sigma))
-    offs = p.impedance.offsets
-    for b, m in enumerate(p.index.block_map):
-        for row, col in enumerate(m):
-            E[offs[b] + row, col] = 1.0
-    T = np.zeros((p.dual_dim, p.dual_dim))
-    for b, Tb in enumerate(p.impedance.blocks):
-        T[offs[b]:offs[b + 1], offs[b]:offs[b + 1]] = Tb
-    Q = T @ E @ np.linalg.solve(E.T @ T @ E, E.T)
-    Pi = 2 * Q - np.eye(p.dual_dim)
+    Pi = _dense_exchange(p)
     for _ in range(20):
         q = _rand_dual(p, rng)
-        got = p.exchange.apply(q).concat()
+        got = dual_apply(p, p.exchange, q).concat()
         want = Pi @ q.concat()
         np.testing.assert_allclose(got, want, atol=1e-11 * np.abs(want).max())
 
@@ -90,15 +79,12 @@ def test_split_orthogonality(ref_problem, rng):
     imp = p.impedance
     for _ in range(20):
         q = _rand_dual(p, rng)
-        qq = p.exchange.project(q)
-        rest = q - qq
-        # T^-1 inner product of the two parts vanishes
-        acc = 0.0 + 0.0j
-        for L, a, b in zip(imp.chol, qq.blocks, rest.blocks):
-            import scipy.linalg as sla
-            wa = sla.solve_triangular(L, a, lower=True)
-            wb = sla.solve_triangular(L, b, lower=True)
-            acc += np.conj(wb) @ wa
+        w = imp.whiten(q)
+        # the whitened projector (I + Pi~) / 2 and its complement
+        ww = 0.5 * (w + p.exchange.apply(w))
+        rest = w - ww
+        # their Euclidean inner product, the T^-1 one of the parts, vanishes
+        acc = np.vdot(rest, ww)
         assert abs(acc) <= 1e-11 * imp.norm(q) ** 2
 
 
@@ -115,23 +101,23 @@ def test_scattering_energy_identity(rng):
     assert vf.energy_identity(p, rng)["max_residual"] <= 1e-10
 
 
-def test_scattering_isometry_without_absorption(rng):
+def test_scattering_isometry_without_absorption(rng, dual_apply):
     # dirichlet and neumann boundary blocks conserve energy for real kappa
     for kind in ("dirichlet", "neumann", "mixed"):
         p = build_problem(8, 8, 2, 2, k=5.0, bc_kind=kind)
         for _ in range(10):
             q = _rand_dual(p, rng)
-            sq = p.scattering.apply(q)
+            sq = dual_apply(p, p.scattering, q)
             assert abs(p.impedance.norm(sq) / p.impedance.norm(q) - 1) <= 1e-11
 
 
-def test_scattering_strict_contraction_with_absorption(rng):
+def test_scattering_strict_contraction_with_absorption(rng, dual_apply):
     k = 5.0
     p = build_problem(8, 8, 2, 2, k=k, bc_kind="neumann",
                       kappa_sq=lambda x, y: k ** 2 * (1 + 0.5j * (x >= 0.5)))
     for _ in range(20):
         q = _rand_dual(p, rng)
-        sq = p.scattering.apply(q)
+        sq = dual_apply(p, p.scattering, q)
         assert p.impedance.norm(sq) < p.impedance.norm(q)
 
 
@@ -150,7 +136,7 @@ def _cellwise_kappa_sq(seed, k, cells=4):
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin", "mixed"])
 @pytest.mark.parametrize("config", ["reference", "fallback"])
-def test_dense_scattering_matches_resolvent(config, kind, rng):
+def test_dense_scattering_matches_resolvent(config, kind, rng, dual_apply):
     # the dense whitened blocks S~_j = I + 2i L_j^T Sigma_j^-1 L_j, applied to
     # a dual field between a whitening and an unwhitening, against the
     # resolvent q + 2i T B (A - i B^T T B)^-1 B^T q through solve_tuple.  At k = 20 with
@@ -172,16 +158,21 @@ def test_dense_scattering_matches_resolvent(config, kind, rng):
             b = rng.standard_normal(lf.n_dofs) + 1j * rng.standard_normal(lf.n_dofs)
             want = np.linalg.solve(C, b)
             assert np.linalg.norm(lu.solve(b) - want) <= 1e-12 * np.linalg.norm(want)
-    _assert_scattering_matches_resolvent(p, rng)
+    _assert_scattering_matches_resolvent(p, rng, dual_apply)
 
 
-def _assert_scattering_matches_resolvent(p, rng):
+def _resolvent_scattering(p, q):
+    """S q = q + 2i T B (A - i B^T T B)^-1 B^T q through the local solves."""
+    u = p.solver.solve_tuple(trace_adjoint(q, p.partition))
+    return q + 2j * p.impedance.apply(trace_apply(u, p.partition))
+
+
+def _assert_scattering_matches_resolvent(p, rng, dual_apply):
     for shape in [(p.dual_dim,), (p.dual_dim, 5)]:
         q = SkeletonField.from_concat(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
                                       p.block_sizes, "dual")
-        u = p.solver.solve_tuple(trace_adjoint(q, p.partition))
-        want = q + 2j * p.impedance.apply(trace_apply(u, p.partition))
-        got = p.scattering.apply(q)
+        want = _resolvent_scattering(p, q)
+        got = dual_apply(p, p.scattering, q)
         assert got.data.shape == shape
         assert np.linalg.norm(got.data - want.data) <= 1e-12 * np.linalg.norm(want.data)
 
@@ -214,14 +205,18 @@ def test_scattering_block_under_row_swaps(cross, rng):
 
 
 def _assert_whitened_apply_matches(p, rng):
-    # the operators written in whitened coordinates against the dual-field
-    # operators between a whitening and an unwhitening, on a vector and on
-    # a block of columns
+    # w + Pi~ S~ w against independent dual-field oracles between an
+    # unwhitening and a whitening: S through the resolvent and the local
+    # solves, Pi as the dense T E (E^T T E)^-1 E^T reflection; on a vector
+    # and on a block of columns
     imp = p.impedance
+    Pi = _dense_exchange(p)
     for shape in [(p.dual_dim,), (p.dual_dim, 4)]:
         w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        want = imp.whiten(sk.skeleton_apply(p, imp.unwhiten(w)))
-        got = _whitened_apply(p, w)
+        q = imp.unwhiten(w)
+        sq = _resolvent_scattering(p, q)
+        want = imp.whiten(q + SkeletonField.wrap(Pi @ sq.data, sq.offsets, "dual"))
+        got = sk._whitened_apply(p, w)
         assert got.shape == shape
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -253,7 +248,7 @@ def _halve_first_cell(monkeypatch):
     monkeypatch.setattr(problem_mod, "partition_checkerboard", halved)
 
 
-def test_whitened_apply_on_blocks_of_unequal_sizes(monkeypatch, rng):
+def test_whitened_apply_on_blocks_of_unequal_sizes(monkeypatch, rng, dual_apply):
     # a 2x2 checkerboard of a 12x12 mesh with its first cell halved: the
     # 18-dof halves, which are not adjacent, are one size group, the three
     # 24-dof cells another.  A cellwise kappa^2 makes the two halves'
@@ -264,17 +259,30 @@ def test_whitened_apply_on_blocks_of_unequal_sizes(monkeypatch, rng):
     assert sorted(stack.shape for stack, _ in p.scattering.blocks.groups) == [
         (2, 18, 18), (3, 24, 24)]
     _assert_whitened_apply_matches(p, rng)
-    _assert_scattering_matches_resolvent(p, rng)
+    _assert_scattering_matches_resolvent(p, rng, dual_apply)
 
 
-def _dense_gram(p):
-    """E^T T E, assembled densely from the embedding and the impedance."""
+def _dense_embedding_impedance(p):
+    """The single-trace embedding E and the impedance T as dense matrices."""
     E = np.zeros((p.dual_dim, p.index.n_sigma))
     E[np.arange(p.dual_dim), p.index.flat_map] = 1.0
     T = np.zeros((p.dual_dim, p.dual_dim))
     for Tb, a, b in zip(p.impedance.blocks, p.impedance.offsets, p.impedance.offsets[1:]):
         T[a:b, a:b] = Tb
+    return E, T
+
+
+def _dense_gram(p):
+    """E^T T E, assembled densely from the embedding and the impedance."""
+    E, T = _dense_embedding_impedance(p)
     return E.T @ T @ E
+
+
+def _dense_exchange(p):
+    """Pi = 2 T E (E^T T E)^-1 E^T - I, assembled densely."""
+    E, T = _dense_embedding_impedance(p)
+    Q = T @ E @ np.linalg.solve(E.T @ T @ E, E.T)
+    return 2 * Q - np.eye(p.dual_dim)
 
 
 def _outer_form(p, tgamma):
@@ -341,7 +349,7 @@ def _assert_rel(got, want, rtol=1e-13):
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin", "mixed"])
 @pytest.mark.parametrize("nx,ny,px,py", [(8, 8, 2, 2), (12, 12, 3, 4)])
 @pytest.mark.parametrize("m", [1, 7])
-def test_column_blocks_match_columns(nx, ny, px, py, kind, tgamma, m, rng):
+def test_column_blocks_match_columns(nx, ny, px, py, kind, tgamma, m, rng, dual_apply):
     # every operator takes (n_b, m) blocks and must act column by column
     p = build_problem(nx, ny, px, py, k=3.0, bc_kind=kind, tgamma=tgamma)
     imp = p.impedance
@@ -352,7 +360,8 @@ def test_column_blocks_match_columns(nx, ny, px, py, kind, tgamma, m, rng):
     one_block = SkeletonField([b if i == 2 else np.zeros_like(b)
                                for i, b in enumerate(dense.blocks)], "dual")
     ops = {"skeleton_apply": lambda f: sk.skeleton_apply(p, f),
-           "exchange": p.exchange.apply, "scattering": p.scattering.apply}
+           "exchange": lambda f: dual_apply(p, p.exchange, f),
+           "scattering": lambda f: dual_apply(p, p.scattering, f)}
     for q in (dense, one_block):
         for name, op in ops.items():
             out = op(q)
@@ -669,9 +678,10 @@ def test_factors_keep_no_csc_copies(ref_problem):
         assert f.lu.L.nnz == 0 and f.lu.U.nnz == 0
 
 
-def test_local_solvability_guard():
+def test_local_solvability_guard(monkeypatch):
+    monkeypatch.setattr(sk, "_RCOND_FLOOR", 1.0)
     with pytest.raises(sk.AssumptionViolation, match="perturb"):
-        build_problem(4, 4, 2, 2, k=3.0, bc_kind="robin", rcond_floor=1.0)
+        build_problem(4, 4, 2, 2, k=3.0, bc_kind="robin")
 
 
 def test_local_solvability_guard_without_onenormest(monkeypatch):
@@ -684,8 +694,9 @@ def test_local_solvability_guard_without_onenormest(monkeypatch):
     rcond = sk._estimate_rcond(C, spla.splu(C), 1)
     assert rcond < 1e-12
     assert rcond == pytest.approx(1.0 / np.linalg.cond(C.toarray(), 1), rel=1e-6)
-    with pytest.raises(sk.AssumptionViolation, match="perturb"):
-        build_problem(4, 4, 2, 2, k=3.0, bc_kind="robin", rcond_floor=1.0)
+    with monkeypatch.context() as m, pytest.raises(sk.AssumptionViolation, match="perturb"):
+        m.setattr(sk, "_RCOND_FLOOR", 1.0)
+        build_problem(4, 4, 2, 2, k=3.0, bc_kind="robin")
     # larger blocks cannot be checked, which is an error naming the block
     monkeypatch.setattr(sk, "_DENSE_RCOND_MAX", 1)
     with pytest.raises(sk.AssumptionViolation, match="block 1 "):
