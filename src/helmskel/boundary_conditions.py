@@ -1,15 +1,21 @@
 """Boundary operators for the four supported cavity conditions.
 
-Each condition contributes a 2x2 block operator on the boundary pair
-(alpha, p): the Dirichlet condition couples the trace and the multiplier
-through a plain swap, Neumann and Robin decouple the multiplier, and the
-mixed condition routes through an oblique projector onto the functionals
-supported on the Dirichlet part.  The closed form of each impedance
-inverse serves the volume solves on the boundary pair.  The closed form of
-the boundary scattering block agrees with it by the resolvent formula.  The
-scattering operator acts in whitened coordinates only, so its outer block
-is that closed form written in those coordinates (``whitened_scattering``);
-``scattering`` on a plain trace vector is its oracle.
+All four are one operator on the boundary pair (alpha, p),
+
+    A_Gamma(alpha, p) = (-i lam alpha + Theta p, Theta^T alpha + T^-1 (I - Theta) p),
+
+for the outer impedance T and the data (lam, Theta) of the condition:
+
+    kind        lam     Theta
+    dirichlet   0       I
+    neumann     0       0
+    robin       given   0
+    mixed       0       ``mixed_projector``, onto the Dirichlet part
+
+As lam Theta = 0, the inverse of the impedance-shifted operator, the
+whitened outer scattering block and the dense blocks of the monolithic
+assembly are one formula each in (lam, Theta).  ``scattering`` keeps the
+closed form of each kind as the reference they are checked against.
 """
 
 from __future__ import annotations
@@ -72,32 +78,38 @@ def gamma_d_positions_from_tags(mesh, gamma_dofs: np.ndarray) -> np.ndarray:
 class BoundaryCondition:
     """One of the four boundary operators, bound to an outer impedance.
 
-    Exposes the operator itself (``apply``), the closed-form inverse of
-    the impedance-shifted operator (``impedance_inverse``), the closed form
-    of the boundary scattering block (``scattering``, and in whitened
-    coordinates ``whitened_scattering``, the outer block of the scattering
-    operator) and the dense 2x2 blocks used by the monolithic assembly.
-    ``chol_t`` is the lower Cholesky factor of ``t_gamma`` if it is already
-    at hand (``BlockImpedance.chol[0]``); it is not copied.
+    The constructor reads ``kind`` to set ``lam`` and ``theta`` as in the
+    module table; it takes ``lam`` (positive definite) for a robin condition
+    only and ``theta`` for a mixed one only.  Past it, only the reference
+    ``scattering`` and ``load_pair`` read ``kind``.  ``chol_t`` is the
+    lower Cholesky factor of ``t_gamma`` if it is already at hand
+    (``BlockImpedance.chol[0]``); it is not copied.
     """
 
     def __init__(self, kind: str, t_gamma: np.ndarray, lam=None, theta=None, chol_t=None):
         if kind not in _KINDS:
             raise ValueError(f"unknown boundary condition kind {kind!r}")
+        if (lam is None) == (kind == "robin"):
+            raise ValueError("a robin condition, and only a robin condition, "
+                             "takes an impedance matrix lam")
+        if (theta is None) == (kind == "mixed"):
+            raise ValueError("a mixed condition, and only a mixed condition, "
+                             "takes a projector theta")
         self.kind = kind
         self.t_gamma = np.ascontiguousarray(t_gamma)
-        self.n = t_gamma.shape[0]
+        self.n = n = t_gamma.shape[0]
         if chol_t is None:
             chol_t = np.linalg.cholesky(self.t_gamma)
         # Upper factors are kept as transposes of C-ordered lower ones: they are
         # Fortran-ordered, so cho_solve passes them to LAPACK uncopied.
         self._upper_t = np.asarray(chol_t).T
-        self.lam = None if lam is None else np.ascontiguousarray(lam)
-        self.theta = None if theta is None else np.ascontiguousarray(theta)
-
-        if kind == "robin":
-            if self.lam is None:
-                raise ValueError("robin condition needs an impedance matrix")
+        zero = np.zeros((n, n))
+        self.lam = zero if lam is None else np.ascontiguousarray(lam)
+        self.theta = (np.eye(n) if kind == "dirichlet" else
+                      zero if theta is None else np.ascontiguousarray(theta))
+        # upper Cholesky factor of lam + T
+        self._upper_lt = self._upper_t
+        if lam is not None:
             try:
                 np.linalg.cholesky(0.5 * (self.lam + self.lam.T))
             except np.linalg.LinAlgError as exc:
@@ -107,54 +119,33 @@ class BoundaryCondition:
             except np.linalg.LinAlgError as exc:
                 raise ValueError("robin impedance plus boundary impedance "
                                  "is not positive definite") from exc
-        if kind == "mixed" and self.theta is None:
-            raise ValueError("mixed condition needs a projector")
-
-    # -- small solves ---------------------------------------------------------
-
-    def _t_solve(self, q):
-        return _cho_solve(self._upper_t, q)
 
     def t_inverse(self) -> np.ndarray:
         """Dense inverse of the outer impedance (the multiplier norm Gram)."""
         return sla.cho_solve((self._upper_t, False), np.eye(self.n))
 
-    # -- the boundary operator -------------------------------------------------
-
     def apply(self, alpha: np.ndarray, p: np.ndarray):
         """A_Gamma(alpha, p) as a pair of functionals; vectors or ``(n, m)``
         column blocks."""
-        if self.kind == "dirichlet":
-            return np.asarray(p, complex).copy(), np.asarray(alpha, complex).copy()
-        if self.kind == "neumann":
-            return np.zeros(np.shape(alpha), complex), self._t_solve(p)
-        if self.kind == "robin":
-            return -1j * (self.lam @ alpha), self._t_solve(p)
         tp = self.theta @ p
-        return tp, self.theta.T @ alpha + self._t_solve(p - tp)
-
-    # -- impedance-shifted inverse ----------------------------------------------
+        return (-1j * (self.lam @ alpha) + tp,
+                self.theta.T @ alpha + _cho_solve(self._upper_t, p - tp))
 
     def impedance_inverse(self, p_in: np.ndarray, a_in: np.ndarray):
-        """(A_Gamma - i B* T B)^-1 applied to the dual pair (p_in, a_in).
+        """(A_Gamma - i B* T B)^-1 applied to the dual pair (p, a) = (p_in, a_in).
 
-        Vectors or ``(n, m)`` column blocks, applied as real columns.  An
-        all-zero multiplier slot ``a_in`` (as in ``B^T q``) takes no product
-        with ``T_Gamma``.
+        As lam Theta = 0 it is (Theta^T a + i (lam + T)^-1 (I - Theta) p,
+        (I - Theta) T a + i Theta T a + Theta p).  Vectors or ``(n, m)``
+        column blocks, applied as real columns.  An all-zero multiplier slot
+        ``a_in`` (as in ``B^T q``) takes no product with ``T_Gamma``.
         """
         p_in = np.asarray(p_in, complex)
         a_in = np.asarray(a_in, complex)
         ta = (_real_op(self.t_gamma.dot, a_in) if a_in.any()
               else np.zeros(a_in.shape, complex))
-        if self.kind == "dirichlet":
-            return a_in.copy(), p_in + 1j * ta
-        if self.kind == "neumann":
-            return 1j * self._t_solve(p_in), ta
-        if self.kind == "robin":
-            return 1j * _cho_solve(self._upper_lt, p_in), ta
         th = self.theta
         th_p, th_ta = _real_op(th.dot, p_in), _real_op(th.dot, ta)
-        alpha = _real_op(th.T.dot, a_in) + 1j * self._t_solve(p_in - th_p)
+        alpha = _real_op(th.T.dot, a_in) + 1j * _cho_solve(self._upper_lt, p_in - th_p)
         return alpha, ta - th_ta + 1j * th_ta + th_p
 
     def impedance_apply(self, alpha: np.ndarray, p: np.ndarray):
@@ -162,10 +153,8 @@ class BoundaryCondition:
         fa, fp = self.apply(alpha, p)
         return fa - 1j * (self.t_gamma @ alpha), fp
 
-    # -- boundary scattering ----------------------------------------------------
-
     def scattering(self, q: np.ndarray) -> np.ndarray:
-        """Closed-form boundary scattering block applied to q.
+        """Closed-form boundary scattering block applied to q, kind by kind.
 
         q is a vector or an ``(n, m)`` column block; the real operators act
         on its real and imaginary parts as real columns.
@@ -181,54 +170,31 @@ class BoundaryCondition:
 
     def whitened_scattering(self) -> np.ndarray:
         """The boundary scattering block in whitened coordinates, L^-1 S L
-        for the lower Cholesky factor L of ``t_gamma``: a real dense matrix.
-
-        Dirichlet gives the identity and Neumann its negative.  Robin, with
-        S = I - 2T (lam + T)^-1 and lam + T = U^T U, gives the symmetric
-        I - 2 X^T X with X = U^-T L.  The mixed condition gives
-        2 L^-1 Theta L - I.
+        for the lower Cholesky factor L of ``t_gamma``: the real dense
+        I - 2 X^T X + 2 L^-1 Theta L, with X = U^-T L and lam + T = U^T U.
         """
-        n, L = self.n, self._upper_t.T
-        if self.kind == "dirichlet":
-            return np.eye(n)
-        if self.kind == "neumann":
-            return -np.eye(n)
-        if self.kind == "robin":
-            X = sla.solve_triangular(self._upper_lt, L, trans="T", check_finite=False)
-            return np.eye(n) - 2.0 * (X.T @ X)
-        return 2.0 * sla.solve_triangular(L, self.theta @ L, lower=True,
-                                          check_finite=False) - np.eye(n)
-
-    # -- dense blocks for monolithic assembly -----------------------------------
+        L = self._upper_t.T
+        X = sla.solve_triangular(self._upper_lt, L, trans="T", check_finite=False)
+        S = np.eye(self.n) - 2.0 * (X.T @ X)
+        if self.theta.any():  # a zero Theta (neumann, robin) adds no gemm or trsm
+            S += 2.0 * sla.solve_triangular(L, self.theta @ L, lower=True,
+                                            check_finite=False)
+        return S
 
     def a_gamma_blocks(self):
-        """(Baa, Bap, Bpa, Bpp) with A_Gamma(alpha,p) = (Baa a + Bap p, Bpa a + Bpp p)."""
-        n = self.n
-        Z = np.zeros((n, n))
-        I = np.eye(n)
-        if self.kind == "dirichlet":
-            return Z, I, I, Z
-        if self.kind == "neumann":
-            return Z, Z, Z, self.t_inverse()
-        if self.kind == "robin":
-            return -1j * self.lam, Z, Z, self.t_inverse()
-        Tinv = self.t_inverse()
-        return Z, self.theta, self.theta.T, Tinv @ (I - self.theta)
+        """(Baa, Bap, Bpa, Bpp) = (-i lam, Theta, Theta^T, T^-1 (I - Theta)), so
+        A_Gamma(alpha,p) = (Baa a + Bap p, Bpa a + Bpp p)."""
+        return (-1j * self.lam, self.theta, self.theta.T,
+                sla.cho_solve((self._upper_t, False), np.eye(self.n) - self.theta))
 
     def load_pair(self, g_d=None, g_n=None):
-        """Boundary part of the right-hand side for the data g_d and g_n.
-
-        g_d is the Dirichlet datum, g_n the Neumann (or Robin) functional;
-        None stands for zero, and each kind reads only the data it uses.
-        """
+        """Boundary part of the right-hand side, (g_n, Theta^T g_d), for the
+        Dirichlet datum g_d and the Neumann (or Robin) functional g_n; None
+        stands for zero.  A Dirichlet condition ignores g_n."""
         za = np.zeros(self.n, complex)
         g_d = za if g_d is None else np.asarray(g_d, complex)
-        g_n = za if g_n is None else np.asarray(g_n, complex)
-        if self.kind == "dirichlet":
-            return za.copy(), g_d.copy()
-        if self.kind in ("neumann", "robin"):
-            return g_n.copy(), za.copy()
-        return g_n.copy(), self.theta.T @ g_d
+        g_n = za if g_n is None or self.kind == "dirichlet" else np.asarray(g_n, complex)
+        return g_n.copy(), _real_op(self.theta.T.dot, g_d)
 
 
 def make_boundary_condition(kind: str, t_gamma: np.ndarray, *, lam=None,

@@ -296,7 +296,7 @@ class LocalImpedanceSolver:
     it to loads, recovery and Cauchy pairs.  A reciprocal-condition estimate
     on it below ``_RCOND_FLOOR`` raises :class:`AssumptionViolation` instead
     of silently returning garbage.  The outer-boundary block is handled by
-    the closed-form inverse of the boundary condition.
+    the boundary condition's ``impedance_inverse``.
     """
 
     def __init__(self, forms, orders, impedance: BlockImpedance, bc):

@@ -553,6 +553,9 @@ def verify_estimates(problem: Problem, svd_threshold: float = 1e-8,
 # wavenumber sweep
 # ---------------------------------------------------------------------------
 
+# The "n_sigma" column holds the skeleton dimension ``n_dual``
+# (``Problem.dual_dim``, 96 on 8x8, 2x2), not ``index.n_sigma`` (45 there);
+# the name stays so that existing sweep CSVs still compare.
 SWEEP_COLUMNS = ("k", "n_sigma", "infsup_primary", "norm_A", "infsup_skeleton",
                  "coercivity", "kernel_primary", "kernel_skeleton",
                  "pass_thm_final", "pass_cor_coercivity")
@@ -573,7 +576,8 @@ def sweep_wavenumber(k_values, px: int = 2, py: int = 2,
     per wavelength, rounded to the partition grid, gamma = 1/k, robin impedance k times the boundary
     mass.  Returns (rows, slopes); slopes are the log-log regression
     coefficients of the skeleton inf-sup and coercivity constants against
-    k, or None for fewer than two wavenumbers.
+    k, or None for fewer than two wavenumbers.  A row's ``n_sigma`` is the
+    skeleton dimension ``n_dual`` of the certificate, not ``index.n_sigma``.
     """
     k_values = list(k_values)
     if not k_values:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from helmskel.boundary_conditions import (BoundaryCondition,
                                           gamma_d_positions_from_tags,
@@ -13,6 +14,27 @@ def setup():
     problems = {kind: build_problem(8, 8, 2, 2, k=5.0, bc_kind=kind)
                 for kind in ("dirichlet", "neumann", "robin", "mixed")}
     return problems
+
+
+@pytest.fixture(scope="module")
+def conditions(setup):
+    """The four reference conditions and further data for the one form."""
+    bcs = {kind: problem.bc for kind, problem in setup.items()}
+    for name, sides in [("mixed_left", ("left",)),
+                        ("mixed_three_sides", ("left", "bottom", "right"))]:
+        bcs[name] = build_problem(8, 8, 2, 2, k=5.0, bc_kind="mixed",
+                                  gamma_d_sides=sides).bc
+    t = bcs["robin"].t_gamma
+    n = t.shape[0]
+    G = np.random.default_rng(7).standard_normal((n, n))
+    lam = np.abs(t).max() * (G @ G.T / n + 0.1 * np.eye(n))
+    bcs["robin_dense"] = BoundaryCondition("robin", t, lam=lam)
+    bcs["mixed_zero"] = BoundaryCondition("mixed", t, theta=np.zeros((n, n)))
+    return bcs
+
+
+_CASES = ["dirichlet", "neumann", "robin", "mixed",
+          "mixed_left", "mixed_three_sides", "robin_dense", "mixed_zero"]
 
 
 def _rand(n, rng):
@@ -46,9 +68,9 @@ def test_all_kinds_dissipative(setup, rng):
             assert val.imag <= 1e-12 * mag, kind
 
 
-@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin", "mixed"])
-def test_impedance_inverse_composition(setup, kind, rng):
-    bc = setup[kind].bc
+@pytest.mark.parametrize("case", _CASES)
+def test_impedance_inverse_composition(conditions, case, rng):
+    bc = conditions[case]
     for _ in range(10):
         pin, ain = _rand(bc.n, rng), _rand(bc.n, rng)
         alpha, p = bc.impedance_inverse(pin, ain)
@@ -108,21 +130,44 @@ def test_degenerate_projector_gives_dirichlet_inverse(setup, rng):
         np.testing.assert_allclose(p1, p2, atol=1e-11 * scale)
 
 
+def test_zero_projector_gives_neumann_inverse(conditions, rng):
+    # With the projector forced to zero the mixed formulas collapse onto
+    # the neumann ones.
+    zero, neu = conditions["mixed_zero"], conditions["neumann"]
+    for _ in range(5):
+        pin, ain = _rand(zero.n, rng), _rand(zero.n, rng)
+        a1, p1 = zero.impedance_inverse(pin, ain)
+        a2, p2 = neu.impedance_inverse(pin, ain)
+        scale = max(np.abs(p2).max(), np.abs(a2).max())
+        np.testing.assert_allclose(a1, a2, atol=1e-11 * scale)
+        np.testing.assert_allclose(p1, p2, atol=1e-11 * scale)
+
+
 def test_scattering_closed_forms(setup, rng):
     q = _rand(setup["dirichlet"].bc.n, rng)
     np.testing.assert_array_equal(setup["dirichlet"].bc.scattering(q), q)
     np.testing.assert_array_equal(setup["neumann"].bc.scattering(q), -q)
 
 
-@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin", "mixed"])
-def test_whitened_scattering_is_the_closed_form_whitened(setup, kind):
+@pytest.mark.parametrize("case", _CASES)
+def test_whitened_scattering_is_the_closed_form_whitened(conditions, case):
     # L^-1 S L from the closed form applied to the columns of L
-    bc = setup[kind].bc
+    bc = conditions[case]
     L = np.linalg.cholesky(bc.t_gamma)
     want = np.linalg.solve(L, bc.scattering(L))
     got = bc.whitened_scattering()
     assert np.isrealobj(got) and not np.any(want.imag)
     assert np.abs(got - want.real).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_robin_whitened_scattering_skips_zero_projector(conditions, monkeypatch):
+    # the robin block needs the one solve for X = U^-T L, none with Theta = 0
+    calls = []
+    solve = sla.solve_triangular
+    monkeypatch.setattr(sla, "solve_triangular",
+                        lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    conditions["robin"].whitened_scattering()
+    assert len(calls) == 1
 
 
 def test_robin_matched_impedance_annihilates(setup, rng):
@@ -191,3 +236,17 @@ def test_gamma_d_tie_break_toward_dirichlet():
 def test_unknown_kind_rejected(setup):
     with pytest.raises(ValueError, match="unknown"):
         BoundaryCondition("periodic", setup["dirichlet"].bc.t_gamma)
+
+
+@pytest.mark.parametrize("kind, given", [
+    ("dirichlet", "lam"), ("neumann", "lam"), ("mixed", "lam+theta"),
+    ("dirichlet", "theta"), ("neumann", "theta"), ("robin", "lam+theta"),
+    ("robin", "none"), ("mixed", "none"),
+])
+def test_data_outside_the_one_form_rejected(setup, kind, given):
+    # lam with robin only and theta with mixed only, each required there:
+    # the one impedance inverse holds for lam theta = 0 only
+    data = {"lam": setup["robin"].bc.lam, "theta": setup["mixed"].bc.theta}
+    kwargs = {name: data[name] for name in given.split("+") if name in data}
+    with pytest.raises(ValueError, match="only a"):
+        BoundaryCondition(kind, setup["robin"].bc.t_gamma, **kwargs)
