@@ -107,6 +107,7 @@ class BoundaryCondition:
         self.lam = zero if lam is None else np.ascontiguousarray(lam)
         self.theta = (np.eye(n) if kind == "dirichlet" else
                       zero if theta is None else np.ascontiguousarray(theta))
+        self._has_lam, self._has_theta = bool(self.lam.any()), bool(self.theta.any())
         # upper Cholesky factor of lam + T
         self._upper_lt = self._upper_t
         if lam is not None:
@@ -137,12 +138,15 @@ class BoundaryCondition:
         As lam Theta = 0 it is (Theta^T a + i (lam + T)^-1 (I - Theta) p,
         (I - Theta) T a + i Theta T a + Theta p).  Vectors or ``(n, m)``
         column blocks, applied as real columns.  An all-zero multiplier slot
-        ``a_in`` (as in ``B^T q``) takes no product with ``T_Gamma``.
+        ``a_in`` (as in ``B^T q``) takes no product with ``T_Gamma``, and an
+        all-zero Theta none with Theta.
         """
         p_in = np.asarray(p_in, complex)
         a_in = np.asarray(a_in, complex)
         ta = (_real_op(self.t_gamma.dot, a_in) if a_in.any()
               else np.zeros(a_in.shape, complex))
+        if not self._has_theta:
+            return 1j * _cho_solve(self._upper_lt, p_in), ta
         th = self.theta
         th_p, th_ta = _real_op(th.dot, p_in), _real_op(th.dot, ta)
         alpha = _real_op(th.T.dot, a_in) + 1j * _cho_solve(self._upper_lt, p_in - th_p)
@@ -172,11 +176,17 @@ class BoundaryCondition:
         """The boundary scattering block in whitened coordinates, L^-1 S L
         for the lower Cholesky factor L of ``t_gamma``: the real dense
         I - 2 X^T X + 2 L^-1 Theta L, with X = U^-T L and lam + T = U^T U.
+        A zero lam makes U = L^T, so X = I and the block is
+        -I + 2 L^-1 Theta L with no solve for X; a zero Theta adds no
+        product.
         """
         L = self._upper_t.T
-        X = sla.solve_triangular(self._upper_lt, L, trans="T", check_finite=False)
-        S = np.eye(self.n) - 2.0 * (X.T @ X)
-        if self.theta.any():  # a zero Theta (neumann, robin) adds no gemm or trsm
+        if self._has_lam:
+            X = sla.solve_triangular(self._upper_lt, L, trans="T", check_finite=False)
+            S = np.eye(self.n) - 2.0 * (X.T @ X)
+        else:
+            S = -np.eye(self.n)
+        if self._has_theta:
             S += 2.0 * sla.solve_triangular(L, self.theta @ L, lower=True,
                                             check_finite=False)
         return S
@@ -194,7 +204,8 @@ class BoundaryCondition:
         za = np.zeros(self.n, complex)
         g_d = za if g_d is None else np.asarray(g_d, complex)
         g_n = za if g_n is None or self.kind == "dirichlet" else np.asarray(g_n, complex)
-        return g_n.copy(), _real_op(self.theta.T.dot, g_d)
+        th_gd = _real_op(self.theta.T.dot, g_d) if self._has_theta else np.zeros_like(g_d)
+        return g_n.copy(), th_gd
 
 
 def make_boundary_condition(kind: str, t_gamma: np.ndarray, *, lam=None,

@@ -6,19 +6,19 @@ boundary dofs, i.e. the discrete Dirichlet-to-Neumann map of the operator
 -Laplace + gamma^-2.  For the outer boundary there is no canonical
 bounded exterior, so two SPD surrogates are provided: the Schur complement
 of a one-cell exterior collar mesh (default), and a boundary H1 matrix.
-Each surrogate also returns the sparse form its T_Gamma is the Schur
-complement of (the collar's H, or T_Gamma itself), from which the exchange
-operator builds its sparse system instead of from the dense T_Gamma.
+Each surrogate returns only the sparse form F, boundary last, whose Schur
+complement is its T_Gamma (the collar's H, or T_Gamma itself); the
+exchange operator builds its sparse system from F, not the dense T_Gamma.
 
-Every Schur complement is read off a sparse factor: H is factored with
-its boundary dofs last and no pivoting, which SPD allows, and T and its
-Cholesky factor are the trailing block of that factor (``schur_dtn``).
-No dense solve against the boundary columns is made, and no factor of H
-is kept: the skeleton operators need only the blocks T_b, so a built
-problem holds no interior factor and no harmonic lifting.  The
-boundary-last dof order of a subdomain's factor (``DtnBlock.order``) is
+Every Schur complement of the package is the trailing block of one kind
+of sparse factor, ``_BoundaryLastFactor``, made with the boundary dofs
+last and no column reordering.  ``DtnBlock`` reads every T_b that way,
+from F or from a subdomain's H, unpivoted, which SPD allows, and with no
+dense solve against the boundary columns; the factor is dropped, so a
+built problem holds no interior factor and no harmonic lifting.  The
+boundary-last order of a subdomain's factor (``DtnBlock.order``) is
 passed on to the factor of its impedance problem, which has the same
-sparsity.
+sparsity and gives the local scattering block (:mod:`helmskel.skeleton`).
 
 The induced norms ||v||_T and ||q||_T^-1 are the working metric of the
 whole skeleton formulation.  The Cholesky factors L_b of the blocks double
@@ -48,7 +48,6 @@ _dtrtrs = sla.get_lapack_funcs("trtrs", dtype=np.float64)
 __all__ = [
     "DtnBlock",
     "BlockImpedance",
-    "schur_dtn",
     "collar_impedance",
     "boundary_h1_impedance",
     "boundary_mass",
@@ -67,92 +66,66 @@ def _splu_spd(A: sp.spmatrix):
                      options=dict(SymmetricMode=True))
 
 
-def _trailing_block(F, n_interior: int) -> np.ndarray:
-    """Dense trailing block, the rows and columns from ``n_interior`` on,
-    of a square CSC matrix."""
-    n, ni = F.shape[0], n_interior
-    a = F.indptr[ni]
-    rows = F.indices[a:] - ni
-    cols = np.repeat(np.arange(n - ni), np.diff(F.indptr[ni:]))
-    keep = rows >= 0
-    out = np.zeros((n - ni, n - ni), F.dtype)
-    out[rows[keep], cols[keep]] = F.data[a:][keep]
-    return out
+class _BoundaryLastFactor:
+    """Sparse LU factor of a square matrix C with its boundary dofs last.
 
+    Row and column i of C move to ``pos[i]``, which leaves the trailing
+    ``n - n_interior`` (boundary) rows and columns in place, and SuperLU
+    factors the permuted matrix as P_r C = L U in that column order (no
+    column reordering, symmetric mode), keeping the diagonal pivot of a
+    column unless it is below ``pivot`` times the column's largest entry.
+    Gaussian elimination of the leading rows leaves the Schur complement of
+    C onto the boundary in the trailing block: L_bb U_bb = P_b Sigma, with
+    P_b the row swaps among the boundary rows, unless a swap crossed the
+    interior/boundary split.  Every Schur complement of the package is read
+    off such a factor, the impedance blocks T_b with ``pivot`` 0 and the
+    local scattering blocks with threshold pivoting.
 
-def _trailing_schur(Hc: sp.csc_matrix, pos: np.ndarray, n_interior: int):
-    """Schur complement T of a real SPD matrix onto its rows and columns from
-    ``n_interior`` on, and the lower Cholesky factor of T, read off one
-    unpivoted factor.
-
-    Row and column i of ``Hc`` move to ``pos[i]``, which must leave the
-    trailing rows where they are.  The permuted matrix is factored in that
-    order (no column reordering, no row pivoting) as L U with L unit lower
-    triangular.  Gaussian elimination of the leading rows leaves their Schur
-    complement as the trailing block L_bb U_bb, and a symmetric matrix has
-    U = diag(U) L^T, so the complement is U_bb^T diag(U_bb)^-1 U_bb = R R^T
-    with R = U_bb^T diag(U_bb)^-1/2 its Cholesky factor.  Only the trailing
-    columns of U are read; the factor is dropped on return.
+    ``solve`` takes and returns vectors and column blocks in C's own order;
+    ``norm1`` is the 1-norm of C, for condition estimates.
     """
-    n, ni = Hc.shape[0], n_interior
-    C = Hc.tocoo()
-    lu = spla.splu(sp.csc_matrix((C.data, (pos[C.row], pos[C.col])), shape=(n, n)),
-                   permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                   options=dict(SymmetricMode=True))
-    ident = np.arange(n)
-    if not (np.array_equal(lu.perm_r, ident) and np.array_equal(lu.perm_c, ident)):
-        raise RuntimeError("the boundary-last factor of H was pivoted or reordered, "
-                           "so its trailing block is not the Schur complement; "
-                           "H should be SPD")
-    U_bb = _trailing_block(lu.U, ni)
-    chol = np.ascontiguousarray(U_bb.T)
-    chol /= np.sqrt(np.diag(U_bb))
-    T = chol @ chol.T
-    return 0.5 * (T + T.T), chol
 
+    def __init__(self, C: sp.spmatrix, pos: np.ndarray, n_interior: int, pivot: float):
+        n = C.shape[0]
+        coo = C.tocoo()
+        # the permuted matrix, with duplicate triplets of a COO matrix C summed
+        moved = sp.csc_matrix((coo.data, (pos[coo.row], pos[coo.col])), shape=(n, n))
+        cols = np.repeat(np.arange(n), np.diff(moved.indptr))
+        self.norm1 = float(np.bincount(cols, np.abs(moved.data), minlength=n).max())
+        self.lu = spla.splu(moved, permc_spec="NATURAL", diag_pivot_thresh=pivot,
+                            options=dict(SymmetricMode=True))
+        self.pos = pos
+        self.dofs = np.argsort(pos)  # the dof at each position
+        self.n_interior = n_interior
 
-def _schur_and_order(H: sp.spmatrix, n_interior: int, interior_order=None):
-    """``schur_dtn(H, n_interior)``, its lower Cholesky factor, and the
-    boundary-last position ``pos[i]`` of each dof i in the factor both were
-    read from.
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """C^-1 b, or C^-T b or C^-H b with ``trans`` "T" or "H"."""
+        return self.lu.solve(b[self.dofs], trans=trans)[self.pos]
 
-    The interior takes the column order ``interior_order`` (a permutation of
-    the interior dofs, as SuperLU's ``perm_c``: dof i at position
-    ``interior_order[i]``), or when None that of a fill-reducing factor of
-    H_ii.  Any permutation gives the same T; the order only sets the fill.
-    """
-    n = H.shape[0]
-    ni = n_interior
-    Hc = H.tocsc()
-    if ni == 0:
-        T = Hc.toarray()
-        return T, np.linalg.cholesky(T), np.arange(n)
-    if interior_order is None:
-        try:
-            interior_order = _splu_spd(Hc[:ni, :ni]).perm_c
-        except RuntimeError as exc:  # pragma: no cover - signals an assembly bug
-            raise RuntimeError("interior block of H is singular; H should be SPD") from exc
-    pos = np.concatenate([interior_order, np.arange(ni, n)])
-    return (*_trailing_schur(Hc, pos, ni), pos)
+    def trailing(self, which: str = "LU"):
+        """Dense trailing blocks, the rows and columns from ``n_interior`` on,
+        of the factors named in ``which``: L_bb and U_bb by default.
 
-
-def schur_dtn(H: sp.spmatrix, n_interior: int) -> np.ndarray:
-    """Schur complement T = H_bb - H_bi H_ii^-1 H_ib of an SPD matrix onto
-    its trailing boundary block; H itself when it has no interior dofs.
-
-    T is not formed by solving an interior factor against the n_b columns
-    of H_ib.  H is factored once, with the interior dofs in the column order
-    of a fill-reducing factor of H_ii and the boundary dofs last, and T is
-    the trailing block of that factor (see ``_trailing_schur``).  The
-    interior factor is made only for its column order and, like the
-    boundary-last factor, is dropped on return.  The factor takes its pivots
-    on the diagonal in the given order, which is safe because H is SPD: each
-    reduced matrix of the elimination is SPD again, so every pivot is
-    positive and no entry grows past the largest diagonal entry of H.  A
-    factor that was pivoted or reordered anyway raises ``RuntimeError``
-    instead of giving a wrong T.
-    """
-    return _schur_and_order(H, n_interior)[0]
+        ``lu.L`` and ``lu.U`` are CSC copies of the whole factor, which
+        SuperLU caches for as long as the factor lives (``lu.U is lu.U``).
+        Each is emptied after its read, so a kept factor holds its own
+        storage only; its ``L`` and ``U`` then read as zero, while ``solve``
+        is untouched.
+        """
+        ni = self.n_interior
+        nb = self.lu.shape[0] - ni
+        blocks = []
+        for F in (getattr(self.lu, name) for name in which):
+            a = F.indptr[ni]
+            rows = F.indices[a:] - ni
+            keep = rows >= 0
+            cols = np.repeat(np.arange(nb), np.diff(F.indptr[ni:]))
+            blocks.append(np.zeros((nb, nb), F.dtype))
+            blocks[-1][rows[keep], cols[keep]] = F.data[a:][keep]
+            F.data = np.zeros(0, F.dtype)
+            F.indices = np.zeros(0, F.indices.dtype)
+            F.indptr = np.zeros_like(F.indptr)
+        return blocks
 
 
 def _real_columns(v: np.ndarray) -> np.ndarray:
@@ -185,23 +158,54 @@ def _real_op(op, v: np.ndarray) -> np.ndarray:
 
 
 class DtnBlock:
-    """Boundary impedance ``T`` of one subdomain: the Schur complement of
-    its volume norm Gram H onto the boundary dofs, from :func:`schur_dtn`.
+    """Impedance block ``T``, the Schur complement H_bb - H_bi H_ii^-1 H_ib of
+    a real SPD matrix H onto its trailing ``n - n_interior`` (boundary) rows
+    and columns (H itself with no interior dofs), and ``chol``, its lower
+    Cholesky factor.  The one reader of every impedance block: T_j from a
+    subdomain's volume norm Gram, T_Gamma from the form of an outer surrogate.
 
-    ``chol`` is the lower Cholesky factor of T, read off the same factor.
-    ``order`` is the boundary-last dof order of the factor T was read off:
-    local dof i sits at position ``order[i]``, the interior in a
-    fill-reducing column order and the boundary last, in place.  The local
-    impedance problem has the sparsity of H, so its factor takes the same
-    order.  The interior order is that of a factor of H_ii, or
-    ``interior_order`` when given: it depends on the sparsity of H only, so
-    subdomains with the same pattern can share it.  No factor of H outlives
-    the build.
+    H is factored once by a :class:`_BoundaryLastFactor` without pivoting,
+    which SPD allows: each reduced matrix of the elimination is SPD again, so
+    every pivot is positive and no entry grows past the largest diagonal
+    entry of H.  A symmetric matrix has U = diag(U) L^T, so T = L_bb U_bb =
+    R R^T with R = U_bb^T diag(U_bb)^-1/2 = ``chol``.  Only the trailing
+    columns of U are read, no dense solve against the boundary columns is
+    made, and the factor is dropped.  A factor that was pivoted or reordered
+    anyway raises ``RuntimeError`` instead of giving a wrong T.
+
+    ``order`` is the factor's boundary-last dof order: dof i at position
+    ``order[i]``, the interior in the column order ``interior_order`` (as
+    SuperLU's ``perm_c``) or, when None, that of a fill-reducing factor of
+    H_ii, and the boundary last, in place.  Any order gives the same T.  It
+    depends on the sparsity of H only, so blocks of one pattern can share
+    it, and a subdomain's impedance problem, of the same sparsity, takes it.
     """
 
-    def __init__(self, forms: LocalForms, interior_order=None):
-        self.T, self.chol, self.order = _schur_and_order(forms.H, forms.n_interior,
-                                                         interior_order)
+    def __init__(self, H: sp.spmatrix, n_interior: int, interior_order=None):
+        n, ni = H.shape[0], n_interior
+        Hc = H.tocsc()
+        if ni == 0:
+            self.T = Hc.toarray()
+            self.chol = np.linalg.cholesky(self.T)
+            self.order = np.arange(n)
+            return
+        if interior_order is None:
+            try:
+                interior_order = _splu_spd(Hc[:ni, :ni]).perm_c
+            except RuntimeError as exc:  # pragma: no cover - signals an assembly bug
+                raise RuntimeError("interior block of H is singular; H should be SPD") from exc
+        self.order = np.concatenate([interior_order, np.arange(ni, n)])
+        factor = _BoundaryLastFactor(Hc, self.order, ni, 0.0)
+        lu, ident = factor.lu, np.arange(n)
+        if not (np.array_equal(lu.perm_r, ident) and np.array_equal(lu.perm_c, ident)):
+            raise RuntimeError("the boundary-last factor of H was pivoted or reordered, "
+                               "so its trailing block is not the Schur complement; "
+                               "H should be SPD")
+        U_bb, = factor.trailing("U")
+        chol = np.ascontiguousarray(U_bb.T)
+        chol /= np.sqrt(np.diag(U_bb))
+        T = chol @ chol.T
+        self.T, self.chol = 0.5 * (T + T.T), chol
 
 
 def _boundary_edge_lengths(mesh: Mesh) -> np.ndarray:
@@ -236,16 +240,14 @@ def boundary_stiffness(mesh: Mesh, gamma_dofs: np.ndarray) -> np.ndarray:
     return _boundary_form(mesh, gamma_dofs, (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
-def boundary_h1_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float):
-    """Boundary H1 surrogate for the outer impedance: K_Gamma + gamma^-1 M_Gamma.
-
-    Returns (T, L, F): L the lower Cholesky factor of T, and F the
-    tridiagonal T as a sparse matrix, the form whose Schur complement onto
-    the boundary is T with no dofs to eliminate (see ``collar_impedance``).
+def boundary_h1_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> sp.csc_matrix:
+    """Boundary H1 surrogate for the outer impedance: T_Gamma = K_Gamma +
+    gamma^-1 M_Gamma, returned as the sparse tridiagonal form F = T_Gamma,
+    whose Schur complement onto the boundary is itself, with no dofs to
+    eliminate (see ``collar_impedance``).
     """
     T = boundary_stiffness(mesh, gamma_dofs) + boundary_mass(mesh, gamma_dofs) / gamma
-    T = 0.5 * (T + T.T)
-    return T, np.linalg.cholesky(T), sp.csc_matrix(T)
+    return sp.csc_matrix(0.5 * (T + T.T))
 
 
 def _collar_forms(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> LocalForms:
@@ -278,21 +280,17 @@ def _collar_forms(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> LocalForm
                         Coefficients(k=1.0, gamma=gamma))
 
 
-def collar_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float):
+def collar_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> sp.csc_matrix:
     """Exterior-collar surrogate for the outer impedance.
 
     Meshes a one-cell-thick ring around the rectangle with the same grid
-    spacing, assembles K + gamma^-2 M on it with the natural condition on
-    the outer rim, and eliminates every collar dof except those matching
-    the boundary vertices.  The result is real SPD by construction.
-    Returns (T, L, F): L the lower Cholesky factor of T read off the same
-    factor (see :func:`schur_dtn`), and F the sparse collar form H, the
-    other collar dofs first and the boundary vertices last in
-    ``gamma_dofs`` order, whose Schur complement onto those last rows is T.
+    spacing and assembles K + gamma^-2 M on it with the natural condition
+    on the outer rim.  Returns that sparse form F, the other collar dofs
+    first and the boundary vertices last in ``gamma_dofs`` order: T_Gamma
+    is its Schur complement onto those last rows, real SPD by construction,
+    read off by :class:`DtnBlock` as every other impedance block is.
     """
-    lf = _collar_forms(mesh, gamma_dofs, gamma)
-    T, chol, _ = _schur_and_order(lf.H, lf.n_interior)
-    return T, chol, lf.H.tocsc()
+    return _collar_forms(mesh, gamma_dofs, gamma).H.tocsc()
 
 
 class _StackedBlocks:
@@ -342,10 +340,8 @@ class _StackedBlocks:
 class BlockImpedance:
     """Block-diagonal SPD impedance T = diag(T_Gamma, T_1, ..., T_J).
 
-    Holds the lower Cholesky factor of every block: ``chol`` gives those
-    already at hand (None for a block to factor here), such as the factors
-    :class:`DtnBlock` and the outer surrogates return with their blocks; a
-    block factored here must be symmetric.  ``whiten`` maps a dual
+    Holds the lower Cholesky factor of every block, ``chol``, as
+    :class:`DtnBlock` reads it off with the block.  ``whiten`` maps a dual
     field to coordinates w = L^-1 q whose Euclidean norm equals the T^-1
     norm, which turns the skeleton metric into the plain l2 metric for
     solvers and singular value computations.  The skeleton operators act
@@ -359,17 +355,9 @@ class BlockImpedance:
     imaginary part of each column adjacent (``factor_product``).
     """
 
-    def __init__(self, blocks, chol=None):
-        blocks = [np.asarray(b) for b in blocks]
-        factors = list(chol) if chol is not None else [None] * len(blocks)
-        for i, b in enumerate(blocks):
-            if factors[i] is not None:
-                continue
-            if not np.allclose(b, b.T, rtol=0, atol=1e-12 * (1 + np.abs(b).max())):
-                raise ValueError(f"impedance block {i} is not symmetric")
-            factors[i] = np.linalg.cholesky(b)
-        self._t = _StackedBlocks(blocks)
-        self._l = _StackedBlocks(factors)
+    def __init__(self, blocks, chol):
+        self._t = _StackedBlocks([np.asarray(b) for b in blocks])
+        self._l = _StackedBlocks(list(chol))
         self.blocks = self._t.blocks
         self.chol = self._l.blocks
         self.sizes = tuple(b.shape[0] for b in self.blocks)

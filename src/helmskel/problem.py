@@ -127,24 +127,24 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
     dtn, orders = [], {}
     for lf in forms:
         key = (lf.n_interior, lf.H.indptr.tobytes(), lf.H.indices.tobytes())
-        dtn.append(DtnBlock(lf, orders.get(key)))
+        dtn.append(DtnBlock(lf.H, lf.n_interior, orders.get(key)))
         orders.setdefault(key, dtn[-1].order[:lf.n_interior])
 
+    # T_Gamma is the Schur complement of the surrogate's form onto its Gamma rows.
     if tgamma == "collar":
-        t_gamma, chol_gamma, outer_form = collar_impedance(mesh, partition.gamma_dofs,
-                                                           coeffs.gamma)
+        outer_form = collar_impedance(mesh, partition.gamma_dofs, coeffs.gamma)
     elif tgamma == "boundary_h1":
-        t_gamma, chol_gamma, outer_form = boundary_h1_impedance(mesh, partition.gamma_dofs,
-                                                                coeffs.gamma)
+        outer_form = boundary_h1_impedance(mesh, partition.gamma_dofs, coeffs.gamma)
     else:
         raise ValueError(f"unknown tgamma surrogate {tgamma!r}")
+    outer = DtnBlock(outer_form, outer_form.shape[0] - len(partition.gamma_dofs))
 
-    impedance = BlockImpedance([t_gamma] + [d.T for d in dtn],
-                                chol=[chol_gamma] + [d.chol for d in dtn])
+    impedance = BlockImpedance([outer.T] + [d.T for d in dtn],
+                                [outer.chol] + [d.chol for d in dtn])
     # The impedance holds its own stacked copies of the blocks and factors;
     # only the boundary-last orders of the DtN factors are still needed.
     local_orders = [d.order for d in dtn]
-    del dtn, t_gamma, chol_gamma
+    del dtn, outer
     m_gamma = boundary_mass(mesh, partition.gamma_dofs)
 
     lam = None

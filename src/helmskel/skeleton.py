@@ -14,16 +14,17 @@ S~ = L^-1 S L and Pi~ = L^-1 Pi L; the T^-1 metric is Euclidean there.
 and the spectral harness apply it with no whitening inside a step, and
 ``skeleton_apply`` wraps it in one whitening and one unwhitening.  Each
 subdomain keeps one sparse factor of its impedance problem
-C_j = A_j - i B_j^T T_j B_j, made with the boundary dofs last.  The
-whitened block S~_j = I + 2i L_j^T Sigma_j^-1 L_j, with Sigma_j the Schur
-complement of C_j onto the boundary, is read off that factor once and
-kept dense, stacked with the blocks of its size, so applying S~ takes one
-matrix product per block size and no sparse solve.  The factor serves the
-volume solves: the right-hand side, the recovery of the volume solution
-and the Cauchy pairs.  The exchange keeps one sparse factor of a bordered
-matrix K whose Schur complement onto the skeleton dofs is G = E^T T E:
-the outer block enters K as the sparse form it is the Schur complement of
-(the collar's volume Gram), so no dense T_Gamma row enters the factor.
+C_j = A_j - i B_j^T T_j B_j, the ``_BoundaryLastFactor`` that also reads
+every T_b.  The whitened block S~_j = I + 2i L_j^T Sigma_j^-1 L_j, with
+Sigma_j the Schur complement of C_j onto the boundary, is read off its
+trailing block once and kept dense, stacked with the blocks of its size,
+so applying S~ takes one matrix product per block size and no sparse
+solve.  The factor serves the volume solves: the right-hand side, the
+recovery of the volume solution and the Cauchy pairs.  The exchange keeps
+one sparse factor of a bordered matrix K whose Schur complement onto the
+skeleton dofs is G = E^T T E: the outer block enters K as the sparse form
+it is the Schur complement of (the collar's volume Gram), so no dense
+T_Gamma row enters the factor.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import scipy.sparse.linalg as spla
 
 from .assembly import restriction_apply
 from .geometry import SkeletonIndex
-from .impedance import (BlockImpedance, _complex_columns, _real_columns, _real_op,
-                        _splu_spd, _StackedBlocks, _trailing_block)
+from .impedance import (BlockImpedance, _BoundaryLastFactor, _complex_columns, _real_columns,
+                        _real_op, _splu_spd, _StackedBlocks)
 from .traces import (SkeletonField, VolumeTuple, _nonzero_blocks, _zero_extension,
                      trace_adjoint, trace_apply)
 
@@ -155,8 +156,8 @@ _PIVOT_THRESHOLD = 0.1
 _RCOND_FLOOR = 1e-12
 
 
-def _estimate_rcond(C: sp.spmatrix, lu, block: int) -> float:
-    """1-norm reciprocal condition estimate of a factored sparse matrix.
+def _estimate_rcond(factor: _BoundaryLastFactor, block: int) -> float:
+    """1-norm reciprocal condition estimate of the matrix C of ``factor``.
 
     The estimator's products with C^-1 and C^-H are each one solve on a
     block of columns.  If the estimator fails, blocks of up to
@@ -165,69 +166,31 @@ def _estimate_rcond(C: sp.spmatrix, lu, block: int) -> float:
     :class:`AssumptionViolation`, since an unchecked factorization would
     disable the solvability guard.
     """
-    norm_c = float(abs(C).sum(axis=0).max())
+    n, norm_c = factor.lu.shape[0], factor.norm1
 
     def solve_h(X):
-        return lu.solve(X, trans="H")
+        return factor.solve(X, trans="H")
 
-    inv_op = spla.LinearOperator(C.shape, dtype=complex, matvec=lu.solve,
-                                 rmatvec=solve_h, matmat=lu.solve, rmatmat=solve_h)
+    inv_op = spla.LinearOperator((n, n), dtype=complex, matvec=factor.solve,
+                                 rmatvec=solve_h, matmat=factor.solve, rmatmat=solve_h)
     try:
         norm_inv = float(spla.onenormest(inv_op))
     except (RuntimeError, ValueError, ArithmeticError) as exc:
-        n = C.shape[0]
         if n > _DENSE_RCOND_MAX:
             raise AssumptionViolation(
                 f"condition estimate of block {block} ({n} dofs) failed; "
                 "its solvability cannot be checked") from exc
-        norm_inv = float(np.abs(lu.solve(np.eye(n, dtype=complex))).sum(axis=0).max())
+        norm_inv = float(np.abs(factor.solve(np.eye(n, dtype=complex))).sum(axis=0).max())
     if norm_c == 0 or not 0 < norm_inv < np.inf:
         return 0.0
     return 1.0 / (norm_c * norm_inv)
 
 
-def _bordered(A: sp.spmatrix, T: np.ndarray, pos: np.ndarray, n_interior: int):
-    """C = A - i B^T T B in CSC form, with row and column i at ``pos[i]``;
-    ``pos`` leaves the trailing (boundary) rows in place."""
-    n, ni = A.shape[0], n_interior
-    Ac = A.tocoo()
-    nb = n - ni
-    rows = np.concatenate([pos[Ac.row], np.repeat(np.arange(ni, n), nb)])
-    cols = np.concatenate([pos[Ac.col], np.tile(np.arange(ni, n), nb)])
-    vals = np.concatenate([Ac.data.astype(complex), -1j * T.ravel()])
-    return sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def _read_trailing_factors(lu, n_interior: int):
-    """Dense trailing blocks L_bb and U_bb of a SuperLU factor.
-
-    ``lu.L`` and ``lu.U`` are CSC copies of the whole factor, which SuperLU
-    caches for as long as the factor lives (``lu.U is lu.U``).  They are
-    emptied after the read, so a kept factor holds its own storage only;
-    its ``L`` and ``U`` then read as zero, while ``solve`` is untouched.
-    """
-    L, U = lu.L, lu.U
-    blocks = _trailing_block(L, n_interior), _trailing_block(U, n_interior)
-    for F in (L, U):
-        F.data = np.zeros(0, F.dtype)
-        F.indices = np.zeros(0, F.indices.dtype)
-        F.indptr = np.zeros_like(F.indptr)
-    return blocks
-
-
-def _boundary_last_lu(C: sp.csc_matrix):
-    """SuperLU factor P_r C = L U of C in its given column order (no column
-    reordering) with threshold pivoting at ``_PIVOT_THRESHOLD``."""
-    return spla.splu(C, permc_spec="NATURAL", diag_pivot_thresh=_PIVOT_THRESHOLD,
-                     options=dict(SymmetricMode=True))
-
-
-def _whitened_scattering_block(lu, L: np.ndarray, n_interior: int):
+def _whitened_scattering_block(factor: _BoundaryLastFactor, L: np.ndarray):
     """S~ = I + 2i L^T Sigma^-1 L for a real matrix L, with Sigma the Schur
-    complement onto the trailing ``n - n_interior`` rows and columns of the
-    matrix C that ``lu`` factors (from :func:`_boundary_last_lu`).  With L
-    the lower Cholesky factor of T, this is L^-1 S L for the scattering
-    block S = I + 2i T Sigma^-1.
+    complement of the matrix C that ``factor`` factors onto its trailing
+    (boundary) rows and columns.  With L the lower Cholesky factor of T,
+    this is L^-1 S L for the scattering block S = I + 2i T Sigma^-1.
 
     Returns S~ and whether the factor was pivoted across the interior/boundary
     split.  If it was not, the trailing block of the factor is Sigma with
@@ -236,12 +199,13 @@ def _whitened_scattering_block(lu, L: np.ndarray, n_interior: int):
     Otherwise Sigma^-1 L = B C^-1 B^T L is one n_b-column solve with the
     factor.  One product with L^T ends both.
     """
-    n, ni = lu.shape[0], n_interior
+    lu, ni = factor.lu, factor.n_interior
+    n = lu.shape[0]
     rows = lu.perm_r[ni:] - ni
     crossed = rows.min(initial=0) < 0 or not np.array_equal(lu.perm_c, np.arange(n))
     if not crossed:
         # P_b moves row k of L to row rows[k]
-        L_bb, U_bb = _read_trailing_factors(lu, ni)
+        L_bb, U_bb = factor.trailing()
         Z = np.empty(L.shape, complex, order="F")
         Z[rows] = L
         Z = sla.solve_triangular(L_bb, Z, lower=True, unit_diagonal=True,
@@ -250,24 +214,11 @@ def _whitened_scattering_block(lu, L: np.ndarray, n_interior: int):
     else:
         E = np.zeros((n, L.shape[1]), complex)
         E[ni:] = L
-        Z = lu.solve(E)[ni:]
+        Z = factor.solve(E)[ni:]
     S = _real_op(L.T.dot, Z)
     S *= 2j
     S[np.diag_indices_from(S)] += 1.0
     return S, crossed
-
-
-class _BoundaryLastFactor:
-    """SuperLU factor of a matrix C whose row and column i sit at ``pos[i]``;
-    ``solve`` takes and returns vectors and column blocks in C's own order."""
-
-    def __init__(self, lu, pos: np.ndarray):
-        self.lu = lu
-        self.pos = pos
-        self.dofs = np.argsort(pos)  # the dof at each position
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return self.lu.solve(b[self.dofs])[self.pos]
 
 
 class LocalImpedanceSolver:
@@ -276,21 +227,23 @@ class LocalImpedanceSolver:
 
     Per subdomain this is C_j = A_j - i B_j^T T_j B_j, a complex symmetric
     sparse matrix bordered by the dense impedance on its boundary dofs.  It
-    has the sparsity of the volume norm Gram H_j, so it is factored in the
-    boundary-last order ``orders[j]`` of :class:`~helmskel.impedance.DtnBlock`
-    (the interior in the fill-reducing column order of H_ii, the boundary
-    dofs last), with SuperLU's threshold pivoting at ``_PIVOT_THRESHOLD``:
-    C_j is indefinite, so a factor without pivoting is not safe.
+    has the sparsity of the volume norm Gram H_j, so it is factored by the
+    :class:`~helmskel.impedance._BoundaryLastFactor` that reads every Schur
+    complement, in the boundary-last order ``orders[j]`` of
+    :class:`~helmskel.impedance.DtnBlock` (the interior in the fill-reducing
+    column order of H_ii, the boundary dofs last).  Unlike H_j, C_j is
+    indefinite, so a factor without pivoting is not safe: it takes
+    SuperLU's threshold pivoting at ``_PIVOT_THRESHOLD``.
 
-    The factor gives the local Schur complement Sigma_j of C_j onto the
-    boundary, and with it the dense block S~_j = I + 2i L_j^T Sigma_j^-1 L_j
-    of the scattering operator in whitened coordinates, L_j the Cholesky
-    factor of T_j (see :func:`_whitened_scattering_block`).  The blocks are
-    kept stacked by size in ``whitened_blocks``.  Each is read off the
-    trailing block of the factor unless a row swap crossed from the interior
-    to the boundary rows; such a block takes an n_b-column solve with the
-    same factor instead, and ``fallbacks`` counts it.  No option selects
-    the path; the factor decides.
+    The trailing block of the factor is the local Schur complement Sigma_j
+    of C_j onto the boundary, and gives the dense block
+    S~_j = I + 2i L_j^T Sigma_j^-1 L_j of the scattering operator in
+    whitened coordinates, L_j the Cholesky factor of T_j (see
+    :func:`_whitened_scattering_block`).  The blocks are kept stacked by
+    size in ``whitened_blocks``.  A block whose factor swapped a row across
+    the interior/boundary split takes an n_b-column solve with the same
+    factor instead, and ``fallbacks`` counts it.  No option selects the
+    path; the factor decides.
 
     The factor is the only one a subdomain keeps: ``solve_tuple`` applies
     it to loads, recovery and Cauchy pairs.  A reciprocal-condition estimate
@@ -301,28 +254,34 @@ class LocalImpedanceSolver:
 
     def __init__(self, forms, orders, impedance: BlockImpedance, bc):
         self.bc = bc
-        lus = []
+        factors = []
         for j, (lf, pos) in enumerate(zip(forms, orders)):
-            C = _bordered(lf.A, impedance.blocks[j + 1], pos, lf.n_interior)
+            # C_j as triplets, which the factor sums: a sparse difference would
+            # drop the exact zeros of T_j, and with them entries of the pattern
+            n, ni = lf.n_dofs, lf.n_interior
+            A, bd = lf.A.tocoo(), np.arange(ni, n)
+            C = sp.coo_matrix((np.concatenate([A.data, -1j * impedance.blocks[j + 1].ravel()]),
+                               (np.concatenate([A.row, np.repeat(bd, n - ni)]),
+                                np.concatenate([A.col, np.tile(bd, n - ni)]))), shape=(n, n))
             try:
-                lu = _boundary_last_lu(C)
+                factor = _BoundaryLastFactor(C, pos, ni, _PIVOT_THRESHOLD)
             except RuntimeError as exc:
                 raise AssumptionViolation(
                     f"impedance problem of block {j + 1} is singular; "
                     "perturb kappa or gamma and retry") from exc
-            rcond = _estimate_rcond(C, lu, j + 1)
+            rcond = _estimate_rcond(factor, j + 1)
             if rcond < _RCOND_FLOOR:
                 raise AssumptionViolation(
                     f"impedance problem of block {j + 1} is numerically singular "
                     f"(rcond ~ {rcond:.2e}); perturb kappa or gamma and retry")
-            lus.append(_BoundaryLastFactor(lu, pos))
+            factors.append(factor)
         # Every factor is made before any is read: the transient copies the
         # reads take then reuse one another's memory.
-        blocks = [_whitened_scattering_block(f.lu, impedance.chol[j + 1], lf.n_interior)
-                  for j, (lf, f) in enumerate(zip(forms, lus))]
+        blocks = [_whitened_scattering_block(f, impedance.chol[j + 1])
+                  for j, f in enumerate(factors)]
         self.whitened_blocks = _StackedBlocks([S for S, _ in blocks])
         self.fallbacks = sum(crossed for _, crossed in blocks)
-        self._lus = tuple(lus)
+        self._lus = tuple(factors)
 
     def solve_tuple(self, phi: VolumeTuple) -> VolumeTuple:
         """(A - i B^T T B)^-1 applied to a dual tuple, blockwise.
@@ -343,9 +302,9 @@ class LocalImpedanceSolver:
         u = np.zeros(data.shape, complex)
         if live[0] or live[1]:
             u[:o[1]], u[o[1]:o[2]] = self.bc.impedance_inverse(*phi.gamma)
-        for lu, a, b, nz in zip(self._lus, o[2:], o[3:], live[2:]):
+        for factor, a, b, nz in zip(self._lus, o[2:], o[3:], live[2:]):
             if nz:
-                u[a:b] = lu.solve(data[a:b])
+                u[a:b] = factor.solve(data[a:b])
         return VolumeTuple.wrap(u, o, "primal")
 
 

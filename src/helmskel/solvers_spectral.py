@@ -411,10 +411,10 @@ def infsup_primary(problem: Problem, svd_threshold: float = 1e-8):
 def _block_norm(A: np.ndarray, W: np.ndarray) -> float:
     """Spectral norm of A whitened by the SPD Gram W = L L^T: ||L^-1 A L^-T||_2.
 
-    The dense fallback of ``continuity_modulus`` (the mixed outer block and
-    subdomain blocks without constant real coefficients), and the oracle
-    that tests hold the closed forms of ``_outer_block_norm`` and
-    ``_subdomain_block_norm`` to.
+    The dense fallback of ``continuity_modulus`` (a boundary lam that is not
+    real symmetric, and subdomain blocks without constant real
+    coefficients), and the oracle that tests hold the closed forms of
+    ``_outer_block_norm`` and ``_subdomain_block_norm`` to.
 
     A real symmetric A whitens to a real symmetric matrix, whose norm is
     its largest eigenvalue in modulus: the real generalized eigensolve of
@@ -453,25 +453,25 @@ def _subdomain_block_norm(lf: LocalForms, coeffs: Coefficients) -> float:
 def _outer_block_norm(bc) -> float:
     """Whitened norm of the boundary block in the pair norm (T, T^-1).
 
-    Whitened by the symmetric square root of W = diag(T, T^-1), the
-    Dirichlet swap stays the swap and the Neumann block T^-1 on the
-    multiplier becomes the identity: both have norm 1.  Robin adds the
-    trace block -i lam, which whitens to -i T^-1/2 lam T^-1/2; for a real
-    symmetric lam (positive definite, as the condition checks) its norm is
-    the top eigenvalue of the pencil (lam, T).  The mixed condition, and a
-    robin lam that is not real symmetric, keep the dense ``_block_norm``.
+    Whitened by the symmetric square root of W = diag(T, T^-1), the block
+    (-i lam, Theta; Theta^T, T^-1 (I - Theta)) is (-i Lam, P; P, I - P) with
+    Lam = T^-1/2 lam T^-1/2 and P = T^-1/2 Theta T^1/2, an orthogonal
+    projector, as T^-1 Theta = Theta^T T^-1 and Theta^2 = Theta.  Every
+    condition has lam = 0 or Theta = 0.  Theta = 0 leaves diag(-i Lam, I),
+    of norm max(1, ||Lam||).  lam = 0 maps (a, b), split into parts in the
+    range and the kernel of P, to (b_1, a_1 + b_0): no longer than (a, b),
+    and as long for a = 0, so the norm is 1 = max(1, ||Lam||).  For a real
+    symmetric lam, positive definite or zero as the condition checks,
+    ||Lam|| is the top eigenvalue of the pencil (lam, T); any other lam
+    takes the dense ``_block_norm`` of lam alone, an n x n block.
     """
-    if bc.kind in ("dirichlet", "neumann"):
-        return 1.0
-    if bc.kind == "robin" and np.isrealobj(bc.lam) and np.array_equal(bc.lam, bc.lam.T):
+    lam = bc.lam
+    if np.isrealobj(lam) and np.array_equal(lam, lam.T):
         n = bc.n
-        top = sla.eigh(bc.lam, bc.t_gamma, eigvals_only=True,
+        top = sla.eigh(lam, bc.t_gamma, eigvals_only=True,
                        subset_by_index=[n - 1, n - 1], check_finite=False)[0]
         return max(1.0, float(top))
-    Baa, Bap, Bpa, Bpp = bc.a_gamma_blocks()
-    Z = np.zeros_like(bc.t_gamma)
-    return _block_norm(np.block([[Baa, Bap], [Bpa, Bpp]]),
-                       np.block([[bc.t_gamma, Z], [Z, bc.t_inverse()]]))
+    return max(1.0, _block_norm(lam, bc.t_gamma))
 
 
 def continuity_modulus(problem: Problem) -> float:
@@ -496,10 +496,11 @@ def continuity_modulus(problem: Problem) -> float:
     the result is max(kappa^2 gamma^2, 1/mu).  Otherwise lam_max of each
     block comes from one sparse Lanczos solve with a seeded start vector.
 
-    The boundary block has a closed form too, except under the mixed
-    condition (see ``_outer_block_norm``).  The dense ``_block_norm`` stays
-    for the mixed boundary block and for every subdomain block under a
-    callable or complex kappa^2 or a complex mu.
+    The boundary block has a closed form too, for every condition (see
+    ``_outer_block_norm``).  The dense ``_block_norm`` stays for a boundary
+    lam that is not real symmetric, at the size of the boundary, and for
+    every subdomain block under a callable or complex kappa^2 or a
+    complex mu.
     """
     best = _outer_block_norm(problem.bc)
     for lf in problem.forms:

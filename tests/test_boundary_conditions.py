@@ -161,13 +161,17 @@ def test_whitened_scattering_is_the_closed_form_whitened(conditions, case):
 
 
 def test_robin_whitened_scattering_skips_zero_projector(conditions, monkeypatch):
-    # the robin block needs the one solve for X = U^-T L, none with Theta = 0
+    # the robin block needs the one solve for X = U^-T L, none with Theta = 0;
+    # lam = 0 makes X = I with no solve, so neumann takes none and dirichlet
+    # and mixed only the one with Theta
     calls = []
     solve = sla.solve_triangular
     monkeypatch.setattr(sla, "solve_triangular",
                         lambda *a, **kw: calls.append(1) or solve(*a, **kw))
-    conditions["robin"].whitened_scattering()
-    assert len(calls) == 1
+    for kind, want in [("robin", 1), ("neumann", 0), ("dirichlet", 1), ("mixed", 1)]:
+        calls.clear()
+        conditions[kind].whitened_scattering()
+        assert len(calls) == want, kind
 
 
 def test_robin_matched_impedance_annihilates(setup, rng):

@@ -4,9 +4,9 @@ import scipy.sparse as sp
 
 from helmskel.assembly import Coefficients, assemble_subdomain
 from helmskel.geometry import build_rect_mesh, partition_checkerboard
-from helmskel.impedance import (BlockImpedance, _collar_forms, boundary_h1_impedance,
-                                boundary_mass, boundary_stiffness, collar_impedance,
-                                schur_dtn)
+from helmskel.impedance import (DtnBlock, _BoundaryLastFactor, _collar_forms,
+                                boundary_h1_impedance, boundary_mass, boundary_stiffness,
+                                collar_impedance)
 from helmskel.problem import build_problem
 
 
@@ -19,7 +19,7 @@ def test_single_domain_dtn_spd():
     mesh = build_rect_mesh(2, 2)
     part = partition_checkerboard(mesh, 1, 1)
     lf = assemble_subdomain(mesh, part, 0, Coefficients(k=2.0))
-    T = schur_dtn(lf.H, lf.n_interior)
+    T = DtnBlock(lf.H, lf.n_interior).T
     np.testing.assert_allclose(T, T.T)
     assert np.linalg.eigvalsh(T).min() > 0
 
@@ -62,7 +62,7 @@ def _collar_of(mesh):
 ])
 def test_schur_dtn_matches_dense_formula(forms):
     for lf in forms():
-        T = schur_dtn(lf.H, lf.n_interior)
+        T = DtnBlock(lf.H, lf.n_interior).T
         want = _dense_schur(lf.H, lf.n_interior)
         assert np.abs(T - want).max() <= 1e-12 * np.abs(want).max()
         assert np.array_equal(T, T.T)
@@ -73,7 +73,26 @@ def test_schur_dtn_refuses_a_pivoted_factor():
     # SuperLU to pivot, so the trailing block is no Schur complement
     H = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 2.0]]))
     with pytest.raises(RuntimeError, match="pivoted or reordered"):
-        schur_dtn(H, 2)
+        DtnBlock(H, 2)
+
+
+def test_dtn_block_order_invariance(rng):
+    # any interior order gives the same T; the boundary keeps its rows, and
+    # the factor solves in H's own order
+    lf = _forms_of(30, 20, 3, 2)[4]
+    ni, n = lf.n_interior, lf.n_dofs
+    default = DtnBlock(lf.H, ni)
+    shuffled = DtnBlock(lf.H, ni, rng.permutation(ni))
+    for block in (default, shuffled):
+        assert np.array_equal(block.order[ni:], np.arange(ni, n))
+        assert np.array_equal(np.sort(block.order[:ni]), np.arange(ni))
+    assert not np.array_equal(default.order, shuffled.order)
+    for got, want in [(shuffled.T, default.T), (shuffled.chol, default.chol)]:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    b = rng.standard_normal((n, 2))
+    x = _BoundaryLastFactor(lf.H, shuffled.order, ni, 0.0).solve(b)
+    want = np.linalg.solve(lf.H.toarray(), b)
+    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_no_interior_block_is_plain_gram():
@@ -81,7 +100,7 @@ def test_no_interior_block_is_plain_gram():
     part = partition_checkerboard(mesh, 1, 1)
     lf = assemble_subdomain(mesh, part, 0, Coefficients(k=2.0))
     assert lf.n_interior == 0
-    np.testing.assert_allclose(schur_dtn(lf.H, 0), lf.H.toarray())
+    np.testing.assert_allclose(DtnBlock(lf.H, 0).T, lf.H.toarray())
 
 
 def test_trace_norm_dominated_by_volume_norm(ref_problem, rng):
@@ -96,11 +115,19 @@ def test_trace_norm_dominated_by_volume_norm(ref_problem, rng):
             assert tnorm2 <= _energy(lf.H, u) * (1 + 1e-12)
 
 
+def _outer_block(surrogate, mesh, gamma_dofs, gamma):
+    """The outer impedance block read off the form a surrogate returns, and
+    that form."""
+    F = surrogate(mesh, gamma_dofs, gamma)
+    return DtnBlock(F, F.shape[0] - len(gamma_dofs)), F
+
+
 @pytest.mark.parametrize("surrogate", [collar_impedance, boundary_h1_impedance])
 def test_gamma_surrogates_spd(surrogate):
     mesh = build_rect_mesh(8, 8)
     gamma_dofs = np.unique(mesh.boundary_edges)
-    T, L, _ = surrogate(mesh, gamma_dofs, 0.2)
+    block, _ = _outer_block(surrogate, mesh, gamma_dofs, 0.2)
+    T, L = block.T, block.chol
     np.testing.assert_allclose(T, T.T)
     assert np.linalg.eigvalsh(T).min() > 0
     np.testing.assert_allclose(L @ L.T, T, rtol=0, atol=1e-12 * np.abs(T).max())
@@ -113,7 +140,8 @@ def test_gamma_surrogate_form_reduces_to_t(surrogate):
     # its trailing Gamma rows, in gamma_dofs order
     mesh = build_rect_mesh(10, 6, 1.5, 1.0)
     gamma_dofs = np.unique(mesh.boundary_edges)
-    T, _, F = surrogate(mesh, gamma_dofs, 0.2)
+    block, F = _outer_block(surrogate, mesh, gamma_dofs, 0.2)
+    T = block.T
     assert sp.issparse(F) and np.all(F.data != 0)
     want = _dense_schur(F, F.shape[0] - len(gamma_dofs))
     assert np.abs(want - T).max() <= 1e-13 * np.abs(T).max()
@@ -122,8 +150,8 @@ def test_gamma_surrogate_form_reduces_to_t(surrogate):
 def test_collar_monotone_in_gamma(rng):
     mesh = build_rect_mesh(6, 6)
     gamma_dofs = np.unique(mesh.boundary_edges)
-    T1 = collar_impedance(mesh, gamma_dofs, 0.1)[0]
-    T2 = collar_impedance(mesh, gamma_dofs, 0.2)[0]
+    T1 = _outer_block(collar_impedance, mesh, gamma_dofs, 0.1)[0].T
+    T2 = _outer_block(collar_impedance, mesh, gamma_dofs, 0.2)[0].T
     for _ in range(10):
         q = rng.standard_normal(len(gamma_dofs))
         assert q @ (T2 @ q) <= q @ (T1 @ q) * (1 + 1e-12)
@@ -147,12 +175,6 @@ def test_boundary_mass_total_length():
                 M_ref[a, b] += h / 3.0 if a == b else h / 6.0
                 K_ref[a, b] += 1.0 / h if a == b else -1.0 / h
     assert np.array_equal(M, M_ref) and np.array_equal(K, K_ref)
-
-
-def test_impedance_rejects_asymmetric_block():
-    bad = np.array([[2.0, 0.3], [0.0, 2.0]])
-    with pytest.raises(ValueError, match="symmetric"):
-        BlockImpedance([bad])
 
 
 def test_apply_norm_pair(ref_problem, rng, rand_field):

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-# A package __init__ imports its public names to re-export them.
-FILES = sorted(p for d in (ROOT / "src" / "helmskel", ROOT / "tests")
+# A package __init__ imports its public names to re-export them.  The
+# demos and the benchmark scripts are read, never changed, by the lint.
+FILES = sorted(p for d in (ROOT / "src" / "helmskel", ROOT / "tests", ROOT / "demos",
+                           ROOT / "bench")
                for p in d.glob("*.py") if p.name != "__init__.py")
 
 

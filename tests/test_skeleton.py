@@ -8,7 +8,7 @@ import helmskel.verification as vf
 from helmskel.assembly import restriction_adjoint, restriction_apply
 import helmskel.problem as problem_mod
 from helmskel.geometry import partition_from_labels
-from helmskel.impedance import boundary_h1_impedance, collar_impedance
+from helmskel.impedance import _BoundaryLastFactor, boundary_h1_impedance, collar_impedance
 from helmskel.problem import build_problem, h1_norm, make_load, monolithic_matrix, solve_monolithic
 from helmskel.traces import (SkeletonField, VolumeTuple, single_trace_adjoint,
                              single_trace_embed, skew_pair, trace_adjoint, trace_apply)
@@ -193,12 +193,12 @@ def test_scattering_block_under_row_swaps(cross, rng):
     C[np.arange(ni, ni + nb), np.arange(ni, ni + nb)] = 1e-3
     if cross:
         C[0, :ni] = C[:ni, 0] = 0.0
-    lu = sk._boundary_last_lu(sp.csc_matrix(C))
-    rows = lu.perm_r[ni:] - ni
+    factor = _BoundaryLastFactor(sp.csc_matrix(C), np.arange(ni + nb), ni, sk._PIVOT_THRESHOLD)
+    rows = factor.lu.perm_r[ni:] - ni
     assert (rows.min() < 0) == cross
     assert cross or not np.array_equal(rows, np.arange(nb))
     L = np.linalg.cholesky(np.eye(nb) + 0.1 * np.ones((nb, nb)))
-    S, crossed = sk._whitened_scattering_block(lu, L, ni)
+    S, crossed = sk._whitened_scattering_block(factor, L)
     assert crossed == cross
     want = np.eye(nb) + 2j * L.T @ np.linalg.inv(C)[ni:, ni:] @ L
     assert np.abs(S - want).max() <= 1e-13 * np.abs(want).max()
@@ -287,7 +287,7 @@ def _dense_exchange(p):
 
 def _outer_form(p, tgamma):
     surrogate = {"collar": collar_impedance, "boundary_h1": boundary_h1_impedance}[tgamma]
-    return surrogate(p.mesh, p.partition.gamma_dofs, p.coeffs.gamma)[2]
+    return surrogate(p.mesh, p.partition.gamma_dofs, p.coeffs.gamma)
 
 
 def test_exchange_gram_stores_no_zero():
@@ -691,7 +691,7 @@ def test_local_solvability_guard_without_onenormest(monkeypatch):
     monkeypatch.setattr(sk.spla, "onenormest", failing_estimator)
     # small blocks fall back to the exact 1-norm condition number
     C = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]], complex))
-    rcond = sk._estimate_rcond(C, spla.splu(C), 1)
+    rcond = sk._estimate_rcond(_BoundaryLastFactor(C, np.arange(2), 0, sk._PIVOT_THRESHOLD), 1)
     assert rcond < 1e-12
     assert rcond == pytest.approx(1.0 / np.linalg.cond(C.toarray(), 1), rel=1e-6)
     with monkeypatch.context() as m, pytest.raises(sk.AssumptionViolation, match="perturb"):
