@@ -23,6 +23,7 @@ __all__ = [
     "Coefficients",
     "LocalForms",
     "assemble_forms",
+    "assemble_global",
     "assemble_subdomain",
     "assemble_load",
     "assemble_primary",
@@ -184,12 +185,15 @@ def assemble_subdomain(mesh: Mesh, partition: Partition, j: int,
 
 
 def assemble_forms(mesh: Mesh, partition: Partition, coeffs: Coefficients):
-    """All per-subdomain LocalForms plus the global forms over the mesh."""
-    forms = tuple(assemble_subdomain(mesh, partition, j, coeffs)
-                  for j in range(partition.num_subdomains))
-    glob = _assemble_on(mesh, np.arange(mesh.num_triangles),
+    """The LocalForms of every subdomain, as a tuple in subdomain order."""
+    return tuple(assemble_subdomain(mesh, partition, j, coeffs)
+                 for j in range(partition.num_subdomains))
+
+
+def assemble_global(mesh: Mesh, coeffs: Coefficients) -> LocalForms:
+    """The forms over the whole mesh, with the vertices in their own order."""
+    return _assemble_on(mesh, np.arange(mesh.num_triangles),
                         np.arange(mesh.num_vertices), 0, coeffs)
-    return forms, glob
 
 
 def assemble_load(mesh: Mesh, partition: Partition, f) -> VolumeTuple:

@@ -33,6 +33,7 @@ stacked, so each such product is one matrix product per block size.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -82,21 +83,33 @@ class _BoundaryLastFactor:
     local scattering blocks with threshold pivoting.
 
     ``solve`` takes and returns vectors and column blocks in C's own order;
-    ``norm1`` is the 1-norm of C, for condition estimates.
+    ``norm1`` is the 1-norm of C, for condition estimates.  Both ``norm1``
+    and ``dofs``, the inverse of ``pos``, are computed on first read, so a
+    factor that is only read off pays for neither; the permuted copy of C
+    is kept until ``norm1`` is read.
     """
 
     def __init__(self, C: sp.spmatrix, pos: np.ndarray, n_interior: int, pivot: float):
         n = C.shape[0]
         coo = C.tocoo()
         # the permuted matrix, with duplicate triplets of a COO matrix C summed
-        moved = sp.csc_matrix((coo.data, (pos[coo.row], pos[coo.col])), shape=(n, n))
-        cols = np.repeat(np.arange(n), np.diff(moved.indptr))
-        self.norm1 = float(np.bincount(cols, np.abs(moved.data), minlength=n).max())
-        self.lu = spla.splu(moved, permc_spec="NATURAL", diag_pivot_thresh=pivot,
+        self._moved = sp.csc_matrix((coo.data, (pos[coo.row], pos[coo.col])), shape=(n, n))
+        self.lu = spla.splu(self._moved, permc_spec="NATURAL", diag_pivot_thresh=pivot,
                             options=dict(SymmetricMode=True))
         self.pos = pos
-        self.dofs = np.argsort(pos)  # the dof at each position
         self.n_interior = n_interior
+
+    @cached_property
+    def norm1(self) -> float:
+        """The 1-norm of C, the largest absolute column sum."""
+        moved, self._moved = self._moved, None
+        cols = np.repeat(np.arange(moved.shape[1]), np.diff(moved.indptr))
+        return float(np.bincount(cols, np.abs(moved.data), minlength=moved.shape[1]).max())
+
+    @cached_property
+    def dofs(self) -> np.ndarray:
+        """The dof at each position."""
+        return np.argsort(self.pos)
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """C^-1 b, or C^-T b or C^-H b with ``trans`` "T" or "H"."""

@@ -4,12 +4,16 @@
 per-subdomain forms, impedance blocks, boundary condition, exchange and
 scattering operators.  A ``Problem`` holds operators only and is frozen:
 boundary and volume data enter through ``make_load``, so one problem
-serves any number of right-hand sides.
+serves any number of right-hand sides.  The global forms over the whole
+mesh, which only the monolithic reference, the H1 norm and the primary
+constants read, are assembled on first use, so a build and a skeleton
+solve never hold them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,7 +68,9 @@ class Problem:
 
     Frozen, and ``bc`` carries the boundary operator without data; a
     variant (say, with one block replaced) is a new ``Problem`` made by
-    ``dataclasses.replace``.
+    ``dataclasses.replace``.  ``global_forms`` is not a field: it is
+    assembled on first read and then kept (a replaced variant assembles
+    its own), so a build and a skeleton solve never hold it.
     """
 
     mesh: Mesh
@@ -73,12 +79,16 @@ class Problem:
     coeffs: Coefficients
     bc: BoundaryCondition
     forms: tuple
-    global_forms: LocalForms = field(repr=False)
     impedance: BlockImpedance = field(repr=False)
     gamma_mass: np.ndarray = field(repr=False)
     exchange: ExchangeOperator = field(repr=False)
     solver: LocalImpedanceSolver = field(repr=False)
     scattering: ScatteringOperator = field(repr=False)
+
+    @cached_property
+    def global_forms(self) -> LocalForms:
+        """The forms over the whole mesh, assembled on first read."""
+        return assembly.assemble_global(self.mesh, self.coeffs)
 
     @property
     def num_subdomains(self) -> int:
@@ -120,7 +130,7 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
     partition = partition_checkerboard(mesh, px, py)
     index = skeleton_index(partition)
 
-    forms, global_forms = assembly.assemble_forms(mesh, partition, coeffs)
+    forms = assembly.assemble_forms(mesh, partition, coeffs)
     # The fill-reducing interior order depends on the sparsity of H alone,
     # so subdomains with the same pattern (all blocks of a checkerboard of
     # equal cells) compute it once.
@@ -161,8 +171,8 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
     solver = LocalImpedanceSolver(forms, local_orders, impedance, bc)
     scattering = ScatteringOperator(solver)
 
-    return Problem(mesh, partition, index, coeffs, bc, forms, global_forms,
-                   impedance, m_gamma, exchange, solver, scattering)
+    return Problem(mesh, partition, index, coeffs, bc, forms, impedance, m_gamma,
+                   exchange, solver, scattering)
 
 
 def make_load(problem: Problem, f=0.0, g_d=None, g_n=None) -> VolumeTuple:

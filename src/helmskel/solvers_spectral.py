@@ -21,7 +21,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import zaxpy, zdotc
 
-from .assembly import Coefficients, LocalForms, _assemble_on
+from .assembly import Coefficients, LocalForms, assemble_global
 from .impedance import _real_op, _splu_spd
 from .problem import Problem, build_problem, monolithic_matrix
 from .skeleton import _PIVOT_THRESHOLD, _whitened_apply
@@ -150,21 +150,24 @@ def _givens(h1: complex, h2: complex):
 _BREAKDOWN_RTOL = 100 * np.finfo(float).eps
 
 
-# Rows of the first Krylov basis allocation; the basis doubles as needed, so
-# its memory follows the iteration count, not the dimension.
+# Rows of each block of the Krylov basis: the basis grows by one such block
+# at a time, so its memory follows the iteration count, not the dimension.
 _BASIS_ROWS = 16
 
 
 def _gmres_core(matvec, b, tol, restart, maxit):
     """Restarted GMRES with Givens rotations; returns (x, history, converged).
 
-    The Krylov basis is held as contiguous rows ``V[k]``, allocated for
-    ``_BASIS_ROWS`` directions and doubled as needed, with the Hessenberg
-    matrix grown to match.  Each new direction is orthogonalised by two
-    classical Gram-Schmidt passes (CGS2, "twice is enough": Giraud, Langou
-    and Rozloznik, Numer. Math. 101, 2005): each pass takes the projections
-    ``<V[i], w>`` on all rows at once and then subtracts them from ``w``.
-    The first cycle starts from x = 0 without applying the operator.
+    The Krylov basis is held as blocks of ``_BASIS_ROWS`` contiguous rows,
+    each allocated when the previous one is full and never copied, so a
+    cycle of k steps holds k + 1 rows rounded up to a whole block, besides
+    a few vectors of the dimension; each rotated Hessenberg column stays
+    in the array it was formed in.  Each new direction is orthogonalised by
+    two classical Gram-Schmidt passes (CGS2, "twice is enough": Giraud,
+    Langou and Rozloznik, Numer. Math. 101, 2005): each pass takes the
+    projections ``<V[i], w>`` on all rows at once and then subtracts them
+    from ``w``.  The update of x is one product per block.  The first cycle
+    starts from x = 0 without applying the operator.
 
     On a breakdown in a basis smaller than the space, the Krylov space is
     invariant and restarting cannot help, so the iteration stops there.  A
@@ -194,18 +197,20 @@ def _gmres_core(matvec, b, tol, restart, maxit):
             converged = True
             break
         m = min(restart, maxit - total)
-        V = np.empty((min(m + 1, _BASIS_ROWS), n), complex)
-        H = np.zeros((len(V), len(V) - 1), complex)
+        blocks, V = [], []  # the basis blocks, and views of their rows in order
+
+        def append_row(w, scale):
+            if len(V) % _BASIS_ROWS == 0:
+                blocks.append(np.empty((min(_BASIS_ROWS, m + 1 - len(V)), n), complex))
+            V.append(np.divide(w, scale, out=blocks[-1][len(V) % _BASIS_ROWS]))
+
+        columns = []  # rotated Hessenberg columns, column k of length k + 1
         rotations = []
         g = np.zeros(m + 1, complex)
-        V[0] = r / beta
+        append_row(r, beta)
         g[0] = beta
         k_used = 0
         for k in range(m):
-            if k + 1 == len(V):
-                grow = min(len(V), m + 1 - len(V))
-                V = np.pad(V, ((0, grow), (0, 0)))
-                H = np.pad(H, ((0, grow), (0, grow)))
             # a copy, since the axpy updates below write into w
             w = np.array(matvec(V[k]), complex)
             wnorm = np.linalg.norm(w)
@@ -213,21 +218,21 @@ def _gmres_core(matvec, b, tol, restart, maxit):
             # one BLAS thread, but a threaded gemv wakes the BLAS workers on
             # every step, which doubled the solve time at two OpenBLAS
             # threads on a shared two-core host
-            Vk = V[:k + 1]
+            hk = np.zeros(k + 2, complex)
             for _ in range(2):
-                h = [zdotc(v, w) for v in Vk]
-                for coeff, v in zip(h, Vk):
+                h = [zdotc(v, w) for v in V]
+                for coeff, v in zip(h, V):
                     w = zaxpy(v, w, a=-coeff)
-                H[:k + 1, k] += h
-            H[k + 1, k] = np.linalg.norm(w)
-            breakdown = H[k + 1, k].real <= _BREAKDOWN_RTOL * wnorm
+                hk[:k + 1] += h
+            hk[k + 1] = np.linalg.norm(w)
+            breakdown = hk[k + 1].real <= _BREAKDOWN_RTOL * wnorm
             if breakdown:
-                H[k + 1, k] = 0.0
+                hk[k + 1] = 0.0
             else:
-                V[k + 1] = w / H[k + 1, k]
+                append_row(w, hk[k + 1])
             # the rotations run on Python complex numbers: indexing numpy
             # scalars one at a time costs more than the arithmetic
-            col = H[:k + 2, k].tolist()
+            col = hk.tolist()
             for i, (c, s) in enumerate(rotations):
                 hi, hi1 = col[i], col[i + 1]
                 col[i] = c.conjugate() * hi + s.conjugate() * hi1
@@ -235,8 +240,8 @@ def _gmres_core(matvec, b, tol, restart, maxit):
             c, s = _givens(col[k], col[k + 1])
             rotations.append((c, s))
             col[k] = c.conjugate() * col[k] + s.conjugate() * col[k + 1]
-            col[k + 1] = 0.0
-            H[:k + 2, k] = col
+            hk[:k + 1] = col[:k + 1]
+            columns.append(hk[:k + 1])
             gk = g[k]
             g[k] = c.conjugate() * gk
             g[k + 1] = -s * gk
@@ -245,13 +250,17 @@ def _gmres_core(matvec, b, tol, restart, maxit):
             history.append(abs(g[k + 1]))
             if abs(g[k + 1]) <= tol * bnorm or breakdown:
                 break
-        R, gr = H[:k_used, :k_used], g[:k_used]
+        R, gr = np.zeros((k_used, k_used), complex), g[:k_used]
+        for k, col in enumerate(columns):
+            R[:k + 1, k] = col
         if breakdown:
             y = np.linalg.lstsq(R, gr, rcond=None)[0]
             history[-1] = math.hypot(history[-1], np.linalg.norm(gr - R @ y))
         else:
             y = sla.solve_triangular(R, gr, lower=False)
-        x = x + y @ V[:k_used]
+        for i, block in zip(range(0, k_used, _BASIS_ROWS), blocks):
+            yb = y[i:i + _BASIS_ROWS]
+            x += yb @ block[:len(yb)]
         converged = history[-1] <= tol * bnorm
         breakdown = breakdown and k_used < n
     return x, history, converged
@@ -322,12 +331,14 @@ def dense_operator(problem: Problem, cap: int = 2000) -> np.ndarray:
     the solvers' single vectors: the exchange and scattering operators in
     whitened coordinates, so no column is whitened.  To bound the
     temporaries, the identity goes in one chunk of columns per trace block.
+    M is held in Fortran order, the layout LAPACK reads, so a dense solver
+    given ``overwrite_a`` works on it in place.
     """
     n = problem.dual_dim
     if n > cap:
         raise DenseCapExceeded(f"skeleton dimension {n} exceeds dense cap {cap}")
     imp = problem.impedance
-    M = np.zeros((n, n), complex)
+    M = np.zeros((n, n), complex, order="F")
     for o, m in zip(imp.offsets[:-1], imp.sizes):
         E = np.zeros((n, m), complex)
         E[o:o + m] = np.eye(m)
@@ -460,12 +471,15 @@ def _outer_block_norm(bc) -> float:
     condition has lam = 0 or Theta = 0.  Theta = 0 leaves diag(-i Lam, I),
     of norm max(1, ||Lam||).  lam = 0 maps (a, b), split into parts in the
     range and the kernel of P, to (b_1, a_1 + b_0): no longer than (a, b),
-    and as long for a = 0, so the norm is 1 = max(1, ||Lam||).  For a real
-    symmetric lam, positive definite or zero as the condition checks,
-    ||Lam|| is the top eigenvalue of the pencil (lam, T); any other lam
-    takes the dense ``_block_norm`` of lam alone, an n x n block.
+    and as long for a = 0, so the norm is 1 = max(1, ||Lam||).  So an
+    all-zero lam gives exactly 1 without a solve.  For any other real
+    symmetric lam, positive definite as the condition checks, ||Lam|| is the
+    top eigenvalue of the pencil (lam, T); any other lam takes the dense
+    ``_block_norm`` of lam alone, an n x n block.
     """
     lam = bc.lam
+    if not lam.any():
+        return 1.0
     if np.isrealobj(lam) and np.array_equal(lam, lam.T):
         n = bc.n
         top = sla.eigh(lam, bc.t_gamma, eigvals_only=True,
@@ -518,13 +532,25 @@ def verify_estimates(problem: Problem, svd_threshold: float = 1e-8,
     The transpose needs no second SVD: M is square and M^T is the adjoint
     of conj(M), so it has the singular values of M, and the kernels of M
     and M^T have the same dimension under the same threshold.
+
+    Once ``dense_operator`` has returned, the dense phase holds two n x n
+    matrices: M and its Hermitian part, written into one Fortran-ordered
+    buffer.  The SVD and the eigensolve each overwrite their matrix in
+    place, and both are freed before the sparse primary constants are
+    computed.
     """
     M = dense_operator(problem, dense_cap)
-    svals = sla.svdvals(M)
+    herm = np.empty_like(M)
+    np.conjugate(M.T, out=herm)
+    herm += M
+    herm *= 0.5
+    svals = sla.svdvals(M, overwrite_a=True)
+    del M
     smax_s = float(svals.max())
     infsup_s = float(svals.min())
     kernel_s = int(np.sum(svals < svd_threshold * smax_s))
-    coer = float(sla.eigvalsh(0.5 * (M + M.conj().T)).min())
+    coer = float(sla.eigvalsh(herm, overwrite_a=True).min())
+    del herm
 
     infsup_p, smax_p, kernel_p = infsup_primary(problem, svd_threshold=svd_threshold)
     norm_a = continuity_modulus(problem)
@@ -646,9 +672,7 @@ def dirichlet_resonance(mesh) -> float:
     eigenvalue is simple on a rectangle), which the skeleton operator
     must inherit.
     """
-    coeffs = Coefficients(k=1.0, kappa_sq=0.0, gamma=1.0)
-    glob = _assemble_on(mesh, np.arange(mesh.num_triangles),
-                        np.arange(mesh.num_vertices), 0, coeffs)
+    glob = assemble_global(mesh, Coefficients(k=1.0, kappa_sq=0.0, gamma=1.0))
     gamma = np.unique(mesh.boundary_edges)
     interior = np.setdiff1d(np.arange(mesh.num_vertices), gamma)
     K = glob.K.tocsc()[np.ix_(interior, interior)]

@@ -1,9 +1,18 @@
-import numpy as np
-import pytest
-import scipy.sparse.linalg as spla
+import os
 
-from helmskel import build_problem
-from helmskel.traces import SkeletonField
+# One BLAS thread unless the environment says otherwise: the suite makes many
+# small BLAS calls, and each wakes every worker of a threaded BLAS, which
+# doubled its wall time on a two-core host.  BLAS reads these when numpy is
+# first imported, so they are set before that import.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+import scipy.sparse.linalg as spla  # noqa: E402
+
+from helmskel import build_problem  # noqa: E402
+from helmskel.traces import SkeletonField  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,8 @@ from helmskel.assembly import (Coefficients, assemble_load, assemble_subdomain,
                                restriction_apply)
 from helmskel.geometry import build_rect_mesh, partition_checkerboard
 from helmskel.problem import build_problem, make_load, monolithic_matrix
+from helmskel.skeleton import recover_volume, skeleton_rhs
+from helmskel.solvers_spectral import gmres_tinv
 from helmskel.traces import VolumeTuple
 
 
@@ -155,6 +157,25 @@ def test_primary_factorization_entrywise(kind):
     scale = abs(direct).max()
     worst = abs(diff.data).max() / scale if diff.nnz else 0.0
     assert worst <= 1e-13
+
+
+def test_global_forms_assembled_on_first_read():
+    p = build_problem(8, 8, 2, 2, k=5.0, bc_kind="robin")
+    assert "global_forms" not in vars(p)
+    # the skeleton solve path never reads them
+    load = make_load(p, f=1.0)
+    q, report = gmres_tinv(p, skeleton_rhs(p, load))
+    recover_volume(p, q, load)
+    assert report.converged and "global_forms" not in vars(p)
+    glob = p.global_forms
+    assert p.global_forms is glob
+    # the one block of a 1x1 partition sums the same element entries in the
+    # same order, with its dofs interior first
+    one = assemble_subdomain(p.mesh, partition_checkerboard(p.mesh, 1, 1), 0, p.coeffs)
+    for name in "KMAH":
+        np.testing.assert_array_equal(
+            getattr(glob, name)[one.dofs][:, one.dofs].toarray(),
+            getattr(one, name).toarray())
 
 
 def test_dirichlet_primary_is_symmetric_lagrange_block():

@@ -271,8 +271,8 @@ def test_gmres_memory_follows_iterations():
 
 def test_gmres_basis_growth_matches_restart_above_iterations():
     # 50 distinct eigenvalues on a circle: the iteration runs past 32
-    # steps, so the basis doubles twice; a restart length above the
-    # iteration count must not change a bit of the result
+    # steps, so the basis grows by more than two blocks; a restart length
+    # above the iteration count must not change a bit of the result
     n = 200
     d = np.repeat(1.8 + np.exp(2j * np.pi * np.arange(50) / 50), n // 50)
     b = np.random.default_rng(3).standard_normal(n) + 0j
@@ -282,6 +282,30 @@ def test_gmres_basis_growth_matches_restart_above_iterations():
     np.testing.assert_array_equal(x1, x2)
     assert h1 == h2
     np.testing.assert_allclose(x1, b / d, rtol=1e-8)
+
+
+def test_gmres_basis_grows_by_blocks_without_copies():
+    # the basis grows one block of _BASIS_ROWS rows at a time and no block
+    # is copied: a cycle holds its rows rounded up to a whole block, besides
+    # a few vectors (b, x, w and an operator image); growing by doubling
+    # held the old and the new basis at once (32 and 64 rows here)
+    import tracemalloc
+
+    from helmskel.solvers_spectral import _BASIS_ROWS
+
+    n = 20000
+    d = np.linspace(1.0, 10.0, n)
+    b = np.ones(n, complex)
+    tracemalloc.start()
+    try:
+        x, history, converged = _gmres_core(lambda v: d * v, b, 1e-10, None, 2 * n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    iterations = len(history) - 1
+    assert converged and 33 <= iterations <= 48
+    assert peak <= (iterations + 1 + _BASIS_ROWS + 4) * n * 16
+    np.testing.assert_allclose(x, b / d, rtol=1e-8)
 
 
 def test_gmres_non_normal_operator():
@@ -321,6 +345,35 @@ def test_dense_operator_matches_matvec(small_problem, rng):
 def test_dense_cap(small_problem):
     with pytest.raises(DenseCapExceeded):
         dense_operator(small_problem, cap=3)
+
+
+def test_verify_estimates_dense_phase_holds_two_matrices(monkeypatch):
+    # M and its Hermitian part, each n^2 complex entries, and the chunk
+    # temporaries of dense_operator (the largest trace block is 96 of 480
+    # here): about 2.2 n^2 entries measured.  Forming the Hermitian part
+    # out of place and letting LAPACK copy M and it held about 3.1.
+    import tracemalloc
+
+    import helmskel.solvers_spectral as ss
+
+    p = build_problem(24, 24, 4, 4, k=10.0)
+    n = p.dual_dim
+    assert n >= 384
+    monkeypatch.setattr(ss, "infsup_primary", lambda problem, svd_threshold: (1.0, 1.0, 0))
+    monkeypatch.setattr(ss, "continuity_modulus", lambda problem: 1.0)
+    M = dense_operator(p)
+    svals = np.linalg.svd(M, compute_uv=False)
+    coer = np.linalg.eigvalsh(0.5 * (M + M.conj().T)).min()
+    del M
+    tracemalloc.start()
+    try:
+        rep = ss.verify_estimates(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * n * 16
+    assert abs(rep.infsup_skeleton - svals.min()) <= 1e-12 * svals.max()
+    assert abs(rep.coercivity - coer) <= 1e-12 * svals.max()
 
 
 def test_dense_exchange_is_orthogonal_reflection(small_problem):
@@ -560,6 +613,19 @@ def test_outer_closed_form_against_dense_block_norm(tgamma, bc_kind, lambda_scal
     # collar, 30.0 with boundary_h1); the others give 1 up to rounding
     assert want > (20.0 if lambda_scale.real > 1 else 0.99)
     assert abs(_outer_block_norm(bc) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("bc_kind", ["dirichlet", "neumann", "mixed"])
+def test_outer_block_norm_of_zero_lam_needs_no_solve(monkeypatch, bc_kind):
+    import helmskel.solvers_spectral as ss
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve for an all-zero lam")
+
+    p = build_problem(12, 12, 2, 2, k=5.0, bc_kind=bc_kind)
+    monkeypatch.setattr(ss.sla, "eigh", refuse)
+    monkeypatch.setattr(ss, "_block_norm", refuse)
+    assert ss._outer_block_norm(p.bc) == 1.0
 
 
 def test_continuity_modulus_one_seeded_eigensolve_per_block(monkeypatch):
