@@ -11,9 +11,10 @@ operator is built to handle.
 
 import numpy as np
 
+from helmskel.boundary_conditions import dirichlet_positions
 from helmskel.geometry import (build_rect_mesh, export_listing,
                                partition_checkerboard, skeleton_index,
-                               tag_boundary, triangle_areas)
+                               triangle_areas)
 
 # A 8x8 mesh of the unit square: each cell is split into two triangles.
 mesh = build_rect_mesh(8, 8, 1.0, 1.0)
@@ -42,12 +43,11 @@ for m in index.block_map[1:]:
 print("dofs per subdomain multiplicity:",
       {int(k): int((counts == k).sum()) for k in np.unique(counts)})
 
-# Boundary edges carry D/N tags for mixed conditions; here the bottom edge
-# becomes a Neumann part.
-tagged = tag_boundary(mesh, lambda x, y: "N" if y == 0 else "D",
-                      require_mixed=True)
-print(f"tags: {int((tagged.boundary_tags == 'D').sum())} Dirichlet edges, "
-      f"{int((tagged.boundary_tags == 'N').sum())} Neumann edges")
+# A mixed condition names its Dirichlet part by sides of the rectangle;
+# here every side but the bottom, whose interior dofs are then Neumann.
+sides = ("left", "right", "top")
+d_pos = dirichlet_positions(mesh, part.gamma_dofs, sides)
+print(f"Dirichlet part {sides}: {len(d_pos)} of {len(part.gamma_dofs)} boundary dofs")
 
 # Plain-text export for eyeballing or diffing.
 listing = export_listing(mesh).splitlines()

@@ -11,9 +11,9 @@ formulations together.
 """
 
 from .assembly import Coefficients, LocalForms
-from .boundary_conditions import BoundaryCondition, make_boundary_condition, mixed_projector
+from .boundary_conditions import BoundaryCondition, dirichlet_positions, mixed_projector
 from .geometry import (Mesh, Partition, SkeletonIndex, build_rect_mesh,
-                       partition_checkerboard, skeleton_index, tag_boundary)
+                       partition_checkerboard, skeleton_index)
 from .impedance import BlockImpedance, DtnBlock, boundary_h1_impedance, collar_impedance
 from .problem import Problem, build_problem, h1_norm, make_load, monolithic_matrix, solve_monolithic
 from .skeleton import (AssumptionViolation, CauchyPair, ExchangeOperator,

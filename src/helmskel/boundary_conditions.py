@@ -12,6 +12,9 @@ for the outer impedance T and the data (lam, Theta) of the condition:
     robin       given   0
     mixed       0       ``mixed_projector``, onto the Dirichlet part
 
+The Dirichlet part of a mixed condition is a set of sides of the mesh
+rectangle; ``dirichlet_positions`` finds the boundary dofs on them.
+
 As lam Theta = 0, the inverse of the impedance-shifted operator, the
 whitened outer scattering block and the dense blocks of the monolithic
 assembly are one formula each in (lam, Theta).  ``scattering`` keeps the
@@ -27,12 +30,13 @@ from .impedance import _real_op
 
 __all__ = [
     "BoundaryCondition",
-    "make_boundary_condition",
+    "SIDES",
+    "dirichlet_positions",
     "mixed_projector",
-    "gamma_d_positions_from_tags",
 ]
 
 _KINDS = ("dirichlet", "neumann", "robin", "mixed")
+SIDES = ("left", "right", "bottom", "top")
 
 
 def _cho_solve(U: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -43,7 +47,9 @@ def _cho_solve(U: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def mixed_projector(gamma_d_positions: np.ndarray, t_gamma: np.ndarray,
                     chol_t=None) -> np.ndarray:
-    """Projector onto multipliers supported on the Dirichlet part.
+    """Projector onto multipliers supported on the Dirichlet part, given by
+    its positions within the boundary dofs (as ``dirichlet_positions``
+    returns them).
 
     Orthogonal in the inverse-impedance inner product: with P the column
     selector of the Dirichlet positions, Theta = P (P^T T^-1 P)^-1 P^T T^-1.
@@ -63,16 +69,24 @@ def mixed_projector(gamma_d_positions: np.ndarray, t_gamma: np.ndarray,
     return theta
 
 
-def gamma_d_positions_from_tags(mesh, gamma_dofs: np.ndarray) -> np.ndarray:
-    """Positions (within the boundary dof ordering) of vertices on 'D' edges.
+def dirichlet_positions(mesh, gamma_dofs: np.ndarray, sides) -> np.ndarray:
+    """Sorted positions, within ``gamma_dofs``, of the boundary vertices on
+    any of the listed sides of the ``mesh.width`` x ``mesh.height`` rectangle.
 
-    A vertex touching both tag sets is assigned to the Dirichlet side.
+    A corner lies on two sides and is taken if either is listed.  A vertex
+    is on a side within 1e-12 max(extent, 1) of it.
     """
-    d_edges = mesh.boundary_edges[mesh.boundary_tags == "D"]
-    d_verts = np.unique(d_edges)
-    pos = np.full(mesh.num_vertices, -1, dtype=np.int64)
-    pos[gamma_dofs] = np.arange(len(gamma_dofs))
-    return np.sort(pos[d_verts])
+    x, y = mesh.vertices[gamma_dofs].T
+    w, h = mesh.width, mesh.height
+    tol_x, tol_y = 1e-12 * max(w, 1.0), 1e-12 * max(h, 1.0)
+    on_side = {"left": np.abs(x) < tol_x, "right": np.abs(x - w) < tol_x,
+               "bottom": np.abs(y) < tol_y, "top": np.abs(y - h) < tol_y}
+    on = np.zeros(len(gamma_dofs), bool)
+    for s in sides:
+        if s not in on_side:
+            raise ValueError(f"unknown side {s!r}, expected one of {SIDES}")
+        on |= on_side[s]
+    return np.flatnonzero(on)
 
 
 class BoundaryCondition:
@@ -207,17 +221,3 @@ class BoundaryCondition:
         th_gd = _real_op(self.theta.T.dot, g_d) if self._has_theta else np.zeros_like(g_d)
         return g_n.copy(), th_gd
 
-
-def make_boundary_condition(kind: str, t_gamma: np.ndarray, *, lam=None,
-                            gamma_d_positions=None, chol_t=None) -> BoundaryCondition:
-    """Build a condition, deriving the mixed projector when needed.
-
-    ``chol_t``, the lower Cholesky factor of ``t_gamma`` if at hand, serves
-    the condition and the projector alike.
-    """
-    theta = None
-    if kind == "mixed":
-        if gamma_d_positions is None:
-            raise ValueError("mixed condition needs the Dirichlet dof positions")
-        theta = mixed_projector(gamma_d_positions, t_gamma, chol_t)
-    return BoundaryCondition(kind, t_gamma, lam=lam, theta=theta, chol_t=chol_t)

@@ -173,12 +173,8 @@ def cmd_verify(cfg: ProblemConfig, out=None, seed=None, tamper_t: bool = False) 
 def cmd_spectrum(cfg: ProblemConfig, out=None) -> int:
     out_dir = _out_dir(cfg, out)
     problem = problem_from_config(cfg)
-    try:
-        rep = ss.verify_estimates(problem, svd_threshold=cfg.svd_threshold,
-                                  dense_cap=cfg.dense_cap)
-    except ss.DenseCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rep = ss.verify_estimates(problem, svd_threshold=cfg.svd_threshold,
+                              dense_cap=cfg.dense_cap)
     _write_json(out_dir / "spectrum.json", rep.as_dict())
     for key, val in rep.as_dict().items():
         print(f"{key} = {val}")
@@ -190,14 +186,10 @@ def cmd_sweep(cfg: ProblemConfig, k_values, out=None) -> int:
     if not k_values:
         print("error: empty wavenumber list", file=sys.stderr)
         return 2
-    try:
-        rows, slopes = ss.sweep_wavenumber(
-            k_values, px=cfg.px, py=cfg.py, tgamma=cfg.tgamma,
-            lambda_scale=cfg.lambda_scale, dense_cap=cfg.dense_cap,
-            svd_threshold=cfg.svd_threshold)
-    except ss.DenseCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows, slopes = ss.sweep_wavenumber(
+        k_values, px=cfg.px, py=cfg.py, tgamma=cfg.tgamma,
+        lambda_scale=cfg.lambda_scale, dense_cap=cfg.dense_cap,
+        svd_threshold=cfg.svd_threshold)
     with _open_out(out_dir / "sweep.csv") as fh:
         ss.write_sweep_csv(rows, slopes, fh)
     if slopes:
@@ -262,6 +254,9 @@ def main(argv=None) -> int:
         return 3
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ss.DenseCapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boundary_conditions import SIDES
 from .geometry import build_rect_mesh
-from .problem import _SIDES, build_problem, make_load
+from .problem import build_problem, make_load
 from .solvers_spectral import dirichlet_resonance
 
 __all__ = ["ProblemConfig", "ConfigError", "parse_config", "problem_from_config",
@@ -91,10 +92,10 @@ class ProblemConfig:
         if self.bc_kind not in ("dirichlet", "neumann", "robin", "mixed"):
             raise ConfigError("bc kind must be dirichlet, neumann, robin or mixed")
         sides = set(self.gamma_d_sides)
-        if not sides <= set(_SIDES):
+        if not sides <= set(SIDES):
             raise ConfigError(f"gamma_d_predicate names unknown sides "
-                              f"{sorted(sides - set(_SIDES))}, expected some of {_SIDES}")
-        if self.bc_kind == "mixed" and not 0 < len(sides) < len(_SIDES):
+                              f"{sorted(sides - set(SIDES))}, expected some of {SIDES}")
+        if self.bc_kind == "mixed" and not 0 < len(sides) < len(SIDES):
             raise ConfigError("mixed condition needs gamma_d_predicate to name a "
                               "nonempty proper subset of the four sides")
         if self.bc_kind == "robin" and self.lambda_scale <= 0:

@@ -10,7 +10,7 @@ designed to handle.  Degrees of freedom are mesh vertices throughout.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -23,7 +23,6 @@ __all__ = [
     "build_rect_mesh",
     "partition_checkerboard",
     "partition_from_labels",
-    "tag_boundary",
     "skeleton_index",
     "triangle_areas",
     "export_listing",
@@ -34,6 +33,9 @@ __all__ = [
 class Mesh:
     """Conforming triangulation of a rectangle.
 
+    A mixed condition names its Dirichlet part by sides of the rectangle
+    (``boundary_conditions.dirichlet_positions``).
+
     Attributes
     ----------
     vertices : (nv, 2) float array
@@ -42,8 +44,6 @@ class Mesh:
         Vertex indices, counterclockwise.
     boundary_edges : (ne, 2) int array
         Vertex index pairs of edges on the outer boundary.
-    boundary_tags : (ne,) array of str
-        One tag per boundary edge, "D" or "N".
     nx, ny : int
         Number of grid cells per direction (structured metadata).
     width, height : float
@@ -53,7 +53,6 @@ class Mesh:
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
-    boundary_tags: np.ndarray
     nx: int
     ny: int
     width: float
@@ -198,7 +197,7 @@ def build_rect_mesh(nx: int, ny: int, width: float = 1.0, height: float = 1.0) -
 
     Each of the nx*ny grid cells is split into two counterclockwise
     triangles along the diagonal from the lower-left corner, giving
-    (nx+1)(ny+1) vertices.  All boundary edges start out tagged "D".
+    (nx+1)(ny+1) vertices.
     """
     if nx < 1 or ny < 1:
         raise ValueError(f"cell counts must be >= 1, got nx={nx}, ny={ny}")
@@ -219,9 +218,8 @@ def build_rect_mesh(nx: int, ny: int, width: float = 1.0, height: float = 1.0) -
     # counterclockwise loop from the origin: bottom, right, top, left
     ring = np.concatenate([v[0, :nx], v[:ny, nx], v[ny, nx:0:-1], v[ny:0:-1, 0]])
     boundary_edges = np.column_stack([ring, np.roll(ring, -1)])
-    boundary_tags = np.full(len(ring), "D", dtype="<U1")
 
-    return Mesh(vertices, triangles, boundary_edges, boundary_tags,
+    return Mesh(vertices, triangles, boundary_edges,
                 nx=nx, ny=ny, width=float(width), height=float(height))
 
 
@@ -231,25 +229,6 @@ def triangle_areas(mesh: Mesh) -> np.ndarray:
     e1 = p[:, 1] - p[:, 0]
     e2 = p[:, 2] - p[:, 0]
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-
-
-def tag_boundary(mesh: Mesh, tag_fn, require_mixed: bool = False) -> Mesh:
-    """Retag boundary edges from a predicate on edge midpoints.
-
-    ``tag_fn(x, y)`` must return "D" or "N" for every boundary edge
-    midpoint.  With ``require_mixed=True`` both tag sets must end up
-    nonempty, which is what a mixed Dirichlet/Neumann condition needs.
-    """
-    mids = 0.5 * (mesh.vertices[mesh.boundary_edges[:, 0]]
-                  + mesh.vertices[mesh.boundary_edges[:, 1]])
-    tags = np.array([tag_fn(x, y) for x, y in mids], dtype="<U1")
-    bad = set(tags.tolist()) - {"D", "N"}
-    if bad:
-        raise ValueError(f"boundary tags must be 'D' or 'N', got {sorted(bad)}")
-    if require_mixed:
-        if not np.any(tags == "D") or not np.any(tags == "N"):
-            raise ValueError("mixed conditions need at least one 'D' and one 'N' edge")
-    return replace(mesh, boundary_tags=tags)
 
 
 def partition_checkerboard(mesh: Mesh, px: int, py: int) -> Partition:
@@ -285,10 +264,14 @@ def partition_from_labels(mesh: Mesh, sub_of_tri: np.ndarray) -> Partition:
 
     Each label must name an edge-connected, nonempty set of triangles; the
     closed subdomain's vertices are split into its boundary (the vertices
-    of edges used by one of its triangles only) and its interior.  A negative
-    or empty label raises ``ValueError``.
+    of edges used by one of its triangles only) and its interior.  Labels
+    other than one per triangle, and a negative or empty label, raise
+    ``ValueError``.
     """
     sub_of_tri = np.asarray(sub_of_tri)
+    if sub_of_tri.shape != (mesh.num_triangles,):
+        raise ValueError(f"need one label for each of the {mesh.num_triangles} "
+                         f"triangles, got an array of shape {sub_of_tri.shape}")
     if sub_of_tri.min() < 0:
         raise ValueError(f"negative subdomain label {int(sub_of_tri.min())}")
     sizes = np.bincount(sub_of_tri)
@@ -345,6 +328,6 @@ def export_listing(mesh: Mesh) -> str:
         out.write(f"node {i} {x:.17g} {y:.17g}\n")
     for i, t in enumerate(mesh.triangles):
         out.write(f"tri {i} {t[0]} {t[1]} {t[2]}\n")
-    for i, (e, tag) in enumerate(zip(mesh.boundary_edges, mesh.boundary_tags)):
-        out.write(f"edge {i} {e[0]} {e[1]} {tag}\n")
+    for i, e in enumerate(mesh.boundary_edges):
+        out.write(f"edge {i} {e[0]} {e[1]}\n")
     return out.getvalue()

@@ -21,10 +21,9 @@ import scipy.sparse.linalg as spla
 
 from . import assembly
 from .assembly import Coefficients, LocalForms, restriction_adjoint
-from .boundary_conditions import (BoundaryCondition, gamma_d_positions_from_tags,
-                                  make_boundary_condition)
+from .boundary_conditions import BoundaryCondition, dirichlet_positions, mixed_projector
 from .geometry import (Mesh, Partition, SkeletonIndex, build_rect_mesh,
-                       partition_checkerboard, skeleton_index, tag_boundary)
+                       partition_checkerboard, skeleton_index)
 from .impedance import (BlockImpedance, DtnBlock, boundary_h1_impedance,
                         boundary_mass, collar_impedance)
 from .skeleton import ExchangeOperator, LocalImpedanceSolver, ScatteringOperator
@@ -38,28 +37,7 @@ __all__ = [
     "solve_monolithic",
     "make_load",
     "h1_norm",
-    "side_tagger",
 ]
-
-_SIDES = ("left", "right", "bottom", "top")
-
-
-def side_tagger(sides, width: float, height: float):
-    """Predicate tagging edges on the listed rectangle sides 'D', others 'N'."""
-    sides = tuple(sides)
-    for s in sides:
-        if s not in _SIDES:
-            raise ValueError(f"unknown side {s!r}, expected one of {_SIDES}")
-    tolx, toly = 1e-12 * max(width, 1.0), 1e-12 * max(height, 1.0)
-
-    def tag(x, y):
-        on = (("left" in sides and abs(x) < tolx)
-              or ("right" in sides and abs(x - width) < tolx)
-              or ("bottom" in sides and abs(y) < toly)
-              or ("top" in sides and abs(y - height) < toly))
-        return "D" if on else "N"
-
-    return tag
 
 
 @dataclass(frozen=True)
@@ -70,10 +48,10 @@ class Problem:
     variant (say, with one block replaced) is a new ``Problem`` made by
     ``dataclasses.replace``.  ``global_forms`` is not a field: it is
     assembled on first read and then kept (a replaced variant assembles
-    its own), so a build and a skeleton solve never hold it.
+    its own), so a build and a skeleton solve never hold it.  Nor is
+    ``mesh``: it is the partition's.
     """
 
-    mesh: Mesh
     partition: Partition
     index: SkeletonIndex
     coeffs: Coefficients
@@ -84,6 +62,10 @@ class Problem:
     exchange: ExchangeOperator = field(repr=False)
     solver: LocalImpedanceSolver = field(repr=False)
     scattering: ScatteringOperator = field(repr=False)
+
+    @property
+    def mesh(self) -> Mesh:
+        return self.partition.mesh
 
     @cached_property
     def global_forms(self) -> LocalForms:
@@ -120,14 +102,18 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
 
     Defaults follow the reference setup: unit square, robin condition with
     impedance k times the boundary mass, gamma = 1/k, exterior-collar
-    surrogate for the outer impedance.
+    surrogate for the outer impedance.  ``gamma_d_sides`` names the sides
+    of the rectangle (some of ``boundary_conditions.SIDES``) that carry the
+    Dirichlet part of a mixed condition; other kinds ignore it.
     """
     coeffs = Coefficients(k=k, mu=mu, kappa_sq=kappa_sq, gamma=gamma)
     mesh = build_rect_mesh(nx, ny, width, height)
-    if bc_kind == "mixed":
-        mesh = tag_boundary(mesh, side_tagger(gamma_d_sides, width, height),
-                            require_mixed=True)
     partition = partition_checkerboard(mesh, px, py)
+    if bc_kind == "mixed":
+        # a bad side set fails here, before any assembly
+        d_positions = dirichlet_positions(mesh, partition.gamma_dofs, gamma_d_sides)
+        if not 0 < len(d_positions) < len(partition.gamma_dofs):
+            raise ValueError("Dirichlet dof set must be a nonempty proper subset")
     index = skeleton_index(partition)
 
     forms = assembly.assemble_forms(mesh, partition, coeffs)
@@ -157,21 +143,17 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
     del dtn, outer
     m_gamma = boundary_mass(mesh, partition.gamma_dofs)
 
-    lam = None
-    gamma_d_positions = None
-    if bc_kind == "robin":
-        lam = lambda_scale * k * m_gamma
-    elif bc_kind == "mixed":
-        gamma_d_positions = gamma_d_positions_from_tags(mesh, partition.gamma_dofs)
-    bc = make_boundary_condition(bc_kind, impedance.blocks[0], lam=lam,
-                                 gamma_d_positions=gamma_d_positions,
-                                 chol_t=impedance.chol[0])
+    t_gamma, chol_t = impedance.blocks[0], impedance.chol[0]
+    lam = lambda_scale * k * m_gamma if bc_kind == "robin" else None
+    theta = (mixed_projector(d_positions, t_gamma, chol_t) if bc_kind == "mixed"
+             else None)
+    bc = BoundaryCondition(bc_kind, t_gamma, lam=lam, theta=theta, chol_t=chol_t)
 
     exchange = ExchangeOperator(index, impedance, outer_form)
     solver = LocalImpedanceSolver(forms, local_orders, impedance, bc)
     scattering = ScatteringOperator(solver)
 
-    return Problem(mesh, partition, index, coeffs, bc, forms, impedance, m_gamma,
+    return Problem(partition, index, coeffs, bc, forms, impedance, m_gamma,
                    exchange, solver, scattering)
 
 

@@ -670,11 +670,14 @@ def dirichlet_resonance(mesh) -> float:
     Returned as kappa^2: running the Dirichlet cavity at exactly this
     value gives the monolithic operator a one-dimensional kernel (the
     eigenvalue is simple on a rectangle), which the skeleton operator
-    must inherit.
+    must inherit.  A mesh with no interior vertex has no such eigenvalue
+    and raises ``ValueError``.
     """
+    interior = np.setdiff1d(np.arange(mesh.num_vertices), mesh.boundary_edges)
+    if len(interior) == 0:
+        raise ValueError("the mesh has no interior vertex, so no Dirichlet "
+                         "eigenvalue: nx, ny >= 2 needed")
     glob = assemble_global(mesh, Coefficients(k=1.0, kappa_sq=0.0, gamma=1.0))
-    gamma = np.unique(mesh.boundary_edges)
-    interior = np.setdiff1d(np.arange(mesh.num_vertices), gamma)
     K = glob.K.tocsc()[np.ix_(interior, interior)]
     M = glob.M.tocsc()[np.ix_(interior, interior)]
     ni = len(interior)

@@ -88,11 +88,6 @@ class _BlockArray:
         memory when it already is a complex array."""
         return cls.wrap(np.asarray(vec, dtype=complex), _offsets(sizes), kind)
 
-    @classmethod
-    def zeros(cls, sizes, kind: str):
-        offsets = _offsets(sizes)
-        return cls.wrap(np.zeros(offsets[-1], complex), offsets, kind)
-
     @property
     def blocks(self) -> list:
         """Views of the blocks: ``(n_b,)`` or ``(n_b, m)`` each."""

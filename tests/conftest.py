@@ -12,7 +12,7 @@ import pytest  # noqa: E402
 import scipy.sparse.linalg as spla  # noqa: E402
 
 from helmskel import build_problem  # noqa: E402
-from helmskel.traces import SkeletonField  # noqa: E402
+from helmskel.verification import random_field  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -34,11 +34,7 @@ def rng():
 
 @pytest.fixture
 def rand_field():
-    def make(problem, rng, kind):
-        return SkeletonField(
-            [rng.standard_normal(n) + 1j * rng.standard_normal(n)
-             for n in problem.block_sizes], kind)
-    return make
+    return random_field
 
 
 @pytest.fixture

@@ -37,8 +37,7 @@ def test_reference_triangle_element_matrices():
     from helmskel.geometry import Mesh
 
     mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                np.array([[0, 1, 2]]), np.empty((0, 2), int),
-                np.empty(0, dtype="<U1"), 1, 1, 1.0, 1.0)
+                np.array([[0, 1, 2]]), np.empty((0, 2), int), 1, 1, 1.0, 1.0)
     _, area, Ke, Me, _ = _element_matrices(mesh, np.array([0]), _coeffs())
     np.testing.assert_allclose(area, [0.5])
     classic = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])

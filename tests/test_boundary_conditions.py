@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from helmskel.boundary_conditions import (BoundaryCondition,
-                                          gamma_d_positions_from_tags,
+from helmskel.boundary_conditions import (SIDES, BoundaryCondition, dirichlet_positions,
                                           mixed_projector)
+from helmskel.geometry import build_rect_mesh
 from helmskel.problem import build_problem
 from helmskel.traces import SkeletonField, trace_adjoint, trace_apply
 
@@ -100,7 +100,8 @@ def test_mixed_projector_axioms(setup, rng):
 def test_mixed_projector_supported_vectors_fixed(setup, rng):
     problem = setup["mixed"]
     bc = problem.bc
-    dpos = gamma_d_positions_from_tags(problem.mesh, problem.partition.gamma_dofs)
+    dpos = dirichlet_positions(problem.mesh, problem.partition.gamma_dofs,
+                               ("left", "bottom"))
     q = np.zeros(bc.n, complex)
     q[dpos] = _rand(len(dpos), rng)
     np.testing.assert_allclose(bc.theta @ q, q, atol=1e-12 * np.abs(q).max())
@@ -230,11 +231,48 @@ def test_robin_requires_positive_impedance(setup):
 def test_gamma_d_tie_break_toward_dirichlet():
     problem = build_problem(4, 4, 2, 2, k=3.0, bc_kind="mixed",
                             gamma_d_sides=("left",))
-    dpos = gamma_d_positions_from_tags(problem.mesh, problem.partition.gamma_dofs)
+    dpos = dirichlet_positions(problem.mesh, problem.partition.gamma_dofs, ("left",))
     coords = problem.mesh.vertices[problem.partition.gamma_dofs[dpos]]
     assert np.all(coords[:, 0] == 0.0)
-    # corner vertices of the left edge belong to both tag sets and land in D
+    # the corners of the left side lie on a second side too and land in D
     assert {(0.0, 0.0), (0.0, 1.0)} <= {tuple(c) for c in coords}
+
+
+def _edge_midpoint_oracle(mesh, gamma_dofs, sides):
+    """Positions of the vertices of the boundary edges whose midpoint lies
+    on a listed side."""
+    mid = mesh.vertices[mesh.boundary_edges].mean(axis=1)
+    tol_x, tol_y = 1e-12 * max(mesh.width, 1.0), 1e-12 * max(mesh.height, 1.0)
+    on = {"left": abs(mid[:, 0]) < tol_x, "right": abs(mid[:, 0] - mesh.width) < tol_x,
+          "bottom": abs(mid[:, 1]) < tol_y, "top": abs(mid[:, 1] - mesh.height) < tol_y}
+    hit = np.zeros(len(mid), bool)
+    for s in sides:
+        hit |= on[s]
+    return np.searchsorted(gamma_dofs, np.unique(mesh.boundary_edges[hit]))
+
+
+@pytest.mark.parametrize("nx,ny,width,height", [
+    (1, 4, 1.0, 1.0), (1, 1, 1e-3, 1e-3), (5, 3, 2.0, 1.0), (16, 6, 1e4, 3e3)])
+def test_dirichlet_positions_match_edge_midpoint_oracle(nx, ny, width, height):
+    mesh = build_rect_mesh(nx, ny, width, height)
+    gamma_dofs = np.unique(mesh.boundary_edges)
+    for mask in range(16):
+        sides = tuple(s for i, s in enumerate(SIDES) if mask >> i & 1)
+        got = dirichlet_positions(mesh, gamma_dofs, sides)
+        np.testing.assert_array_equal(got, _edge_midpoint_oracle(mesh, gamma_dofs, sides))
+
+
+@pytest.mark.parametrize("sides, message", [
+    (("left", "lft"), "unknown side 'lft'"),
+    ((), "nonempty proper subset"),
+    (SIDES, "nonempty proper subset")])
+def test_bad_sides_fail_before_assembly(sides, message, monkeypatch):
+    def assemble_forms(*args, **kwargs):
+        raise AssertionError("assembly ran")
+
+    monkeypatch.setattr("helmskel.assembly.assemble_forms", assemble_forms)
+    with pytest.raises(ValueError, match=message):
+        build_problem(4, 4, 2, 2, bc_kind="mixed", gamma_d_sides=sides)
 
 
 def test_unknown_kind_rejected(setup):

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from helmskel.geometry import (build_rect_mesh, export_listing,
                                partition_checkerboard, partition_from_labels,
-                               skeleton_index, tag_boundary, triangle_areas)
+                               skeleton_index, triangle_areas)
 
 
 def test_unit_cell_counts():
@@ -79,8 +81,6 @@ def test_rect_mesh_matches_loop_oracle(nx, ny):
     for got, want in ((mesh.triangles, tris), (mesh.boundary_edges, edges)):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
-    assert mesh.boundary_tags.dtype == np.dtype("<U1")
-    np.testing.assert_array_equal(mesh.boundary_tags, np.full(len(edges), "D"))
 
 
 @pytest.mark.parametrize("nx,ny,px,py", [
@@ -149,6 +149,14 @@ def test_partition_from_labels_rejects_bad_labels():
     assert partition_from_labels(mesh, labels + 1).num_subdomains == 2
 
 
+@pytest.mark.parametrize("shape", [(10,), (40,), (32, 1), (0,)])
+def test_partition_from_labels_needs_one_label_per_triangle(shape):
+    mesh = build_rect_mesh(4, 4)
+    with pytest.raises(ValueError, match="each of the 32 triangles, got an array "
+                                         f"of shape {re.escape(str(shape))}"):
+        partition_from_labels(mesh, np.zeros(shape, dtype=np.int64))
+
+
 def test_partition_cover_and_disjoint_dofs():
     mesh = build_rect_mesh(6, 4, 1.5, 1.0)
     part = partition_checkerboard(mesh, 3, 2)
@@ -199,31 +207,6 @@ def test_reproducible_orderings():
     np.testing.assert_array_equal(a.skeleton_dofs, b.skeleton_dofs)
     for ma, mb in zip(a.block_map, b.block_map):
         np.testing.assert_array_equal(ma, mb)
-
-
-def test_tag_boundary_all_dirichlet():
-    mesh = build_rect_mesh(2, 2)
-    tagged = tag_boundary(mesh, lambda x, y: "D")
-    assert set(tagged.boundary_tags) == {"D"}
-    with pytest.raises(ValueError, match="mixed"):
-        tag_boundary(mesh, lambda x, y: "D", require_mixed=True)
-
-
-def test_tag_boundary_bottom_neumann():
-    nx = 4
-    mesh = build_rect_mesh(nx, 3)
-    tagged = tag_boundary(mesh, lambda x, y: "N" if y == 0 else "D",
-                          require_mixed=True)
-    assert int(np.sum(tagged.boundary_tags == "N")) == nx
-
-
-def test_tag_boundary_left_dirichlet():
-    mesh = build_rect_mesh(2, 2)
-    tagged = tag_boundary(mesh, lambda x, y: "D" if x == 0 else "N",
-                          require_mixed=True)
-    assert int(np.sum(tagged.boundary_tags == "D")) == 2
-    with pytest.raises(ValueError, match="'D' or 'N'"):
-        tag_boundary(mesh, lambda x, y: "X")
 
 
 def test_export_listing_roundtrippable_format():

@@ -14,11 +14,6 @@ from helmskel.traces import (SkeletonField, VolumeTuple, single_trace_adjoint,
                              single_trace_embed, skew_pair, trace_adjoint, trace_apply)
 
 
-def _rand_dual(p, rng):
-    return SkeletonField([rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                          for n in p.block_sizes], "dual")
-
-
 # ---------------------------------------------------------------------------
 # exchange operator
 # ---------------------------------------------------------------------------
@@ -38,7 +33,7 @@ def test_exchange_negates_jumps(ref_problem, rng, dual_apply):
     for m in p.index.block_map:
         np.add.at(counts, m, 1.0)
     for _ in range(10):
-        r = _rand_dual(p, rng)
+        r = vf.random_field(p, rng)
         y = single_trace_adjoint(r, p.index)
         proj = SkeletonField([(y / counts)[m] for m in p.index.block_map], "dual")
         q = r - proj
@@ -61,7 +56,7 @@ def test_exchange_against_dense_projector(nx, ny, px, py, tgamma, rng, dual_appl
         assert not (isinstance(v, np.ndarray) and v.shape == (n_sigma, n_sigma))
     Pi = _dense_exchange(p)
     for _ in range(20):
-        q = _rand_dual(p, rng)
+        q = vf.random_field(p, rng)
         got = dual_apply(p, p.exchange, q).concat()
         want = Pi @ q.concat()
         np.testing.assert_allclose(got, want, atol=1e-11 * np.abs(want).max())
@@ -78,7 +73,7 @@ def test_split_orthogonality(ref_problem, rng):
     p = ref_problem
     imp = p.impedance
     for _ in range(20):
-        q = _rand_dual(p, rng)
+        q = vf.random_field(p, rng)
         w = imp.whiten(q)
         # the whitened projector (I + Pi~) / 2 and its complement
         ww = 0.5 * (w + p.exchange.apply(w))
@@ -106,7 +101,7 @@ def test_scattering_isometry_without_absorption(rng, dual_apply):
     for kind in ("dirichlet", "neumann", "mixed"):
         p = build_problem(8, 8, 2, 2, k=5.0, bc_kind=kind)
         for _ in range(10):
-            q = _rand_dual(p, rng)
+            q = vf.random_field(p, rng)
             sq = dual_apply(p, p.scattering, q)
             assert abs(p.impedance.norm(sq) / p.impedance.norm(q) - 1) <= 1e-11
 
@@ -116,7 +111,7 @@ def test_scattering_strict_contraction_with_absorption(rng, dual_apply):
     p = build_problem(8, 8, 2, 2, k=k, bc_kind="neumann",
                       kappa_sq=lambda x, y: k ** 2 * (1 + 0.5j * (x >= 0.5)))
     for _ in range(20):
-        q = _rand_dual(p, rng)
+        q = vf.random_field(p, rng)
         sq = dual_apply(p, p.scattering, q)
         assert p.impedance.norm(sq) < p.impedance.norm(q)
 
@@ -447,7 +442,7 @@ def test_operator_zero_and_norm_bound(ref_problem, rng):
     z = p.impedance.zeros("dual")
     assert p.impedance.norm(sk.skeleton_apply(p, z)) == 0.0
     for _ in range(10):
-        q = _rand_dual(p, rng)
+        q = vf.random_field(p, rng)
         assert p.impedance.norm(sk.skeleton_apply(p, q)) <= 2 * p.impedance.norm(q) * (1 + 1e-12)
 
 
@@ -490,7 +485,7 @@ def test_recover_mismatch_matches_reference_loop(ref_problem, rng):
     p = ref_problem
     load = make_load(p, f=1.0)
     q, _ = gmres_tinv(p, sk.skeleton_rhs(p, load), tol=1e-10)
-    q = q + 1e-3 * _rand_dual(p, rng)
+    q = q + 1e-3 * vf.random_field(p, rng)
     rec = sk.recover_volume(p, q, load)
     # the spread of every skeleton dof over the blocks that carry it
     bu = trace_apply(rec.tuple, p.partition)
@@ -534,7 +529,7 @@ def test_cauchy_pair_membership_and_energy_bounds(ref_problem, rng):
     p = ref_problem
     imp = p.impedance
     for _ in range(20):
-        q = _rand_dual(p, rng)
+        q = vf.random_field(p, rng)
         pair = sk.cauchy_pair_from(p, q)
         assert sk.cauchy_membership_residual(p, pair.v, pair.p) <= 1e-11
         a = imp.norm(pair.v) ** 2 + imp.norm(pair.p) ** 2
@@ -566,7 +561,7 @@ def test_cauchy_decompose_of_graph_element(ref_problem, rng):
 def test_cauchy_decompose_of_cauchy_element(ref_problem, rng):
     p = ref_problem
     imp = p.impedance
-    q = _rand_dual(p, rng)
+    q = vf.random_field(p, rng)
     pair0 = sk.cauchy_pair_from(p, q)
     pair, (u1, p1) = sk.cauchy_decompose(p, pair0.v, pair0.p)
     assert imp.norm(u1) <= 1e-11 * imp.norm(pair0.v)
@@ -576,8 +571,8 @@ def test_cauchy_decompose_of_cauchy_element(ref_problem, rng):
 def test_cauchy_self_polarity_sampling(ref_problem, rng):
     p = ref_problem
     imp = p.impedance
-    pairs_a = [sk.cauchy_pair_from(p, _rand_dual(p, rng)) for _ in range(20)]
-    pairs_b = [sk.cauchy_pair_from(p, _rand_dual(p, rng)) for _ in range(20)]
+    pairs_a = [sk.cauchy_pair_from(p, vf.random_field(p, rng)) for _ in range(20)]
+    pairs_b = [sk.cauchy_pair_from(p, vf.random_field(p, rng)) for _ in range(20)]
     for ca in pairs_a:
         for cb in pairs_b:
             val = skew_pair((ca.v, ca.p), (cb.v, cb.p))

@@ -686,6 +686,12 @@ def test_resonance_value_close_to_continuum():
     assert abs(lam - 2 * np.pi ** 2) < 0.2
 
 
+@pytest.mark.parametrize("nx,ny", [(1, 4), (2, 1)])
+def test_resonance_needs_an_interior_vertex(nx, ny):
+    with pytest.raises(ValueError, match="no interior vertex"):
+        dirichlet_resonance(build_rect_mesh(nx, ny))
+
+
 # ---------------------------------------------------------------------------
 # sweep plumbing
 # ---------------------------------------------------------------------------
@@ -699,6 +705,17 @@ def test_sweep_single_row():
 def test_sweep_empty_rejected():
     with pytest.raises(ValueError):
         sweep_wavenumber([])
+
+
+def test_sweep_cap_exceeded_exits_before_writing(tmp_path, capsys):
+    from helmskel.cli import main
+
+    out = tmp_path / "sweep_out"
+    cfg = tmp_path / "cap.ini"
+    cfg.write_text(f"[analysis]\ndense_cap = 4\n[output]\ndir = {out}\n")
+    assert main(["sweep", "--config", str(cfg), "--k-list", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_sweep_resolution_rule():

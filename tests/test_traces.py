@@ -217,7 +217,7 @@ def test_single_trace_opposite_jumps_cancel():
     interface = np.intersect1d(p.partition.boundary_dofs[0],
                                p.partition.boundary_dofs[1])
     dof = interface[len(interface) // 2]
-    q = SkeletonField.zeros(p.block_sizes, "dual")
+    q = p.impedance.zeros("dual")
     i0 = int(np.flatnonzero(p.partition.boundary_dofs[0] == dof)[0])
     i1 = int(np.flatnonzero(p.partition.boundary_dofs[1] == dof)[0])
     q.blocks[1][i0] = 2.5
@@ -241,7 +241,7 @@ def test_embedding_full_rank(small_problem):
 def test_duality_pair_picks_coefficient(ref_problem):
     p = ref_problem
     v = SkeletonField([np.arange(n, dtype=complex) for n in p.block_sizes], "primal")
-    q = SkeletonField.zeros(p.block_sizes, "dual")
+    q = p.impedance.zeros("dual")
     q.blocks[2][3] = 1.0
     assert duality_pair(q, v) == 3.0
 
