@@ -19,6 +19,7 @@ import numpy as np
 
 from helmskel import build_problem
 from helmskel.traces import SkeletonField, single_trace_adjoint, single_trace_embed
+from helmskel.verification import random_field
 
 problem = build_problem(8, 8, 2, 2, k=5.0, bc_kind="robin")
 imp = problem.impedance
@@ -27,15 +28,10 @@ norm = np.linalg.norm
 rng = np.random.default_rng(42)
 
 
-def rand_dual():
-    return SkeletonField([rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                          for n in problem.block_sizes], "dual")
-
-
 # Involution and isometry, measured over random whitened dual fields.
 worst_inv, worst_iso = 0.0, 0.0
 for _ in range(100):
-    w = imp.whiten(rand_dual())
+    w = imp.whiten(random_field(problem, rng))
     piw = pi(w)
     worst_inv = max(worst_inv, norm(pi(piw) - w) / norm(w))
     worst_iso = max(worst_iso, abs(norm(piw) / norm(w) - 1.0))
@@ -52,7 +48,7 @@ print(f"fixed subspace residual: {norm(pi(fixed) - fixed) / norm(fixed):.2e}")
 counts = np.zeros(problem.index.n_sigma)
 for m in problem.index.block_map:
     np.add.at(counts, m, 1.0)
-r = rand_dual()
+r = random_field(problem, rng)
 y = single_trace_adjoint(r, problem.index)
 jump = imp.whiten(r - SkeletonField([(y / counts)[m] for m in problem.index.block_map],
                                     "dual"))

@@ -17,15 +17,11 @@ import numpy as np
 
 from helmskel import build_problem
 from helmskel import skeleton as sk
-from helmskel.traces import SkeletonField, trace_adjoint, trace_apply
+from helmskel.traces import trace_adjoint, trace_apply
+from helmskel.verification import random_field
 
 rng = np.random.default_rng(42)
 k = 5.0
-
-
-def rand_dual(problem):
-    return SkeletonField([rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                          for n in problem.block_sizes], "dual")
 
 
 def report(problem, label):
@@ -33,7 +29,7 @@ def report(problem, label):
     worst_bal, worst_ratio = 0.0, 0.0
     ratios = []
     for _ in range(50):
-        q = rand_dual(problem)
+        q = random_field(problem, rng)
         # the local solutions u with incoming trace q; S q = q + 2iTBu = 2p - q
         pair = sk.cauchy_pair_from(problem, q)
         sq = 2.0 * pair.p - q
@@ -63,7 +59,7 @@ report(absorbing, "neumann, absorbing layer")
 for kind in ("dirichlet", "neumann", "robin", "mixed"):
     problem = build_problem(8, 8, 2, 2, k=k, bc_kind=kind)
     imp = problem.impedance
-    q = rand_dual(problem)
+    q = random_field(problem, rng)
     u = problem.solver.solve_tuple(trace_adjoint(q, problem.partition))
     resolvent = imp.whiten(q + 2j * imp.apply(trace_apply(u, problem.partition)))
     n0 = problem.n_gamma

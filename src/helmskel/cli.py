@@ -64,9 +64,9 @@ def cmd_solve(cfg: ProblemConfig, out=None) -> int:
         q, report = ss.gmres_tinv(problem, f, tol=cfg.tol, restart=cfg.restart,
                                   maxit=cfg.maxit)
     rec = sk.recover_volume(problem, q, load)
-    report.final_mismatch = rec.mismatch
 
     payload = report.as_dict()
+    payload["final_mismatch"] = float(rec.mismatch)
     payload["config_seed"] = cfg.seed
     if cfg.source == "manufactured":
         u_fn = manufactured_solution(cfg)
@@ -183,9 +183,6 @@ def cmd_spectrum(cfg: ProblemConfig, out=None) -> int:
 
 def cmd_sweep(cfg: ProblemConfig, k_values, out=None) -> int:
     out_dir = _out_dir(cfg, out)
-    if not k_values:
-        print("error: empty wavenumber list", file=sys.stderr)
-        return 2
     rows, slopes = ss.sweep_wavenumber(
         k_values, px=cfg.px, py=cfg.py, tgamma=cfg.tgamma,
         lambda_scale=cfg.lambda_scale, dense_cap=cfg.dense_cap,
@@ -203,12 +200,12 @@ def cmd_sweep(cfg: ProblemConfig, k_values, out=None) -> int:
 # ---------------------------------------------------------------------------
 
 def _wavenumbers(text: str) -> list:
-    """Wavenumbers of a comma separated list; ConfigError unless all are positive."""
+    """Wavenumbers of a comma separated list; ConfigError unless nonempty and positive."""
     try:
         k_values = [float(s) for s in text.split(",") if s.strip()]
     except ValueError:
-        k_values = None
-    if k_values is None or not all(0.0 < k < math.inf for k in k_values):
+        k_values = []
+    if not k_values or not all(0.0 < k < math.inf for k in k_values):
         raise ConfigError(f"--k-list must hold positive numbers, not {text!r}")
     return k_values
 

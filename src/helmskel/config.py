@@ -15,7 +15,7 @@ import numpy as np
 from .boundary_conditions import SIDES
 from .geometry import build_rect_mesh
 from .problem import build_problem, make_load
-from .solvers_spectral import dirichlet_resonance
+from .solvers_spectral import DENSE_CAP, SVD_THRESHOLD, dirichlet_resonance
 
 __all__ = ["ProblemConfig", "ConfigError", "parse_config", "problem_from_config",
            "load_from_config"]
@@ -54,8 +54,8 @@ class ProblemConfig:
     tol: float = 1e-10
     maxit: int = 5000
     restart: int = None
-    dense_cap: int = 2000
-    svd_threshold: float = 1e-8
+    dense_cap: int = DENSE_CAP
+    svd_threshold: float = SVD_THRESHOLD
     seed: int = 42
     out_dir: str = "out"
 

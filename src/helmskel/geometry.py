@@ -265,10 +265,14 @@ def partition_from_labels(mesh: Mesh, sub_of_tri: np.ndarray) -> Partition:
     Each label must name an edge-connected, nonempty set of triangles; the
     closed subdomain's vertices are split into its boundary (the vertices
     of edges used by one of its triangles only) and its interior.  Labels
-    other than one per triangle, and a negative or empty label, raise
+    must be integers (or bools); a label array of any other dtype, labels
+    other than one per triangle, and a negative or empty label raise
     ``ValueError``.
     """
     sub_of_tri = np.asarray(sub_of_tri)
+    if not (np.issubdtype(sub_of_tri.dtype, np.integer) or sub_of_tri.dtype == bool):
+        raise ValueError(f"subdomain labels must be integers, got an array of "
+                         f"dtype {sub_of_tri.dtype}")
     if sub_of_tri.shape != (mesh.num_triangles,):
         raise ValueError(f"need one label for each of the {mesh.num_triangles} "
                          f"triangles, got an array of shape {sub_of_tri.shape}")

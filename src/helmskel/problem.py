@@ -33,7 +33,6 @@ __all__ = [
     "Problem",
     "build_problem",
     "monolithic_matrix",
-    "monolithic_rhs",
     "solve_monolithic",
     "make_load",
     "h1_norm",
@@ -174,16 +173,10 @@ def monolithic_matrix(problem: Problem) -> sp.csc_matrix:
                                      problem.partition.gamma_dofs)
 
 
-def monolithic_rhs(problem: Problem, load: VolumeTuple) -> np.ndarray:
-    """Fold a block load into the monolithic right-hand side: R^T l."""
-    return restriction_adjoint(problem.partition, load)
-
-
 def solve_monolithic(problem: Problem, load: VolumeTuple):
-    """Direct sparse solve of the monolithic system; returns (u, p)."""
-    A = monolithic_matrix(problem)
-    rhs = monolithic_rhs(problem, load)
-    sol = spla.spsolve(A, rhs)
+    """Direct sparse solve of the monolithic system for the load R^T l; returns (u, p)."""
+    sol = spla.spsolve(monolithic_matrix(problem),
+                       restriction_adjoint(problem.partition, load))
     nv = problem.mesh.num_vertices
     return sol[:nv], sol[nv:]
 

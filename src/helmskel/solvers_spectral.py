@@ -14,7 +14,7 @@ wavenumber scaling of the constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -41,7 +41,17 @@ __all__ = [
     "write_sweep_csv",
     "dirichlet_resonance",
     "SWEEP_COLUMNS",
+    "DENSE_CAP",
+    "SVD_THRESHOLD",
 ]
+
+
+# Largest skeleton dimension the dense spectral harness will form.
+DENSE_CAP = 2000
+
+# Relative threshold (times sigma_max) under which a singular value counts
+# towards a kernel, on both the primary and the skeleton side.
+SVD_THRESHOLD = 1e-8
 
 
 class DenseCapExceeded(RuntimeError):
@@ -50,31 +60,25 @@ class DenseCapExceeded(RuntimeError):
 
 @dataclass
 class SolveReport:
-    """Outcome of one iterative skeleton solve; ``iterations`` counts updates."""
+    """Outcome of one iterative skeleton solve; ``iterations`` counts updates.
+    Every field holds a plain Python value, so ``as_dict`` is its JSON record."""
 
     method: str
     iterations: int
     residual_history: list
     converged: bool
-    final_mismatch: float = None
     message: str = ""
     true_residual: float = None
 
     def as_dict(self):
-        d = dict(method=self.method, iterations=self.iterations,
-                 converged=bool(self.converged), message=self.message,
-                 residual_history=[float(r) for r in self.residual_history])
-        if self.final_mismatch is not None:
-            d["final_mismatch"] = float(self.final_mismatch)
-        if self.true_residual is not None:
-            d["true_residual"] = float(self.true_residual)
-        return d
+        return asdict(self)
 
 
 @dataclass
 class SpectralReport:
     """Measured constants and inequality checks of one configuration; the
-    kernel dimensions are exact counts of singular values under the threshold."""
+    kernel dimensions are exact counts of singular values under the threshold.
+    Every field holds a plain Python value, so ``as_dict`` is its JSON record."""
 
     n_dual: int
     n_sigma: int
@@ -97,9 +101,7 @@ class SpectralReport:
                     and self.pass_kernel_match and self.pass_index_zero)
 
     def as_dict(self):
-        return {k: (bool(v) if isinstance(v, (bool, np.bool_)) else
-                    int(v) if isinstance(v, (int, np.integer)) else float(v))
-                for k, v in self.__dict__.items()}
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +306,8 @@ def _solve(problem: Problem, f: SkeletonField, method: str, core, tol: float):
                    f"but the true residual {true_res:.3e} exceeds {limit:.1e}")
     elif not (converged or message):
         message = f"not converged after {iterations} iterations"
-    return q, SolveReport(method, iterations, history, converged,
-                          message=message, true_residual=true_res)
+    return q, SolveReport(method, iterations, [float(r) for r in history],
+                          bool(converged), message=message, true_residual=true_res)
 
 
 def gmres_tinv(problem: Problem, f: SkeletonField, tol: float = 1e-10,
@@ -324,7 +326,7 @@ def gmres_tinv(problem: Problem, f: SkeletonField, tol: float = 1e-10,
 # dense spectral harness
 # ---------------------------------------------------------------------------
 
-def dense_operator(problem: Problem, cap: int = 2000) -> np.ndarray:
+def dense_operator(problem: Problem, cap: int = DENSE_CAP) -> np.ndarray:
     """Dense matrix of the whitened skeleton operator.
 
     The columns are ``_whitened_apply`` of the identity, the same path as
@@ -358,7 +360,7 @@ def _whitened(L: np.ndarray, A: np.ndarray) -> np.ndarray:
     return _real_op(solve, _real_op(solve, A).T).T
 
 
-def infsup_primary(problem: Problem, svd_threshold: float = 1e-8):
+def infsup_primary(problem: Problem, svd_threshold: float = SVD_THRESHOLD):
     """(sigma_min, sigma_max, kernel_dim) of the whitened monolithic operator.
 
     One sparse path at every size.  Both extremes come from Lanczos on SPD
@@ -522,8 +524,8 @@ def continuity_modulus(problem: Problem) -> float:
     return best
 
 
-def verify_estimates(problem: Problem, svd_threshold: float = 1e-8,
-                     dense_cap: int = 2000) -> SpectralReport:
+def verify_estimates(problem: Problem, svd_threshold: float = SVD_THRESHOLD,
+                     dense_cap: int = DENSE_CAP) -> SpectralReport:
     """Measure every certified inequality of the configuration.
 
     Checks, in order: the estimate chain between the two inf-sup constants,
@@ -553,7 +555,7 @@ def verify_estimates(problem: Problem, svd_threshold: float = 1e-8,
     del herm
 
     infsup_p, smax_p, kernel_p = infsup_primary(problem, svd_threshold=svd_threshold)
-    norm_a = continuity_modulus(problem)
+    norm_a = float(continuity_modulus(problem))
 
     kernel_t = kernel_s  # M.T has the singular values of M
 
@@ -580,12 +582,20 @@ def verify_estimates(problem: Problem, svd_threshold: float = 1e-8,
 # wavenumber sweep
 # ---------------------------------------------------------------------------
 
-# The "n_sigma" column holds the skeleton dimension ``n_dual``
-# (``Problem.dual_dim``, 96 on 8x8, 2x2), not ``index.n_sigma`` (45 there);
-# the name stays so that existing sweep CSVs still compare.
-SWEEP_COLUMNS = ("k", "n_sigma", "infsup_primary", "norm_A", "infsup_skeleton",
-                 "coercivity", "kernel_primary", "kernel_skeleton",
-                 "pass_thm_final", "pass_cor_coercivity")
+# The sweep CSV: one (header, row key) pair per column, in file order.  A
+# row is a certificate (``SpectralReport.as_dict``) plus its wavenumber
+# ``k``.  The headers predate the certificate's field names and stay, so
+# that existing sweep CSVs still compare: "n_sigma" holds the skeleton
+# dimension ``n_dual`` (``Problem.dual_dim``, 96 on 8x8, 2x2), not
+# ``index.n_sigma`` (45 there).  ``write_sweep_csv`` writes a bool as
+# true/false, an int as an integer and every other value in %.12g.
+SWEEP_COLUMNS = (("k", "k"), ("n_sigma", "n_dual"),
+                 ("infsup_primary", "infsup_primary"), ("norm_A", "continuity_a"),
+                 ("infsup_skeleton", "infsup_skeleton"), ("coercivity", "coercivity"),
+                 ("kernel_primary", "kernel_dim_primary"),
+                 ("kernel_skeleton", "kernel_dim_skeleton"),
+                 ("pass_thm_final", "pass_estimate_chain"),
+                 ("pass_cor_coercivity", "pass_coercivity_bound"))
 
 
 def _resolution(k: float, px: int, py: int) -> int:
@@ -596,15 +606,15 @@ def _resolution(k: float, px: int, py: int) -> int:
 
 def sweep_wavenumber(k_values, px: int = 2, py: int = 2,
                      tgamma: str = "collar", lambda_scale: float = 1.0,
-                     dense_cap: int = 2000, svd_threshold: float = 1e-8):
+                     dense_cap: int = DENSE_CAP, svd_threshold: float = SVD_THRESHOLD):
     """Constants of the robin reference family across wavenumbers.
 
     Per k: resolution from the rule of ``_POINTS_PER_WAVELENGTH`` points
-    per wavelength, rounded to the partition grid, gamma = 1/k, robin impedance k times the boundary
-    mass.  Returns (rows, slopes); slopes are the log-log regression
-    coefficients of the skeleton inf-sup and coercivity constants against
-    k, or None for fewer than two wavenumbers.  A row's ``n_sigma`` is the
-    skeleton dimension ``n_dual`` of the certificate, not ``index.n_sigma``.
+    per wavelength, rounded to the partition grid, gamma = 1/k, robin
+    impedance k times the boundary mass.  Returns (rows, slopes): a row is
+    the certificate's ``as_dict`` plus ``k``; slopes are the log-log
+    regression coefficients of ``infsup_skeleton`` and ``coercivity``
+    against k, or None for fewer than two wavenumbers.
     """
     k_values = list(k_values)
     if not k_values:
@@ -617,52 +627,41 @@ def sweep_wavenumber(k_values, px: int = 2, py: int = 2,
                                 lambda_scale=lambda_scale, tgamma=tgamma)
         rep = verify_estimates(problem, svd_threshold=svd_threshold,
                                dense_cap=dense_cap)
-        rows.append({
-            "k": float(k), "n_sigma": rep.n_dual,
-            "infsup_primary": rep.infsup_primary, "norm_A": rep.continuity_a,
-            "infsup_skeleton": rep.infsup_skeleton, "coercivity": rep.coercivity,
-            "kernel_primary": rep.kernel_dim_primary,
-            "kernel_skeleton": rep.kernel_dim_skeleton,
-            "pass_thm_final": rep.pass_estimate_chain,
-            "pass_cor_coercivity": rep.pass_coercivity_bound,
-        })
+        rows.append({"k": float(k), **rep.as_dict()})
 
     slopes = None
     if len(k_values) >= 2:
         lk = np.log([r["k"] for r in rows])
-        slopes = {
-            "infsup_skeleton": float(np.polyfit(lk, np.log([r["infsup_skeleton"]
-                                                            for r in rows]), 1)[0]),
-            "coercivity": float(np.polyfit(lk, np.log([r["coercivity"]
-                                                       for r in rows]), 1)[0]),
-        }
+        slopes = {name: float(np.polyfit(lk, np.log([r[name] for r in rows]), 1)[0])
+                  for name in ("infsup_skeleton", "coercivity")}
     return rows, slopes
 
 
+def _csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v) if isinstance(v, int) else f"{v:.12g}"
+
+
 def write_sweep_csv(rows, slopes, stream) -> None:
-    """Emit the sweep table with slope footer lines."""
-    stream.write(",".join(SWEEP_COLUMNS) + "\n")
+    """Write the sweep table in the format of ``SWEEP_COLUMNS``: the header
+    line, one line per row, then one ``# slope ...`` footer line per slope
+    (none for a single row)."""
+    stream.write(",".join(header for header, _ in SWEEP_COLUMNS) + "\n")
     for r in rows:
-        cells = []
-        for c in SWEEP_COLUMNS:
-            v = r[c]
-            if isinstance(v, bool):
-                cells.append("true" if v else "false")
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(f"{float(v):.12g}")
-        stream.write(",".join(cells) + "\n")
-    if slopes is not None:
-        stream.write(f"# slope log infsup_skeleton vs log k = "
-                     f"{slopes['infsup_skeleton']:.6g}\n")
-        stream.write(f"# slope log coercivity vs log k = "
-                     f"{slopes['coercivity']:.6g}\n")
+        stream.write(",".join(_csv_cell(r[key]) for _, key in SWEEP_COLUMNS) + "\n")
+    for name, slope in (slopes or {}).items():
+        stream.write(f"# slope log {name} vs log k = {slope:.6g}\n")
 
 
 # ---------------------------------------------------------------------------
 # resonance engineering
 # ---------------------------------------------------------------------------
+
+# Most interior vertices for which ``dirichlet_resonance`` takes the dense
+# generalized eigensolve; larger meshes use sparse shift-invert at 0.
+_DENSE_RESONANCE_MAX = 1500
+
 
 def dirichlet_resonance(mesh) -> float:
     """Smallest discrete Dirichlet eigenvalue of (-Laplace) on the mesh.
@@ -680,8 +679,7 @@ def dirichlet_resonance(mesh) -> float:
     glob = assemble_global(mesh, Coefficients(k=1.0, kappa_sq=0.0, gamma=1.0))
     K = glob.K.tocsc()[np.ix_(interior, interior)]
     M = glob.M.tocsc()[np.ix_(interior, interior)]
-    ni = len(interior)
-    if ni <= 1500:
+    if len(interior) <= _DENSE_RESONANCE_MAX:
         vals = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True,
                         subset_by_index=[0, 0])
         return float(vals[0])

@@ -167,14 +167,14 @@ def test_c08b_wavenumber_scaling_coercivity(sweep_results):
     ratios = [r["coercivity"] / (0.5 * r["infsup_skeleton"] ** 2) for r in rows]
     ok = slope >= -2.6 and all(
         0.5 * r["infsup_skeleton"] ** 2 - 1e-9 <= r["coercivity"]
-        <= r["infsup_skeleton"] + 1e-9 and r["pass_cor_coercivity"]
+        <= r["infsup_skeleton"] + 1e-9 and r["pass_coercivity_bound"]
         for r in rows)
     _line("8b", ok, f"coercivity slope {slope:.3f} >= -2.6, coercivity / "
                     f"(infsup^2/2) {[round(x, 2) for x in ratios]} "
                     f"(values {[round(r['coercivity'], 5) for r in rows]})")
     for r in rows:
         assert r["coercivity"] >= 0.5 * r["infsup_skeleton"] ** 2 - 1e-9, r
-        assert r["pass_cor_coercivity"], r
+        assert r["pass_coercivity_bound"], r
         assert r["coercivity"] <= r["infsup_skeleton"] + 1e-9, r
     assert slope >= -2.6
 

@@ -40,6 +40,26 @@ def test_config_table_names_dataclass_fields():
     assert {name.partition(".")[0] for name, _ in _KEYS.values()} <= names
 
 
+@pytest.mark.parametrize("text,gamma", [("1/k", 0.25), ("1 / k", 0.25), ("0.3", 0.3)])
+def test_gamma_key(tmp_path, text, gamma):
+    cfg = parse_config(_write(tmp_path, f"[physics]\nk = 4.0\ngamma = {text}\n"))
+    assert cfg.gamma == gamma
+
+
+@pytest.mark.parametrize("text,restart", [("0", None), ("20", 20)])
+def test_restart_key(tmp_path, text, restart):
+    # restart = 0 (or below) means full GMRES
+    cfg_path = _write(tmp_path, "\n".join([
+        "[physics]", "source = one",
+        "[solver]", f"restart = {text}",
+        "[output]", f"dir = {tmp_path}/out",
+    ]))
+    assert parse_config(cfg_path).restart == restart
+    assert main(["solve", "--config", cfg_path]) == 0
+    report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    assert report["method"] == "gmres" and report["converged"]
+
+
 def test_mu_parts_combine(tmp_path):
     assert parse_config(_write(tmp_path, "[physics]\nmu_im = 0.5\n")).mu == 1.0 + 0.5j
     assert parse_config(_write(tmp_path, "[physics]\nmu_re = 2\n")).mu == 2.0
@@ -100,6 +120,35 @@ def test_solve_zero_data_gives_zero(tmp_path):
     assert np.abs(sol[:, 1:]).max() == 0.0
     report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
     assert report["converged"]
+
+
+def test_solve_richardson(tmp_path):
+    cfg_path = _write(tmp_path, "\n".join([
+        "[physics]", "source = one",
+        "[solver]", "method = richardson",
+        "[output]", f"dir = {tmp_path}/out",
+    ]))
+    assert main(["solve", "--config", cfg_path]) == 0
+    report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    assert report["method"] == "richardson" and report["converged"]
+    assert report["iterations"] == 152
+    history = (tmp_path / "out" / "residual_history.csv").read_text().strip().split("\n")
+    assert len(history) == 1 + 1 + 152
+
+
+def test_solve_seed_override(tmp_path):
+    # the recovery mismatch is the CLI's, next to the seed, not the solver's
+    cfg_path = _write(tmp_path, "\n".join([
+        "[physics]", "source = one",
+        "[output]", f"dir = {tmp_path}/out",
+    ]))
+    assert main(["solve", "--config", cfg_path]) == 0
+    report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    assert report["config_seed"] == 42
+    assert main(["solve", "--config", cfg_path, "--seed", "7"]) == 0
+    report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    assert report["config_seed"] == 7
+    assert 0.0 <= report["final_mismatch"] < 1e-8
 
 
 def test_solve_manufactured_convergence(tmp_path):

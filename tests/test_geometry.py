@@ -157,6 +157,18 @@ def test_partition_from_labels_needs_one_label_per_triangle(shape):
         partition_from_labels(mesh, np.zeros(shape, dtype=np.int64))
 
 
+@pytest.mark.parametrize("labels,dtype", [(np.zeros(32), "float64"),
+                                          (np.array(["0"] * 32), "<U1"),
+                                          (np.zeros(32, dtype=object), "object")])
+def test_partition_from_labels_needs_integer_labels(labels, dtype):
+    mesh = build_rect_mesh(4, 4)
+    with pytest.raises(ValueError, match=f"must be integers, got an array of dtype {dtype}"):
+        partition_from_labels(mesh, labels)
+    # bool labels are integers 0 and 1
+    halves = partition_checkerboard(mesh, 2, 1).subdomain_of_triangle
+    assert partition_from_labels(mesh, halves.astype(bool)).num_subdomains == 2
+
+
 def test_partition_cover_and_disjoint_dofs():
     mesh = build_rect_mesh(6, 4, 1.5, 1.0)
     part = partition_checkerboard(mesh, 3, 2)

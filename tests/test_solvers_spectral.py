@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,6 +63,26 @@ def test_richardson_stagnates_at_resonance():
     q, rep = richardson(p, f, relax=0.5, tol=1e-10, maxit=300)
     assert not rep.converged
     assert rep.message != ""
+
+
+def test_richardson_reports_divergence(small_problem):
+    # an exchange that triples Pi~ w makes Id + Pi S expansive, so the
+    # residual grows from the second step on and its tenth rise ends the
+    # iteration (warnings are errors in this suite, so none is raised)
+    exchange = small_problem.exchange
+
+    class TripledExchange:
+        def apply(self, w):
+            return 3.0 * exchange.apply(w)
+
+    p = replace(small_problem, exchange=TripledExchange())
+    f = sk.skeleton_rhs(p, make_load(p, f=1.0))
+    q, rep = richardson(p, f, maxit=1000)
+    assert not rep.converged
+    assert rep.message == "divergence: residual grew over 10 consecutive steps"
+    assert rep.iterations == 11
+    h = np.array(rep.residual_history)
+    assert np.all(h[-10:] > h[-11:-1])
 
 
 def test_richardson_relax_validation(ref_problem):
@@ -686,6 +707,18 @@ def test_resonance_value_close_to_continuum():
     assert abs(lam - 2 * np.pi ** 2) < 0.2
 
 
+def test_resonance_sparse_branch_matches_dense(monkeypatch):
+    # 12x10 cells have 11 * 9 = 99 interior vertices: dense eigh at the
+    # default limit, sparse shift-invert once the limit is lowered below it
+    import helmskel.solvers_spectral as ss
+
+    mesh = build_rect_mesh(12, 10)
+    dense = dirichlet_resonance(mesh)
+    monkeypatch.setattr(ss, "_DENSE_RESONANCE_MAX", 98)
+    sparse = dirichlet_resonance(mesh)
+    assert abs(sparse - dense) <= 1e-10 * dense
+
+
 @pytest.mark.parametrize("nx,ny", [(1, 4), (2, 1)])
 def test_resonance_needs_an_interior_vertex(nx, ny):
     with pytest.raises(ValueError, match="no interior vertex"):
@@ -699,7 +732,7 @@ def test_resonance_needs_an_interior_vertex(nx, ny):
 def test_sweep_single_row():
     rows, slopes = sweep_wavenumber([5.0])
     assert len(rows) == 1 and slopes is None
-    assert rows[0]["n_sigma"] == 96
+    assert rows[0]["n_dual"] == 96
 
 
 def test_sweep_empty_rejected():
@@ -736,3 +769,15 @@ def test_sweep_csv_format():
     assert lines[0].split(",")[0] == "k"
     assert len(lines) == 1 + 2 + 2
     assert lines[-2].startswith("#") and lines[-1].startswith("#")
+    # the format of existing sweep CSVs, pinned: headers in order, bools as
+    # true/false, counts as integers, floats in %.12g (norm_A is the float
+    # 1.0 under boundary_h1, written "1")
+    assert lines[0] == ("k,n_sigma,infsup_primary,norm_A,infsup_skeleton,coercivity,"
+                        "kernel_primary,kernel_skeleton,pass_thm_final,pass_cor_coercivity")
+    row, cells = rows[0], lines[1].split(",")
+    assert cells[:2] == ["5", "96"] and cells[3] == "1"
+    assert cells[6:] == ["0", "0", "false", "true"]
+    for i, key in ((2, "infsup_primary"), (4, "infsup_skeleton"), (5, "coercivity")):
+        assert cells[i] == "%.12g" % row[key]
+    assert lines[-2] == "# slope log infsup_skeleton vs log k = %.6g" % slopes["infsup_skeleton"]
+    assert lines[-1] == "# slope log coercivity vs log k = %.6g" % slopes["coercivity"]
