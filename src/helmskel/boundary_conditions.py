@@ -30,12 +30,13 @@ from .impedance import _real_op
 
 __all__ = [
     "BoundaryCondition",
+    "KINDS",
     "SIDES",
     "dirichlet_positions",
     "mixed_projector",
 ]
 
-_KINDS = ("dirichlet", "neumann", "robin", "mixed")
+KINDS = ("dirichlet", "neumann", "robin", "mixed")
 SIDES = ("left", "right", "bottom", "top")
 
 
@@ -101,7 +102,7 @@ class BoundaryCondition:
     """
 
     def __init__(self, kind: str, t_gamma: np.ndarray, lam=None, theta=None, chol_t=None):
-        if kind not in _KINDS:
+        if kind not in KINDS:
             raise ValueError(f"unknown boundary condition kind {kind!r}")
         if (lam is None) == (kind == "robin"):
             raise ValueError("a robin condition, and only a robin condition, "

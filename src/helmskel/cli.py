@@ -19,6 +19,7 @@ import scipy.sparse as sp
 from . import skeleton as sk
 from . import solvers_spectral as ss
 from . import verification as vf
+from .boundary_conditions import KINDS
 from .config import (ConfigError, ProblemConfig, load_from_config,
                      manufactured_solution, parse_config, problem_from_config)
 from .skeleton import AssumptionViolation
@@ -100,9 +101,9 @@ def cmd_solve(cfg: ProblemConfig, out=None) -> int:
 # ---------------------------------------------------------------------------
 
 def condition_problems(cfg: ProblemConfig) -> dict:
-    """The configured problem under each of the four boundary conditions."""
+    """The configured problem under each boundary condition kind."""
     return {kind: problem_from_config(replace(cfg, bc_kind=kind, source="zero"))
-            for kind in ("dirichlet", "neumann", "robin", "mixed")}
+            for kind in KINDS}
 
 
 def _tampered(problem):
@@ -114,24 +115,22 @@ def _tampered(problem):
     return replace(problem, exchange=exchange)
 
 
-def run_verification(cfg: ProblemConfig, seed=None, tamper_t: bool = False) -> dict:
+def run_verification(cfg: ProblemConfig, tamper_t: bool = False) -> dict:
     """Run every identity suite on the configured problem.
 
-    Each suite draws from its own generator seeded with the recorded seed,
-    so reruns are reproducible bit for bit.  ``tamper_t`` runs the suites
-    on a copy whose exchange factors a rescaled outer impedance block (a
+    Each suite draws from its own generator seeded with ``cfg.seed``, so
+    reruns are reproducible bit for bit.  ``tamper_t`` runs the suites on a
+    copy whose exchange factors a rescaled outer impedance block (a
     negative control: the exchange axioms must then fail).
     """
-    seed = cfg.seed if seed is None else seed
     conds = condition_problems(cfg)
     problem = conds[cfg.bc_kind]
     if tamper_t:
         problem = _tampered(problem)
-    lossless = ([conds[kind] for kind in ("dirichlet", "neumann", "mixed")]
-                if vf.is_lossless(problem) else [])
+    lossless = [p for p in conds.values() if vf.is_lossless(p)]
 
     def rng():
-        return np.random.default_rng(seed)
+        return np.random.default_rng(cfg.seed)
 
     results = {
         "exchange_axioms": vf.exchange_axioms(problem, rng()),
@@ -149,15 +148,15 @@ def run_verification(cfg: ProblemConfig, seed=None, tamper_t: bool = False) -> d
     except ss.DenseCapExceeded as exc:
         results["spectral"] = {"passed": False, "error": str(exc)}
 
-    results["seed"] = seed
+    results["seed"] = cfg.seed
     results["all_passed"] = all(v.get("passed", True)
                                 for v in results.values() if isinstance(v, dict))
     return results
 
 
-def cmd_verify(cfg: ProblemConfig, out=None, seed=None, tamper_t: bool = False) -> int:
+def cmd_verify(cfg: ProblemConfig, out=None, tamper_t: bool = False) -> int:
     out_dir = _out_dir(cfg, out)
-    results = run_verification(cfg, seed=seed, tamper_t=tamper_t)
+    results = run_verification(cfg, tamper_t=tamper_t)
     _write_json(out_dir / "verify_report.json", results)
     for name, res in results.items():
         if isinstance(res, dict):
@@ -241,8 +240,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(cfg, out=args.out)
         if args.command == "verify":
-            return cmd_verify(cfg, out=args.out, seed=args.seed,
-                              tamper_t=args.tamper)
+            return cmd_verify(cfg, out=args.out, tamper_t=args.tamper)
         if args.command == "spectrum":
             return cmd_spectrum(cfg, out=args.out)
         return cmd_sweep(cfg, _wavenumbers(args.k_list), out=args.out)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_conditions import SIDES
+from .boundary_conditions import KINDS, SIDES
 from .geometry import build_rect_mesh
 from .problem import build_problem, make_load
 from .solvers_spectral import DENSE_CAP, SVD_THRESHOLD, dirichlet_resonance
@@ -89,8 +89,8 @@ class ProblemConfig:
             raise ConfigError("tgamma must be 'collar' or 'boundary_h1'")
         if self.source not in ("zero", "one", "manufactured"):
             raise ConfigError("source must be zero, one or manufactured")
-        if self.bc_kind not in ("dirichlet", "neumann", "robin", "mixed"):
-            raise ConfigError("bc kind must be dirichlet, neumann, robin or mixed")
+        if self.bc_kind not in KINDS:
+            raise ConfigError(f"bc kind must be {', '.join(KINDS[:-1])} or {KINDS[-1]}")
         sides = set(self.gamma_d_sides)
         if not sides <= set(SIDES):
             raise ConfigError(f"gamma_d_predicate names unknown sides "

@@ -307,46 +307,49 @@ def collar_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> sp.csc
 
 
 class _StackedBlocks:
-    """Square blocks on the diagonal of a block-diagonal matrix, stacked by size.
+    """Square blocks on the diagonal of a block-diagonal matrix, stacked.
 
-    The blocks of one size are one ``(g, n, n)`` array, and the product of
-    all blocks with a flat array is one ``np.matmul`` per size, on the rows
-    of those blocks gathered by one index array.  The products of all sizes
-    are put back in flat order by one more gather, ``take`` with the
-    inverse of the stacked row order: numpy gathers rows far faster than it
-    assigns them through an index array.  ``blocks`` are views of the
-    stacks, in the given order.
+    The blocks of one size and dtype are one ``(g, n, n)`` array, and the
+    product of all blocks with a flat array is one ``np.matmul`` per such
+    group, on the rows of those blocks gathered by one index array; a real
+    group takes complex rows as real columns (:func:`_real_columns`), so
+    it stays real.  The products of all groups are put back in flat order
+    by one more gather, ``take`` with the inverse of the stacked row order:
+    numpy gathers rows far faster than it assigns them through an index
+    array.  ``blocks`` are views of the stacks, in the given order.
     """
 
     def __init__(self, blocks):
-        sizes = [len(b) for b in blocks]
-        offsets = _offsets(sizes)
+        offsets = _offsets(len(b) for b in blocks)
+        ids_of = {}
+        for i, b in enumerate(blocks):
+            ids_of.setdefault((len(b), b.dtype), []).append(i)
         views = [None] * len(blocks)
         self.groups = []
-        for n in sorted(set(sizes)):
-            ids = [i for i, s in enumerate(sizes) if s == n]
+        for ids in ids_of.values():
             stack = np.stack([blocks[i] for i in ids])
             rows = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in ids])
             self.groups.append((stack, rows))
             for k, i in enumerate(ids):
                 views[i] = stack[k]
         self.blocks = tuple(views)
-        self.real = not any(np.iscomplexobj(stack) for stack, _ in self.groups)
         # the stacked position of each flat row
         self._flat_order = np.argsort(np.concatenate([rows for _, rows in self.groups]))
 
     def matmul(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
         """The product of every block (or its transpose) with its rows of
-        ``x``, a vector or column block; a complex ``x`` meets real blocks as
-        its real and imaginary parts in real columns."""
-        if self.real and np.iscomplexobj(x):
-            return _complex_columns(self.matmul(_real_columns(x), transpose), x)
+        ``x``, a vector or column block."""
         parts = []
         for stack, rows in self.groups:
             g, n = stack.shape[:2]
             A = stack.transpose(0, 2, 1) if transpose else stack
-            Y = np.matmul(A, x.take(rows, axis=0).reshape(g, n, -1))
-            parts.append(Y.reshape((g * n,) + x.shape[1:]))
+            X = x.take(rows, axis=0)
+            split = np.iscomplexobj(X) and not np.iscomplexobj(A)
+            Y = np.matmul(A, (_real_columns(X) if split else X).reshape(g, n, -1))
+            if split:
+                Y = _complex_columns(Y.reshape(g * n, -1), X)
+            parts.append(Y.reshape(X.shape))
+            del X  # freed now, not held through the next gather and the concatenation
         return np.concatenate(parts).take(self._flat_order, axis=0)
 
 

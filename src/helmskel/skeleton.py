@@ -17,8 +17,9 @@ subdomain keeps one sparse factor of its impedance problem
 C_j = A_j - i B_j^T T_j B_j, the ``_BoundaryLastFactor`` that also reads
 every T_b.  The whitened block S~_j = I + 2i L_j^T Sigma_j^-1 L_j, with
 Sigma_j the Schur complement of C_j onto the boundary, is read off its
-trailing block once and kept dense, stacked with the blocks of its size,
-so applying S~ takes one matrix product per block size and no sparse
+trailing block once and kept dense.  With the real outer block ahead of
+them, the J+1 blocks of S~ are one block-diagonal matrix, stacked by size
+and dtype, so applying S~ takes one matrix product per stack and no sparse
 solve.  The factor serves the volume solves: the right-hand side, the
 recovery of the volume solution and the Cauchy pairs.  The exchange keeps
 one sparse factor of a bordered matrix K whose Schur complement onto the
@@ -239,11 +240,12 @@ class LocalImpedanceSolver:
     of C_j onto the boundary, and gives the dense block
     S~_j = I + 2i L_j^T Sigma_j^-1 L_j of the scattering operator in
     whitened coordinates, L_j the Cholesky factor of T_j (see
-    :func:`_whitened_scattering_block`).  The blocks are kept stacked by
-    size in ``whitened_blocks``.  A block whose factor swapped a row across
-    the interior/boundary split takes an n_b-column solve with the same
-    factor instead, and ``fallbacks`` counts it.  No option selects the
-    path; the factor decides.
+    :func:`_whitened_scattering_block`).  A block whose factor swapped a
+    row across the interior/boundary split takes an n_b-column solve with
+    the same factor instead, and ``fallbacks`` counts it.  No option
+    selects the path; the factor decides.  ``whitened_blocks`` is all of
+    S~: the outer block ``bc.whitened_scattering()`` as block 0, then the
+    S~_j, so block b belongs to trace block b, as ``impedance.blocks[b]`` does.
 
     The factor is the only one a subdomain keeps: ``solve_tuple`` applies
     it to loads, recovery and Cauchy pairs.  A reciprocal-condition estimate
@@ -279,7 +281,8 @@ class LocalImpedanceSolver:
         # reads take then reuse one another's memory.
         blocks = [_whitened_scattering_block(f, impedance.chol[j + 1])
                   for j, f in enumerate(factors)]
-        self.whitened_blocks = _StackedBlocks([S for S, _ in blocks])
+        self.whitened_blocks = _StackedBlocks([bc.whitened_scattering()]
+                                              + [S for S, _ in blocks])
         self.fallbacks = sum(crossed for _, crossed in blocks)
         self._lus = tuple(factors)
 
@@ -312,29 +315,23 @@ class ScatteringOperator:
     """Blockwise map from incoming (p - iTv) to outgoing (p + iTv) traces.
 
     S q = q + 2i T B (A - i B^T T B)^-1 B^T q, block by block.  Only its
-    whitened blocks S~ = L^-1 S L are kept, and ``apply`` takes whitened
-    coordinates w = L^-1 q, a vector or an ``(n, m)`` column block: the
-    outer block is the real dense matrix ``bc.whitened_scattering()``, and
-    subdomain block j is S~_j = I + 2i L_j^T Sigma_j^-1 L_j of
-    :class:`LocalImpedanceSolver`, with Sigma_j the Schur complement of the
-    local impedance problem onto the boundary.  An application is one
-    matrix product per block size and no sparse solve.  Without absorption
-    the map is a T^-1 isometry, so S~ is unitary; absorption makes it a
-    strict contraction.
+    whitened blocks S~ = L^-1 S L are kept, as the one block-diagonal
+    matrix ``blocks`` that :class:`LocalImpedanceSolver` builds: the outer
+    block is the real dense matrix ``bc.whitened_scattering()``, and
+    subdomain block j is S~_j = I + 2i L_j^T Sigma_j^-1 L_j, with Sigma_j
+    the Schur complement of the local impedance problem onto the boundary.
+    ``apply`` takes whitened coordinates w = L^-1 q, a vector or an
+    ``(n, m)`` column block: one matrix product per stack of ``blocks``
+    and no sparse solve.  Without absorption the map is a T^-1 isometry,
+    so S~ is unitary; absorption makes it a strict contraction.
     """
 
     def __init__(self, solver: LocalImpedanceSolver):
-        self.n0 = solver.bc.n
-        self.outer = solver.bc.whitened_scattering()
         self.blocks = solver.whitened_blocks
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """S~ w of whitened coordinates."""
-        n0 = self.n0
-        out = np.empty(w.shape, complex)
-        out[:n0] = _real_op(self.outer.dot, w[:n0])
-        out[n0:] = self.blocks.matmul(w[n0:])
-        return out
+        return self.blocks.matmul(w)
 
 
 @dataclass

@@ -184,8 +184,6 @@ def _gmres_core(matvec, b, tol, restart, maxit):
     n = len(b)
     bnorm = np.linalg.norm(b)
     x = np.zeros(n, complex)
-    if bnorm == 0.0:
-        return x, [], True
     restart = n if restart is None else min(restart, n)
     history = []
     total = 0

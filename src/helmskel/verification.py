@@ -39,11 +39,13 @@ def random_field(problem, rng, kind: str = "dual") -> SkeletonField:
 
 
 def is_lossless(problem) -> bool:
-    """True when the volume absorbs nothing: Im mu = 0, Im kappa^2 = 0."""
+    """True when nothing absorbs, so S is a T^-1 isometry: lam = 0 on the
+    boundary (all kinds but robin), Im mu = 0 and Im kappa^2 = 0."""
     mesh, coeffs = problem.mesh, problem.coeffs
+    if problem.bc.lam.any() or complex(coeffs.mu).imag != 0:
+        return False
     cents = mesh.vertices[mesh.triangles].mean(axis=1)
-    kappa_sq = coeffs.kappa_sq_at(cents[:, 0], cents[:, 1])
-    return complex(coeffs.mu).imag == 0 and not np.any(kappa_sq.imag)
+    return not np.any(coeffs.kappa_sq_at(cents[:, 0], cents[:, 1]).imag)
 
 
 def _largest(values) -> float:

@@ -91,6 +91,34 @@ def test_missing_file_rejected(tmp_path):
         parse_config(str(tmp_path / "absent.ini"))
 
 
+@pytest.mark.parametrize("text,fragment", [
+    ("[geometry]\nnx = 0", "nx and ny must be >= 1"),
+    ("[geometry]\nwidth = -1", "width and height must be positive"),
+    ("[partition]\npx = 0", "px and py must be >= 1"),
+    ("[geometry]\nny = 9", "py=2 does not divide ny=9"),
+    ("[physics]\nk = 0", "wavenumber k must be positive"),
+    ("[physics]\nmu_re = 0", "Re(mu) must be positive"),
+    ("[physics]\nkappa_mode = wild", "kappa_mode must be one of"),
+    ("[physics]\ngamma = 0", "gamma must be positive"),
+    ("[physics]\ntgamma = nope", "tgamma must be 'collar' or 'boundary_h1'"),
+    ("[physics]\nsource = two", "source must be zero, one or manufactured"),
+    ("[bc]\nkind = periodic", "bc kind must be dirichlet, neumann, robin or mixed"),
+    ("[physics]\nsource = manufactured\n[bc]\nkind = robin",
+     "manufactured source requires the dirichlet condition"),
+    ("[solver]\nmethod = cg", "solver method must be richardson or gmres"),
+    ("[solver]\nrelax = 1", "relaxation parameter must lie in (0, 1)"),
+    ("[solver]\ntol = 0", "solver tolerance must be positive"),
+    ("[solver]\nmaxit = 0", "maxit must be >= 1"),
+    ("[analysis]\ndense_cap = 0", "dense_cap must be >= 1"),
+    ("[analysis]\nsvd_threshold = 0", "svd_threshold must be positive"),
+    ("[geometry]\nnx = eight", "bad value for [geometry] nx: 'eight'"),
+])
+def test_bad_values_rejected(tmp_path, text, fragment):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_write(tmp_path, text + "\n"))
+    assert fragment in str(exc.value)
+
+
 def test_robin_scale_validation():
     with pytest.raises(ConfigError, match=r"\(A3\)|\(A4\)"):
         ProblemConfig(bc_kind="robin", lambda_scale=0.0)
@@ -232,14 +260,14 @@ def test_verify_lists_singular_conditions(kappa_mode, singular):
     # pure Neumann is singular at kappa^2 = 0, and Dirichlet at the
     # resonance: their solves cannot converge, so equivalence lists them
     # instead of failing; the reference config lists none (below)
-    results = run_verification(ProblemConfig(kappa_mode=kappa_mode), seed=42)
+    results = run_verification(ProblemConfig(kappa_mode=kappa_mode))
     assert results["equivalence"]["singular"] == singular
     assert results["all_passed"]
 
 
 def test_verification_suites_directly(tmp_path):
     cfg = ProblemConfig()
-    results = run_verification(cfg, seed=42)
+    results = run_verification(cfg)
     assert results["all_passed"]
     assert results["equivalence"]["singular"] == []
     assert results["seed"] == 42
@@ -266,7 +294,7 @@ def test_verification_keeps_configured_kappa():
     problems = condition_problems(cfg)
     assert all(callable(p.coeffs.kappa_sq) for p in problems.values())
     assert problems["mixed"].coeffs.kappa_sq(0.75, 0.5) == 25.0 * (1 + 0.5j)
-    results = run_verification(cfg, seed=42)
+    results = run_verification(cfg)
     assert results["all_passed"]
     # the volume absorbs, so the lossless isometry check does not apply
     assert results["energy_identity"]["max_isometry"] is None
@@ -289,6 +317,23 @@ def test_spectrum_cap_exceeded(tmp_path):
         "[output]", f"dir = {tmp_path}/spc",
     ]))
     assert main(["spectrum", "--config", cfg_path]) == 2
+
+
+def test_verify_cap_exceeded_fails_in_band(tmp_path):
+    # the certificate cannot be computed under the cap: verify records why,
+    # fails, and still reports every identity suite
+    cfg_path = _write(tmp_path, "\n".join([
+        "[analysis]", "dense_cap = 4",
+        "[output]", f"dir = {tmp_path}/vc",
+    ]))
+    assert main(["verify", "--config", cfg_path]) == 1
+    report = json.loads((tmp_path / "vc" / "verify_report.json").read_text())
+    assert report["spectral"] == {"passed": False,
+                                  "error": "skeleton dimension 96 exceeds dense cap 4"}
+    assert not report["all_passed"]
+    suites = ("exchange_axioms", "energy_identity", "transmission", "equivalence",
+              "factorization", "cauchy_decomposition")
+    assert all(report[name]["passed"] for name in suites)
 
 
 def test_sweep_command(tmp_path):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from helmskel.assembly import Coefficients, assemble_subdomain
 from helmskel.geometry import build_rect_mesh, partition_checkerboard
 from helmskel.impedance import (DtnBlock, _BoundaryLastFactor, _collar_forms,
-                                boundary_h1_impedance, boundary_mass, boundary_stiffness,
-                                collar_impedance)
+                                _StackedBlocks, boundary_h1_impedance, boundary_mass,
+                                boundary_stiffness, collar_impedance)
 from helmskel.problem import build_problem
 
 
@@ -240,6 +241,31 @@ def test_whitened_blocks_identity(ref_problem):
         Linv_T = np.linalg.solve(L, T)
         W = np.linalg.solve(L, Linv_T.T).T
         np.testing.assert_allclose(W, np.eye(T.shape[0]), atol=1e-11)
+
+
+def test_stacked_blocks_group_by_size_and_dtype(rng):
+    # two sizes, and size 3 holds a real and a complex block: each (size,
+    # dtype) is one stack, the real one stays real, and every product
+    # matches the dense block-diagonal matrix
+    def complex_block(n):
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    blocks = [rng.standard_normal((3, 3)), complex_block(5), complex_block(3),
+              complex_block(5)]
+    stacked = _StackedBlocks(blocks)
+    assert sorted((stack.shape, stack.dtype.name) for stack, _ in stacked.groups) == [
+        ((1, 3, 3), "complex128"), ((1, 3, 3), "float64"), ((2, 5, 5), "complex128")]
+    assert stacked.blocks[0].dtype == np.float64
+    for got, want in zip(stacked.blocks, blocks):
+        np.testing.assert_array_equal(got, want)
+    dense = sla.block_diag(*blocks)
+    for shape in [(16,), (16, 3)]:
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for transpose, A in [(False, dense), (True, dense.T)]:
+            want = A @ x
+            got = stacked.matmul(x, transpose)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 def test_unknown_surrogate_rejected():

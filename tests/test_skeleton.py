@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,12 +7,12 @@ import scipy.sparse.linalg as spla
 
 import helmskel.skeleton as sk
 import helmskel.verification as vf
-from helmskel.assembly import restriction_adjoint, restriction_apply
+from helmskel.assembly import Coefficients, restriction_adjoint, restriction_apply
 import helmskel.problem as problem_mod
-from helmskel.geometry import partition_from_labels
+from helmskel.geometry import build_rect_mesh, partition_checkerboard, partition_from_labels
 from helmskel.impedance import _BoundaryLastFactor, boundary_h1_impedance, collar_impedance
 from helmskel.problem import build_problem, h1_norm, make_load, monolithic_matrix, solve_monolithic
-from helmskel.traces import (SkeletonField, VolumeTuple, single_trace_adjoint,
+from helmskel.traces import (SkeletonField, VolumeTuple, _zero_extension, single_trace_adjoint,
                              single_trace_embed, skew_pair, trace_adjoint, trace_apply)
 
 
@@ -97,13 +99,16 @@ def test_scattering_energy_identity(rng):
 
 
 def test_scattering_isometry_without_absorption(rng, dual_apply):
-    # dirichlet and neumann boundary blocks conserve energy for real kappa
+    # dirichlet, neumann and mixed boundary blocks conserve energy for real
+    # kappa, and is_lossless says so; a robin block absorbs
     for kind in ("dirichlet", "neumann", "mixed"):
         p = build_problem(8, 8, 2, 2, k=5.0, bc_kind=kind)
+        assert vf.is_lossless(p)
         for _ in range(10):
             q = vf.random_field(p, rng)
             sq = dual_apply(p, p.scattering, q)
             assert abs(p.impedance.norm(sq) / p.impedance.norm(q) - 1) <= 1e-11
+    assert not vf.is_lossless(build_problem(8, 8, 2, 2, k=5.0, bc_kind="robin"))
 
 
 def test_scattering_strict_contraction_with_absorption(rng, dual_apply):
@@ -246,13 +251,13 @@ def _halve_first_cell(monkeypatch):
 def test_whitened_apply_on_blocks_of_unequal_sizes(monkeypatch, rng, dual_apply):
     # a 2x2 checkerboard of a 12x12 mesh with its first cell halved: the
     # 18-dof halves, which are not adjacent, are one size group, the three
-    # 24-dof cells another.  A cellwise kappa^2 makes the two halves'
-    # blocks differ.
+    # 24-dof cells another, and the real outer block a third.  A cellwise
+    # kappa^2 makes the two halves' blocks differ.
     _halve_first_cell(monkeypatch)
     p = build_problem(12, 12, 2, 2, k=5.0, kappa_sq=_cellwise_kappa_sq(2, 5.0))
     assert p.block_sizes == (48, 18, 24, 24, 24, 18)
     assert sorted(stack.shape for stack, _ in p.scattering.blocks.groups) == [
-        (2, 18, 18), (3, 24, 24)]
+        (1, 48, 48), (2, 18, 18), (3, 24, 24)]
     _assert_whitened_apply_matches(p, rng)
     _assert_scattering_matches_resolvent(p, rng, dual_apply)
 
@@ -698,6 +703,20 @@ def test_local_solvability_guard_without_onenormest(monkeypatch):
         build_problem(4, 4, 2, 2, k=3.0, bc_kind="robin")
 
 
+def test_singular_impedance_problem_is_named(monkeypatch):
+    # a local factor that cannot be made is an AssumptionViolation naming the
+    # first subdomain block, block 1; the impedance blocks read their own
+    # factors and are built as usual
+    class Singular:
+        def __init__(self, *args):
+            raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(sk, "_BoundaryLastFactor", Singular)
+    with pytest.raises(sk.AssumptionViolation,
+                       match="impedance problem of block 1 is singular; perturb"):
+        build_problem(4, 4, 2, 2, k=3.0, bc_kind="robin")
+
+
 @pytest.mark.parametrize("transpose", [False, True])
 def test_solve_tuple_matches_dense_solve(ref_problem, rng, monkeypatch, transpose):
     # the local factors against a dense solve of each C_j = A_j - i B_j^T T_j B_j;
@@ -732,3 +751,62 @@ def test_solve_tuple_matches_dense_solve(ref_problem, rng, monkeypatch, transpos
     assert [c.calls for c in proxies] == [int(j == 1) for j in range(len(proxies))]
     assert np.all(u.data[:u.offsets[3]] == 0) and np.all(u.data[u.offsets[4]:] == 0)
     np.testing.assert_array_equal(u.omega[1], proxies[1].lu.solve(blocks[1]))
+
+
+# ---------------------------------------------------------------------------
+# loud failures
+# ---------------------------------------------------------------------------
+
+def _volume_zeros(p, kind):
+    o = p.partition.volume_offsets
+    return VolumeTuple.wrap(np.zeros(o[-1], complex), o, kind)
+
+
+def _clockwise_mesh():
+    mesh = build_rect_mesh(2, 2)
+    triangles = mesh.triangles.copy()
+    triangles[0] = triangles[0, ::-1]
+    return replace(mesh, triangles=triangles)
+
+
+_MISUSES = {
+    "trace_apply of a dual tuple": (
+        lambda p: trace_apply(_volume_zeros(p, "dual"), p.partition), "primal tuple"),
+    "trace_apply of a foreign layout": (
+        lambda p: trace_apply(VolumeTuple.wrap(np.zeros(3, complex), (0, 3), "primal"),
+                              p.partition), "volume layout"),
+    "trace_adjoint of a primal field": (
+        lambda p: trace_adjoint(p.impedance.zeros("primal"), p.partition), "dual field"),
+    "zero extension of a foreign layout": (
+        lambda p: _zero_extension(SkeletonField([np.zeros(3)], "primal"), p.partition),
+        "volume layout"),
+    "single_trace_embed of the wrong length": (
+        lambda p: single_trace_embed(np.zeros(p.index.n_sigma + 1), p.index), "wrong length"),
+    "single_trace_adjoint of a primal field": (
+        lambda p: single_trace_adjoint(p.impedance.zeros("primal"), p.index), "dual field"),
+    "block array of a bad kind": (
+        lambda p: SkeletonField([np.zeros(2)], "neutral"), "kind must be"),
+    "impedance of a dual field": (
+        lambda p: p.impedance.apply(p.impedance.zeros("dual")), "primal fields"),
+    "whitening of a primal field": (
+        lambda p: p.impedance.whiten(p.impedance.zeros("primal")), "dual fields"),
+    "local solve of a primal tuple": (
+        lambda p: p.solver.solve_tuple(_volume_zeros(p, "primal")), "dual tuple"),
+    "apply_A of a dual tuple": (
+        lambda p: sk.apply_A(p, _volume_zeros(p, "dual")), "primal tuple"),
+    "restriction_adjoint of a primal tuple": (
+        lambda p: restriction_adjoint(p.partition, _volume_zeros(p, "primal")), "dual tuple"),
+    "zero wavenumber": (lambda p: Coefficients(k=0.0), "k must be positive"),
+    "zero width": (lambda p: build_rect_mesh(2, 2, width=0.0), "must be positive"),
+    "zero partition count": (
+        lambda p: partition_checkerboard(build_rect_mesh(2, 2), 0, 1), "must be >= 1"),
+    "clockwise triangle": (
+        lambda p: partition_checkerboard(_clockwise_mesh(), 1, 1), "non-positive area"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISUSES))
+def test_misuse_fails_loudly(small_problem, case):
+    call, fragment = _MISUSES[case]
+    with pytest.raises(ValueError, match=fragment):
+        call(small_problem)
