@@ -1,5 +1,8 @@
 """Command line driver: solve, verify, spectrum and sweep experiments.
 
+``--seed`` and ``--out`` override ``[output] seed`` and ``[output] dir``
+by writing into the parsed config, so each command reads the config alone.
+
 Exit codes: 0 success, 1 solver or verification failure, 2 configuration
 or usage error, 3 local solvability (impedance) violation.
 """
@@ -28,11 +31,6 @@ __all__ = ["main", "cmd_solve", "cmd_verify", "cmd_spectrum", "cmd_sweep",
            "run_verification", "condition_problems"]
 
 
-def _out_dir(cfg: ProblemConfig, override=None) -> Path:
-    """The output directory; it is created only by :func:`_open_out`."""
-    return Path(override) if override else Path(cfg.out_dir)
-
-
 def _open_out(path: Path):
     """Open an output file for writing, creating its directory first, so
     that a run which fails before it writes leaves no directory behind."""
@@ -49,11 +47,11 @@ def _write_json(path: Path, payload) -> None:
 # solve
 # ---------------------------------------------------------------------------
 
-def cmd_solve(cfg: ProblemConfig, out=None) -> int:
+def cmd_solve(cfg: ProblemConfig) -> int:
     """Skeleton solve, volume recovery and report emission.  A solve that
     does not converge is diagnosed at any size by the kernel count of the
     sparse ``infsup_primary``, which the skeleton operator inherits."""
-    out_dir = _out_dir(cfg, out)
+    out_dir = Path(cfg.out_dir)
     problem = problem_from_config(cfg)
     load = load_from_config(cfg, problem)
 
@@ -78,7 +76,7 @@ def cmd_solve(cfg: ProblemConfig, out=None) -> int:
         ref = float(np.sqrt(np.real(exact @ (M @ exact))))
         payload["l2_error_rel"] = l2 / ref
     if not report.converged:
-        kdim = ss.infsup_primary(problem, svd_threshold=cfg.svd_threshold)[2]
+        kdim = ss.infsup_primary(problem)[2]
         if kdim > 0:
             payload["kernel_diagnosis"] = (
                 f"the Helmholtz problem has a {kdim}-dimensional kernel, inherited by the "
@@ -141,8 +139,7 @@ def run_verification(cfg: ProblemConfig, tamper_t: bool = False) -> dict:
         "cauchy_decomposition": vf.cauchy_decomposition(problem, rng()),
     }
     try:
-        rep = ss.verify_estimates(problem, svd_threshold=cfg.svd_threshold,
-                                  dense_cap=cfg.dense_cap)
+        rep = ss.verify_estimates(problem)
         results["spectral"] = rep.as_dict()
         results["spectral"]["passed"] = rep.all_passed()
     except ss.DenseCapExceeded as exc:
@@ -154,10 +151,9 @@ def run_verification(cfg: ProblemConfig, tamper_t: bool = False) -> dict:
     return results
 
 
-def cmd_verify(cfg: ProblemConfig, out=None, tamper_t: bool = False) -> int:
-    out_dir = _out_dir(cfg, out)
+def cmd_verify(cfg: ProblemConfig, tamper_t: bool = False) -> int:
     results = run_verification(cfg, tamper_t=tamper_t)
-    _write_json(out_dir / "verify_report.json", results)
+    _write_json(Path(cfg.out_dir) / "verify_report.json", results)
     for name, res in results.items():
         if isinstance(res, dict):
             status = "PASS" if res.get("passed") else "FAIL"
@@ -169,24 +165,18 @@ def cmd_verify(cfg: ProblemConfig, out=None, tamper_t: bool = False) -> int:
 # spectrum and sweep
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(cfg: ProblemConfig, out=None) -> int:
-    out_dir = _out_dir(cfg, out)
-    problem = problem_from_config(cfg)
-    rep = ss.verify_estimates(problem, svd_threshold=cfg.svd_threshold,
-                              dense_cap=cfg.dense_cap)
-    _write_json(out_dir / "spectrum.json", rep.as_dict())
+def cmd_spectrum(cfg: ProblemConfig) -> int:
+    rep = ss.verify_estimates(problem_from_config(cfg))
+    _write_json(Path(cfg.out_dir) / "spectrum.json", rep.as_dict())
     for key, val in rep.as_dict().items():
         print(f"{key} = {val}")
     return 0
 
 
-def cmd_sweep(cfg: ProblemConfig, k_values, out=None) -> int:
-    out_dir = _out_dir(cfg, out)
-    rows, slopes = ss.sweep_wavenumber(
-        k_values, px=cfg.px, py=cfg.py, tgamma=cfg.tgamma,
-        lambda_scale=cfg.lambda_scale, dense_cap=cfg.dense_cap,
-        svd_threshold=cfg.svd_threshold)
-    with _open_out(out_dir / "sweep.csv") as fh:
+def cmd_sweep(cfg: ProblemConfig, k_values) -> int:
+    rows, slopes = ss.sweep_wavenumber(k_values, px=cfg.px, py=cfg.py, tgamma=cfg.tgamma,
+                                       lambda_scale=cfg.lambda_scale)
+    with _open_out(Path(cfg.out_dir) / "sweep.csv") as fh:
         ss.write_sweep_csv(rows, slopes, fh)
     if slopes:
         print(f"slope infsup_skeleton: {slopes['infsup_skeleton']:.4f}")
@@ -218,9 +208,12 @@ def main(argv=None) -> int:
     for name in ("solve", "verify", "spectrum", "sweep"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
+        p.add_argument("--seed", type=int, help="overrides [output] seed")
+        p.add_argument("--out", help="overrides [output] dir")
         if name == "sweep":
+            p.description = ("Certificates of the robin reference family across "
+                             "wavenumbers; of the config's problem it reads "
+                             "only px, py, tgamma and lambda_scale.")
             p.add_argument("--k-list", default="5,10,20,40",
                            help="comma separated wavenumbers")
         if name == "verify":
@@ -235,15 +228,17 @@ def main(argv=None) -> int:
         return 2
     if args.seed is not None:
         cfg.seed = args.seed
+    if args.out:
+        cfg.out_dir = args.out
 
     try:
         if args.command == "solve":
-            return cmd_solve(cfg, out=args.out)
+            return cmd_solve(cfg)
         if args.command == "verify":
-            return cmd_verify(cfg, out=args.out, tamper_t=args.tamper)
+            return cmd_verify(cfg, tamper_t=args.tamper)
         if args.command == "spectrum":
-            return cmd_spectrum(cfg, out=args.out)
-        return cmd_sweep(cfg, _wavenumbers(args.k_list), out=args.out)
+            return cmd_spectrum(cfg)
+        return cmd_sweep(cfg, _wavenumbers(args.k_list))
     except AssumptionViolation as exc:
         print(f"local solvability violation: {exc}", file=sys.stderr)
         return 3

@@ -14,8 +14,8 @@ import numpy as np
 
 from .boundary_conditions import KINDS, SIDES
 from .geometry import build_rect_mesh
-from .problem import build_problem, make_load
-from .solvers_spectral import DENSE_CAP, SVD_THRESHOLD, dirichlet_resonance
+from .problem import SURROGATES, build_problem, make_load
+from .solvers_spectral import dirichlet_resonance
 
 __all__ = ["ProblemConfig", "ConfigError", "parse_config", "problem_from_config",
            "load_from_config"]
@@ -54,8 +54,6 @@ class ProblemConfig:
     tol: float = 1e-10
     maxit: int = 5000
     restart: int = None
-    dense_cap: int = DENSE_CAP
-    svd_threshold: float = SVD_THRESHOLD
     seed: int = 42
     out_dir: str = "out"
 
@@ -85,7 +83,7 @@ class ProblemConfig:
             self.gamma = 1.0 / self.k
         if self.gamma <= 0:
             raise ConfigError("gamma must be positive (volume norm parameter)")
-        if self.tgamma not in ("collar", "boundary_h1"):
+        if self.tgamma not in SURROGATES:
             raise ConfigError("tgamma must be 'collar' or 'boundary_h1'")
         if self.source not in ("zero", "one", "manufactured"):
             raise ConfigError("source must be zero, one or manufactured")
@@ -95,10 +93,10 @@ class ProblemConfig:
         if not sides <= set(SIDES):
             raise ConfigError(f"gamma_d_predicate names unknown sides "
                               f"{sorted(sides - set(SIDES))}, expected some of {SIDES}")
-        if self.bc_kind == "mixed" and not 0 < len(sides) < len(SIDES):
+        if not 0 < len(sides) < len(SIDES):
             raise ConfigError("mixed condition needs gamma_d_predicate to name a "
                               "nonempty proper subset of the four sides")
-        if self.bc_kind == "robin" and self.lambda_scale <= 0:
+        if self.lambda_scale <= 0:
             raise ConfigError("(A3)/(A4) violated: robin impedance scale must be "
                               "positive for absorption and local solvability")
         if self.source == "manufactured" and self.bc_kind != "dirichlet":
@@ -111,10 +109,6 @@ class ProblemConfig:
             raise ConfigError("solver tolerance must be positive")
         if self.maxit < 1:
             raise ConfigError("maxit must be >= 1")
-        if self.dense_cap < 1:
-            raise ConfigError("dense_cap must be >= 1")
-        if self.svd_threshold <= 0:
-            raise ConfigError("svd_threshold must be positive")
 
 
 def _gamma_cast(raw):
@@ -157,8 +151,6 @@ _KEYS = {
     ("solver", "tol"): ("tol", float),
     ("solver", "maxit"): ("maxit", int),
     ("solver", "restart"): ("restart", _restart_cast),
-    ("analysis", "dense_cap"): ("dense_cap", int),
-    ("analysis", "svd_threshold"): ("svd_threshold", float),
     ("output", "dir"): ("out_dir", str),
     ("output", "seed"): ("seed", int),
 }

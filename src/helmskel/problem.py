@@ -31,12 +31,17 @@ from .traces import VolumeTuple
 
 __all__ = [
     "Problem",
+    "SURROGATES",
     "build_problem",
     "monolithic_matrix",
     "solve_monolithic",
     "make_load",
     "h1_norm",
 ]
+
+
+# The outer impedance surrogates ``build_problem`` accepts as ``tgamma``.
+SURROGATES = ("collar", "boundary_h1")
 
 
 @dataclass(frozen=True)

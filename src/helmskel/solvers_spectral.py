@@ -46,16 +46,18 @@ __all__ = [
 ]
 
 
-# Largest skeleton dimension the dense spectral harness will form.
+# Largest skeleton dimension the dense spectral harness will form.  It is
+# the only value, read by name at each call.
 DENSE_CAP = 2000
 
 # Relative threshold (times sigma_max) under which a singular value counts
-# towards a kernel, on both the primary and the skeleton side.
+# towards a kernel, on both the primary and the skeleton side.  It is the
+# only value, read by name at each call.
 SVD_THRESHOLD = 1e-8
 
 
 class DenseCapExceeded(RuntimeError):
-    """Requested dense analysis beyond the configured dimension cap."""
+    """Requested dense analysis beyond the dimension cap ``DENSE_CAP``."""
 
 
 @dataclass
@@ -324,7 +326,7 @@ def gmres_tinv(problem: Problem, f: SkeletonField, tol: float = 1e-10,
 # dense spectral harness
 # ---------------------------------------------------------------------------
 
-def dense_operator(problem: Problem, cap: int = DENSE_CAP) -> np.ndarray:
+def dense_operator(problem: Problem) -> np.ndarray:
     """Dense matrix of the whitened skeleton operator.
 
     The columns are ``_whitened_apply`` of the identity, the same path as
@@ -335,8 +337,8 @@ def dense_operator(problem: Problem, cap: int = DENSE_CAP) -> np.ndarray:
     given ``overwrite_a`` works on it in place.
     """
     n = problem.dual_dim
-    if n > cap:
-        raise DenseCapExceeded(f"skeleton dimension {n} exceeds dense cap {cap}")
+    if n > DENSE_CAP:
+        raise DenseCapExceeded(f"skeleton dimension {n} exceeds dense cap {DENSE_CAP}")
     imp = problem.impedance
     M = np.zeros((n, n), complex, order="F")
     for o, m in zip(imp.offsets[:-1], imp.sizes):
@@ -358,14 +360,14 @@ def _whitened(L: np.ndarray, A: np.ndarray) -> np.ndarray:
     return _real_op(solve, _real_op(solve, A).T).T
 
 
-def infsup_primary(problem: Problem, svd_threshold: float = SVD_THRESHOLD):
+def infsup_primary(problem: Problem):
     """(sigma_min, sigma_max, kernel_dim) of the whitened monolithic operator.
 
     One sparse path at every size.  Both extremes come from Lanczos on SPD
     pencils: sigma_max^2 is the top eigenvalue of (A^H W^-1 A, W) and
     1/sigma_min^2 the top eigenvalue of (A^-H W A^-1, W^-1), with W the
     block norm Gram; every call starts from one seeded vector.  The kernel
-    counts singular values under ``svd_threshold * sigma_max``: 0 while
+    counts singular values under ``SVD_THRESHOLD * sigma_max``: 0 while
     sigma_min clears that limit, else the top m = 2, 4, 8, ... (m < n)
     eigenvalues of the inverse pencil are taken until one of them clears it.
     """
@@ -411,7 +413,7 @@ def infsup_primary(problem: Problem, svd_threshold: float = SVD_THRESHOLD):
         return 1.0 / np.sqrt(lam)
 
     smin, smax = float(smallest(1)[0]), float(np.sqrt(lam_max))
-    limit = svd_threshold * smax
+    limit = SVD_THRESHOLD * smax
     kernel = m = int(smin < limit)
     while kernel == m and 0 < m < n - 1:
         m = min(2 * m, n - 1)
@@ -522,8 +524,7 @@ def continuity_modulus(problem: Problem) -> float:
     return best
 
 
-def verify_estimates(problem: Problem, svd_threshold: float = SVD_THRESHOLD,
-                     dense_cap: int = DENSE_CAP) -> SpectralReport:
+def verify_estimates(problem: Problem) -> SpectralReport:
     """Measure every certified inequality of the configuration.
 
     Checks, in order: the estimate chain between the two inf-sup constants,
@@ -539,7 +540,7 @@ def verify_estimates(problem: Problem, svd_threshold: float = SVD_THRESHOLD,
     place, and both are freed before the sparse primary constants are
     computed.
     """
-    M = dense_operator(problem, dense_cap)
+    M = dense_operator(problem)
     herm = np.empty_like(M)
     np.conjugate(M.T, out=herm)
     herm += M
@@ -548,11 +549,11 @@ def verify_estimates(problem: Problem, svd_threshold: float = SVD_THRESHOLD,
     del M
     smax_s = float(svals.max())
     infsup_s = float(svals.min())
-    kernel_s = int(np.sum(svals < svd_threshold * smax_s))
+    kernel_s = int(np.sum(svals < SVD_THRESHOLD * smax_s))
     coer = float(sla.eigvalsh(herm, overwrite_a=True).min())
     del herm
 
-    infsup_p, smax_p, kernel_p = infsup_primary(problem, svd_threshold=svd_threshold)
+    infsup_p, smax_p, kernel_p = infsup_primary(problem)
     norm_a = float(continuity_modulus(problem))
 
     kernel_t = kernel_s  # M.T has the singular values of M
@@ -603,8 +604,7 @@ def _resolution(k: float, px: int, py: int) -> int:
 
 
 def sweep_wavenumber(k_values, px: int = 2, py: int = 2,
-                     tgamma: str = "collar", lambda_scale: float = 1.0,
-                     dense_cap: int = DENSE_CAP, svd_threshold: float = SVD_THRESHOLD):
+                     tgamma: str = "collar", lambda_scale: float = 1.0):
     """Constants of the robin reference family across wavenumbers.
 
     Per k: resolution from the rule of ``_POINTS_PER_WAVELENGTH`` points
@@ -623,8 +623,7 @@ def sweep_wavenumber(k_values, px: int = 2, py: int = 2,
         n = _resolution(k, px, py)
         problem = build_problem(n, n, px, py, k=float(k), bc_kind="robin",
                                 lambda_scale=lambda_scale, tgamma=tgamma)
-        rep = verify_estimates(problem, svd_threshold=svd_threshold,
-                               dense_cap=dense_cap)
+        rep = verify_estimates(problem)
         rows.append({"k": float(k), **rep.as_dict()})
 
     slopes = None

@@ -132,11 +132,11 @@ def test_c07_kernel_correspondence_at_resonance():
     mesh = build_rect_mesh(8, 8)
     lam = dirichlet_resonance(mesh)
     p = build_problem(8, 8, 2, 2, k=5.0, kappa_sq=lam, bc_kind="dirichlet")
-    rep = verify_estimates(p, svd_threshold=1e-8)
+    rep = verify_estimates(p)
     ok1 = rep.kernel_dim_primary == 1 and rep.kernel_dim_skeleton == 1
     p2 = build_problem(8, 8, 2, 2, k=5.0, kappa_sq=lam * 1.01 ** 2,
                        bc_kind="dirichlet")
-    rep2 = verify_estimates(p2, svd_threshold=1e-8)
+    rep2 = verify_estimates(p2)
     ok2 = rep2.kernel_dim_primary == 0 and rep2.kernel_dim_skeleton == 0
     _line(7, ok1 and ok2,
           f"at resonance kernels ({rep.kernel_dim_primary}, "

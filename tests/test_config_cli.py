@@ -4,10 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import helmskel.solvers_spectral as ss
 import helmskel.verification as vf
+from helmskel.boundary_conditions import KINDS, SIDES
 from helmskel.cli import condition_problems, main, run_verification
 from helmskel.config import ConfigError, ProblemConfig, parse_config, problem_from_config
 from helmskel.problem import build_problem
+
+COMMANDS = (("solve",), ("verify",), ("spectrum",), ("sweep", "--k-list", "5"))
 
 
 def _write(tmp_path, text, name="case.ini"):
@@ -32,12 +36,14 @@ def test_empty_config_is_the_defaults(tmp_path):
 
 
 def test_config_table_names_dataclass_fields():
+    # one key per field, mu set through its two parts: a field dropped
+    # without its key, or the reverse, fails here and not at a user's parse
     from dataclasses import fields
 
     from helmskel.config import _KEYS
 
-    names = {f.name for f in fields(ProblemConfig)}
-    assert {name.partition(".")[0] for name, _ in _KEYS.values()} <= names
+    names = {f.name for f in fields(ProblemConfig)} - {"mu"} | {"mu.real", "mu.imag"}
+    assert sorted(name for name, _ in _KEYS.values()) == sorted(names)
 
 
 @pytest.mark.parametrize("text,gamma", [("1/k", 0.25), ("1 / k", 0.25), ("0.3", 0.3)])
@@ -109,8 +115,9 @@ def test_missing_file_rejected(tmp_path):
     ("[solver]\nrelax = 1", "relaxation parameter must lie in (0, 1)"),
     ("[solver]\ntol = 0", "solver tolerance must be positive"),
     ("[solver]\nmaxit = 0", "maxit must be >= 1"),
-    ("[analysis]\ndense_cap = 0", "dense_cap must be >= 1"),
-    ("[analysis]\nsvd_threshold = 0", "svd_threshold must be positive"),
+    # the dense cap and the kernel threshold are constants, not options
+    ("[analysis]\ndense_cap = 0", "section [analysis]"),
+    ("[analysis]\nsvd_threshold = 0", "section [analysis]"),
     ("[geometry]\nnx = eight", "bad value for [geometry] nx: 'eight'"),
 ])
 def test_bad_values_rejected(tmp_path, text, fragment):
@@ -122,6 +129,27 @@ def test_bad_values_rejected(tmp_path, text, fragment):
 def test_robin_scale_validation():
     with pytest.raises(ConfigError, match=r"\(A3\)|\(A4\)"):
         ProblemConfig(bc_kind="robin", lambda_scale=0.0)
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("text", ["kind = dirichlet\nlambda_scale = 0",
+                                  "kind = robin\ngamma_d_predicate = left,right,top,bottom"],
+                         ids=["dirichlet_scale_0", "robin_all_sides"])
+def test_condition_rules_hold_for_every_kind(tmp_path, capsys, command, text):
+    # verify builds all four kinds from one config, so a config that one
+    # kind rejects fails at parse under every kind and every command
+    cfg_path = _write(tmp_path, f"[bc]\n{text}\n[output]\ndir = {tmp_path}/out\n")
+    assert main([command[0], "--config", cfg_path, *command[1:]]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_condition_rules_checked_for_every_kind(kind):
+    with pytest.raises(ConfigError, match=r"\(A3\)|\(A4\)"):
+        ProblemConfig(bc_kind=kind, lambda_scale=0.0)
+    with pytest.raises(ConfigError, match="nonempty proper subset"):
+        ProblemConfig(bc_kind=kind, gamma_d_sides=SIDES)
 
 
 def test_kappa_modes(tmp_path):
@@ -195,16 +223,16 @@ def test_solve_manufactured_convergence(tmp_path):
     assert 3.5 <= ratio <= 4.5
 
 
-def test_solve_resonant_failure_diagnosed(tmp_path):
+def test_solve_resonant_failure_diagnosed(tmp_path, monkeypatch):
     # the skeleton dimension (96) exceeds the dense cap: the kernel is
     # counted on the sparse monolithic operator, at any size
     cfg_path = _write(tmp_path, "\n".join([
         "[physics]", "k = 5.0", "kappa_mode = resonant", "source = one",
         "[bc]", "kind = dirichlet",
         "[solver]", "maxit = 60",
-        "[analysis]", "dense_cap = 4",
         "[output]", f"dir = {tmp_path}/outres",
     ]))
+    monkeypatch.setattr(ss, "DENSE_CAP", 4)
     assert main(["solve", "--config", cfg_path]) == 1
     report = json.loads((tmp_path / "outres" / "solve_report.json").read_text())
     assert not report["converged"]
@@ -237,6 +265,19 @@ def test_verify_all_pass_and_deterministic(tmp_path):
     a = (tmp_path / "v1" / "verify_report.json").read_bytes()
     b = (tmp_path / "v2" / "verify_report.json").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_out_overrides_output_dir(tmp_path, command):
+    files = {"solve": ["residual_history.csv", "solution.txt", "solve_report.json"],
+             "verify": ["verify_report.json"], "spectrum": ["spectrum.json"],
+             "sweep": ["sweep.csv"]}
+    cfg_path = _write(tmp_path, f"[output]\ndir = {tmp_path}/configured\n")
+    override = tmp_path / "override"
+    argv = [command[0], "--config", cfg_path, "--out", str(override), *command[1:]]
+    assert main(argv) == 0
+    assert sorted(p.name for p in override.iterdir()) == files[command[0]]
+    assert not (tmp_path / "configured").exists()
 
 
 def test_verify_tamper_negative_control(tmp_path):
@@ -311,21 +352,19 @@ def test_spectrum_command(tmp_path, capsys):
     assert report["pass_estimate_chain"] and report["pass_coercivity_bound"]
 
 
-def test_spectrum_cap_exceeded(tmp_path):
-    cfg_path = _write(tmp_path, "\n".join([
-        "[analysis]", "dense_cap = 4",
-        "[output]", f"dir = {tmp_path}/spc",
-    ]))
+def test_spectrum_cap_exceeded(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ss, "DENSE_CAP", 4)
+    cfg_path = _write(tmp_path, f"[output]\ndir = {tmp_path}/spc\n")
     assert main(["spectrum", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err == "error: skeleton dimension 96 exceeds dense cap 4\n"
+    assert not (tmp_path / "spc").exists()
 
 
-def test_verify_cap_exceeded_fails_in_band(tmp_path):
+def test_verify_cap_exceeded_fails_in_band(tmp_path, monkeypatch):
     # the certificate cannot be computed under the cap: verify records why,
     # fails, and still reports every identity suite
-    cfg_path = _write(tmp_path, "\n".join([
-        "[analysis]", "dense_cap = 4",
-        "[output]", f"dir = {tmp_path}/vc",
-    ]))
+    monkeypatch.setattr(ss, "DENSE_CAP", 4)
+    cfg_path = _write(tmp_path, f"[output]\ndir = {tmp_path}/vc\n")
     assert main(["verify", "--config", cfg_path]) == 1
     report = json.loads((tmp_path / "vc" / "verify_report.json").read_text())
     assert report["spectral"] == {"passed": False,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import helmskel.skeleton as sk
+import helmskel.solvers_spectral as ss
 from helmskel.geometry import build_rect_mesh
 from helmskel.problem import build_problem, make_load
 from helmskel.solvers_spectral import (DenseCapExceeded, dense_operator,
@@ -151,8 +152,6 @@ def test_gmres_reports_true_residual(robin_system):
 def test_gmres_true_residual_overrides_estimate(robin_system, monkeypatch):
     # a Krylov core that stops after 3 steps and claims convergence: the
     # true residual at exit must catch it
-    import helmskel.solvers_spectral as ss
-
     p, load, f = robin_system
     real_core = ss._gmres_core
 
@@ -363,9 +362,10 @@ def test_dense_operator_matches_matvec(small_problem, rng):
         np.testing.assert_allclose(got, want, atol=1e-12 * np.abs(want).max())
 
 
-def test_dense_cap(small_problem):
-    with pytest.raises(DenseCapExceeded):
-        dense_operator(small_problem, cap=3)
+def test_dense_cap(small_problem, monkeypatch):
+    monkeypatch.setattr(ss, "DENSE_CAP", 3)
+    with pytest.raises(DenseCapExceeded, match="exceeds dense cap 3"):
+        dense_operator(small_problem)
 
 
 def test_verify_estimates_dense_phase_holds_two_matrices(monkeypatch):
@@ -375,12 +375,10 @@ def test_verify_estimates_dense_phase_holds_two_matrices(monkeypatch):
     # out of place and letting LAPACK copy M and it held about 3.1.
     import tracemalloc
 
-    import helmskel.solvers_spectral as ss
-
     p = build_problem(24, 24, 4, 4, k=10.0)
     n = p.dual_dim
     assert n >= 384
-    monkeypatch.setattr(ss, "infsup_primary", lambda problem, svd_threshold: (1.0, 1.0, 0))
+    monkeypatch.setattr(ss, "infsup_primary", lambda problem: (1.0, 1.0, 0))
     monkeypatch.setattr(ss, "continuity_modulus", lambda problem: 1.0)
     M = dense_operator(p)
     svals = np.linalg.svd(M, compute_uv=False)
@@ -501,11 +499,12 @@ def _dense_primary_svdvals(problem):
     # three singular values under the threshold: the count doubles m to 4
     (lambda: build_problem(8, 8, 2, 2, k=5.0, bc_kind="mixed"), 0.2),
 ], ids=["reference", "resonance_8", "resonance_16", "neumann_zero", "mixed_0.2"])
-def test_infsup_primary_matches_dense_oracle(make, threshold):
+def test_infsup_primary_matches_dense_oracle(make, threshold, monkeypatch):
+    monkeypatch.setattr(ss, "SVD_THRESHOLD", threshold)
     p = make()
     svals = _dense_primary_svdvals(p)
     smin_d, smax_d = svals.min(), svals.max()
-    smin, smax, kernel = infsup_primary(p, svd_threshold=threshold)
+    smin, smax, kernel = infsup_primary(p)
     if smin_d > 1e-12 * smax_d:
         assert abs(smin - smin_d) <= 1e-6 * smin_d
     else:
@@ -592,8 +591,6 @@ def test_subdomain_closed_form_against_dense_block_norm(px, py, config, bc_kind)
 
 @pytest.mark.parametrize("k", [5.0, 7.0])   # k^2 (1/k)^2 rounds above, below 1
 def test_continuity_modulus_defaults_solve_no_subdomain_block(monkeypatch, k):
-    import helmskel.solvers_spectral as ss
-
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolve on a subdomain block")
 
@@ -638,8 +635,6 @@ def test_outer_closed_form_against_dense_block_norm(tgamma, bc_kind, lambda_scal
 
 @pytest.mark.parametrize("bc_kind", ["dirichlet", "neumann", "mixed"])
 def test_outer_block_norm_of_zero_lam_needs_no_solve(monkeypatch, bc_kind):
-    import helmskel.solvers_spectral as ss
-
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolve for an all-zero lam")
 
@@ -650,8 +645,6 @@ def test_outer_block_norm_of_zero_lam_needs_no_solve(monkeypatch, bc_kind):
 
 
 def test_continuity_modulus_one_seeded_eigensolve_per_block(monkeypatch):
-    import helmskel.solvers_spectral as ss
-
     calls = []
     eigsh = ss.spla.eigsh
 
@@ -710,8 +703,6 @@ def test_resonance_value_close_to_continuum():
 def test_resonance_sparse_branch_matches_dense(monkeypatch):
     # 12x10 cells have 11 * 9 = 99 interior vertices: dense eigh at the
     # default limit, sparse shift-invert once the limit is lowered below it
-    import helmskel.solvers_spectral as ss
-
     mesh = build_rect_mesh(12, 10)
     dense = dirichlet_resonance(mesh)
     monkeypatch.setattr(ss, "_DENSE_RESONANCE_MAX", 98)
@@ -740,14 +731,15 @@ def test_sweep_empty_rejected():
         sweep_wavenumber([])
 
 
-def test_sweep_cap_exceeded_exits_before_writing(tmp_path, capsys):
+def test_sweep_cap_exceeded_exits_before_writing(tmp_path, capsys, monkeypatch):
     from helmskel.cli import main
 
+    monkeypatch.setattr(ss, "DENSE_CAP", 4)
     out = tmp_path / "sweep_out"
     cfg = tmp_path / "cap.ini"
-    cfg.write_text(f"[analysis]\ndense_cap = 4\n[output]\ndir = {out}\n")
+    cfg.write_text(f"[output]\ndir = {out}\n")
     assert main(["sweep", "--config", str(cfg), "--k-list", "5"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == "error: skeleton dimension 96 exceeds dense cap 4\n"
     assert not out.exists()
 
 
