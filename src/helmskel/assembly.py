@@ -10,6 +10,7 @@ are index-free.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -51,6 +52,10 @@ class Coefficients:
     gamma: float = None
 
     def __post_init__(self):
+        for name in ("k", "mu", "gamma", "kappa_sq"):
+            value = getattr(self, name)
+            if not (value is None or callable(value) or cmath.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.k <= 0:
             raise ValueError("wavenumber k must be positive")
         mu = complex(self.mu)
@@ -64,12 +69,14 @@ class Coefficients:
             raise ValueError("gamma must be positive")
 
     def kappa_sq_at(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-        """kappa^2 at centroid arrays, validated against Im >= 0."""
+        """kappa^2 at centroid arrays, validated as finite with Im >= 0."""
         if callable(self.kappa_sq):
             vals = np.asarray(self.kappa_sq(cx, cy), dtype=complex)
             vals = np.broadcast_to(vals, cx.shape).copy()
         else:
             vals = np.full(cx.shape, complex(self.kappa_sq))
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("kappa_sq must be finite everywhere")
         if np.any(vals.imag < -1e-14 * (1.0 + np.abs(vals))):
             raise ValueError("Im(kappa^2) must be >= 0 everywhere")
         return vals

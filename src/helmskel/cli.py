@@ -1,7 +1,8 @@
 """Command line driver: solve, verify, spectrum and sweep experiments.
 
 ``--seed`` and ``--out`` override ``[output] seed`` and ``[output] dir``
-by writing into the parsed config, so each command reads the config alone.
+by replacing them in the parsed config, which validates them as it
+validates the file, so each command reads the config alone.
 
 Exit codes: 0 success, 1 solver or verification failure, 2 configuration
 or usage error, 3 local solvability (impedance) violation.
@@ -223,13 +224,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        if args.out:
+            cfg = replace(cfg, out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out:
-        cfg.out_dir = args.out
 
     try:
         if args.command == "solve":

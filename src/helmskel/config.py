@@ -8,6 +8,7 @@ so a bad coefficient never reaches the assembly layer.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +95,8 @@ class ProblemConfig:
             raise ConfigError(f"gamma_d_predicate names unknown sides "
                               f"{sorted(sides - set(SIDES))}, expected some of {SIDES}")
         if not 0 < len(sides) < len(SIDES):
-            raise ConfigError("mixed condition needs gamma_d_predicate to name a "
-                              "nonempty proper subset of the four sides")
+            raise ConfigError("gamma_d_predicate must name a nonempty proper subset "
+                              "of the four sides")
         if self.lambda_scale <= 0:
             raise ConfigError("(A3)/(A4) violated: robin impedance scale must be "
                               "positive for absorption and local solvability")
@@ -109,10 +110,19 @@ class ProblemConfig:
             raise ConfigError("solver tolerance must be positive")
         if self.maxit < 1:
             raise ConfigError("maxit must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+
+
+def _finite(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
 
 
 def _gamma_cast(raw):
-    return None if raw.replace(" ", "") == "1/k" else float(raw)
+    return None if raw.replace(" ", "") == "1/k" else _finite(raw)
 
 
 def _restart_cast(raw):
@@ -128,27 +138,27 @@ def _sides_cast(raw):
 # "mu.real" and "mu.imag" are the two parts of the field mu.  A key that is
 # absent leaves the field at its dataclass default.
 _KEYS = {
-    ("geometry", "width"): ("width", float),
-    ("geometry", "height"): ("height", float),
+    ("geometry", "width"): ("width", _finite),
+    ("geometry", "height"): ("height", _finite),
     ("geometry", "nx"): ("nx", int),
     ("geometry", "ny"): ("ny", int),
     ("partition", "px"): ("px", int),
     ("partition", "py"): ("py", int),
-    ("physics", "k"): ("k", float),
-    ("physics", "mu_re"): ("mu.real", float),
-    ("physics", "mu_im"): ("mu.imag", float),
+    ("physics", "k"): ("k", _finite),
+    ("physics", "mu_re"): ("mu.real", _finite),
+    ("physics", "mu_im"): ("mu.imag", _finite),
     ("physics", "kappa_mode"): ("kappa_mode", str),
     ("physics", "gamma"): ("gamma", _gamma_cast),
     ("physics", "tgamma"): ("tgamma", str),
     ("physics", "source"): ("source", str),
     ("bc", "kind"): ("bc_kind", str),
-    ("bc", "g_d"): ("g_d", float),
-    ("bc", "g_n"): ("g_n", float),
-    ("bc", "lambda_scale"): ("lambda_scale", float),
+    ("bc", "g_d"): ("g_d", _finite),
+    ("bc", "g_n"): ("g_n", _finite),
+    ("bc", "lambda_scale"): ("lambda_scale", _finite),
     ("bc", "gamma_d_predicate"): ("gamma_d_sides", _sides_cast),
     ("solver", "method"): ("solver_method", str),
-    ("solver", "relax"): ("relax", float),
-    ("solver", "tol"): ("tol", float),
+    ("solver", "relax"): ("relax", _finite),
+    ("solver", "tol"): ("tol", _finite),
     ("solver", "maxit"): ("maxit", int),
     ("solver", "restart"): ("restart", _restart_cast),
     ("output", "dir"): ("out_dir", str),

@@ -41,8 +41,7 @@ from .assembly import restriction_apply
 from .geometry import SkeletonIndex
 from .impedance import (BlockImpedance, _BoundaryLastFactor, _complex_columns, _real_columns,
                         _real_op, _splu_spd, _StackedBlocks)
-from .traces import (SkeletonField, VolumeTuple, _nonzero_blocks, _zero_extension,
-                     trace_adjoint, trace_apply)
+from .traces import SkeletonField, VolumeTuple, _zero_extension, trace_adjoint, trace_apply
 
 __all__ = [
     "AssumptionViolation",
@@ -293,21 +292,18 @@ class LocalImpedanceSolver:
         right-hand side, the volume recovery and the Cauchy pairs go
         through it (the scattering operator does not; its blocks are
         dense).  The result has the layout of ``phi``, vector or m columns,
-        and is written into one new array.  A block that is all zero in
-        ``phi`` (the boundary pair counts as one block) solves to zero
-        without a solve.  Every block operator is complex symmetric, so
-        this is also the transposed solve.
+        and is written into one new array: the boundary pair by the
+        condition's ``impedance_inverse``, each subdomain block by one
+        solve with its factor.  Every block operator is complex symmetric,
+        so this is also the transposed solve.
         """
         if phi.kind != "dual":
             raise ValueError("solve_tuple expects a dual tuple")
         o, data = phi.offsets, phi.data
-        live = _nonzero_blocks(data, o)
-        u = np.zeros(data.shape, complex)
-        if live[0] or live[1]:
-            u[:o[1]], u[o[1]:o[2]] = self.bc.impedance_inverse(*phi.gamma)
-        for factor, a, b, nz in zip(self._lus, o[2:], o[3:], live[2:]):
-            if nz:
-                u[a:b] = factor.solve(data[a:b])
+        u = np.empty(data.shape, complex)
+        u[:o[1]], u[o[1]:o[2]] = self.bc.impedance_inverse(*phi.gamma)
+        for factor, a, b in zip(self._lus, o[2:], o[3:]):
+            u[a:b] = factor.solve(data[a:b])
         return VolumeTuple.wrap(u, o, "primal")
 
 

@@ -473,15 +473,13 @@ def _outer_block_norm(bc) -> float:
     condition has lam = 0 or Theta = 0.  Theta = 0 leaves diag(-i Lam, I),
     of norm max(1, ||Lam||).  lam = 0 maps (a, b), split into parts in the
     range and the kernel of P, to (b_1, a_1 + b_0): no longer than (a, b),
-    and as long for a = 0, so the norm is 1 = max(1, ||Lam||).  So an
-    all-zero lam gives exactly 1 without a solve.  For any other real
-    symmetric lam, positive definite as the condition checks, ||Lam|| is the
-    top eigenvalue of the pencil (lam, T); any other lam takes the dense
+    and as long for a = 0, so the norm is 1 = max(1, ||Lam||).  A real
+    symmetric lam is zero or, as the robin condition checks, positive
+    definite, so ||Lam|| is the top eigenvalue of the pencil (lam, T); the
+    eigensolve gives 0 for a zero lam.  Any other lam takes the dense
     ``_block_norm`` of lam alone, an n x n block.
     """
     lam = bc.lam
-    if not lam.any():
-        return 1.0
     if np.isrealobj(lam) and np.array_equal(lam, lam.T):
         n = bc.n
         top = sla.eigh(lam, bc.t_gamma, eigvals_only=True,

@@ -34,22 +34,6 @@ __all__ = [
 ]
 
 
-def _nonzero_blocks(data: np.ndarray, offsets: tuple) -> np.ndarray:
-    """Boolean mask of the (non-empty) blocks of a flat array, vector or
-    column block, that hold a nonzero entry.
-
-    A column block is reduced over its real view, whose rows hold the real
-    and imaginary parts of each entry; that takes about half the time of
-    comparing complex entries.  A vector is compared directly, which is
-    faster there than reducing its ``(n, 2)`` real view.
-    """
-    if data.ndim == 1:
-        rows = data != 0
-    else:
-        rows = np.ascontiguousarray(data).view(np.float64).any(axis=1)
-    return np.logical_or.reduceat(rows, offsets[:-1])
-
-
 class _BlockArray:
     """Coefficients of every block, held as one contiguous array.
 

@@ -32,6 +32,17 @@ def test_coefficients_validation():
             np.array([0.5]), np.array([0.5]))
 
 
+@pytest.mark.parametrize("coeffs,name", [
+    (dict(k=np.nan), "k"), (dict(k=np.inf), "k"), (dict(mu=complex(1.0, np.nan)), "mu"),
+    (dict(gamma=np.inf), "gamma"), (dict(kappa_sq=np.nan), "kappa_sq"),
+    (dict(kappa_sq=lambda x, y: np.where(x < 0.5, np.nan, 25.0)), "kappa_sq")],
+    ids=["k_nan", "k_inf", "mu_nan", "gamma_inf", "kappa_sq_nan", "kappa_sq_nan_on_half"])
+def test_non_finite_coefficients_rejected(coeffs, name):
+    # named as the coefficient, not as a singular local problem downstream
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build_problem(8, 8, 2, 2, **coeffs)
+
+
 def test_reference_triangle_element_matrices():
     from helmskel.assembly import _element_matrices
     from helmskel.geometry import Mesh

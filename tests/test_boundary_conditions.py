@@ -71,9 +71,14 @@ def test_all_kinds_dissipative(setup, rng):
 @pytest.mark.parametrize("case", _CASES)
 def test_impedance_inverse_composition(conditions, case, rng):
     bc = conditions[case]
-    for _ in range(10):
-        pin, ain = _rand(bc.n, rng), _rand(bc.n, rng)
+    n = bc.n
+    inputs = [(_rand(n, rng), _rand(n, rng)) for _ in range(10)]
+    # a zero multiplier slot, as B^T q sends it, and a block of 3 columns
+    inputs += [(_rand(n, rng), np.zeros(n, complex)),
+               (_rand((n, 3), rng), _rand((n, 3), rng))]
+    for pin, ain in inputs:
         alpha, p = bc.impedance_inverse(pin, ain)
+        assert alpha.shape == p.shape == pin.shape
         ra, rp = bc.impedance_apply(alpha, p)
         scale = max(np.abs(pin).max(), np.abs(ain).max())
         np.testing.assert_allclose(ra, pin, atol=1e-12 * scale)

@@ -140,7 +140,31 @@ def test_condition_rules_hold_for_every_kind(tmp_path, capsys, command, text):
     # kind rejects fails at parse under every kind and every command
     cfg_path = _write(tmp_path, f"[bc]\n{text}\n[output]\ndir = {tmp_path}/out\n")
     assert main([command[0], "--config", cfg_path, *command[1:]]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "mixed" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("text,args,fragment", [
+    ("[physics]\nk = nan", (), "bad value for [physics] k: 'nan'"),
+    ("[physics]\ngamma = nan", (), "bad value for [physics] gamma: 'nan'"),
+    ("[physics]\nmu_re = nan", (), "bad value for [physics] mu_re: 'nan'"),
+    ("[geometry]\nwidth = inf", (), "bad value for [geometry] width: 'inf'"),
+    ("[bc]\nlambda_scale = nan", (), "bad value for [bc] lambda_scale: 'nan'"),
+    ("[solver]\ntol = nan", (), "bad value for [solver] tol: 'nan'"),
+    ("[bc]\ng_d = nan", (), "bad value for [bc] g_d: 'nan'"),
+    ("seed = -1", (), "seed must be >= 0"),
+    ("", ("--seed", "-3"), "seed must be >= 0")],
+    ids=["k_nan", "gamma_nan", "mu_re_nan", "width_inf", "lambda_scale_nan", "tol_nan",
+         "g_d_nan", "seed_key", "seed_option"])
+def test_non_finite_values_and_negative_seeds_rejected(tmp_path, capsys, command, text,
+                                                       args, fragment):
+    # the [output] section comes first, so a bare "seed = -1" lands in it
+    cfg_path = _write(tmp_path, f"[output]\ndir = {tmp_path}/out\n{text}\n")
+    assert main([command[0], "--config", cfg_path, *args, *command[1:]]) == 2
+    assert capsys.readouterr().err == f"config error: {fragment}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -254,17 +278,21 @@ def test_resonant_kappa_needs_interior_vertex(tmp_path):
     assert not (tmp_path / "outiv").exists()
 
 
-def test_verify_all_pass_and_deterministic(tmp_path):
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_verify_all_pass_and_deterministic(tmp_path, command):
+    # two runs of one command pass and write the same files, byte for byte
     cfg_path = _write(tmp_path, "\n".join([
-        "[physics]", "k = 5.0",
+        "[physics]", "k = 5.0", "source = one",
         "[bc]", "kind = robin",
         "[output]", f"dir = {tmp_path}/v1",
     ]))
-    assert main(["verify", "--config", cfg_path]) == 0
-    assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v2")]) == 0
-    a = (tmp_path / "v1" / "verify_report.json").read_bytes()
-    b = (tmp_path / "v2" / "verify_report.json").read_bytes()
-    assert a == b
+    assert main([command[0], "--config", cfg_path, *command[1:]]) == 0
+    assert main([command[0], "--config", cfg_path, "--out", str(tmp_path / "v2"),
+                 *command[1:]]) == 0
+    first, second = (sorted((tmp_path / d).iterdir()) for d in ("v1", "v2"))
+    assert first and [f.name for f in first] == [f.name for f in second]
+    for a, b in zip(first, second):
+        assert a.read_bytes() == b.read_bytes(), a.name
 
 
 @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])

@@ -355,8 +355,7 @@ def test_column_blocks_match_columns(nx, ny, px, py, kind, tgamma, m, rng, dual_
     imp = p.impedance
     dense = SkeletonField([rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
                            for n in p.block_sizes], "dual")
-    # all blocks zero but one, the pattern of the dense_operator chunks,
-    # whose zero blocks take no solve and no product
+    # all blocks zero but one: an input that mixes zero and nonzero blocks
     one_block = SkeletonField([b if i == 2 else np.zeros_like(b)
                                for i, b in enumerate(dense.blocks)], "dual")
     ops = {"skeleton_apply": lambda f: sk.skeleton_apply(p, f),
@@ -734,7 +733,8 @@ def test_solve_tuple_matches_dense_solve(ref_problem, rng, monkeypatch, transpos
         want = np.linalg.solve(C.T if transpose else C, rhs)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    # a tuple that is zero in all blocks but one: only that block is solved
+    # a tuple that is zero in all blocks but one: every block takes one
+    # solve, and the zero blocks solve to exact zeros
     class Counting:
         def __init__(self, lu):
             self.lu, self.calls = lu, 0
@@ -748,7 +748,7 @@ def test_solve_tuple_matches_dense_solve(ref_problem, rng, monkeypatch, transpos
     sparse = [np.zeros(lf.n_dofs) for lf in p.forms]
     sparse[1] = blocks[1]
     u = p.solver.solve_tuple(VolumeTuple((zero, zero), sparse, "dual"))
-    assert [c.calls for c in proxies] == [int(j == 1) for j in range(len(proxies))]
+    assert [c.calls for c in proxies] == [1] * len(proxies)
     assert np.all(u.data[:u.offsets[3]] == 0) and np.all(u.data[u.offsets[4]:] == 0)
     np.testing.assert_array_equal(u.omega[1], proxies[1].lu.solve(blocks[1]))
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from helmskel.traces import (SkeletonField, VolumeTuple, _nonzero_blocks,
-                             duality_pair, single_trace_adjoint, single_trace_embed,
-                             skew_pair, trace_adjoint, trace_apply)
+from helmskel.traces import (SkeletonField, VolumeTuple, duality_pair, single_trace_adjoint,
+                             single_trace_embed, skew_pair, trace_adjoint, trace_apply)
 
 
 def _rand_tuple(problem, rng, kind="primal"):
@@ -144,25 +143,6 @@ def test_trace_surjective_constructive(ref_problem, rng, rand_field):
     tr = trace_apply(witness, p.partition)
     for a, b in zip(tr.blocks, g.blocks):
         np.testing.assert_array_equal(a, b)
-
-
-def test_nonzero_blocks_match_the_complex_comparison():
-    offsets = (0, 2, 5, 6, 9, 12)
-    data = np.zeros((12, 3), complex)
-    data[0:2] = complex(-0.0, -0.0)       # signed zeros only: a zero block
-    data[3, 0] = 2j                       # purely imaginary
-    data[5, 1] = complex(np.nan, 0.0)
-    data[7, 2] = complex(-0.0, np.nan)
-    data[9:12, 0] = complex(0.0, -0.0)    # a zero block again
-
-    def reference(d):
-        rows = d != 0
-        rows = rows.any(axis=1) if rows.ndim > 1 else rows
-        return np.logical_or.reduceat(rows, offsets[:-1])
-
-    assert reference(data).tolist() == [False, True, True, True, False]
-    for d in (data, np.asfortranarray(data), data[:, :2], *data.T):
-        assert np.array_equal(_nonzero_blocks(d, offsets), reference(d))
 
 
 def test_skeleton_field_storage(ref_problem, rng, rand_field):
