@@ -85,7 +85,7 @@ class ProblemConfig:
         if self.gamma <= 0:
             raise ConfigError("gamma must be positive (volume norm parameter)")
         if self.tgamma not in SURROGATES:
-            raise ConfigError("tgamma must be 'collar' or 'boundary_h1'")
+            raise ConfigError(f"tgamma must be {' or '.join(map(repr, SURROGATES))}")
         if self.source not in ("zero", "one", "manufactured"):
             raise ConfigError("source must be zero, one or manufactured")
         if self.bc_kind not in KINDS:

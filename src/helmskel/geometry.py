@@ -74,7 +74,7 @@ def _offsets(sizes) -> tuple:
 
 @dataclass(frozen=True)
 class Partition:
-    """Non-overlapping decomposition of a mesh into J edge-connected subdomains.
+    """Non-overlapping decomposition of a mesh into J subdomains.
 
     ``boundary_dofs[j]`` and ``interior_dofs[j]`` split the vertices of the
     closed subdomain; both are sorted by global vertex id, which fixes a
@@ -181,14 +181,14 @@ class SkeletonIndex:
 
     @cached_property
     def dof_sum(self) -> sp.csr_matrix:
-        """The 0/1 matrix adding every entry of a concatenated field onto its
-        skeleton dof, ``(n_sigma, n)``, complex so products need no cast.
-
-        Each row adds its entries in block order, as a loop over the blocks
-        would, and a column block costs one sparse product.
+        """The real 0/1 matrix E^T adding every entry of a concatenated field
+        onto its skeleton dof, ``(n_sigma, n)``.  Row i lists the entries on
+        dof i, in block order, in ``indices[indptr[i]:indptr[i + 1]]``: it
+        adds them as a loop over the blocks would, and it is the incidence
+        table of the skeleton.  A column block costs one sparse product.
         """
         n = len(self.flat_map)
-        return sp.csr_matrix((np.ones(n, complex), (self.flat_map, np.arange(n))),
+        return sp.csr_matrix((np.ones(n), (self.flat_map, np.arange(n))),
                              shape=(self.n_sigma, n))
 
 
@@ -262,12 +262,12 @@ def partition_checkerboard(mesh: Mesh, px: int, py: int) -> Partition:
 def partition_from_labels(mesh: Mesh, sub_of_tri: np.ndarray) -> Partition:
     """Partition a mesh by a subdomain label 0 ... J-1 per triangle.
 
-    Each label must name an edge-connected, nonempty set of triangles; the
-    closed subdomain's vertices are split into its boundary (the vertices
-    of edges used by one of its triangles only) and its interior.  Labels
-    must be integers (or bools); a label array of any other dtype, labels
-    other than one per triangle, and a negative or empty label raise
-    ``ValueError``.
+    The closed subdomain's vertices are split into its boundary (the
+    vertices of edges used by one of its triangles only) and its interior.
+    Labels must be integers (or bools), one per triangle, nonnegative, and
+    each of 0 ... J-1 must name a triangle, else ``ValueError`` is raised.
+    A label need not name a connected set: two cells that meet at a single
+    vertex make one subdomain, whose boundary holds that vertex once.
     """
     sub_of_tri = np.asarray(sub_of_tri)
     if not (np.issubdtype(sub_of_tri.dtype, np.integer) or sub_of_tri.dtype == bool):
@@ -317,9 +317,7 @@ def skeleton_index(partition: Partition) -> SkeletonIndex:
     skeleton = np.unique(np.concatenate(blocks))
     block_map = tuple(np.searchsorted(skeleton, b) for b in blocks)
 
-    counts = np.zeros(skeleton.shape[0], dtype=int)
-    for b in partition.boundary_dofs:
-        counts[np.searchsorted(skeleton, b)] += 1
+    counts = np.bincount(np.concatenate(block_map[1:]), minlength=len(skeleton))
     cross = skeleton[counts >= 3]
 
     return SkeletonIndex(skeleton, tuple(blocks), block_map, cross)

@@ -56,14 +56,21 @@ __all__ = [
 ]
 
 
-def _splu_spd(A: sp.spmatrix):
-    """Sparse LU of a real SPD matrix in CSC form.
+# SuperLU keeps the diagonal pivot of a column unless it is smaller than this
+# fraction of the column's largest entry.
+_PIVOT_THRESHOLD = 0.1
 
-    SPD needs no pivoting, so the factor keeps the diagonal (symmetric
-    mode) of a minimum-degree ordering of A + A^T, which on these 2-D
-    grids gives less fill than the default column ordering.
+
+def _splu_symmetric(A: sp.spmatrix, pivot: float = 0.0):
+    """Sparse LU, in symmetric mode, of a (complex) symmetric CSC matrix.
+
+    A minimum-degree ordering of A + A^T gives less fill on these 2-D grids
+    than the default column ordering.  A column keeps its diagonal pivot
+    unless it is below ``pivot`` times the column's largest entry: 0 for an
+    SPD matrix, which needs no pivoting, ``_PIVOT_THRESHOLD`` for an
+    indefinite one.
     """
-    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=pivot,
                      options=dict(SymmetricMode=True))
 
 
@@ -204,7 +211,7 @@ class DtnBlock:
             return
         if interior_order is None:
             try:
-                interior_order = _splu_spd(Hc[:ni, :ni]).perm_c
+                interior_order = _splu_symmetric(Hc[:ni, :ni]).perm_c
             except RuntimeError as exc:  # pragma: no cover - signals an assembly bug
                 raise RuntimeError("interior block of H is singular; H should be SPD") from exc
         self.order = np.concatenate([interior_order, np.arange(ni, n)])

@@ -39,8 +39,8 @@ import scipy.sparse.linalg as spla
 
 from .assembly import restriction_apply
 from .geometry import SkeletonIndex
-from .impedance import (BlockImpedance, _BoundaryLastFactor, _complex_columns, _real_columns,
-                        _real_op, _splu_spd, _StackedBlocks)
+from .impedance import (BlockImpedance, _BoundaryLastFactor, _complex_columns, _PIVOT_THRESHOLD,
+                        _real_columns, _real_op, _splu_symmetric, _StackedBlocks)
 from .traces import SkeletonField, VolumeTuple, _zero_extension, trace_adjoint, trace_apply
 
 __all__ = [
@@ -131,10 +131,10 @@ class ExchangeOperator:
         self.impedance = impedance
         self._flat_map = index.flat_map
         K = _exchange_system(index, impedance, outer_form)
-        S = index.dof_sum.real
+        S = index.dof_sum
         indptr = np.pad(S.indptr, (0, K.shape[0] - S.shape[0]), mode="edge")
         self._sum = sp.csr_matrix((S.data, S.indices, indptr), shape=(K.shape[0], S.shape[1]))
-        self._lu = _splu_spd(K)
+        self._lu = _splu_symmetric(K)
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """Pi~ w = 2 L^T E G^-1 E^T L w - w of whitened coordinates."""
@@ -147,10 +147,6 @@ class ExchangeOperator:
 
 # Largest block whose inverse the rcond fallback forms densely (64 MB complex).
 _DENSE_RCOND_MAX = 2000
-
-# SuperLU keeps the diagonal pivot of a column unless it is smaller than this
-# fraction of the column's largest entry.
-_PIVOT_THRESHOLD = 0.1
 
 # Smallest reciprocal condition estimate a local impedance factor may have.
 _RCOND_FLOOR = 1e-12
@@ -419,15 +415,15 @@ def _largest_spread(index, values: np.ndarray) -> float:
     """Largest distance between two entries of a flat field that sit on the
     same skeleton dof.
 
-    The incidences are sorted by dof and laid out as a table with one row
-    per dof, padded with NaN, so all pairs (of each column) are compared at
-    once.
+    The incidences of each dof are the row of ``index.dof_sum`` for it, in
+    block order; laid out as a table with one row per dof, padded with NaN,
+    all pairs (of each column) are compared at once.
     """
-    order = np.argsort(index.flat_map, kind="stable")
-    dofs = index.flat_map[order]
-    rank = np.arange(len(dofs)) - np.searchsorted(dofs, dofs)
+    S = index.dof_sum
+    dofs = np.repeat(np.arange(index.n_sigma), np.diff(S.indptr))
+    rank = np.arange(len(dofs)) - S.indptr[dofs]
     table = np.full((index.n_sigma, rank.max() + 1) + values.shape[1:], np.nan + 0j)
-    table[dofs, rank] = values[order]
+    table[dofs, rank] = values[S.indices]
     spread = np.abs(table[:, :, None] - table[:, None, :])
     return float(np.max(spread, initial=0.0, where=~np.isnan(spread)))
 

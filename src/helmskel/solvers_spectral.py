@@ -22,9 +22,9 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.blas import zaxpy, zdotc
 
 from .assembly import Coefficients, LocalForms, assemble_global
-from .impedance import _real_op, _splu_spd
+from .impedance import _PIVOT_THRESHOLD, _real_op, _splu_symmetric
 from .problem import Problem, build_problem, monolithic_matrix
-from .skeleton import _PIVOT_THRESHOLD, _whitened_apply
+from .skeleton import _whitened_apply
 from .traces import SkeletonField
 
 __all__ = [
@@ -288,8 +288,12 @@ def _solve(problem: Problem, f: SkeletonField, method: str, core, tol: float):
     the Euclidean norm of the whitened residual, and reported as
     ``true_residual``; the solve counts as converged only if it is also
     within ``_TRUE_RESIDUAL_FACTOR * tol``.  ``f`` is whitened and the
-    solution unwhitened once each.
+    solution unwhitened once each.  A field of m columns raises
+    ``ValueError``: one report cannot tell m solves apart.
     """
+    if f.data.ndim != 1:
+        raise ValueError(f"{method} takes one right-hand side per solve; "
+                         f"solve the {f.data.shape[1]} columns in turn")
     imp = problem.impedance
     b = imp.whiten(f)
     bnorm = np.linalg.norm(b)
@@ -376,14 +380,12 @@ def infsup_primary(problem: Problem):
     ng = problem.n_gamma
     n = nv + ng
     H = problem.global_forms.H.tocsc()
-    h_lu = _splu_spd(H)
+    h_lu = _splu_symmetric(H)
     t_gamma = problem.bc.t_gamma
     t_inv = problem.bc.t_inverse()
-    # A is complex symmetric: a symmetric fill-reducing order, diagonal
-    # pivots where they are large enough, as for the local impedance factors
-    a_lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=_PIVOT_THRESHOLD,
-                     options=dict(SymmetricMode=True))
+    # A is complex symmetric and indefinite: diagonal pivots where they are
+    # large enough, as for the local impedance factors
+    a_lu = _splu_symmetric(A.tocsc(), _PIVOT_THRESHOLD)
     rng = np.random.default_rng(0)
     v0 = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
 

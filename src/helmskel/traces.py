@@ -66,12 +66,6 @@ class _BlockArray:
         out._set(data, offsets, kind)
         return out
 
-    @classmethod
-    def from_concat(cls, vec: np.ndarray, sizes, kind: str):
-        """Element over a concatenated vector or column block; shares its
-        memory when it already is a complex array."""
-        return cls.wrap(np.asarray(vec, dtype=complex), _offsets(sizes), kind)
-
     @property
     def blocks(self) -> list:
         """Views of the blocks: ``(n_b,)`` or ``(n_b, m)`` each."""
@@ -188,7 +182,7 @@ def single_trace_embed(x: np.ndarray, index: SkeletonIndex) -> SkeletonField:
     x = np.asarray(x, dtype=complex)
     if len(x) != index.n_sigma:
         raise ValueError("skeleton vector has wrong length")
-    return SkeletonField.from_concat(x[index.flat_map], index.block_sizes, "primal")
+    return SkeletonField.wrap(x[index.flat_map], _offsets(index.block_sizes), "primal")
 
 
 def single_trace_adjoint(q: SkeletonField, index: SkeletonIndex) -> np.ndarray:

@@ -40,12 +40,13 @@ def random_field(problem, rng, kind: str = "dual") -> SkeletonField:
 
 def is_lossless(problem) -> bool:
     """True when nothing absorbs, so S is a T^-1 isometry: lam = 0 on the
-    boundary (all kinds but robin), Im mu = 0 and Im kappa^2 = 0."""
-    mesh, coeffs = problem.mesh, problem.coeffs
-    if problem.bc.lam.any() or complex(coeffs.mu).imag != 0:
-        return False
-    cents = mesh.vertices[mesh.triangles].mean(axis=1)
-    return not np.any(coeffs.kappa_sq_at(cents[:, 0], cents[:, 1]).imag)
+    boundary (all kinds but robin) and every form A_j has a real diagonal.
+    ``Coefficients`` keeps Im mu >= 0 and Im kappa^2 >= 0, and K_ii > 0, so
+    each diagonal entry of Im A_j = Im(1/mu) K_j - Im M_kappa is a sum of
+    terms of one sign: it is zero exactly when Im mu = 0 and Im kappa^2 = 0
+    on every triangle at that vertex."""
+    return not (problem.bc.lam.any()
+                or any(lf.A.diagonal().imag.any() for lf in problem.forms))
 
 
 def _largest(values) -> float:
@@ -109,9 +110,7 @@ def transmission(problem, rng) -> dict:
         itv = 1j * imp.factor_product(v.data, transpose=True)
         return norm((itv - wp) - pi.apply(wp + itv)) / norm(wp + itv)
 
-    counts = np.zeros(index.n_sigma)
-    for m in index.block_map:
-        np.add.at(counts, m, 1.0)
+    counts = np.bincount(index.flat_map, minlength=index.n_sigma)
     valid, invalid = [], []
     for _ in range(50):
         x = rng.standard_normal(index.n_sigma) + 1j * rng.standard_normal(index.n_sigma)
@@ -120,7 +119,7 @@ def transmission(problem, rng) -> dict:
         # the jump part of r: strip its Euclidean projection onto the
         # single-valued fields
         y = single_trace_adjoint(r, index)
-        jump = r - SkeletonField([(y / counts)[m] for m in index.block_map], "dual")
+        jump = r - SkeletonField.wrap((y / counts)[index.flat_map], r.offsets, "dual")
         valid.append(residual(jump, u))
 
         bad_u = random_field(problem, rng, "primal")

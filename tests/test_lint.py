@@ -103,3 +103,23 @@ def reads_by_file():
 def test_no_dead_private_names(path, reads_by_file):
     elsewhere = set().union(*(r for p, r in reads_by_file.items() if p != path))
     assert dead_private_names(path.read_text(), elsewhere) == []
+
+
+def splu_calls(source: str) -> list:
+    """Lines of the calls of ``splu`` in ``source``, by name or as an attribute."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)
+                  and getattr(n.func, "id", getattr(n.func, "attr", None)) == "splu")
+
+
+def test_stray_splu_call_is_found():
+    source = ("import scipy.sparse.linalg as spla\nfrom scipy.sparse.linalg import splu\n"
+              "a = spla.splu(A)\nb = splu(A, permc_spec='NATURAL')\nx = spla.spsolve(A, y)\n")
+    assert splu_calls(source) == [3, 4]
+
+
+# Every sparse LU of the package is made by one of the two recipes in
+# impedance.py: _splu_symmetric or the fixed-order _BoundaryLastFactor.
+@pytest.mark.parametrize("path", sorted(p for p in (ROOT / "src" / "helmskel").glob("*.py")
+                                        if p.name != "impedance.py"), ids=lambda p: p.name)
+def test_splu_only_in_impedance(path):
+    assert splu_calls(path.read_text()) == []

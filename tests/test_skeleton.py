@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import helmskel.skeleton as sk
 import helmskel.verification as vf
 from helmskel.assembly import Coefficients, restriction_adjoint, restriction_apply
 import helmskel.problem as problem_mod
+from helmskel.boundary_conditions import KINDS
 from helmskel.geometry import build_rect_mesh, partition_checkerboard, partition_from_labels
 from helmskel.impedance import _BoundaryLastFactor, boundary_h1_impedance, collar_impedance
-from helmskel.problem import build_problem, h1_norm, make_load, monolithic_matrix, solve_monolithic
+from helmskel.problem import (SURROGATES, build_problem, h1_norm, make_load, monolithic_matrix,
+                              solve_monolithic)
+from helmskel.solvers_spectral import gmres_tinv, richardson
 from helmskel.traces import (SkeletonField, VolumeTuple, _zero_extension, single_trace_adjoint,
                              single_trace_embed, skew_pair, trace_adjoint, trace_apply)
 
@@ -169,8 +174,8 @@ def _resolvent_scattering(p, q):
 
 def _assert_scattering_matches_resolvent(p, rng, dual_apply):
     for shape in [(p.dual_dim,), (p.dual_dim, 5)]:
-        q = SkeletonField.from_concat(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-                                      p.block_sizes, "dual")
+        q = SkeletonField.wrap(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                               p.impedance.offsets, "dual")
         want = _resolvent_scattering(p, q)
         got = dual_apply(p, p.scattering, q)
         assert got.data.shape == shape
@@ -260,6 +265,56 @@ def test_whitened_apply_on_blocks_of_unequal_sizes(monkeypatch, rng, dual_apply)
         (1, 48, 48), (2, 18, 18), (3, 24, 24)]
     _assert_whitened_apply_matches(p, rng)
     _assert_scattering_matches_resolvent(p, rng, dual_apply)
+
+
+def _pair_diagonal_cells(monkeypatch):
+    # a 2x2 checkerboard in two colours: each subdomain is two diagonal
+    # cells that meet at the centre vertex only
+    partition_checkerboard = problem_mod.partition_checkerboard
+
+    def paired(mesh, px, py):
+        labels = partition_checkerboard(mesh, px, py).subdomain_of_triangle
+        return partition_from_labels(mesh, (labels // px + labels % px) % 2)
+
+    monkeypatch.setattr(problem_mod, "partition_checkerboard", paired)
+
+
+@pytest.mark.parametrize("layout,cross", [(_halve_first_cell, [[0.25, 0.5], [0.5, 0.5]]),
+                                          (_pair_diagonal_cells, [])],
+                         ids=["halved-cell", "diagonal-pairs"])
+def test_incidence_readers_beyond_the_checkerboard(layout, cross, monkeypatch, rng):
+    # the four readers of the skeleton incidence on partitions that are not
+    # checkerboards: the cross points, the jump part of the transmission
+    # suite, the spread of a recovery and the equivalence of the two solves.
+    # The centre of the diagonal pairs lies on both subdomain boundaries,
+    # once each, so it is no cross point.
+    layout(monkeypatch)
+    problems = [build_problem(12, 12, 2, 2, k=5.0, bc_kind=kind) for kind in KINDS]
+    p = problems[KINDS.index("robin")]
+    np.testing.assert_allclose(p.mesh.vertices[p.index.cross_points],
+                               np.reshape(cross, (-1, 2)), rtol=0, atol=1e-15)
+    assert vf.transmission(p, rng)["passed"]
+    _assert_mismatch_matches_reference_loop(p, rng)
+    res = vf.equivalence(problems)
+    assert res["passed"] and res["singular"] == []
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(px=st.integers(1, 3), py=st.integers(1, 3), cx=st.integers(1, 4), cy=st.integers(1, 4),
+       k=st.floats(1.0, 6.0), kind=st.sampled_from(KINDS),
+       tgamma=st.sampled_from(SURROGATES))
+def test_identities_on_drawn_checkerboards(px, py, cx, cy, k, kind, tgamma):
+    # the library suites at their own thresholds on a drawn checkerboard of
+    # px x py blocks of cx x cy cells each
+    assume(px * cx >= 2 and py * cy >= 2)
+    p = build_problem(px * cx, py * cy, px, py, k=k, bc_kind=kind, tgamma=tgamma)
+    assert len(p.index.cross_points) == (px - 1) * (py - 1)
+    rng = np.random.default_rng(0)
+    assert vf.exchange_axioms(p, rng)["passed"]
+    assert vf.transmission(p, rng)["passed"]
+    assert vf.cauchy_decomposition(p, rng)["passed"]
+    assert vf.equivalence([p])["passed"]
+    assert vf.energy_identity(p, rng, [p] if vf.is_lossless(p) else ())["passed"]
 
 
 def _dense_embedding_impedance(p):
@@ -465,8 +520,6 @@ def test_transmission_characterization(rng):
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin", "mixed"])
 def test_recover_matches_monolithic(kind, rng):
-    from helmskel.solvers_spectral import gmres_tinv
-
     p = build_problem(8, 8, 2, 2, k=5.0, bc_kind=kind)
     ones = np.ones(p.n_gamma)
     load = make_load(p, f=1.0, g_d=0.3 * ones, g_n=0.5 * (p.gamma_mass @ ones))
@@ -482,11 +535,7 @@ def test_recover_matches_monolithic(kind, rng):
                                atol=1e-8 * max(1.0, np.abs(p_mono).max()))
 
 
-def test_recover_mismatch_matches_reference_loop(ref_problem, rng):
-    from helmskel.solvers_spectral import gmres_tinv
-    from helmskel.traces import trace_apply
-
-    p = ref_problem
+def _assert_mismatch_matches_reference_loop(p, rng):
     load = make_load(p, f=1.0)
     q, _ = gmres_tinv(p, sk.skeleton_rhs(p, load), tol=1e-10)
     q = q + 1e-3 * vf.random_field(p, rng)
@@ -506,9 +555,11 @@ def test_recover_mismatch_matches_reference_loop(ref_problem, rng):
     assert rec.mismatch == want
 
 
-def test_recover_after_one_step_reports_mismatch(ref_problem):
-    from helmskel.solvers_spectral import richardson
+def test_recover_mismatch_matches_reference_loop(ref_problem, rng):
+    _assert_mismatch_matches_reference_loop(ref_problem, rng)
 
+
+def test_recover_after_one_step_reports_mismatch(ref_problem):
     p = ref_problem
     load = make_load(p, f=1.0)
     f = sk.skeleton_rhs(p, load)
@@ -769,7 +820,15 @@ def _clockwise_mesh():
     return replace(mesh, triangles=triangles)
 
 
+def _two_columns(p):
+    return SkeletonField.wrap(np.ones((p.dual_dim, 2), complex), p.impedance.offsets, "dual")
+
+
 _MISUSES = {
+    "richardson on a block of columns": (
+        lambda p: richardson(p, _two_columns(p)), "one right-hand side per solve"),
+    "gmres on a block of columns": (
+        lambda p: gmres_tinv(p, _two_columns(p)), "one right-hand side per solve"),
     "trace_apply of a dual tuple": (
         lambda p: trace_apply(_volume_zeros(p, "dual"), p.partition), "primal tuple"),
     "trace_apply of a foreign layout": (

@@ -416,7 +416,7 @@ def test_single_domain_dirichlet_structure(dual_apply):
     ng = p.n_gamma
     q = np.zeros(n, complex)
     q[:ng] = np.sin(np.arange(ng))
-    field = SkeletonField.from_concat(q, p.block_sizes, "dual")
+    field = SkeletonField.wrap(q, p.impedance.offsets, "dual")
     sq = dual_apply(p, p.scattering, field)
     np.testing.assert_allclose(sq.blocks[0], field.blocks[0], atol=1e-14)
 
@@ -455,7 +455,7 @@ def test_coercivity_against_pencil_oracle(small_problem):
     for i in range(n):
         e = np.zeros(n, complex)
         e[i] = 1.0
-        q = SkeletonField.from_concat(e, p.block_sizes, "dual")
+        q = SkeletonField.wrap(e, p.impedance.offsets, "dual")
         L[:, i] = sk.skeleton_apply(p, q).concat()
     W = np.zeros((n, n))
     offs = p.impedance.offsets

@@ -122,9 +122,9 @@ def test_trace_adjoint_injective(small_problem):
     n = p.dual_dim
     cols = []
     for i in range(n):
-        e = np.zeros(n)
+        e = np.zeros(n, complex)
         e[i] = 1.0
-        q = SkeletonField.from_concat(e, p.block_sizes, "dual")
+        q = SkeletonField.wrap(e, p.impedance.offsets, "dual")
         qt = trace_adjoint(q, p.partition)
         cols.append(np.concatenate([qt.gamma[0], qt.gamma[1]] + list(qt.omega)))
     B_adj = np.column_stack(cols)
@@ -147,7 +147,7 @@ def test_trace_surjective_constructive(ref_problem, rng, rand_field):
 
 def test_skeleton_field_storage(ref_problem, rng, rand_field):
     # one array per field: blocks are views of it, copies are deep and
-    # from_concat wraps its input
+    # wrap shares its input
     p = ref_problem
     q = rand_field(p, rng, "dual")
     q.blocks[1][0] = 7.0
@@ -156,11 +156,11 @@ def test_skeleton_field_storage(ref_problem, rng, rand_field):
     c.blocks[1][0] = -1.0
     assert q.blocks[1][0] == 7.0 and not np.shares_memory(c.concat(), q.concat())
     vec = rng.standard_normal((p.dual_dim, 3)) + 0j
-    f = SkeletonField.from_concat(vec, p.block_sizes, "primal")
+    f = SkeletonField.wrap(vec, p.impedance.offsets, "primal")
     assert np.shares_memory(f.concat(), vec)
     assert [b.shape for b in f.blocks] == [(n, 3) for n in p.block_sizes]
     with pytest.raises(ValueError):
-        SkeletonField.from_concat(vec[1:], p.block_sizes, "primal")
+        SkeletonField.wrap(vec[1:], p.impedance.offsets, "primal")
 
 
 def test_volume_tuple_storage(ref_problem, rng):
