@@ -10,11 +10,11 @@ that measures the coercivity and inf-sup constants tying the two
 formulations together.
 """
 
-from .assembly import Coefficients, LocalForms
+from .assembly import Coefficients, LocalForms, boundary_h1_impedance, collar_impedance
 from .boundary_conditions import BoundaryCondition, dirichlet_positions, mixed_projector
 from .geometry import (Mesh, Partition, SkeletonIndex, build_rect_mesh,
                        partition_checkerboard, skeleton_index)
-from .impedance import BlockImpedance, DtnBlock, boundary_h1_impedance, collar_impedance
+from .impedance import BlockImpedance, DtnBlock
 from .problem import Problem, build_problem, h1_norm, make_load, monolithic_matrix, solve_monolithic
 from .skeleton import (AssumptionViolation, CauchyPair, ExchangeOperator,
                        LocalImpedanceSolver, ScatteringOperator, cauchy_decompose,

@@ -1,23 +1,29 @@
-"""P1 finite element assembly for the complex Helmholtz cavity forms.
+"""P1 finite element assembly: every matrix the package builds from a mesh.
 
-The stiffness, mass and norm Gram matrices K, M and H are real; the
-Helmholtz form A (with its kappa^2-weighted mass) and the loads are
-complex, as is the trace and scattering machinery downstream.  Volume
-dofs of a subdomain are ordered interior first, boundary last (the
-layout of ``Partition.volume_rows``), so that boundary Schur complements
-are index-free.
+One kernel, ``_summed``, adds stacked element matrices of cells with any
+number of vertices into the data arrays of one CSR pattern.  It builds
+the forms of each subdomain and of the whole mesh, the stiffness and mass
+of the whole mesh alone, the forms of the one-cell exterior collar ring
+and the 1-D stiffness and mass along the boundary edges; the two outer
+impedance surrogates are combinations of the last two.  The stiffness,
+mass and norm Gram matrices K, M and H are real; the Helmholtz form A
+(with its kappa^2-weighted mass) and the loads are complex, as is the
+trace and scattering machinery downstream.  Volume dofs of a subdomain
+are ordered interior first, boundary last (the layout of
+``Partition.volume_rows``), and the dofs of the collar ring the boundary
+last too, so that boundary Schur complements are index-free.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import Mesh, Partition, triangle_areas
+from .geometry import Mesh, Partition, build_rect_mesh, triangle_areas
 from .traces import VolumeTuple
 
 __all__ = [
@@ -25,12 +31,16 @@ __all__ = [
     "LocalForms",
     "assemble_forms",
     "assemble_global",
+    "assemble_stiffness_mass",
+    "assemble_boundary",
     "assemble_subdomain",
     "assemble_load",
     "assemble_primary",
     "primary_from_blocks",
     "restriction_apply",
     "restriction_adjoint",
+    "collar_impedance",
+    "boundary_h1_impedance",
 ]
 
 KappaSq = Union[complex, Callable[[np.ndarray, np.ndarray], np.ndarray]]
@@ -77,7 +87,7 @@ class Coefficients:
             vals = np.full(cx.shape, complex(self.kappa_sq))
         if not np.all(np.isfinite(vals)):
             raise ValueError("kappa_sq must be finite everywhere")
-        if np.any(vals.imag < -1e-14 * (1.0 + np.abs(vals))):
+        if np.any(vals.imag < 0):
             raise ValueError("Im(kappa^2) must be >= 0 everywhere")
         return vals
 
@@ -106,8 +116,9 @@ class LocalForms:
         return len(self.dofs)
 
 
-def _element_matrices(mesh: Mesh, tri_ids: np.ndarray, coeffs: Coefficients):
-    """Vectorized element stiffness, mass and kappa^2-weighted mass."""
+def _element_matrices(mesh: Mesh, tri_ids: np.ndarray):
+    """Vectorized element stiffness and mass of the triangles ``tri_ids``,
+    with their vertex ids and areas."""
     tris = mesh.triangles[tri_ids]
     p = mesh.vertices[tris]
     e1 = p[:, 1] - p[:, 0]
@@ -126,24 +137,15 @@ def _element_matrices(mesh: Mesh, tri_ids: np.ndarray, coeffs: Coefficients):
     Ke = area[:, None, None] * (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
     base = (np.ones((3, 3)) + np.eye(3)) / 12.0
     Me = area[:, None, None] * base[None, :, :]
-
-    cents = p.mean(axis=1)
-    w = coeffs.kappa_sq_at(cents[:, 0], cents[:, 1])
-    if callable(coeffs.kappa_sq):
-        # One-point centroid rule keeps the element matrix a PSD multiple
-        # of a rank-one factor, preserving the sign of Im(kappa^2).
-        Mke = (area * w)[:, None, None] * np.full((3, 3), 1.0 / 9.0)[None, :, :]
-    else:
-        Mke = w[:, None, None] * Me.astype(complex)
-
-    return tris, area, Ke, Me, Mke
+    return tris, area, Ke, Me
 
 
-def _pattern(tris_local: np.ndarray, n: int):
-    """CSR pattern ``(indices, indptr)`` of the couplings of the elements
-    ``tris_local`` (local dof ids, one row per triangle), and the slot in it
-    of every entry of the stacked ``(ne, 3, 3)`` element matrices."""
-    key = (np.repeat(tris_local, 3, axis=1) * n + np.tile(tris_local, (1, 3))).ravel()
+def _pattern(cells: np.ndarray, n: int):
+    """CSR pattern ``(indices, indptr)`` of the couplings of the cells
+    ``cells`` (local dof ids, one row of v vertices per cell), and the slot
+    in it of every entry of the stacked ``(ne, v, v)`` element matrices."""
+    v = cells.shape[1]
+    key = (np.repeat(cells, v, axis=1) * n + np.tile(cells, (1, v))).ravel()
     order = np.argsort(key, kind="stable")
     ordered = key[order]
     first = np.ones(len(key), bool)
@@ -155,28 +157,39 @@ def _pattern(tris_local: np.ndarray, n: int):
     return (entries % n).astype(np.int32), indptr.astype(np.int32), slot
 
 
-def _assemble_on(mesh: Mesh, tri_ids: np.ndarray, dof_ids: np.ndarray,
-                 n_interior: int, coeffs: Coefficients) -> LocalForms:
-    """Forms over the triangles ``tri_ids`` with local dofs ``dof_ids``.
-
-    K, M, A and H share one sparsity pattern, which is computed once: each
-    form is a sum over its slots of the element entries, and they share
-    their index arrays.
+def _summed(mesh: Mesh, cells: np.ndarray, dof_ids: np.ndarray, *elems):
+    """The element matrices ``elems``, each stacked ``(ne, v, v)`` over the
+    cells ``cells`` (vertex ids, one row per cell), summed slot by slot into
+    data arrays of the one CSR pattern of the cells over the local dofs
+    ``dof_ids``; and ``form``, the matrix of such a data array.  Forms
+    combine on their data arrays, and the matrices share the index arrays.
     """
-    tris, _, Ke, Me, Mke = _element_matrices(mesh, tri_ids, coeffs)
     n = len(dof_ids)
     g2l = np.full(mesh.num_vertices, -1, dtype=np.int64)
     g2l[dof_ids] = np.arange(n)
-    indices, indptr, slot = _pattern(g2l[tris], n)
-
-    def summed(elem):
-        return np.bincount(slot, elem.ravel(), len(indices))
+    indices, indptr, slot = _pattern(g2l[cells], n)
 
     def form(data):
         return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
-    k, m = summed(Ke), summed(Me)
-    mk = summed(Mke.real) + 1j * summed(Mke.imag)
+    return [np.bincount(slot, e.ravel(), len(indices)) for e in elems], form
+
+
+def _assemble_on(mesh: Mesh, tri_ids: np.ndarray, dof_ids: np.ndarray,
+                 n_interior: int, coeffs: Coefficients) -> LocalForms:
+    """Forms over the triangles ``tri_ids`` with local dofs ``dof_ids``."""
+    tris, area, Ke, Me = _element_matrices(mesh, tri_ids)
+    cents = mesh.vertices[tris].mean(axis=1)
+    w = coeffs.kappa_sq_at(cents[:, 0], cents[:, 1])
+    if callable(coeffs.kappa_sq):
+        # One-point centroid rule keeps the element matrix a PSD multiple
+        # of a rank-one factor, preserving the sign of Im(kappa^2).
+        Mke = (area * w)[:, None, None] * np.full((3, 3), 1.0 / 9.0)[None, :, :]
+    else:
+        Mke = w[:, None, None] * Me.astype(complex)
+
+    (k, m, mk_re, mk_im), form = _summed(mesh, tris, dof_ids, Ke, Me, Mke.real, Mke.imag)
+    mk = mk_re + 1j * mk_im
     return LocalForms(dof_ids, n_interior, form(k), form(m),
                       form((1.0 / complex(coeffs.mu)) * k - mk),
                       form(k + coeffs.gamma ** (-2) * m))
@@ -201,6 +214,88 @@ def assemble_global(mesh: Mesh, coeffs: Coefficients) -> LocalForms:
     """The forms over the whole mesh, with the vertices in their own order."""
     return _assemble_on(mesh, np.arange(mesh.num_triangles),
                         np.arange(mesh.num_vertices), 0, coeffs)
+
+
+def assemble_stiffness_mass(mesh: Mesh):
+    """The stiffness K and mass M over the whole mesh, the vertices in their
+    own order: the pencil of -Laplace, with no coefficient."""
+    tris, _, Ke, Me = _element_matrices(mesh, np.arange(mesh.num_triangles))
+    (k, m), form = _summed(mesh, tris, np.arange(mesh.num_vertices), Ke, Me)
+    return form(k), form(m)
+
+
+def _boundary_sums(mesh: Mesh, gamma_dofs: np.ndarray):
+    """Summed 1-D stiffness and mass of the boundary edges, in ``gamma_dofs``
+    order, and their ``form`` (see ``_summed``)."""
+    edges = mesh.boundary_edges
+    h = np.linalg.norm(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]],
+                       axis=1)[:, None, None]
+    Ke = (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    Me = (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+    return _summed(mesh, edges, gamma_dofs, Ke, Me)
+
+
+def assemble_boundary(mesh: Mesh, gamma_dofs: np.ndarray):
+    """1-D stiffness K_Gamma (PSD) and mass M_Gamma (SPD) along the outer
+    boundary, sparse, rows and columns in ``gamma_dofs`` order."""
+    (k, m), form = _boundary_sums(mesh, gamma_dofs)
+    return form(k), form(m)
+
+
+def boundary_h1_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> sp.csc_matrix:
+    """Boundary H1 surrogate for the outer impedance: T_Gamma = K_Gamma +
+    gamma^-1 M_Gamma, returned as the sparse form F = T_Gamma, whose Schur
+    complement onto the boundary is itself, with no dofs to eliminate (see
+    ``collar_impedance``)."""
+    (k, m), form = _boundary_sums(mesh, gamma_dofs)
+    # divided entry by entry: a sparse M / gamma multiplies by 1 / gamma
+    return form(k + m / gamma).tocsc()
+
+
+def _collar_sums(mesh: Mesh, gamma_dofs: np.ndarray):
+    """Summed stiffness and mass of the one-cell exterior collar ring, and
+    their ``form`` (see ``_summed``): the collar dofs off the boundary
+    first, the boundary vertices last, in ``gamma_dofs`` order."""
+    dx = mesh.width / mesh.nx
+    dy = mesh.height / mesh.ny
+    big = build_rect_mesh(mesh.nx + 2, mesh.ny + 2,
+                          mesh.width + 2 * dx, mesh.height + 2 * dy)
+    big = replace(big, vertices=big.vertices - np.array([dx, dy]))
+
+    # the ring is the outermost layer of cells; each cell holds two
+    # consecutive triangles, cells row by row
+    ring = np.ones((mesh.ny + 2, mesh.nx + 2), dtype=bool)
+    ring[1:-1, 1:-1] = False
+    ring_ids = np.flatnonzero(np.repeat(ring.ravel(), 2))
+    ring_verts = np.unique(big.triangles[ring_ids])
+
+    # Boundary vertex (i, j) of the mesh is vertex (i+1, j+1) of the collar grid.
+    j, i = np.divmod(gamma_dofs, mesh.nx + 1)
+    inner = (j + 1) * (mesh.nx + 3) + i + 1
+    tol = 1e-9 * max(mesh.width, mesh.height)
+    if not np.allclose(big.vertices[inner], mesh.vertices[gamma_dofs], rtol=0, atol=tol):
+        raise RuntimeError("collar mesh does not line up with the boundary")
+
+    tris, _, Ke, Me = _element_matrices(big, ring_ids)
+    # Order the ring dofs exterior first so the Schur elimination lands on
+    # the boundary block.
+    dofs = np.concatenate([np.setdiff1d(ring_verts, inner), inner])
+    return _summed(big, tris, dofs, Ke, Me)
+
+
+def collar_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> sp.csc_matrix:
+    """Exterior-collar surrogate for the outer impedance.
+
+    Meshes a one-cell-thick ring around the rectangle with the same grid
+    spacing and assembles H = K + gamma^-2 M on it with the natural
+    condition on the outer rim.  Returns that sparse form F, the other
+    collar dofs first and the boundary vertices last in ``gamma_dofs``
+    order: T_Gamma is its Schur complement onto those last rows, real SPD
+    by construction, read off by ``impedance.DtnBlock`` as every other
+    impedance block is.
+    """
+    (k, m), form = _collar_sums(mesh, gamma_dofs)
+    return form(k + gamma ** (-2) * m).tocsc()
 
 
 def assemble_load(mesh: Mesh, partition: Partition, f) -> VolumeTuple:

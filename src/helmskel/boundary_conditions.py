@@ -94,11 +94,11 @@ class BoundaryCondition:
     """One of the four boundary operators, bound to an outer impedance.
 
     The constructor reads ``kind`` to set ``lam`` and ``theta`` as in the
-    module table; it takes ``lam`` (positive definite) for a robin condition
-    only and ``theta`` for a mixed one only.  Past it, only the reference
-    ``scattering`` and ``load_pair`` read ``kind``.  ``chol_t`` is the
-    lower Cholesky factor of ``t_gamma`` if it is already at hand
-    (``BlockImpedance.chol[0]``); it is not copied.
+    module table; it takes ``lam`` (real symmetric positive definite) for
+    a robin condition only and ``theta`` for a mixed one only.  Past it,
+    only the reference ``scattering`` and ``load_pair`` read ``kind``.
+    ``chol_t`` is the lower Cholesky factor of ``t_gamma`` if it is
+    already at hand (``BlockImpedance.chol[0]``); it is not copied.
     """
 
     def __init__(self, kind: str, t_gamma: np.ndarray, lam=None, theta=None, chol_t=None):
@@ -126,8 +126,11 @@ class BoundaryCondition:
         # upper Cholesky factor of lam + T
         self._upper_lt = self._upper_t
         if lam is not None:
+            # Cholesky reads one triangle of lam + T: it would misread any other lam
+            if np.iscomplexobj(self.lam) or not np.array_equal(self.lam, self.lam.T):
+                raise ValueError("robin impedance lam must be a real symmetric matrix")
             try:
-                np.linalg.cholesky(0.5 * (self.lam + self.lam.T))
+                np.linalg.cholesky(self.lam)
             except np.linalg.LinAlgError as exc:
                 raise ValueError("robin impedance must be positive definite") from exc
             try:

@@ -1,24 +1,22 @@
-"""Block impedance operator: per-block Dirichlet-to-Neumann maps.
+"""Block impedance operator: the Schur complements of the norm forms.
 
-Each trace block carries a real SPD matrix T_b.  For a subdomain this is
-the Schur complement of the volume norm Gram H = K + gamma^-2 M onto the
-boundary dofs, i.e. the discrete Dirichlet-to-Neumann map of the operator
--Laplace + gamma^-2.  For the outer boundary there is no canonical
-bounded exterior, so two SPD surrogates are provided: the Schur complement
-of a one-cell exterior collar mesh (default), and a boundary H1 matrix.
-Each surrogate returns only the sparse form F, boundary last, whose Schur
-complement is its T_Gamma (the collar's H, or T_Gamma itself); the
+Each trace block carries a real SPD matrix T_b, the Schur complement onto
+its boundary rows of a sparse SPD form that :mod:`helmskel.assembly`
+builds: for a subdomain, the volume norm Gram H = K + gamma^-2 M, whose
+Schur complement is the discrete Dirichlet-to-Neumann map of the operator
+-Laplace + gamma^-2; for the outer boundary, the form F of an outer
+surrogate, boundary last (T_Gamma itself when F has no other dofs).  The
 exchange operator builds its sparse system from F, not the dense T_Gamma.
 
 Every Schur complement of the package is the trailing block of one kind
 of sparse factor, ``_BoundaryLastFactor``, made with the boundary dofs
 last and no column reordering.  ``DtnBlock`` reads every T_b that way,
-from F or from a subdomain's H, unpivoted, which SPD allows, and with no
-dense solve against the boundary columns; the factor is dropped, so a
-built problem holds no interior factor and no harmonic lifting.  The
-boundary-last order of a subdomain's factor (``DtnBlock.order``) is
-passed on to the factor of its impedance problem, which has the same
-sparsity and gives the local scattering block (:mod:`helmskel.skeleton`).
+unpivoted, which SPD allows, and with no dense solve against the
+boundary columns; the factor is dropped, so a built problem holds no
+interior factor and no harmonic lifting.  The boundary-last order of a
+subdomain's factor (``DtnBlock.order``) is passed on to the factor of its
+impedance problem, which has the same sparsity and gives the local
+scattering block (:mod:`helmskel.skeleton`).
 
 The induced norms ||v||_T and ||q||_T^-1 are the working metric of the
 whole skeleton formulation.  The Cholesky factors L_b of the blocks double
@@ -32,7 +30,6 @@ stacked, so each such product is one matrix product per block size.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -40,8 +37,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import Mesh, _offsets, build_rect_mesh
-from .assembly import Coefficients, LocalForms, _assemble_on
+from .geometry import _offsets
 from .traces import SkeletonField
 
 _dtrtrs = sla.get_lapack_funcs("trtrs", dtype=np.float64)
@@ -49,10 +45,6 @@ _dtrtrs = sla.get_lapack_funcs("trtrs", dtype=np.float64)
 __all__ = [
     "DtnBlock",
     "BlockImpedance",
-    "collar_impedance",
-    "boundary_h1_impedance",
-    "boundary_mass",
-    "boundary_stiffness",
 ]
 
 
@@ -226,91 +218,6 @@ class DtnBlock:
         chol /= np.sqrt(np.diag(U_bb))
         T = chol @ chol.T
         self.T, self.chol = 0.5 * (T + T.T), chol
-
-
-def _boundary_edge_lengths(mesh: Mesh) -> np.ndarray:
-    a = mesh.vertices[mesh.boundary_edges[:, 0]]
-    b = mesh.vertices[mesh.boundary_edges[:, 1]]
-    return np.linalg.norm(b - a, axis=1)
-
-
-def _gamma_positions(mesh: Mesh, gamma_dofs: np.ndarray) -> np.ndarray:
-    pos = np.full(mesh.num_vertices, -1, dtype=np.int64)
-    pos[gamma_dofs] = np.arange(len(gamma_dofs))
-    return pos
-
-
-def _boundary_form(mesh: Mesh, gamma_dofs: np.ndarray, elem: np.ndarray) -> np.ndarray:
-    """Dense assembly of ``(ne, 2, 2)`` element matrices over the boundary edges."""
-    pos = _gamma_positions(mesh, gamma_dofs)[mesh.boundary_edges]
-    out = np.zeros((len(gamma_dofs), len(gamma_dofs)))
-    np.add.at(out, (pos[:, :, None], pos[:, None, :]), elem)
-    return out
-
-
-def boundary_mass(mesh: Mesh, gamma_dofs: np.ndarray) -> np.ndarray:
-    """1D mass matrix along the outer boundary (dense, SPD)."""
-    h = _boundary_edge_lengths(mesh)[:, None, None]
-    return _boundary_form(mesh, gamma_dofs, (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]]))
-
-
-def boundary_stiffness(mesh: Mesh, gamma_dofs: np.ndarray) -> np.ndarray:
-    """1D stiffness matrix along the outer boundary (dense, PSD)."""
-    h = _boundary_edge_lengths(mesh)[:, None, None]
-    return _boundary_form(mesh, gamma_dofs, (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]]))
-
-
-def boundary_h1_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> sp.csc_matrix:
-    """Boundary H1 surrogate for the outer impedance: T_Gamma = K_Gamma +
-    gamma^-1 M_Gamma, returned as the sparse tridiagonal form F = T_Gamma,
-    whose Schur complement onto the boundary is itself, with no dofs to
-    eliminate (see ``collar_impedance``).
-    """
-    T = boundary_stiffness(mesh, gamma_dofs) + boundary_mass(mesh, gamma_dofs) / gamma
-    return sp.csc_matrix(0.5 * (T + T.T))
-
-
-def _collar_forms(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> LocalForms:
-    """Forms of the one-cell exterior collar, with ``n_interior`` its dofs
-    off the boundary and the boundary vertices last, in ``gamma_dofs`` order."""
-    dx = mesh.width / mesh.nx
-    dy = mesh.height / mesh.ny
-    big = build_rect_mesh(mesh.nx + 2, mesh.ny + 2,
-                          mesh.width + 2 * dx, mesh.height + 2 * dy)
-    big = replace(big, vertices=big.vertices - np.array([dx, dy]))
-
-    # the ring is the outermost layer of cells; each cell holds two
-    # consecutive triangles, cells row by row
-    ring = np.ones((mesh.ny + 2, mesh.nx + 2), dtype=bool)
-    ring[1:-1, 1:-1] = False
-    ring_ids = np.flatnonzero(np.repeat(ring.ravel(), 2))
-    ring_verts = np.unique(big.triangles[ring_ids])
-
-    # Boundary vertex (i, j) of the mesh is vertex (i+1, j+1) of the collar grid.
-    j, i = np.divmod(gamma_dofs, mesh.nx + 1)
-    inner = (j + 1) * (mesh.nx + 3) + i + 1
-    tol = 1e-9 * max(mesh.width, mesh.height)
-    if not np.allclose(big.vertices[inner], mesh.vertices[gamma_dofs], rtol=0, atol=tol):
-        raise RuntimeError("collar mesh does not line up with the boundary")
-
-    # Order the ring dofs exterior first so the Schur elimination lands on
-    # the boundary block.
-    others = np.setdiff1d(ring_verts, inner)
-    return _assemble_on(big, ring_ids, np.concatenate([others, inner]), len(others),
-                        Coefficients(k=1.0, gamma=gamma))
-
-
-def collar_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> sp.csc_matrix:
-    """Exterior-collar surrogate for the outer impedance.
-
-    Meshes a one-cell-thick ring around the rectangle with the same grid
-    spacing and assembles K + gamma^-2 M on it with the natural condition
-    on the outer rim.  Returns that sparse form F, the other collar dofs
-    first and the boundary vertices last in ``gamma_dofs`` order: T_Gamma
-    is its Schur complement onto those last rows, real SPD by construction,
-    read off by :class:`DtnBlock` as every other impedance block is.
-    """
-    return _collar_forms(mesh, gamma_dofs, gamma).H.tocsc()
 
 
 class _StackedBlocks:

@@ -20,12 +20,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly
-from .assembly import Coefficients, LocalForms, restriction_adjoint
+from .assembly import (Coefficients, LocalForms, assemble_boundary, boundary_h1_impedance,
+                       collar_impedance, restriction_adjoint)
 from .boundary_conditions import BoundaryCondition, dirichlet_positions, mixed_projector
 from .geometry import (Mesh, Partition, SkeletonIndex, build_rect_mesh,
                        partition_checkerboard, skeleton_index)
-from .impedance import (BlockImpedance, DtnBlock, boundary_h1_impedance,
-                        boundary_mass, collar_impedance)
+from .impedance import BlockImpedance, DtnBlock
 from .skeleton import ExchangeOperator, LocalImpedanceSolver, ScatteringOperator
 from .traces import VolumeTuple
 
@@ -145,7 +145,7 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
     # only the boundary-last orders of the DtN factors are still needed.
     local_orders = [d.order for d in dtn]
     del dtn, outer
-    m_gamma = boundary_mass(mesh, partition.gamma_dofs)
+    m_gamma = assemble_boundary(mesh, partition.gamma_dofs)[1].toarray()
 
     t_gamma, chol_t = impedance.blocks[0], impedance.chol[0]
     lam = lambda_scale * k * m_gamma if bc_kind == "robin" else None

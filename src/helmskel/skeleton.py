@@ -127,7 +127,6 @@ class ExchangeOperator:
 
     def __init__(self, index: SkeletonIndex, impedance: BlockImpedance,
                  outer_form: sp.spmatrix):
-        self.index = index
         self.impedance = impedance
         self._flat_map = index.flat_map
         K = _exchange_system(index, impedance, outer_form)

@@ -21,7 +21,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import zaxpy, zdotc
 
-from .assembly import Coefficients, LocalForms, assemble_global
+from .assembly import Coefficients, LocalForms, assemble_stiffness_mass
 from .impedance import _PIVOT_THRESHOLD, _real_op, _splu_symmetric
 from .problem import Problem, build_problem, monolithic_matrix
 from .skeleton import _whitened_apply
@@ -426,10 +426,9 @@ def infsup_primary(problem: Problem):
 def _block_norm(A: np.ndarray, W: np.ndarray) -> float:
     """Spectral norm of A whitened by the SPD Gram W = L L^T: ||L^-1 A L^-T||_2.
 
-    The dense fallback of ``continuity_modulus`` (a boundary lam that is not
-    real symmetric, and subdomain blocks without constant real
-    coefficients), and the oracle that tests hold the closed forms of
-    ``_outer_block_norm`` and ``_subdomain_block_norm`` to.
+    The dense fallback of ``continuity_modulus`` for subdomain blocks
+    without constant real coefficients, and the oracle that tests hold the
+    closed forms of ``_outer_block_norm`` and ``_subdomain_block_norm`` to.
 
     A real symmetric A whitens to a real symmetric matrix, whose norm is
     its largest eigenvalue in modulus: the real generalized eigensolve of
@@ -475,19 +474,15 @@ def _outer_block_norm(bc) -> float:
     condition has lam = 0 or Theta = 0.  Theta = 0 leaves diag(-i Lam, I),
     of norm max(1, ||Lam||).  lam = 0 maps (a, b), split into parts in the
     range and the kernel of P, to (b_1, a_1 + b_0): no longer than (a, b),
-    and as long for a = 0, so the norm is 1 = max(1, ||Lam||).  A real
-    symmetric lam is zero or, as the robin condition checks, positive
+    and as long for a = 0, so the norm is 1 = max(1, ||Lam||).  lam is
+    zero or, as the robin condition checks, real symmetric positive
     definite, so ||Lam|| is the top eigenvalue of the pencil (lam, T); the
-    eigensolve gives 0 for a zero lam.  Any other lam takes the dense
-    ``_block_norm`` of lam alone, an n x n block.
+    eigensolve gives 0 for a zero lam.
     """
-    lam = bc.lam
-    if np.isrealobj(lam) and np.array_equal(lam, lam.T):
-        n = bc.n
-        top = sla.eigh(lam, bc.t_gamma, eigvals_only=True,
-                       subset_by_index=[n - 1, n - 1], check_finite=False)[0]
-        return max(1.0, float(top))
-    return max(1.0, _block_norm(lam, bc.t_gamma))
+    n = bc.n
+    top = sla.eigh(bc.lam, bc.t_gamma, eigvals_only=True,
+                   subset_by_index=[n - 1, n - 1], check_finite=False)[0]
+    return max(1.0, float(top))
 
 
 def continuity_modulus(problem: Problem) -> float:
@@ -513,10 +508,8 @@ def continuity_modulus(problem: Problem) -> float:
     block comes from one sparse Lanczos solve with a seeded start vector.
 
     The boundary block has a closed form too, for every condition (see
-    ``_outer_block_norm``).  The dense ``_block_norm`` stays for a boundary
-    lam that is not real symmetric, at the size of the boundary, and for
-    every subdomain block under a callable or complex kappa^2 or a
-    complex mu.
+    ``_outer_block_norm``).  The dense ``_block_norm`` stays for every
+    subdomain block under a callable or complex kappa^2 or a complex mu.
     """
     best = _outer_block_norm(problem.bc)
     for lf in problem.forms:
@@ -673,9 +666,7 @@ def dirichlet_resonance(mesh) -> float:
     if len(interior) == 0:
         raise ValueError("the mesh has no interior vertex, so no Dirichlet "
                          "eigenvalue: nx, ny >= 2 needed")
-    glob = assemble_global(mesh, Coefficients(k=1.0, kappa_sq=0.0, gamma=1.0))
-    K = glob.K.tocsc()[np.ix_(interior, interior)]
-    M = glob.M.tocsc()[np.ix_(interior, interior)]
+    K, M = (F.tocsc()[np.ix_(interior, interior)] for F in assemble_stiffness_mass(mesh))
     if len(interior) <= _DENSE_RESONANCE_MAX:
         vals = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True,
                         subset_by_index=[0, 0])

@@ -30,6 +30,9 @@ def test_coefficients_validation():
     with pytest.raises(ValueError, match="kappa"):
         Coefficients(k=1.0, kappa_sq=lambda x, y: -1j * np.ones_like(x)).kappa_sq_at(
             np.array([0.5]), np.array([0.5]))
+    # a gain medium, however slight, is no (A2) medium
+    with pytest.raises(ValueError, match="kappa"):
+        build_problem(8, 8, 2, 2, k=5.0, bc_kind="dirichlet", kappa_sq=25 - 1e-13j)
 
 
 @pytest.mark.parametrize("coeffs,name", [
@@ -49,7 +52,7 @@ def test_reference_triangle_element_matrices():
 
     mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 np.array([[0, 1, 2]]), np.empty((0, 2), int), 1, 1, 1.0, 1.0)
-    _, area, Ke, Me, _ = _element_matrices(mesh, np.array([0]), _coeffs())
+    _, area, Ke, Me = _element_matrices(mesh, np.array([0]))
     np.testing.assert_allclose(area, [0.5])
     classic = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
     np.testing.assert_allclose(Ke[0], classic, atol=1e-15)

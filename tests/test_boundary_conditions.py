@@ -228,9 +228,16 @@ def test_robin_scattering_strict_contraction(setup, rng):
 
 
 def test_robin_requires_positive_impedance(setup):
-    t = setup["robin"].bc.t_gamma
+    t, lam = setup["robin"].bc.t_gamma, setup["robin"].bc.lam
     with pytest.raises(ValueError, match="positive"):
         BoundaryCondition("robin", t, lam=-np.eye(t.shape[0]))
+    # Cholesky of lam + T reads one triangle: an unsymmetric or a complex
+    # lam would be misread, not refused
+    unsymmetric = lam.copy()
+    unsymmetric[0, 1] += 0.05 * lam[0, 0]
+    for bad in (unsymmetric, lam * (1 + 0.1j)):
+        with pytest.raises(ValueError, match="robin impedance lam must be a real symmetric"):
+            BoundaryCondition("robin", t, lam=bad)
 
 
 def test_gamma_d_tie_break_toward_dirichlet():

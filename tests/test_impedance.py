@@ -1,13 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from helmskel.assembly import Coefficients, assemble_subdomain
+from helmskel.assembly import (Coefficients, assemble_boundary, assemble_subdomain,
+                               boundary_h1_impedance, collar_impedance)
 from helmskel.geometry import build_rect_mesh, partition_checkerboard
-from helmskel.impedance import (DtnBlock, _BoundaryLastFactor, _collar_forms,
-                                _StackedBlocks, boundary_h1_impedance, boundary_mass,
-                                boundary_stiffness, collar_impedance)
+from helmskel.impedance import DtnBlock, _BoundaryLastFactor, _StackedBlocks
 from helmskel.problem import build_problem
 
 
@@ -52,7 +53,10 @@ def _forms_of(nx, ny, px, py):
 
 
 def _collar_of(mesh):
-    return _collar_forms(mesh, np.unique(mesh.boundary_edges), 0.1)
+    """The collar's form as the H of a block, the boundary vertices last."""
+    gamma_dofs = np.unique(mesh.boundary_edges)
+    F = collar_impedance(mesh, gamma_dofs, 0.1)
+    return SimpleNamespace(H=F, n_interior=F.shape[0] - len(gamma_dofs))
 
 
 @pytest.mark.parametrize("forms", [
@@ -159,23 +163,28 @@ def test_collar_monotone_in_gamma(rng):
 
 
 def test_boundary_mass_total_length():
-    mesh = build_rect_mesh(4, 6, 2.0, 3.0)
-    gamma_dofs = np.unique(mesh.boundary_edges)
-    M = boundary_mass(mesh, gamma_dofs)
-    assert abs(M.sum() - 10.0) < 1e-12      # perimeter of 2 x 3 rectangle
-    K = boundary_stiffness(mesh, gamma_dofs)
-    assert np.abs(K @ np.ones(len(gamma_dofs))).max() < 1e-12
-    assert np.array_equal(M, M.T) and np.array_equal(K, K.T)
-    # reference: one boundary edge at a time
-    pos = {v: i for i, v in enumerate(gamma_dofs)}
-    M_ref, K_ref = np.zeros_like(M), np.zeros_like(K)
-    for va, vb in mesh.boundary_edges:
-        h = np.linalg.norm(mesh.vertices[vb] - mesh.vertices[va])
-        for a in (pos[va], pos[vb]):
-            for b in (pos[va], pos[vb]):
-                M_ref[a, b] += h / 3.0 if a == b else h / 6.0
-                K_ref[a, b] += 1.0 / h if a == b else -1.0 / h
-    assert np.array_equal(M, M_ref) and np.array_equal(K, K_ref)
+    for nx, ny, width, height in [(4, 6, 2.0, 3.0), (3, 7, 0.7, 2.3)]:
+        mesh = build_rect_mesh(nx, ny, width, height)
+        gamma_dofs = np.unique(mesh.boundary_edges)
+        K, M = (F.toarray() for F in assemble_boundary(mesh, gamma_dofs))
+        assert abs(M.sum() - 2 * (width + height)) < 1e-12      # the perimeter
+        assert np.abs(K @ np.ones(len(gamma_dofs))).max() < 1e-12
+        assert np.array_equal(M, M.T) and np.array_equal(K, K.T)
+        # reference: one boundary edge at a time
+        pos = {v: i for i, v in enumerate(gamma_dofs)}
+        M_ref, K_ref = np.zeros_like(M), np.zeros_like(K)
+        for va, vb in mesh.boundary_edges:
+            h = np.linalg.norm(mesh.vertices[vb] - mesh.vertices[va])
+            for a in (pos[va], pos[vb]):
+                for b in (pos[va], pos[vb]):
+                    M_ref[a, b] += h / 3.0 if a == b else h / 6.0
+                    K_ref[a, b] += 1.0 / h if a == b else -1.0 / h
+        assert np.array_equal(M, M_ref) and np.array_equal(K, K_ref)
+    # T_Gamma divides M by gamma entrywise; multiplying by 1/gamma, as a
+    # sparse M / gamma does, moves its bits on this mesh
+    for gamma in (0.1, 1.0 / 7.0):
+        T = boundary_h1_impedance(mesh, gamma_dofs, gamma).toarray()
+        assert np.array_equal(T, K + M / gamma)
 
 
 def test_apply_norm_pair(ref_problem, rng, rand_field):

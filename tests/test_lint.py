@@ -123,3 +123,40 @@ def test_stray_splu_call_is_found():
                                         if p.name != "impedance.py"), ids=lambda p: p.name)
 def test_splu_only_in_impedance(path):
     assert splu_calls(path.read_text()) == []
+
+
+def layering_imports(source: str) -> list:
+    """Lines of the imports in ``source`` of helmskel.assembly or any of its
+    names, or of ``build_rect_mesh`` or ``Mesh`` from helmskel.geometry;
+    relative imports are taken as from within helmskel."""
+    lines = []
+    for n in ast.walk(ast.parse(source)):
+        names = {alias.name for alias in getattr(n, "names", ())}
+        if isinstance(n, ast.Import):
+            hit = "helmskel.assembly" in names
+        elif isinstance(n, ast.ImportFrom):
+            module = n.module or ""
+            if n.level == 0 and module.partition(".")[0] != "helmskel":
+                continue
+            module = module.removeprefix("helmskel").lstrip(".")
+            hit = (module == "assembly" or (module == "" and "assembly" in names)
+                   or (module == "geometry" and bool(names & {"build_rect_mesh", "Mesh"})))
+        else:
+            continue
+        if hit:
+            lines.append(n.lineno)
+    return sorted(lines)
+
+
+def test_stray_layering_import_is_found():
+    source = ("import numpy as np\nfrom .geometry import _offsets\n"
+              "from .assembly import LocalForms\nfrom helmskel.geometry import Mesh, _offsets\n"
+              "from . import assembly, traces\nimport helmskel.assembly\n"
+              "from .geometry import build_rect_mesh\nfrom helmskel import traces\n")
+    assert layering_imports(source) == [3, 4, 5, 6, 7]
+
+
+# impedance.py reads Schur complements off the forms that assembly.py builds
+# from a mesh: it builds no form and no mesh itself.
+def test_impedance_imports_no_assembly_and_no_mesh():
+    assert layering_imports((ROOT / "src" / "helmskel" / "impedance.py").read_text()) == []

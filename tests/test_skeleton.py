@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 import helmskel.skeleton as sk
 import helmskel.verification as vf
-from helmskel.assembly import Coefficients, restriction_adjoint, restriction_apply
+from helmskel.assembly import (Coefficients, boundary_h1_impedance, collar_impedance,
+                               restriction_adjoint, restriction_apply)
 import helmskel.problem as problem_mod
 from helmskel.boundary_conditions import KINDS
 from helmskel.geometry import build_rect_mesh, partition_checkerboard, partition_from_labels
-from helmskel.impedance import _BoundaryLastFactor, boundary_h1_impedance, collar_impedance
+from helmskel.impedance import _BoundaryLastFactor
 from helmskel.problem import (SURROGATES, build_problem, h1_norm, make_load, monolithic_matrix,
                               solve_monolithic)
 from helmskel.solvers_spectral import gmres_tinv, richardson
