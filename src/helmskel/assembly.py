@@ -3,12 +3,12 @@
 One kernel, ``_summed``, adds stacked element matrices of cells with any
 number of vertices into the data arrays of one CSR pattern.  It builds
 the forms of each subdomain and of the whole mesh, the stiffness and mass
-of the whole mesh alone, the forms of the one-cell exterior collar ring
-and the 1-D stiffness and mass along the boundary edges; the two outer
-impedance surrogates are combinations of the last two.  The stiffness,
-mass and norm Gram matrices K, M and H are real; the Helmholtz form A
-(with its kappa^2-weighted mass) and the loads are complex, as is the
-trace and scattering machinery downstream.  Volume dofs of a subdomain
+of the whole mesh alone, the forms of the graded exterior collar ring at
+least gamma wide and the 1-D stiffness and mass along the boundary edges;
+the two outer impedance surrogates are combinations of the last two.  The
+stiffness, mass and norm Gram matrices K, M and H are real; the Helmholtz
+form A (with its kappa^2-weighted mass) and the loads are complex, as is
+the trace and scattering machinery downstream.  Volume dofs of a subdomain
 are ordered interior first, boundary last (the layout of
 ``Partition.volume_rows``), and the dofs of the collar ring the boundary
 last too, so that boundary Schur complements are index-free.
@@ -252,49 +252,69 @@ def boundary_h1_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> s
     return form(k + m / gamma).tocsc()
 
 
-def _collar_sums(mesh: Mesh, gamma_dofs: np.ndarray):
-    """Summed stiffness and mass of the one-cell exterior collar ring, and
-    their ``form`` (see ``_summed``): the collar dofs off the boundary
-    first, the boundary vertices last, in ``gamma_dofs`` order."""
-    dx = mesh.width / mesh.nx
-    dy = mesh.height / mesh.ny
-    big = build_rect_mesh(mesh.nx + 2, mesh.ny + 2,
-                          mesh.width + 2 * dx, mesh.height + 2 * dy)
-    big = replace(big, vertices=big.vertices - np.array([dx, dy]))
+def _collar_ring(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float):
+    """The graded exterior collar: its grid ``big`` (a mesh), the ids of
+    the triangles of ``big`` that form the ring, and the ring dofs, the
+    ones off the boundary first and the boundary vertices last, in
+    ``gamma_dofs`` order.
 
-    # the ring is the outermost layer of cells; each cell holds two
+    The ring keeps the tangential spacing of the mesh, so its inner rim is
+    the boundary of the mesh vertex for vertex.  Normal to each side it has
+    L layers h, 2h, 4h, ..., with L the least count for which both the x
+    and the y layers sum to at least gamma; so gamma <= h gives one layer.
+    The corners are rectangles of an x and a y layer.
+    """
+    nx, ny = mesh.nx, mesh.ny
+    dx, dy = mesh.width / nx, mesh.height / ny
+    L = 1
+    while min(dx, dy) * (2.0 ** L - 1.0) < gamma:
+        L += 1
+    depth = 2.0 ** np.arange(1, L + 1) - 1.0    # 1, 3, 7, ... cells from the side
+
+    def graded(n, d, length):
+        return np.concatenate([-d * depth[::-1], np.linspace(0.0, length, n + 1),
+                               length + d * depth])
+
+    X, Y = np.meshgrid(graded(nx, dx, mesh.width), graded(ny, dy, mesh.height))
+    big = replace(build_rect_mesh(nx + 2 * L, ny + 2 * L),
+                  vertices=np.column_stack([X.ravel(), Y.ravel()]))
+
+    # the ring is every cell outside the mesh; each cell holds two
     # consecutive triangles, cells row by row
-    ring = np.ones((mesh.ny + 2, mesh.nx + 2), dtype=bool)
-    ring[1:-1, 1:-1] = False
+    ring = np.ones((ny + 2 * L, nx + 2 * L), dtype=bool)
+    ring[L:-L, L:-L] = False
     ring_ids = np.flatnonzero(np.repeat(ring.ravel(), 2))
     ring_verts = np.unique(big.triangles[ring_ids])
 
-    # Boundary vertex (i, j) of the mesh is vertex (i+1, j+1) of the collar grid.
-    j, i = np.divmod(gamma_dofs, mesh.nx + 1)
-    inner = (j + 1) * (mesh.nx + 3) + i + 1
+    # Boundary vertex (i, j) of the mesh is vertex (i+L, j+L) of the collar grid.
+    j, i = np.divmod(gamma_dofs, nx + 1)
+    inner = (j + L) * (nx + 2 * L + 1) + i + L
     tol = 1e-9 * max(mesh.width, mesh.height)
     if not np.allclose(big.vertices[inner], mesh.vertices[gamma_dofs], rtol=0, atol=tol):
         raise RuntimeError("collar mesh does not line up with the boundary")
 
-    tris, _, Ke, Me = _element_matrices(big, ring_ids)
     # Order the ring dofs exterior first so the Schur elimination lands on
     # the boundary block.
-    dofs = np.concatenate([np.setdiff1d(ring_verts, inner), inner])
-    return _summed(big, tris, dofs, Ke, Me)
+    return big, ring_ids, np.concatenate([np.setdiff1d(ring_verts, inner), inner])
 
 
 def collar_impedance(mesh: Mesh, gamma_dofs: np.ndarray, gamma: float) -> sp.csc_matrix:
     """Exterior-collar surrogate for the outer impedance.
 
-    Meshes a one-cell-thick ring around the rectangle with the same grid
-    spacing and assembles H = K + gamma^-2 M on it with the natural
-    condition on the outer rim.  Returns that sparse form F, the other
-    collar dofs first and the boundary vertices last in ``gamma_dofs``
-    order: T_Gamma is its Schur complement onto those last rows, real SPD
-    by construction, read off by ``impedance.DtnBlock`` as every other
-    impedance block is.
+    Meshes a ring around the rectangle at least ``gamma`` wide, with the
+    tangential spacing of the mesh and layers h, 2h, 4h, ... normal to the
+    boundary (see ``_collar_ring``), and assembles H = K + gamma^-2 M on it
+    with the natural condition on the outer rim.  Returns that sparse form
+    F, the other collar dofs first and the boundary vertices last in
+    ``gamma_dofs`` order: T_Gamma is its Schur complement onto those last
+    rows, real SPD by construction, read off by ``impedance.DtnBlock`` as
+    every other impedance block is.  A collar about gamma wide makes
+    T_Gamma equivalent to an H^1/2-type norm on the boundary uniformly in
+    h, which a ring of a fixed number of cells is not.
     """
-    (k, m), form = _collar_sums(mesh, gamma_dofs)
+    big, ring_ids, dofs = _collar_ring(mesh, gamma_dofs, gamma)
+    tris, _, Ke, Me = _element_matrices(big, ring_ids)
+    (k, m), form = _summed(big, tris, dofs, Ke, Me)
     return form(k + gamma ** (-2) * m).tocsc()
 
 

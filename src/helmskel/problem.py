@@ -44,16 +44,42 @@ __all__ = [
 SURROGATES = ("collar", "boundary_h1")
 
 
+def _freeze(obj, seen=None):
+    """Make every ndarray that ``obj`` holds read-only, and return ``obj``.
+
+    Walks tuples, lists, dicts and the attributes of sparse matrices and of
+    this package's objects, so the impedance blocks and factors, the
+    boundary operator, the forms' sparse data and the partition's index
+    arrays all refuse writes; a factor that the blocks were read into
+    cannot go stale.  Copies nothing.
+    """
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return obj
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _freeze(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            _freeze(item, seen)
+    elif sp.issparse(obj) or type(obj).__module__.startswith(__package__ + "."):
+        _freeze(getattr(obj, "__dict__", {}), seen)
+    return obj
+
+
 @dataclass(frozen=True)
 class Problem:
     """All assembled operators of one cavity configuration.
 
-    Frozen, and ``bc`` carries the boundary operator without data; a
-    variant (say, with one block replaced) is a new ``Problem`` made by
-    ``dataclasses.replace``.  ``global_forms`` is not a field: it is
-    assembled on first read and then kept (a replaced variant assembles
-    its own), so a build and a skeleton solve never hold it.  Nor is
-    ``mesh``: it is the partition's.
+    Frozen, and so is every array it holds (see ``_freeze``); ``bc``
+    carries the boundary operator without data.  A variant (say, with one
+    block replaced) is a new ``Problem`` made by ``dataclasses.replace``.
+    ``global_forms`` is not a field: it is assembled on first read, frozen
+    and then kept (a replaced variant assembles its own), so a build and a
+    skeleton solve never hold it.  Nor is ``mesh``: it is the partition's.
     """
 
     partition: Partition
@@ -67,14 +93,17 @@ class Problem:
     solver: LocalImpedanceSolver = field(repr=False)
     scattering: ScatteringOperator = field(repr=False)
 
+    def __post_init__(self):
+        _freeze(self)
+
     @property
     def mesh(self) -> Mesh:
         return self.partition.mesh
 
     @cached_property
     def global_forms(self) -> LocalForms:
-        """The forms over the whole mesh, assembled on first read."""
-        return assembly.assemble_global(self.mesh, self.coeffs)
+        """The forms over the whole mesh, assembled and frozen on first read."""
+        return _freeze(assembly.assemble_global(self.mesh, self.coeffs))
 
     @property
     def num_subdomains(self) -> int:
@@ -105,10 +134,12 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
     """Build every operator of a cavity configuration.
 
     Defaults follow the reference setup: unit square, robin condition with
-    impedance k times the boundary mass, gamma = 1/k, exterior-collar
-    surrogate for the outer impedance.  ``gamma_d_sides`` names the sides
-    of the rectangle (some of ``boundary_conditions.SIDES``) that carry the
-    Dirichlet part of a mixed condition; other kinds ignore it.
+    impedance k times the boundary mass, gamma = 1/k, and the exterior
+    collar, graded and at least gamma wide, as the surrogate for the outer
+    impedance (``assembly.collar_impedance``).  ``gamma_d_sides`` names
+    the sides of the rectangle (some of ``boundary_conditions.SIDES``) that
+    carry the Dirichlet part of a mixed condition; other kinds ignore it.
+    The returned ``Problem`` and every array it holds are read-only.
     """
     coeffs = Coefficients(k=k, mu=mu, kappa_sq=kappa_sq, gamma=gamma)
     mesh = build_rect_mesh(nx, ny, width, height)

@@ -24,8 +24,8 @@ solve.  The factor serves the volume solves: the right-hand side, the
 recovery of the volume solution and the Cauchy pairs.  The exchange keeps
 one sparse factor of a bordered matrix K whose Schur complement onto the
 skeleton dofs is G = E^T T E: the outer block enters K as the sparse form
-it is the Schur complement of (the collar's volume Gram), so no dense
-T_Gamma row enters the factor.
+it is the Schur complement of (the volume Gram of the collar ring, graded
+and at least gamma wide), so no dense T_Gamma row enters the factor.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from helmskel.assembly import (Coefficients, assemble_load, assemble_subdomain,
-                               primary_from_blocks, restriction_adjoint,
+from helmskel.assembly import (Coefficients, _collar_ring, assemble_load, assemble_subdomain,
+                               collar_impedance, primary_from_blocks, restriction_adjoint,
                                restriction_apply)
-from helmskel.geometry import build_rect_mesh, partition_checkerboard
+from helmskel.geometry import build_rect_mesh, partition_checkerboard, triangle_areas
+from helmskel.impedance import DtnBlock
 from helmskel.problem import build_problem, make_load, monolithic_matrix
 from helmskel.skeleton import recover_volume, skeleton_rhs
 from helmskel.solvers_spectral import gmres_tinv
@@ -123,6 +124,60 @@ def test_h_block_spd():
     lf = assemble_subdomain(mesh, part, 0, Coefficients(k=5.0))
     ev = np.linalg.eigvalsh(lf.H.toarray())
     assert ev.min() > 0
+
+
+def _layer_widths(coords, lo, hi):
+    """Widths of the cell layers of a collar grid line below ``lo`` and
+    above ``hi``, each list innermost first."""
+    return np.diff(coords[coords <= lo])[::-1], np.diff(coords[coords >= hi])
+
+
+@pytest.mark.parametrize("nx,ny,width,height,gamma,layers", [
+    (8, 8, 1.0, 1.0, 0.2, 2),
+    (8, 8, 1.0, 1.0, 0.125, 1),         # gamma = h
+    (8, 8, 1.0, 1.0, 0.05, 1),          # gamma < h
+    (10, 6, 1.5, 1.0, 0.5, 3),          # dx = 0.15, dy = 1/6
+    (4, 12, 1.0, 1.0, 0.2, 2),          # dx = 0.25, dy = 1/12
+])
+def test_collar_ring_doubles_its_layers_until_gamma(nx, ny, width, height, gamma, layers):
+    mesh = build_rect_mesh(nx, ny, width, height)
+    gamma_dofs = np.unique(mesh.boundary_edges)
+    big, ring_ids, dofs = _collar_ring(mesh, gamma_dofs, gamma)
+    assert (big.nx, big.ny) == (nx + 2 * layers, ny + 2 * layers)
+
+    # layers h, 2h, 4h, ... on every side, the tangential spacing kept
+    sums = []
+    for axis, n, h, length in [(0, nx, width / nx, width), (1, ny, height / ny, height)]:
+        coords = np.unique(big.vertices[:, axis])
+        assert len(coords) == n + 1 + 2 * layers
+        np.testing.assert_allclose(np.diff(coords[layers:-layers]), h, rtol=1e-12)
+        for side in _layer_widths(coords, 0.0, length):
+            np.testing.assert_allclose(side, h * 2.0 ** np.arange(layers), rtol=1e-12)
+        sums.append((h, h * (2 ** layers - 1)))
+    # the least count for which both directions reach gamma
+    assert all(total >= gamma for _, total in sums)
+    assert layers == 1 or any(h * (2 ** (layers - 1) - 1) < gamma for h, _ in sums)
+
+    # the ring tiles the collar, corners included, and none of it is inside
+    wx, wy = (total for _, total in sums)
+    area = triangle_areas(big)[ring_ids]
+    assert area.min() > 0
+    assert abs(area.sum() - ((width + 2 * wx) * (height + 2 * wy) - width * height)) <= 1e-12
+    cents = big.vertices[big.triangles[ring_ids]].mean(axis=1)
+    assert not np.any((cents[:, 0] > 0) & (cents[:, 0] < width)
+                      & (cents[:, 1] > 0) & (cents[:, 1] < height))
+
+    # its dofs are every grid vertex but the mesh's interior, the boundary
+    # last and on the mesh's boundary vertices
+    assert len(dofs) == len(np.unique(dofs)) == ((nx + 1 + 2 * layers) * (ny + 1 + 2 * layers)
+                                                 - (nx - 1) * (ny - 1))
+    np.testing.assert_array_equal(big.vertices[dofs[-len(gamma_dofs):]],
+                                  mesh.vertices[gamma_dofs])
+
+    F = collar_impedance(mesh, gamma_dofs, gamma)
+    assert F.shape == (len(dofs),) * 2
+    T = DtnBlock(F, len(dofs) - len(gamma_dofs)).T
+    assert np.array_equal(T, T.T) and np.linalg.eigvalsh(T).min() > 0
 
 
 def test_interior_first_ordering():

@@ -211,9 +211,11 @@ def test_solve_richardson(tmp_path):
     assert main(["solve", "--config", cfg_path]) == 0
     report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
     assert report["method"] == "richardson" and report["converged"]
-    assert report["iterations"] == 152
+    # Richardson's rate follows the coercivity constant alpha (0.178 on this
+    # configuration), not the inf-sup constant sigma_min that GMRES follows
+    assert report["iterations"] == 165
     history = (tmp_path / "out" / "residual_history.csv").read_text().strip().split("\n")
-    assert len(history) == 1 + 1 + 152
+    assert len(history) == 1 + 1 + 165
 
 
 def test_solve_seed_override(tmp_path):

@@ -162,6 +162,29 @@ def test_collar_monotone_in_gamma(rng):
         assert q @ (T2 @ q) <= q @ (T1 @ q) * (1 + 1e-12)
 
 
+def _h_half_ratio(p):
+    """Ratio of the extreme generalized eigenvalues of (T_Gamma, R), with R
+    = M^1/2 (M^-1/2 (K + gamma^-2 M) M^-1/2)^1/2 M^1/2 the exact H^1/2-type
+    square root built from the boundary stiffness K and mass M."""
+    K, M = (A.toarray() for A in assemble_boundary(p.mesh, p.partition.gamma_dofs))
+    w, V = np.linalg.eigh(M)
+    m_half, m_inv_half = (V * np.sqrt(w)) @ V.T, (V / np.sqrt(w)) @ V.T
+    w, V = np.linalg.eigh(m_inv_half @ (K + M / p.coeffs.gamma ** 2) @ m_inv_half)
+    R = m_half @ (V * np.sqrt(w)) @ V.T @ m_half
+    ev = sla.eigvalsh(p.impedance.blocks[0], 0.5 * (R + R.T))
+    return ev[-1] / ev[0]
+
+
+def test_collar_is_uniformly_equivalent_to_h_half():
+    # the graded collar reads 2.69, 2.65, 3.18 at n = 16, 32, 64; the
+    # boundary H1 surrogate 54.7, 110.5, 221.5, growing like 1/h
+    ratios = {tgamma: [_h_half_ratio(build_problem(n, n, 1, 1, k=10.0, tgamma=tgamma))
+                       for n in (16, 32, 64)] for tgamma in ("collar", "boundary_h1")}
+    assert max(ratios["collar"]) <= 3.5
+    h1 = ratios["boundary_h1"]
+    assert h1[1] >= 1.8 * h1[0] and h1[2] >= 1.8 * h1[1]
+
+
 def test_boundary_mass_total_length():
     for nx, ny, width, height in [(4, 6, 2.0, 3.0), (3, 7, 0.7, 2.3)]:
         mesh = build_rect_mesh(nx, ny, width, height)

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from helmskel.assembly import (Coefficients, boundary_h1_impedance, collar_imped
                                restriction_adjoint, restriction_apply)
 import helmskel.problem as problem_mod
 from helmskel.boundary_conditions import KINDS
+from helmskel.cli import _tampered
 from helmskel.geometry import build_rect_mesh, partition_checkerboard, partition_from_labels
 from helmskel.impedance import _BoundaryLastFactor
 from helmskel.problem import (SURROGATES, build_problem, h1_norm, make_load, monolithic_matrix,
@@ -368,8 +370,11 @@ def test_exchange_system_reduces_to_gram(tgamma, halved, monkeypatch):
     p = build_problem(12, 12, 2, 2, k=5.0, tgamma=tgamma)
     K = sk._exchange_system(p.index, p.impedance, _outer_form(p, tgamma)).toarray()
     n = p.index.n_sigma
-    # the collar adds its outer rim, 4 * (12 + 2) dofs, as extra unknowns
-    assert K.shape[0] == n + {"collar": 56, "boundary_h1": 0}[tgamma]
+    # the collar adds its ring off the boundary as extra unknowns: L layers
+    # h, 2h, 4h, ... on each side, the least count with h (2^L - 1) >= gamma
+    layers = next(L for L in itertools.count(1) if (2 ** L - 1) / 12 >= p.coeffs.gamma)
+    ring = (13 + 2 * layers) ** 2 - 13 ** 2
+    assert K.shape[0] == n + {"collar": ring, "boundary_h1": 0}[tgamma]
     assert np.array_equal(K, K.T)
     schur = K[:n, :n] - K[:n, n:] @ np.linalg.solve(K[n:, n:], K[n:, :n])
     want = _dense_gram(p)
@@ -687,18 +692,19 @@ def test_kernel_lift_matches_harmonic_lifting():
     assert p.impedance.norm(q - want) <= 1e-10 * p.impedance.norm(want)
 
 
-def _reachable_superlu(obj) -> int:
-    """Count the distinct SuperLU factors reachable from obj through
-    attributes (``__dict__`` and ``__slots__``) and containers."""
-    seen, found, stack = set(), set(), [obj]
+def _reachable(obj) -> list:
+    """The distinct objects reachable from obj through attributes
+    (``__dict__`` and ``__slots__``) and containers; arrays are leaves."""
+    seen, found, stack = set(), [], [obj]
     while stack:
         o = stack.pop()
-        if id(o) in seen or isinstance(o, (np.ndarray, np.generic, str, type)):
+        if id(o) in seen or isinstance(o, (np.generic, str, type)):
             continue
         seen.add(id(o))
-        if isinstance(o, spla.SuperLU):
-            found.add(id(o))
-        elif isinstance(o, dict):
+        found.append(o)
+        if isinstance(o, np.ndarray):
+            continue
+        if isinstance(o, dict):
             stack.extend(o.values())
         elif isinstance(o, (list, tuple, set, frozenset)):
             stack.extend(o)
@@ -709,7 +715,7 @@ def _reachable_superlu(obj) -> int:
                 for name in (slots,) if isinstance(slots, str) else slots:
                     if hasattr(o, name):
                         stack.append(getattr(o, name))
-    return len(found)
+    return found
 
 
 def test_built_problem_keeps_only_operator_factors(ref_problem):
@@ -717,7 +723,43 @@ def test_built_problem_keeps_only_operator_factors(ref_problem):
     # for an impedance block outlives the build
     p = ref_problem
     assert len(p.solver._lus) == p.num_subdomains
-    assert _reachable_superlu(p) == p.num_subdomains + 1
+    superlu = [o for o in _reachable(p) if isinstance(o, spla.SuperLU)]
+    assert len(superlu) == p.num_subdomains + 1
+
+
+_HELD = {
+    "impedance_block": lambda p: p.impedance.blocks[1],
+    "impedance_factor": lambda p: p.impedance.chol[0],
+    "gamma_mass": lambda p: p.gamma_mass,
+    "bc_t_gamma": lambda p: p.bc.t_gamma,
+    "bc_lam": lambda p: p.bc.lam,
+    "bc_theta": lambda p: p.bc.theta,
+    "form_data": lambda p: p.forms[0].A.data,
+    "form_indices": lambda p: p.forms[0].H.indices,
+    "form_indptr": lambda p: p.forms[0].K.indptr,
+    "gamma_dofs": lambda p: p.partition.gamma_dofs,
+    "mesh_vertices": lambda p: p.mesh.vertices,
+    "scattering_block": lambda p: p.scattering.blocks.blocks[1],
+    "global_form_data": lambda p: p.global_forms.H.data,
+    "tampered_exchange_sum": lambda p: _tampered(p).exchange._sum.data,
+}
+
+
+@pytest.mark.parametrize("held", list(_HELD))
+def test_problem_arrays_refuse_writes(ref_problem, held):
+    # a write into a block would leave the factors read from it stale
+    a = _HELD[held](ref_problem)
+    before = a.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        a.flat[0] = 1.0
+    assert np.array_equal(a, before)
+
+
+def test_no_writable_array_is_reachable_from_a_problem(ref_problem):
+    ref_problem.global_forms
+    for p in (ref_problem, _tampered(ref_problem)):
+        arrays = [o for o in _reachable(p) if isinstance(o, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 def test_factors_keep_no_csc_copies(ref_problem):

@@ -201,6 +201,35 @@ def test_gmres_calls_each_layer_once_per_iteration(ref_problem, monkeypatch):
     assert calls == {"scattering": 1, "exchange": 1, "whiten": 1, "unwhiten": 1}
 
 
+def _bumps(seed, bumps=6, width=0.05):
+    """Seeded sum of Gaussian bumps with complex amplitudes in the unit square."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(0.15, 0.85, size=(bumps, 2))
+    amps = rng.standard_normal(bumps) + 1j * rng.standard_normal(bumps)
+
+    def f(x, y):
+        return sum(a * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * width ** 2))
+                   for (cx, cy), a in zip(centres, amps))
+    return f
+
+
+@pytest.mark.parametrize("px", [1, 2])
+def test_gmres_counts_are_h_uniform_with_the_collar(px):
+    # the collar's T_Gamma is uniformly equivalent to an H^1/2-type norm, so
+    # the counts hold still under refinement (27/28/27 on 1x1, 39/39/40 on
+    # 2x2); boundary_h1's is not, and its counts grow (59/71/81, 92/110/128)
+    counts = {}
+    for tgamma in ("collar", "boundary_h1"):
+        for n in (16, 32, 64):
+            p = build_problem(n, n, px, px, k=10.0, bc_kind="robin", tgamma=tgamma)
+            _, rep = gmres_tinv(p, sk.skeleton_rhs(p, make_load(p, _bumps(1))), tol=1e-8)
+            assert rep.converged
+            counts.setdefault(tgamma, []).append(rep.iterations)
+    collar, h1 = counts["collar"], counts["boundary_h1"]
+    assert max(collar) <= 1.1 * min(collar)
+    assert h1[0] < h1[1] < h1[2] and h1[2] >= 1.3 * h1[0]
+
+
 def test_gmres_finite_termination_single_domain(rng):
     p = build_problem(4, 4, 1, 1, k=3.0, bc_kind="dirichlet")
     load = make_load(p, f=1.0, g_d=np.cos(np.arange(p.n_gamma)))
@@ -622,7 +651,7 @@ def test_outer_closed_form_against_dense_block_norm(tgamma, bc_kind, lambda_scal
     Z = np.zeros_like(bc.t_gamma)
     want = _block_norm(np.block([[Baa, Bap], [Bpa, Bpp]]),
                        np.block([[bc.t_gamma, Z], [Z, bc.t_inverse()]]))
-    # robin at lambda_scale 30 sets the norm well above 1 (70.4 with the
+    # robin at lambda_scale 30 sets the norm well above 1 (31.3 with the
     # collar, 30.0 with boundary_h1); the others give 1 up to rounding
     assert want > (20.0 if lambda_scale > 1 else 0.99)
     assert abs(_outer_block_norm(bc) - want) <= 1e-13 * want
