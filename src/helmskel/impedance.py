@@ -16,7 +16,9 @@ boundary columns; the factor is dropped, so a built problem holds no
 interior factor and no harmonic lifting.  The boundary-last order of a
 subdomain's factor (``DtnBlock.order``) is passed on to the factor of its
 impedance problem, which has the same sparsity and gives the local
-scattering block (:mod:`helmskel.skeleton`).
+scattering block (:mod:`helmskel.skeleton`).  Subdomains with bitwise equal
+forms (the congruent cells of a checkerboard whose vertex coordinates are
+exact) share one ``DtnBlock``, so each distinct T_b is computed once.
 
 The induced norms ||v||_T and ||q||_T^-1 are the working metric of the
 whole skeleton formulation.  The Cholesky factors L_b of the blocks double
@@ -25,7 +27,9 @@ those coordinates only, where the T^-1 norm is Euclidean and the exchange
 takes one product with L and one with L^T; a dual field is whitened on
 the way in and unwhitened on the way out, and T v of a primal field
 whitens to L^T v with no solve.  Equal-size blocks of T and of L are
-stacked, so each such product is one matrix product per block size.
+stacked, so each such product is one matrix product per block size, and a
+block that several subdomains share is held once and applied to all their
+rows in one product.
 """
 
 from __future__ import annotations
@@ -191,6 +195,9 @@ class DtnBlock:
     H_ii, and the boundary last, in place.  Any order gives the same T.  It
     depends on the sparsity of H only, so blocks of one pattern can share
     it, and a subdomain's impedance problem, of the same sparsity, takes it.
+    Blocks whose H is bitwise equal, pattern and data, share the whole
+    ``DtnBlock`` (``problem.build_problem`` builds one per distinct H), so
+    their T, chol and order are the same objects.
     """
 
     def __init__(self, H: sp.spmatrix, n_interior: int, interior_order=None):
@@ -223,29 +230,40 @@ class DtnBlock:
 class _StackedBlocks:
     """Square blocks on the diagonal of a block-diagonal matrix, stacked.
 
-    The blocks of one size and dtype are one ``(g, n, n)`` array, and the
+    A block passed as the same object at several positions, a family of r
+    members, is held once, and its product is one product with the rows of
+    its members laid side by side: ``(n, r * m)`` for m columns.  The
+    families of one size, dtype and r are one ``(g, n, n)`` array, and the
     product of all blocks with a flat array is one ``np.matmul`` per such
-    group, on the rows of those blocks gathered by one index array; a real
-    group takes complex rows as real columns (:func:`_real_columns`), so
-    it stays real.  The products of all groups are put back in flat order
-    by one more gather, ``take`` with the inverse of the stacked row order:
-    numpy gathers rows far faster than it assigns them through an index
-    array.  ``blocks`` are views of the stacks, in the given order.
+    group, on the rows of those blocks gathered by one index array, row i
+    of every member of a family next to each other; a real group takes
+    complex rows as real columns (:func:`_real_columns`), so it stays real.
+    The products of all groups are put back in flat order by one more
+    gather, ``take`` with the inverse of the stacked row order: numpy
+    gathers rows far faster than it assigns them through an index array.
+    ``blocks`` are views of the stacks, in the given order, one view per
+    family.
     """
 
     def __init__(self, blocks):
-        offsets = _offsets(len(b) for b in blocks)
-        ids_of = {}
+        offsets = np.asarray(_offsets(len(b) for b in blocks))
+        families = {}
         for i, b in enumerate(blocks):
-            ids_of.setdefault((len(b), b.dtype), []).append(i)
+            families.setdefault(id(b), []).append(i)
+        groups = {}
+        for members in families.values():
+            b = blocks[members[0]]
+            groups.setdefault((len(b), b.dtype, len(members)), []).append(members)
         views = [None] * len(blocks)
         self.groups = []
-        for ids in ids_of.values():
-            stack = np.stack([blocks[i] for i in ids])
-            rows = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in ids])
+        for (n, _, _), fams in groups.items():
+            stack = np.stack([blocks[members[0]] for members in fams])
+            rows = np.concatenate([(np.arange(n)[:, None] + offsets[members]).ravel()
+                                   for members in fams])
             self.groups.append((stack, rows))
-            for k, i in enumerate(ids):
-                views[i] = stack[k]
+            for view, members in zip(stack, fams):
+                for i in members:
+                    views[i] = view
         self.blocks = tuple(views)
         # the stacked position of each flat row
         self._flat_order = np.argsort(np.concatenate([rows for _, rows in self.groups]))
@@ -261,7 +279,7 @@ class _StackedBlocks:
             split = np.iscomplexobj(X) and not np.iscomplexobj(A)
             Y = np.matmul(A, (_real_columns(X) if split else X).reshape(g, n, -1))
             if split:
-                Y = _complex_columns(Y.reshape(g * n, -1), X)
+                Y = _complex_columns(Y.reshape(len(X), -1), X)
             parts.append(Y.reshape(X.shape))
             del X  # freed now, not held through the next gather and the concatenation
         return np.concatenate(parts).take(self._flat_order, axis=0)
@@ -282,7 +300,9 @@ class BlockImpedance:
     blocks of T and of L are stacked by size, and each product with them
     is one real ``np.matmul`` per block size, the complex array, vector or
     column block, viewed as one real column block with the real and
-    imaginary part of each column adjacent (``factor_product``).
+    imaginary part of each column adjacent (``factor_product``).  A block
+    passed as the same object for several subdomains, as the ``DtnBlock``
+    of a shared form is, is held once (:class:`_StackedBlocks`).
     """
 
     def __init__(self, blocks, chol):

@@ -2,7 +2,10 @@
 
 ``build_problem`` wires the whole chain: mesh, partition, skeleton index,
 per-subdomain forms, impedance blocks, boundary condition, exchange and
-scattering operators.  A ``Problem`` holds operators only and is frozen:
+scattering operators.  Per-subdomain work is done once per distinct form:
+subdomains with bitwise equal matrices share their DtN block, local factor
+and scattering block, which are bitwise what separate builds would give.
+A ``Problem`` holds operators only and is frozen:
 boundary and volume data enter through ``make_load``, so one problem
 serves any number of right-hand sides.  The global forms over the whole
 mesh, which only the monolithic reference, the H1 norm and the primary
@@ -153,13 +156,18 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
 
     forms = assembly.assemble_forms(mesh, partition, coeffs)
     # The fill-reducing interior order depends on the sparsity of H alone,
-    # so subdomains with the same pattern (all blocks of a checkerboard of
-    # equal cells) compute it once.
-    dtn, orders = [], {}
+    # so subdomains with the same pattern compute it once; subdomains whose
+    # H is bitwise equal as well (all cells of a checkerboard whose vertex
+    # coordinates are exact) share one DtnBlock, so its T and chol are the
+    # same objects in every block of the form.
+    dtn, orders, built = [], {}, {}
     for lf in forms:
-        key = (lf.n_interior, lf.H.indptr.tobytes(), lf.H.indices.tobytes())
-        dtn.append(DtnBlock(lf.H, lf.n_interior, orders.get(key)))
-        orders.setdefault(key, dtn[-1].order[:lf.n_interior])
+        pattern = (lf.n_interior, lf.H.indptr.tobytes(), lf.H.indices.tobytes())
+        form = pattern + (lf.H.data.tobytes(),)
+        if form not in built:
+            built[form] = DtnBlock(lf.H, lf.n_interior, orders.get(pattern))
+            orders.setdefault(pattern, built[form].order[:lf.n_interior])
+        dtn.append(built[form])
 
     # T_Gamma is the Schur complement of the surrogate's form onto its Gamma rows.
     if tgamma == "collar":
@@ -175,7 +183,7 @@ def build_problem(nx: int, ny: int, px: int = 2, py: int = 2, *,
     # The impedance holds its own stacked copies of the blocks and factors;
     # only the boundary-last orders of the DtN factors are still needed.
     local_orders = [d.order for d in dtn]
-    del dtn, outer
+    del dtn, built, outer
     m_gamma = assemble_boundary(mesh, partition.gamma_dofs)[1].toarray()
 
     t_gamma, chol_t = impedance.blocks[0], impedance.chol[0]

@@ -13,13 +13,15 @@ S~ = L^-1 S L and Pi~ = L^-1 Pi L; the T^-1 metric is Euclidean there.
 ``_whitened_apply``, w + Pi~ S~ w, is their one composition: the solvers
 and the spectral harness apply it with no whitening inside a step, and
 ``skeleton_apply`` wraps it in one whitening and one unwhitening.  Each
-subdomain keeps one sparse factor of its impedance problem
-C_j = A_j - i B_j^T T_j B_j, the ``_BoundaryLastFactor`` that also reads
-every T_b.  The whitened block S~_j = I + 2i L_j^T Sigma_j^-1 L_j, with
-Sigma_j the Schur complement of C_j onto the boundary, is read off its
-trailing block once and kept dense.  With the real outer block ahead of
-them, the J+1 blocks of S~ are one block-diagonal matrix, stacked by size
-and dtype, so applying S~ takes one matrix product per stack and no sparse
+distinct impedance problem C_j = A_j - i B_j^T T_j B_j has one sparse
+factor, the ``_BoundaryLastFactor`` that also reads every T_b.  The
+whitened block S~_j = I + 2i L_j^T Sigma_j^-1 L_j, with Sigma_j the Schur
+complement of C_j onto the boundary, is read off its trailing block once
+and kept dense.  Subdomains whose C_j are bitwise equal (the congruent
+cells of a checkerboard whose vertex coordinates are exact) share both.
+With the real outer block ahead of them, the J+1 blocks of S~ are one
+block-diagonal matrix, stacked by size and dtype, with a shared block held
+once, so applying S~ takes one matrix product per stack and no sparse
 solve.  The factor serves the volume solves: the right-hand side, the
 recovery of the volume solution and the Cauchy pairs.  The exchange keeps
 one sparse factor of a bordered matrix K whose Schur complement onto the
@@ -151,15 +153,25 @@ _DENSE_RCOND_MAX = 2000
 _RCOND_FLOOR = 1e-12
 
 
-def _estimate_rcond(factor: _BoundaryLastFactor, block: int) -> float:
+def _same_form(blocks) -> str:
+    """The trace blocks after the first in ``blocks``, which share its local
+    impedance problem, named for an error message ("" if there are none)."""
+    if len(blocks) == 1:
+        return ""
+    others = ", ".join(map(str, blocks[1:]))
+    return f" (and block{'s' if len(blocks) > 2 else ''} {others} of the same form)"
+
+
+def _estimate_rcond(factor: _BoundaryLastFactor, blocks) -> float:
     """1-norm reciprocal condition estimate of the matrix C of ``factor``.
 
     The estimator's products with C^-1 and C^-H are each one solve on a
     block of columns.  If the estimator fails, blocks of up to
     ``_DENSE_RCOND_MAX`` dofs take the exact 1-norm of the inverse from the
     factor applied to the identity; larger blocks raise
-    :class:`AssumptionViolation`, since an unchecked factorization would
-    disable the solvability guard.
+    :class:`AssumptionViolation`, naming the trace ``blocks`` whose local
+    problem C is, since an unchecked factorization would disable the
+    solvability guard.
     """
     n, norm_c = factor.lu.shape[0], factor.norm1
 
@@ -173,8 +185,8 @@ def _estimate_rcond(factor: _BoundaryLastFactor, block: int) -> float:
     except (RuntimeError, ValueError, ArithmeticError) as exc:
         if n > _DENSE_RCOND_MAX:
             raise AssumptionViolation(
-                f"condition estimate of block {block} ({n} dofs) failed; "
-                "its solvability cannot be checked") from exc
+                f"condition estimate of block {blocks[0]} ({n} dofs) failed; "
+                f"its solvability cannot be checked{_same_form(blocks)}") from exc
         norm_inv = float(np.abs(factor.solve(np.eye(n, dtype=complex))).sum(axis=0).max())
     if norm_c == 0 or not 0 < norm_inv < np.inf:
         return 0.0
@@ -217,8 +229,8 @@ def _whitened_scattering_block(factor: _BoundaryLastFactor, L: np.ndarray):
 
 
 class LocalImpedanceSolver:
-    """One factor per subdomain of the impedance-shifted block operator,
-    and the whitened scattering matrix read off it.
+    """One factor per distinct subdomain form of the impedance-shifted block
+    operator, and the whitened scattering matrix read off it.
 
     Per subdomain this is C_j = A_j - i B_j^T T_j B_j, a complex symmetric
     sparse matrix bordered by the dense impedance on its boundary dofs.  It
@@ -228,7 +240,10 @@ class LocalImpedanceSolver:
     :class:`~helmskel.impedance.DtnBlock` (the interior in the fill-reducing
     column order of H_ii, the boundary dofs last).  Unlike H_j, C_j is
     indefinite, so a factor without pivoting is not safe: it takes
-    SuperLU's threshold pivoting at ``_PIVOT_THRESHOLD``.
+    SuperLU's threshold pivoting at ``_PIVOT_THRESHOLD``.  Subdomains with
+    equal order, A_j and T_j, bit for bit, are one form: it is factored,
+    checked and read once, and its factor and block serve every member, so
+    each is bitwise what the member's own build would give.
 
     The trailing block of the factor is the local Schur complement Sigma_j
     of C_j onto the boundary, and gives the dense block
@@ -236,49 +251,67 @@ class LocalImpedanceSolver:
     whitened coordinates, L_j the Cholesky factor of T_j (see
     :func:`_whitened_scattering_block`).  A block whose factor swapped a
     row across the interior/boundary split takes an n_b-column solve with
-    the same factor instead, and ``fallbacks`` counts it.  No option
-    selects the path; the factor decides.  ``whitened_blocks`` is all of
-    S~: the outer block ``bc.whitened_scattering()`` as block 0, then the
-    S~_j, so block b belongs to trace block b, as ``impedance.blocks[b]`` does.
+    the same factor instead, and ``fallbacks`` counts the subdomains of
+    such blocks.  No option selects the path; the factor decides.
+    ``whitened_blocks`` is all of S~: the outer block
+    ``bc.whitened_scattering()`` as block 0, then the S~_j, the same object
+    for the members of a form, so block b belongs to trace block b, as
+    ``impedance.blocks[b]`` does.
 
-    The factor is the only one a subdomain keeps: ``solve_tuple`` applies
-    it to loads, recovery and Cauchy pairs.  A reciprocal-condition estimate
-    on it below ``_RCOND_FLOOR`` raises :class:`AssumptionViolation` instead
+    The factor is the only one a subdomain keeps (``_lus[j]``, shared within
+    a form): ``solve_tuple`` applies it to loads, recovery and Cauchy pairs.
+    A reciprocal-condition estimate on it below ``_RCOND_FLOOR`` raises
+    :class:`AssumptionViolation`, naming every block of the form, instead
     of silently returning garbage.  The outer-boundary block is handled by
     the boundary condition's ``impedance_inverse``.
     """
 
     def __init__(self, forms, orders, impedance: BlockImpedance, bc):
         self.bc = bc
-        factors = []
+        # the trace blocks of each distinct C_j: equal order, A_j and T_j
+        # make bitwise equal factors, so each form is factored once
+        members = {}
         for j, (lf, pos) in enumerate(zip(forms, orders)):
+            key = (lf.n_interior, pos.tobytes(), lf.A.indptr.tobytes(), lf.A.indices.tobytes(),
+                   lf.A.data.tobytes(), impedance.blocks[j + 1].tobytes())
+            members.setdefault(key, []).append(j + 1)
+        classes = list(members.values())
+        factors = []
+        for blocks in classes:
             # C_j as triplets, which the factor sums: a sparse difference would
             # drop the exact zeros of T_j, and with them entries of the pattern
+            b = blocks[0]
+            lf = forms[b - 1]
             n, ni = lf.n_dofs, lf.n_interior
             A, bd = lf.A.tocoo(), np.arange(ni, n)
-            C = sp.coo_matrix((np.concatenate([A.data, -1j * impedance.blocks[j + 1].ravel()]),
+            C = sp.coo_matrix((np.concatenate([A.data, -1j * impedance.blocks[b].ravel()]),
                                (np.concatenate([A.row, np.repeat(bd, n - ni)]),
                                 np.concatenate([A.col, np.tile(bd, n - ni)]))), shape=(n, n))
             try:
-                factor = _BoundaryLastFactor(C, pos, ni, _PIVOT_THRESHOLD)
+                factor = _BoundaryLastFactor(C, orders[b - 1], ni, _PIVOT_THRESHOLD)
             except RuntimeError as exc:
                 raise AssumptionViolation(
-                    f"impedance problem of block {j + 1} is singular; "
-                    "perturb kappa or gamma and retry") from exc
-            rcond = _estimate_rcond(factor, j + 1)
+                    f"impedance problem of block {b} is singular; "
+                    f"perturb kappa or gamma and retry{_same_form(blocks)}") from exc
+            rcond = _estimate_rcond(factor, blocks)
             if rcond < _RCOND_FLOOR:
                 raise AssumptionViolation(
-                    f"impedance problem of block {j + 1} is numerically singular "
-                    f"(rcond ~ {rcond:.2e}); perturb kappa or gamma and retry")
+                    f"impedance problem of block {b} is numerically singular "
+                    f"(rcond ~ {rcond:.2e}); perturb kappa or gamma and retry"
+                    f"{_same_form(blocks)}")
             factors.append(factor)
         # Every factor is made before any is read: the transient copies the
         # reads take then reuse one another's memory.
-        blocks = [_whitened_scattering_block(f, impedance.chol[j + 1])
-                  for j, f in enumerate(factors)]
-        self.whitened_blocks = _StackedBlocks([bc.whitened_scattering()]
-                                              + [S for S, _ in blocks])
-        self.fallbacks = sum(crossed for _, crossed in blocks)
-        self._lus = tuple(factors)
+        read = [_whitened_scattering_block(f, impedance.chol[blocks[0]])
+                for f, blocks in zip(factors, classes)]
+        # block b of each form takes the form's factor and S~, as one object
+        lus, whitened = [None] * len(forms), [bc.whitened_scattering()] + [None] * len(forms)
+        for blocks, factor, (S, _) in zip(classes, factors, read):
+            for b in blocks:
+                lus[b - 1], whitened[b] = factor, S
+        self.whitened_blocks = _StackedBlocks(whitened)
+        self.fallbacks = sum(len(blocks) * crossed for blocks, (_, crossed) in zip(classes, read))
+        self._lus = tuple(lus)
 
     def solve_tuple(self, phi: VolumeTuple) -> VolumeTuple:
         """(A - i B^T T B)^-1 applied to a dual tuple, blockwise.

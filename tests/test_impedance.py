@@ -275,6 +275,29 @@ def test_whitened_blocks_identity(ref_problem):
         np.testing.assert_allclose(W, np.eye(T.shape[0]), atol=1e-11)
 
 
+def test_stacked_blocks_hold_a_repeated_block_once(rng):
+    # a block passed three times is one family, stacked once and applied to
+    # its members' rows side by side; a block equal to it but not the same
+    # object is a family of its own
+    A = rng.standard_normal((4, 4))
+    blocks = [A, rng.standard_normal((2, 2)), A, A.copy(), A]
+    stacked = _StackedBlocks(blocks)
+    assert [(stack.shape, len(rows)) for stack, rows in stacked.groups] == [
+        ((1, 4, 4), 12), ((1, 2, 2), 2), ((1, 4, 4), 4)]
+    np.testing.assert_array_equal(stacked.groups[0][1], [0, 6, 14, 1, 7, 15, 2, 8, 16,
+                                                         3, 9, 17])
+    assert stacked.blocks[0] is stacked.blocks[2] is stacked.blocks[4]
+    assert stacked.blocks[3] is not stacked.blocks[0]
+    dense = sla.block_diag(*blocks)
+    for shape in [(18,), (18, 3)]:
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for transpose, D in [(False, dense), (True, dense.T)]:
+            want = D @ x
+            got = stacked.matmul(x, transpose)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
 def test_stacked_blocks_group_by_size_and_dtype(rng):
     # two sizes, and size 3 holds a real and a complex block: each (size,
     # dtype) is one stack, the real one stays real, and every product

@@ -16,7 +16,7 @@ import helmskel.problem as problem_mod
 from helmskel.boundary_conditions import KINDS
 from helmskel.cli import _tampered
 from helmskel.geometry import build_rect_mesh, partition_checkerboard, partition_from_labels
-from helmskel.impedance import _BoundaryLastFactor
+from helmskel.impedance import BlockImpedance, DtnBlock, _BoundaryLastFactor
 from helmskel.problem import (SURROGATES, build_problem, h1_norm, make_load, monolithic_matrix,
                               solve_monolithic)
 from helmskel.solvers_spectral import gmres_tinv, richardson
@@ -158,6 +158,9 @@ def test_dense_scattering_matches_resolvent(config, kind, rng, dual_apply):
         p = build_problem(8, 8, 2, 2, k=20.0, kappa_sq=_cellwise_kappa_sq(1, 20.0),
                           bc_kind=kind)
         assert 1 <= p.solver.fallbacks < p.num_subdomains
+        # kappa^2 enters A_j, not H_j: the cells share their DtN block only
+        assert len({id(T) for T in p.impedance.blocks[1:]}) == 1
+        assert len({id(f) for f in p.solver._lus}) == p.num_subdomains
         # the factors themselves, crossing swaps or not, against dense solves
         for j, (lf, lu) in enumerate(zip(p.forms, p.solver._lus)):
             ni = lf.n_interior
@@ -719,12 +722,70 @@ def _reachable(obj) -> list:
 
 
 def test_built_problem_keeps_only_operator_factors(ref_problem):
-    # the J local impedance factors and the factor of G; no factor made
-    # for an impedance block outlives the build
+    # one local impedance factor per distinct subdomain form and the factor
+    # of G; no factor made for an impedance block outlives the build.  The
+    # four cells of the reference are one form.
     p = ref_problem
     assert len(p.solver._lus) == p.num_subdomains
+    assert len({id(f) for f in p.solver._lus}) == 1
     superlu = [o for o in _reachable(p) if isinstance(o, spla.SuperLU)]
-    assert len(superlu) == p.num_subdomains + 1
+    assert len(superlu) == 1 + 1
+
+
+def test_shared_forms_match_their_own_build():
+    # every cell of a 16x16, 4x4 checkerboard is one form: its DtN block,
+    # local factor and scattering block are built once, and each subdomain's
+    # is bit for bit what a build from its own forms gives
+    p = build_problem(16, 16, 4, 4, k=5.0)
+    imp, J = p.impedance, p.num_subdomains
+    assert len({id(T) for T in imp.blocks[1:]}) == len({id(f) for f in p.solver._lus}) == 1
+    for j, lf in enumerate(p.forms):
+        dtn = DtnBlock(lf.H, lf.n_interior)
+        assert np.array_equal(imp.blocks[j + 1], dtn.T)
+        assert np.array_equal(imp.chol[j + 1], dtn.chol)
+        # a solver of this subdomain alone, with nothing to share
+        own = sk.LocalImpedanceSolver([lf], [dtn.order], BlockImpedance(
+            [imp.blocks[0], dtn.T], [imp.chol[0], dtn.chol]), p.bc)
+        assert np.array_equal(p.scattering.blocks.blocks[j + 1],
+                              own.whitened_blocks.blocks[1])
+    # one stack of one block for all J members, on their rows side by side
+    n0, nb = p.block_sizes[:2]
+    for blocks in (imp._t, imp._l, p.scattering.blocks):
+        assert [(stack.shape, len(rows)) for stack, rows in blocks.groups] == [
+            ((1, n0, n0), n0), ((1, nb, nb), J * nb)]
+
+
+@pytest.mark.parametrize("n, px, forms", [(24, 4, 9), (12, 2, 4)])
+def test_forms_shared_in_part_or_not_at_all(n, px, forms):
+    # the vertex coordinates of a 24x24 mesh are exact in 9 of the 16 cells'
+    # own frames only, and in none of a 12x12 mesh's 2x2 cells; unshared
+    # blocks are stacked as one family each
+    p = build_problem(n, n, px, px, k=5.0)
+    assert len({id(T) for T in p.impedance.blocks[1:]}) == forms
+    assert len({id(f) for f in p.solver._lus}) == forms
+    if forms == p.num_subdomains:
+        n0, nb = p.block_sizes[:2]
+        for blocks in (p.impedance._t, p.impedance._l, p.scattering.blocks):
+            assert [(stack.shape, len(rows)) for stack, rows in blocks.groups] == [
+                ((1, n0, n0), n0), ((forms, nb, nb), forms * nb)]
+
+
+@pytest.mark.parametrize("n, px, calls", [(16, 4, 6), (24, 4, 22), (12, 2, 12)])
+def test_factorisation_budget(monkeypatch, n, px, calls):
+    # one splu per distinct form for the DtN blocks and the local factors,
+    # plus one fill-reducing interior order per pattern, two for the collar
+    # and one for the exchange: 6 = 2 + 2 + 1 + 1 when all cells are one form
+    import helmskel.impedance as imp_mod
+    count = [0]
+    splu = imp_mod.spla.splu
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(imp_mod.spla, "splu", counted)
+    build_problem(n, n, px, px, k=5.0)
+    assert count[0] == calls
 
 
 _HELD = {
@@ -784,7 +845,7 @@ def test_local_solvability_guard_without_onenormest(monkeypatch):
     monkeypatch.setattr(sk.spla, "onenormest", failing_estimator)
     # small blocks fall back to the exact 1-norm condition number
     C = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]], complex))
-    rcond = sk._estimate_rcond(_BoundaryLastFactor(C, np.arange(2), 0, sk._PIVOT_THRESHOLD), 1)
+    rcond = sk._estimate_rcond(_BoundaryLastFactor(C, np.arange(2), 0, sk._PIVOT_THRESHOLD), [1])
     assert rcond < 1e-12
     assert rcond == pytest.approx(1.0 / np.linalg.cond(C.toarray(), 1), rel=1e-6)
     with monkeypatch.context() as m, pytest.raises(sk.AssumptionViolation, match="perturb"):
@@ -807,6 +868,26 @@ def test_singular_impedance_problem_is_named(monkeypatch):
     monkeypatch.setattr(sk, "_BoundaryLastFactor", Singular)
     with pytest.raises(sk.AssumptionViolation,
                        match="impedance problem of block 1 is singular; perturb"):
+        build_problem(4, 4, 2, 2, k=3.0, bc_kind="robin")
+
+
+@pytest.mark.parametrize("failure", ["singular", "ill-conditioned", "unchecked"])
+def test_failing_form_names_all_its_blocks(monkeypatch, failure):
+    # the four cells of a 4x4, 2x2 checkerboard are one form, factored and
+    # checked once: a failure names block 1 and the other three
+    class Singular:
+        def __init__(self, *args):
+            raise RuntimeError("Factor is exactly singular")
+
+    if failure == "singular":
+        monkeypatch.setattr(sk, "_BoundaryLastFactor", Singular)
+    elif failure == "ill-conditioned":
+        monkeypatch.setattr(sk, "_RCOND_FLOOR", 1.0)
+    else:
+        monkeypatch.setattr(sk.spla, "onenormest", Singular)
+        monkeypatch.setattr(sk, "_DENSE_RCOND_MAX", 1)
+    with pytest.raises(sk.AssumptionViolation,
+                       match=r"block 1 .*\(and blocks 2, 3, 4 of the same form\)$"):
         build_problem(4, 4, 2, 2, k=3.0, bc_kind="robin")
 
 
