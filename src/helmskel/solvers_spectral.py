@@ -8,12 +8,15 @@ unwhitens the solution once, and runs the Richardson and GMRES cores in
 between.  The spectral harness turns the structural guarantees into
 numbers: inf-sup constants of both formulations, the coercivity constant
 of the skeleton operator, kernel dimensions on both sides, and the
-wavenumber scaling of the constants.
+wavenumber scaling of the constants.  The dense operator is built in
+fixed column chunks; its SVD, the one long LAPACK call, runs on a worker
+thread while the calling thread computes everything else.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -330,22 +333,28 @@ def gmres_tinv(problem: Problem, f: SkeletonField, tol: float = 1e-10,
 # dense spectral harness
 # ---------------------------------------------------------------------------
 
+# Most identity columns ``dense_operator`` feeds through the operator at
+# once: each chunk's temporaries stay a small fraction of M.
+_DENSE_CHUNK = 64
+
+
 def dense_operator(problem: Problem) -> np.ndarray:
     """Dense matrix of the whitened skeleton operator.
 
     The columns are ``_whitened_apply`` of the identity, the same path as
     the solvers' single vectors: the exchange and scattering operators in
-    whitened coordinates, so no column is whitened.  To bound the
-    temporaries, the identity goes in one chunk of columns per trace block.
-    M is held in Fortran order, the layout LAPACK reads, so a dense solver
-    given ``overwrite_a`` works on it in place.
+    whitened coordinates, so no column is whitened.  The identity goes in
+    fixed chunks of at most ``_DENSE_CHUNK`` columns, whatever the trace
+    blocks, so the temporaries of a chunk stay O(n x 64) beside M.  M is
+    held in Fortran order, the layout LAPACK reads, so a dense solver given
+    ``overwrite_a`` works on it in place.
     """
     n = problem.dual_dim
     if n > DENSE_CAP:
         raise DenseCapExceeded(f"skeleton dimension {n} exceeds dense cap {DENSE_CAP}")
-    imp = problem.impedance
     M = np.zeros((n, n), complex, order="F")
-    for o, m in zip(imp.offsets[:-1], imp.sizes):
+    for o in range(0, n, _DENSE_CHUNK):
+        m = min(_DENSE_CHUNK, n - o)
         E = np.zeros((n, m), complex)
         E[o:o + m] = np.eye(m)
         M[:, o:o + m] = _whitened_apply(problem, E)
@@ -527,27 +536,39 @@ def verify_estimates(problem: Problem) -> SpectralReport:
     of conj(M), so it has the singular values of M, and the kernels of M
     and M^T have the same dimension under the same threshold.
 
-    Once ``dense_operator`` has returned, the dense phase holds two n x n
-    matrices: M and its Hermitian part, written into one Fortran-ordered
-    buffer.  The SVD and the eigensolve each overwrite their matrix in
-    place, and both are freed before the sparse primary constants are
-    computed.
+    What runs where: the singular values of M come from one
+    ``np.linalg.svd`` on a worker thread, because numpy's LAPACK call
+    releases the interpreter lock (scipy's wrappers hold it).  Everything
+    else stays on the calling thread while it runs: ``dense_operator``, the
+    Hermitian part and its eigensolve, ``infsup_primary`` and
+    ``continuity_modulus``; then the worker is joined.  The ``with`` block
+    joins it on every exit path, so an exception from either side
+    propagates with its type and leaves no thread running.  A non-finite M
+    raises ``ValueError`` before the worker starts.
+
+    The dense phase peaks at about three n x n matrices: M, the private
+    copy of it that numpy's SVD works on, and the Hermitian part, written
+    into one Fortran-ordered buffer that the eigensolve overwrites in place
+    and freed before the sparse primary constants are computed.
     """
     M = dense_operator(problem)
-    herm = np.empty_like(M)
-    np.conjugate(M.T, out=herm)
-    herm += M
-    herm *= 0.5
-    svals = sla.svdvals(M, overwrite_a=True)
-    del M
+    if not np.isfinite(M).all():
+        raise ValueError("array must not contain infs or NaNs")
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        svd = pool.submit(np.linalg.svd, M, compute_uv=False)
+        herm = np.empty_like(M)
+        np.conjugate(M.T, out=herm)
+        herm += M
+        herm *= 0.5
+        del M
+        coer = float(sla.eigvalsh(herm, overwrite_a=True).min())
+        del herm
+        infsup_p, smax_p, kernel_p = infsup_primary(problem)
+        norm_a = float(continuity_modulus(problem))
+        svals = svd.result()
     smax_s = float(svals.max())
     infsup_s = float(svals.min())
     kernel_s = int(np.sum(svals < SVD_THRESHOLD * smax_s))
-    coer = float(sla.eigvalsh(herm, overwrite_a=True).min())
-    del herm
-
-    infsup_p, smax_p, kernel_p = infsup_primary(problem)
-    norm_a = float(continuity_modulus(problem))
 
     kernel_t = kernel_s  # M.T has the singular values of M
 

@@ -1,8 +1,11 @@
 import io
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import helmskel.skeleton as sk
 import helmskel.solvers_spectral as ss
@@ -398,9 +401,10 @@ def test_dense_cap(small_problem, monkeypatch):
 
 
 def test_verify_estimates_dense_phase_holds_two_matrices(monkeypatch):
-    # M and its Hermitian part, each n^2 complex entries, and the chunk
-    # temporaries of dense_operator (the largest trace block is 96 of 480
-    # here): about 2.2 n^2 entries measured.  Forming the Hermitian part
+    # M and its Hermitian part, each n^2 complex entries, besides the
+    # chunk temporaries of dense_operator: about 2.0 n^2 entries measured.
+    # The SVD's LAPACK copy of M is numpy's own malloc, outside tracemalloc;
+    # the bench's peak_rss_mb is what sees it.  Forming the Hermitian part
     # out of place and letting LAPACK copy M and it held about 3.1.
     import tracemalloc
 
@@ -422,6 +426,128 @@ def test_verify_estimates_dense_phase_holds_two_matrices(monkeypatch):
     assert peak <= 2.5 * n * n * 16
     assert abs(rep.infsup_skeleton - svals.min()) <= 1e-12 * svals.max()
     assert abs(rep.coercivity - coer) <= 1e-12 * svals.max()
+
+
+def test_dense_operator_temporaries_stay_small():
+    # the identity goes in chunks of at most _DENSE_CHUNK columns: M and
+    # about one n^2 of temporaries, 2.0 n^2 entries measured here; one
+    # chunk per trace block (the outer block is 128 of 384) peaked at 3.0
+    import tracemalloc
+
+    p = build_problem(32, 32, 2, 2, k=20.0, tgamma="boundary_h1")
+    n = p.dual_dim
+    assert n == 384
+    tracemalloc.start()
+    try:
+        M = dense_operator(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.shape == (n, n)
+    assert peak <= 2.2 * n * n * 16
+
+
+def _resonant_problem():
+    lam = dirichlet_resonance(build_rect_mesh(8, 8))
+    return build_problem(8, 8, 2, 2, k=5.0, kappa_sq=lam, bc_kind="dirichlet")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_problem(32, 32, 2, 2, k=20.0, tgamma="boundary_h1"),
+    lambda: build_problem(16, 16, 4, 4, k=10.0, tgamma="collar"),
+    _resonant_problem,
+], ids=["boundary_h1_2x2", "collar_4x4", "dirichlet_resonant"])
+def test_verify_estimates_matches_serial_path(make):
+    # the serial scipy path on the same M; the skeleton constants are
+    # relative to sigma_max, the scale of a backward stable solver's error,
+    # since sigma_min is about 1e-16 at resonance
+    p = make()
+    rep = verify_estimates(p)
+    M = dense_operator(p)
+    svals = sla.svdvals(M)
+    coer = sla.eigvalsh(0.5 * (M + M.conj().T)).min()
+    smax = svals.max()
+    kernel = int(np.sum(svals < ss.SVD_THRESHOLD * smax))
+    for got, want in ((rep.sigma_max_skeleton, smax), (rep.infsup_skeleton, svals.min()),
+                      (rep.coercivity, coer)):
+        assert abs(got - want) <= 1e-12 * smax
+    smin_p, smax_p, kernel_p = infsup_primary(p)
+    assert rep.infsup_primary == pytest.approx(smin_p, rel=1e-12)
+    assert rep.sigma_max_primary == pytest.approx(smax_p, rel=1e-12)
+    assert rep.continuity_a == pytest.approx(ss.continuity_modulus(p), rel=1e-12)
+    assert (rep.kernel_dim_skeleton, rep.kernel_dim_primary) == (kernel, kernel_p)
+    if make is _resonant_problem:
+        assert (kernel, kernel_p) == (1, 1)
+
+
+def test_verify_estimates_runs_only_the_svd_off_thread(ref_problem, monkeypatch):
+    seen = {}
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name] = threading.get_ident()
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", recording("svd", np.linalg.svd))
+    for name in ("dense_operator", "infsup_primary", "continuity_modulus"):
+        monkeypatch.setattr(ss, name, recording(name, getattr(ss, name)))
+    before = threading.active_count()
+    verify_estimates(ref_problem)
+    assert threading.active_count() == before
+    me = threading.get_ident()
+    assert seen["svd"] != me
+    assert seen["dense_operator"] == seen["infsup_primary"] == seen["continuity_modulus"] == me
+
+
+def test_verify_estimates_failure_on_calling_thread_joins_worker(ref_problem, monkeypatch):
+    # the exception propagates only once the running SVD has been joined:
+    # the SVD outlasts the calling thread's work and records that it ran
+    finished = []
+    real_svd = np.linalg.svd
+
+    def slow_svd(*args, **kwargs):
+        time.sleep(0.2)
+        out = real_svd(*args, **kwargs)
+        finished.append(True)
+        return out
+
+    def violated(problem):
+        raise sk.AssumptionViolation("planted")
+
+    monkeypatch.setattr(np.linalg, "svd", slow_svd)
+    monkeypatch.setattr(ss, "infsup_primary", violated)
+    before = threading.active_count()
+    with pytest.raises(sk.AssumptionViolation, match="planted"):
+        verify_estimates(ref_problem)
+    assert finished == [True]
+    assert threading.active_count() == before
+
+
+def test_verify_estimates_failure_on_worker_propagates(ref_problem, monkeypatch):
+    def diverged(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", diverged)
+    before = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        verify_estimates(ref_problem)
+    assert threading.active_count() == before
+
+
+def test_verify_estimates_rejects_non_finite_operator(ref_problem, monkeypatch):
+    real = ss.dense_operator
+
+    def planted(problem):
+        M = real(problem)
+        M[3, 5] = np.nan
+        return M
+
+    monkeypatch.setattr(ss, "dense_operator", planted)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        verify_estimates(ref_problem)
+    assert threading.active_count() == before
 
 
 def test_dense_exchange_is_orthogonal_reflection(small_problem):
